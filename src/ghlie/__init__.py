@@ -6,7 +6,7 @@ Hall-basis model of the free class-3 algebra.  See README.md for the CLI and
 the acceptance suite.
 """
 
-from .exactla import Matrix, Scalar, Subspace, kernel_basis, rref, subspace_intersect, subspace_sum
+from .exactla import Matrix, Subspace, kernel_basis, rref, subspace_intersect, subspace_sum
 from .liealg import (
     GhSpec,
     LieAlgebra,
@@ -23,18 +23,7 @@ from .liealg import (
     minimal_generators,
     quotient,
 )
-from .multiplier import (
-    DimReport,
-    capability_by_quotients,
-    classify_by_multiplier,
-    exterior_square_dim,
-    j2_dim,
-    k_subspace,
-    multiplier_dim,
-    psi2_image,
-    square_dim,
-    tensor_square_dim,
-)
+from .multiplier import dimensions, psi2_image, square_dim
 from .hopf import (
     cover_construct,
     exterior_center,
@@ -47,6 +36,6 @@ from .hopf import (
     verify_cover,
 )
 from .closed_forms import EXPECTED_MISMATCHES, closed_form_eval
-from .report import analyze
+from .report import Analysis, DimReport, analyze, capability_by_quotients, classify_by_multiplier
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Subcommands: gen, analyze, cover, capable, sweep, oracle-compare.
-Exit codes: 0 ok; 2 usage/parse error; 3 construction failure;
-4 Jacobi violation; 5 unexpected mismatch.  GHA_THREADS overrides the sweep
-worker count.
+Exit codes: 0 ok; 2 usage/parse error (including an empty sweep grid and
+capable on an abelian input); 3 construction failure; 4 Jacobi violation;
+5 unexpected mismatch.  GHA_THREADS overrides the sweep worker count.
 """
 
 from __future__ import annotations
@@ -16,20 +16,18 @@ from . import docio, hopf
 from .fixtures import canonical_gh, relations_from_pairs
 from .liealg import (
     CenterViolation,
-    ClassTwoRequired,
     GhSpec,
     LieAlgebra,
     abelian,
-    center,
     derived_subalgebra,
     direct_sum,
     gh_construct,
     heisenberg,
+    is_generalized_heisenberg,
     jacobi_check,
     nilpotency_class,
 )
-from .multiplier import capability_by_quotients
-from .report import analyze
+from .report import analyze, capability_by_quotients
 from .sweep import SweepConfig, run_sweep, sweep_exit_code
 
 
@@ -55,13 +53,8 @@ def _status(a: LieAlgebra) -> dict:
         "dim": a.dim,
         "class": nilpotency_class(a),
         "dim_derived": der.dim,
-        "center_equals_derived": center(a) == der,
+        "center_equals_derived": is_generalized_heisenberg(a),
     }
-
-
-def _load(path: str) -> tuple[LieAlgebra, dict]:
-    a, meta = docio.read_document(path)
-    return a, meta
 
 
 def _require_jacobi(a: LieAlgebra) -> None:
@@ -111,7 +104,7 @@ def _build_gh(args) -> tuple[LieAlgebra, dict]:
     else:
         a = gh_construct(GhSpec(d=d, rank=rank, seed=args.seed))
         meta["seed"] = args.seed
-    meta["gh"] = center(a) == derived_subalgebra(a)
+    meta["gh"] = is_generalized_heisenberg(a)
     return a, meta
 
 
@@ -148,7 +141,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    a, meta = _load(args.path)
+    a, meta = docio.read_document(args.path)
     _require_jacobi(a)
     rep = analyze(
         a,
@@ -165,7 +158,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    a, meta = _load(args.path)
+    a, meta = docio.read_document(args.path)
     _require_jacobi(a)
     pres = hopf.presentation_from_class2(a)
     cov = hopf.cover_construct(pres)
@@ -199,7 +192,7 @@ def cmd_cover(args) -> int:
 
 
 def cmd_capable(args) -> int:
-    a, _ = _load(args.path)
+    a, _ = docio.read_document(args.path)
     _require_jacobi(a)
     rep = capability_by_quotients(a, random_lines=args.random_lines, seed=args.seed or 0)
     print(json.dumps({
@@ -248,7 +241,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
-    a, _ = _load(args.path)
+    a, _ = docio.read_document(args.path)
     _require_jacobi(a)
     rep = analyze(a, with_oracle=True)
     formula = {k: rep.dims[k] for k in ("m_L", "wedge")}
@@ -291,20 +284,17 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("path")
     an.add_argument("--oracle", action="store_true")
     an.add_argument("--skip-suspect-forms", action="store_true")
-    an.add_argument("--json", action="store_true")
     an.set_defaults(func=cmd_analyze)
 
     cov = sub.add_parser("cover", help="construct and verify the cover")
     cov.add_argument("path")
     cov.add_argument("--out")
-    cov.add_argument("--json", action="store_true")
     cov.set_defaults(func=cmd_cover)
 
     cap = sub.add_parser("capable", help="capability verdict with quotient evidence")
     cap.add_argument("path")
     cap.add_argument("--random-lines", type=int, default=4)
     cap.add_argument("--seed", type=int, default=0)
-    cap.add_argument("--json", action="store_true")
     cap.set_defaults(func=cmd_capable)
 
     sw = sub.add_parser("sweep", help="grid sweep against the printed formulas")
@@ -317,10 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--max-cases", type=int, default=5000)
     sw.add_argument("--no-oracle", action="store_true")
     sw.add_argument(
-        "--include-printed-j2", action="store_true",
-        help="compare the suspect printed forms too (already the default)",
-    )
-    sw.add_argument(
         "--skip-suspect-forms", action="store_true",
         help="drop the ledgered suspect printed forms from comparison",
     )
@@ -329,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     oc = sub.add_parser("oracle-compare", help="formula route vs Hopf oracle")
     oc.add_argument("path")
-    oc.add_argument("--json", action="store_true")
     oc.set_defaults(func=cmd_oracle_compare)
 
     return parser
@@ -340,13 +325,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except docio.DocumentError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ClassTwoRequired as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except CenterViolation as e:
@@ -355,7 +334,7 @@ def main(argv=None) -> int:
     except _JacobiViolation as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except ValueError as e:
+    except ValueError as e:  # includes DocumentError and ClassTwoRequired
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -47,11 +47,16 @@ def algebra_to_document(a: LieAlgebra, meta: dict | None = None) -> dict:
     return doc
 
 
+def _is_int(x) -> bool:
+    # bool is an int subclass, but true/false are not indices.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def document_to_algebra(doc) -> tuple[LieAlgebra, dict]:
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_int(dim) or dim < 0:
         raise DocumentError("dim must be a nonnegative integer")
     labels = doc.get("labels")
     if not isinstance(labels, list) or len(labels) != dim or not all(
@@ -66,7 +71,7 @@ def document_to_algebra(doc) -> tuple[LieAlgebra, dict]:
         if not isinstance(entry, dict) or not {"i", "j", "v"} <= set(entry):
             raise DocumentError("each bracket needs i, j and v")
         i, j, v = entry["i"], entry["j"], entry["v"]
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < dim):
+        if not (_is_int(i) and _is_int(j) and 0 <= i < j < dim):
             raise DocumentError(f"bracket pair ({i},{j}) violates 0 <= i < j < dim")
         if (i, j) in table:
             raise DocumentError(f"duplicate bracket pair ({i},{j})")

@@ -12,8 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-Scalar = Fraction
-
 # Sparse vector: coordinate -> nonzero Fraction.  Absent means zero.
 Vec = dict
 
@@ -36,28 +34,10 @@ def vec_from_list(xs: Sequence[object]) -> Vec:
     return vec(enumerate(xs))
 
 
-def vec_to_list(v: Vec, n: int) -> list[Fraction]:
-    out = [_ZERO] * n
-    for i, x in v.items():
-        out[i] = x
-    return out
-
-
 def vec_add(u: Vec, v: Vec) -> Vec:
     out = dict(u)
     for i, x in v.items():
         s = out.get(i, _ZERO) + x
-        if s:
-            out[i] = s
-        else:
-            out.pop(i, None)
-    return out
-
-
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    out = dict(u)
-    for i, x in v.items():
-        s = out.get(i, _ZERO) - x
         if s:
             out[i] = s
         else:
@@ -126,9 +106,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, {(i, i): _ONE for i in range(n)})
 
-    def row(self, r: int) -> Vec:
-        return {c: x for (rr, c), x in self.entries.items() if rr == r}
-
     def row_vecs(self) -> list[Vec]:
         out = [dict() for _ in range(self.rows)]
         for (r, c), x in self.entries.items():
@@ -137,20 +114,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows, {(c, r): x for (r, c), x in self.entries.items()})
-
-    def apply(self, v: Vec) -> Vec:
-        """Matrix-vector product (v in column coordinates)."""
-        out = {}
-        rows = self.row_vecs()
-        for r, rv in enumerate(rows):
-            s = _ZERO
-            for c, x in rv.items():
-                y = v.get(c)
-                if y is not None:
-                    s += x * y
-            if s:
-                out[r] = s
-        return out
 
     def to_dense(self) -> list[list[Fraction]]:
         out = [[_ZERO] * self.cols for _ in range(self.rows)]
@@ -326,28 +289,6 @@ def kernel_basis(m: Matrix) -> Subspace:
                 v[p] = -coef
         gens.append(v)
     return Subspace.from_vectors(m.cols, gens)
-
-
-def solve(m: Matrix, b: Vec) -> Vec | None:
-    """One solution x of m x = b, or None if inconsistent (free coords set to 0)."""
-    aug_col = m.cols
-    rows = m.row_vecs()
-    for r, x in b.items():
-        while r >= len(rows):
-            rows.append({})
-        if x:
-            rows[r][aug_col] = x
-    reduced = _rref_rows(rows)
-    x = {}
-    for row in reduced:
-        p = min(row)
-        if p == aug_col:
-            return None
-        rhs = row.get(aug_col)
-        if rhs is not None:
-            x[p] = rhs
-    # x has entries only at pivot columns; valid since free coords are zero.
-    return x
 
 
 def invert(m: Matrix) -> Matrix:

@@ -27,12 +27,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import Matrix, Subspace, Vec, kernel_basis, solve, vec_axpy
+from .exactla import Matrix, Subspace, Vec, kernel_basis, rref, vec_axpy
+from .exactla import rank as mat_rank
 from .liealg import (
     ClassTwoRequired,
     LieAlgebra,
     bracket_vectors,
     center,
+    class2_from_relations,
     derived_subalgebra,
     lower_central_series,
     quotient,
@@ -40,6 +42,7 @@ from .liealg import (
     restrict,
     subalgebra_closure,
 )
+from .multiplier import dimensions, psi2_image
 
 _ONE = Fraction(1)
 
@@ -50,8 +53,6 @@ class HallBasis:
     __slots__ = ("d", "pairs", "triples", "pair_index", "triple_index")
 
     def __init__(self, d: int):
-        if d < 1:
-            raise ValueError("need at least one generator")
         self.d = d
         self.pairs = list(itertools.combinations(range(d), 2))
         self.triples = [
@@ -145,10 +146,6 @@ class FreePresentation:
     lifts: list[Vec]
     target: LieAlgebra
 
-    @property
-    def derived(self) -> Subspace:
-        return self.rel_bracket_span
-
 
 def _grade3_part(h: HallBasis, w: Vec) -> Vec:
     off = h.d + h.grade2_dim
@@ -161,8 +158,8 @@ def presentation_from_class2(a: LieAlgebra) -> FreePresentation:
     An input off the basis contract (generators first, then L²) is re-based
     first; the stored target is the re-based algebra.
     """
-    a = rebase_class2(a)
-    r = derived_subalgebra(a).dim
+    a, der = rebase_class2(a)
+    r = der.dim
     d = a.dim - r
     h = hall_basis(d)
     # Grade-2 coordinates -> L² coordinates, one column per wedge pair.
@@ -180,12 +177,18 @@ def presentation_from_class2(a: LieAlgebra) -> FreePresentation:
             if w3:
                 bracket_gens.append(_grade3_part(h, w3))
     rf = Subspace.from_vectors(h.grade3_dim, bracket_gens)
-    lifts = []
-    for s in range(r):
-        lift = solve(phi, {s: _ONE})
-        if lift is None:
+    # All lifts from one elimination: RREF [φ | I_r] = [RREF(φ) | E], and
+    # x_s = Σ_i E[i][s] e_(pivot i) solves φ x_s = e_s with free coordinates 0.
+    g2 = h.grade2_dim
+    aug, _ = rref(Matrix(r, g2 + r, {**phi_entries, **{(s, g2 + s): _ONE for s in range(r)}}))
+    lifts: list[Vec] = [{} for _ in range(r)]
+    for row in aug.row_vecs():
+        p = min(row)
+        if p >= g2:
             raise ClassTwoRequired("derived basis vector is not in the bracket image")
-        lifts.append(lift)
+        for c, x in row.items():
+            if c >= g2:
+                lifts[c - g2][p] = x
     return FreePresentation(h, rel2, rf, lifts, a)
 
 
@@ -268,7 +271,6 @@ class Cover:
 
     algebra: LieAlgebra
     central_ideal: Subspace
-    presentation: FreePresentation
 
 
 def cover_construct(p: FreePresentation) -> Cover:
@@ -315,7 +317,7 @@ def cover_construct(p: FreePresentation) -> Cover:
         {d + w: x for w, x in v.items()} for v in p.rel2.vectors()
     ] + [{d + g2 + q: _ONE} for q in range(len(comp3))]
     central = Subspace.from_vectors(dim, b_gens)
-    return Cover(algebra, central, p)
+    return Cover(algebra, central)
 
 
 @dataclass
@@ -323,6 +325,7 @@ class CoverReport:
     cover_dim: int
     expected_dim: int
     nilpotency_class: int
+    expected_class: int
     z_in_derived: bool
     b_central: bool
     b_in_derived: bool
@@ -339,8 +342,8 @@ class CoverReport:
     def ok(self) -> bool:
         return (
             self.cover_dim == self.expected_dim
-            and self.nilpotency_class == 3
-            and self.z_in_derived
+            and self.nilpotency_class == self.expected_class
+            and (self.z_in_derived or self.nilpotency_class in (0, 1))
             and self.b_central
             and self.b_in_derived
             and self.b_dim == self.multiplier
@@ -354,15 +357,15 @@ def verify_cover(a: LieAlgebra, cover: LieAlgebra, b: Subspace) -> CoverReport:
     """Check the Thm-2.6 shape of a claimed cover of the class-2 algebra a.
 
     Branch detection: s = dim B - dim (L*)³ with B ≅ (L*)³ ⊕ A(s) whenever
-    (L*)³ ⊆ B; the defect bound is dim rel2 of the presentation.
+    (L*)³ ⊆ B; the defect bound is dim rel2 of the presentation.  The cover
+    of A(n) is free of class min(n, 2); that of a non-abelian L has class 3.
     """
-    from . import multiplier as mult
-
     p = presentation_from_class2(a)
     der = derived_subalgebra(cover)
     z = center(cover)
     series = lower_central_series(cover)
-    cls = len(series) - 1 if series[-1].dim == 0 else -1
+    # The class counts the nonzero terms; -1 marks a non-nilpotent cover.
+    cls = sum(1 for t in series if t.dim) if series[-1].dim == 0 else -1
     # series[2] is (L*)³ when present ([L, L², L³, ...]).
     cube = series[2] if len(series) > 2 else Subspace.zero(cover.dim)
     b_central = all(
@@ -372,7 +375,7 @@ def verify_cover(a: LieAlgebra, cover: LieAlgebra, b: Subspace) -> CoverReport:
     )
     b_in_derived = all(der.contains_vec(u) for u in b.vectors())
     z_in_derived = all(der.contains_vec(u) for u in z.vectors())
-    m_dim = mult.multiplier_dim(a)
+    m_dim = dimensions(psi2_image(a))["m_L"]
     quo, _ = quotient(cover, b)
     canonical = _canonical_class2(p)
     quotient_matches = quo.bracket == canonical.bracket and _iso_onto_target(p, canonical)
@@ -387,6 +390,7 @@ def verify_cover(a: LieAlgebra, cover: LieAlgebra, b: Subspace) -> CoverReport:
         cover_dim=cover.dim,
         expected_dim=a.dim + m_dim,
         nilpotency_class=cls,
+        expected_class=3 if p.lifts else min(a.dim, 2),
         z_in_derived=z_in_derived,
         b_central=b_central,
         b_in_derived=b_in_derived,
@@ -402,8 +406,6 @@ def verify_cover(a: LieAlgebra, cover: LieAlgebra, b: Subspace) -> CoverReport:
 
 
 def _canonical_class2(p: FreePresentation) -> LieAlgebra:
-    from .liealg import class2_from_relations
-
     return class2_from_relations(p.hall.d, p.rel2)
 
 
@@ -417,8 +419,6 @@ def _iso_onto_target(p: FreePresentation, canonical: LieAlgebra) -> bool:
         i, j = p.hall.pairs[c]
         images.append(t.pair(i, j))
     basis = Matrix.from_rows(t.dim, images)
-    from .exactla import rank as mat_rank
-
     if mat_rank(basis) != t.dim:
         return False
     for i, j in itertools.combinations(range(canonical.dim), 2):

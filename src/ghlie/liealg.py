@@ -157,11 +157,6 @@ def nilpotency_class(a: LieAlgebra) -> int:
     return len(series) - 1
 
 
-def is_nilpotent_of_class_at_most(a: LieAlgebra, c: int) -> bool:
-    series = lower_central_series(a)
-    return series[-1].dim == 0 and len(series) - 1 <= c
-
-
 def quotient(a: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
     """Quotient algebra on the complement coordinates of the ideal.
 
@@ -266,18 +261,17 @@ def class2_from_relations(d: int, relations: Subspace, labels=None) -> LieAlgebr
     return LieAlgebra(d + r, labels, table)
 
 
-def _center_equals_derived(a: LieAlgebra) -> bool:
-    return center(a) == derived_subalgebra(a)
-
-
 _RETRY_BUDGET = 64
 
 
 def random_relation_subspace(d: int, rank: int, rng: random.Random) -> Subspace:
-    """Seeded wedge subspace of dimension d(d-1)/2 - rank (small-int entries)."""
+    """Seeded wedge subspace of dimension d(d-1)/2 - rank (small-int entries).
+
+    Raises CenterViolation when no draw within the retry budget has full rank.
+    """
     n = d * (d - 1) // 2
     target = n - rank
-    while True:
+    for _ in range(_RETRY_BUDGET):
         rows = [
             {c: Fraction(rng.randint(-3, 3)) for c in range(n)}
             for _ in range(target)
@@ -285,6 +279,9 @@ def random_relation_subspace(d: int, rank: int, rng: random.Random) -> Subspace:
         sub = Subspace.from_vectors(n, [{c: x for c, x in row.items() if x} for row in rows])
         if sub.dim == target:
             return sub
+    raise CenterViolation(
+        f"no relation subspace of dimension {target} found for d={d} within {_RETRY_BUDGET} draws"
+    )
 
 
 def gh_construct(spec: GhSpec) -> LieAlgebra:
@@ -296,7 +293,7 @@ def gh_construct(spec: GhSpec) -> LieAlgebra:
     spec.validate()
     if spec.relation_subspace is not None:
         a = class2_from_relations(spec.d, spec.relation_subspace)
-        if not _center_equals_derived(a):
+        if not is_generalized_heisenberg(a):
             raise CenterViolation(
                 f"relations leave extra central elements for d={spec.d}, rank={spec.rank}"
             )
@@ -305,7 +302,7 @@ def gh_construct(spec: GhSpec) -> LieAlgebra:
     for _ in range(_RETRY_BUDGET):
         sub = random_relation_subspace(spec.d, spec.rank, rng)
         a = class2_from_relations(spec.d, sub)
-        if _center_equals_derived(a):
+        if is_generalized_heisenberg(a):
             return a
     raise CenterViolation(
         f"no generalized Heisenberg instance found for d={spec.d}, rank={spec.rank} "
@@ -315,7 +312,7 @@ def gh_construct(spec: GhSpec) -> LieAlgebra:
 
 def is_generalized_heisenberg(a: LieAlgebra) -> bool:
     """True iff the derived subalgebra equals the center (as subspaces)."""
-    return _center_equals_derived(a)
+    return center(a) == derived_subalgebra(a)
 
 
 def minimal_generators(a: LieAlgebra) -> int:
@@ -345,21 +342,23 @@ def change_of_basis(a: LieAlgebra, new_basis: Matrix) -> LieAlgebra:
     return LieAlgebra(a.dim, a.labels, table)
 
 
-def rebase_class2(a: LieAlgebra) -> LieAlgebra:
+def rebase_class2(a: LieAlgebra) -> tuple[LieAlgebra, Subspace]:
     """Rewrite a class-2 algebra in the basis contract (generators, then L²).
 
-    Returns a itself when the contract already holds (derived subalgebra
-    spanned by the trailing coordinates).
+    Returns the rebased algebra and its derived subalgebra, which is spanned
+    by the trailing coordinates.  The algebra is a itself when the contract
+    already holds.
     """
-    if not is_nilpotent_of_class_at_most(a, 2):
+    series = lower_central_series(a)
+    if series[-1].dim or len(series) > 3:
         raise ClassTwoRequired("input must be nilpotent of class at most 2")
-    der = derived_subalgebra(a)
+    der = series[1]
     n = a.dim - der.dim
     trailing = Matrix(der.dim, a.dim, {(s, n + s): _ONE for s in range(der.dim)})
-    if der.basis == trailing:
-        return a
-    rows = [{c: _ONE} for c in der.complement_coords()] + der.vectors()
-    return change_of_basis(a, Matrix.from_rows(a.dim, rows))
+    if der.basis != trailing:
+        rows = [{c: _ONE} for c in der.complement_coords()] + der.vectors()
+        a = change_of_basis(a, Matrix.from_rows(a.dim, rows))
+    return a, Subspace(a.dim, trailing)
 
 
 def subalgebra_closure(a: LieAlgebra, seed_vectors) -> Subspace:

@@ -13,36 +13,28 @@ The spanning set is alternating and kills repeated arguments, hence triples of
 distinct abelianization basis vectors suffice.  Coordinates of L² ⊗ L/L² are
 lexicographic (derived-basis index, generator index); the Hopf-formula oracle
 returns ker b in the same convention so subspace comparisons are literal.
+``dimensions`` is the one home of this formula and of the four dimensions
+derived from it.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .exactla import Subspace, Vec
-from .liealg import (
-    ClassTwoRequired,
-    LieAlgebra,
-    bracket_vectors,
-    center,
-    derived_subalgebra,
-    is_generalized_heisenberg,
-    minimal_generators,
-    quotient,
-)
-
-_ONE = Fraction(1)
+from .liealg import LieAlgebra, rebase_class2
 
 
 @dataclass(frozen=True)
 class Psi2Data:
-    """Image of the trilinear Jacobi-cycle map on the abelianization."""
+    """Image K of the trilinear Jacobi-cycle map on the abelianization.
 
-    domain_dim: int
-    codomain_dim: int
+    n = dim L/L² and r = dim L²; the image lives in L² ⊗ L/L² of dimension r·n.
+    """
+
+    n: int
+    r: int
     image: Subspace
 
     @property
@@ -50,29 +42,19 @@ class Psi2Data:
         return self.image.dim
 
 
-def _require_class2(a: LieAlgebra, der: Subspace) -> None:
-    # class <= 2 iff [L², L] = 0.
-    for u in der.vectors():
-        for j in range(a.dim):
-            if bracket_vectors(a, u, {j: _ONE}):
-                raise ClassTwoRequired("operation requires nilpotency class at most 2")
+def psi2_image(a: LieAlgebra, der: Subspace | None = None) -> Psi2Data:
+    """Span of [x,y]⊗z̄ + [z,x]⊗ȳ + [y,z]⊗x̄ over basis triples of L/L².
 
-
-def psi2_image(a: LieAlgebra) -> Psi2Data:
-    """Span of [x,y]⊗z̄ + [z,x]⊗ȳ + [y,z]⊗x̄ over basis triples of L/L²."""
-    der = derived_subalgebra(a)
-    _require_class2(a, der)
+    der is the derived subalgebra of a as rebase_class2 returns it; without it
+    a is rebased here, which also rejects class > 2.  Rebasing leaves K
+    unchanged coordinate for coordinate: the rebased generators are the
+    complement coordinates of L², its derived basis the RREF basis of L².
+    """
+    if der is None:
+        a, der = rebase_class2(a)
     r = der.dim
     comp = der.complement_coords()
     n = len(comp)
-    codomain = r * n
-
-    def l2_coords(w: Vec) -> Vec:
-        coords = der.coords(w)
-        if coords is None:
-            raise ClassTwoRequired("bracket fell outside the derived subalgebra")
-        return coords
-
     gens = []
     for g1, g2, g3 in itertools.combinations(range(n), 3):
         v: Vec = {}
@@ -81,7 +63,7 @@ def psi2_image(a: LieAlgebra) -> Psi2Data:
             ((comp[g3], comp[g1]), g2),
             ((comp[g2], comp[g3]), g1),
         ):
-            for s, x in l2_coords(a.pair(ci, cj)).items():
+            for s, x in der.coords(a.pair(ci, cj)).items():
                 key = s * n + g
                 t = v.get(key, 0) + x
                 if t:
@@ -90,20 +72,7 @@ def psi2_image(a: LieAlgebra) -> Psi2Data:
                     v.pop(key, None)
         if v:
             gens.append(v)
-    return Psi2Data(n ** 3, codomain, Subspace.from_vectors(codomain, gens))
-
-
-def k_subspace(a: LieAlgebra) -> Subspace:
-    """The subspace K of the exact sequence; same spanning set as psi2_image."""
-    return psi2_image(a).image
-
-
-def multiplier_dim(a: LieAlgebra) -> int:
-    """dim M(L) for nilpotent L of class <= 2 (abelian included)."""
-    data = psi2_image(a)
-    der = derived_subalgebra(a)
-    n = a.dim - der.dim
-    return n * (n - 1) // 2 - der.dim + (der.dim * n - data.image.dim)
+    return Psi2Data(n, r, Subspace.from_vectors(r * n, gens))
 
 
 def square_dim(n: int) -> int:
@@ -111,156 +80,18 @@ def square_dim(n: int) -> int:
     return n * (n + 1) // 2
 
 
-def exterior_square_dim(a: LieAlgebra) -> int:
-    return multiplier_dim(a) + derived_subalgebra(a).dim
+def dimensions(k: Psi2Data) -> dict[str, int]:
+    """m_L, wedge, tensor, j2 and psi2_rank of the algebra whose K is k.
 
-
-def tensor_square_dim(a: LieAlgebra) -> int:
-    n = a.dim - derived_subalgebra(a).dim
-    return exterior_square_dim(a) + square_dim(n)
-
-
-def j2_dim(a: LieAlgebra) -> int:
-    """Kernel of the commutator map L⊗L -> L²; the map is onto L²."""
-    return tensor_square_dim(a) - derived_subalgebra(a).dim
-
-
-@dataclass
-class DimReport:
-    """Computed vs. predicted dimensions for one algebra.
-
-    dims and predicted share the keys m_L, wedge, tensor, j2, psi2_rank; flags
-    holds per-key "match" / "mismatch" / "expected_mismatch" / "no_prediction".
+    L∧L adds L² to M(L); L⊗L adds the symmetric square of L/L² to L∧L; J₂ is
+    the kernel of the commutator map L⊗L -> L², which is onto L².
     """
-
-    d: int
-    rank: int
-    defect: int
-    t: int = 0
-    variant: str = "generic"
-    provenance: str = ""
-    dims: dict = field(default_factory=dict)
-    predicted: dict = field(default_factory=dict)
-    flags: dict = field(default_factory=dict)
-    capable: bool | None = None
-    oracle: dict = field(default_factory=dict)
-    expected_mismatches: list = field(default_factory=list)
-    unexpected_mismatches: list = field(default_factory=list)
-
-    @property
-    def match(self) -> bool:
-        """True when nothing unexpected disagrees (suspect forms excluded)."""
-        return not self.unexpected_mismatches
-
-    def to_dict(self) -> dict:
-        return {
-            "provenance": self.provenance,
-            "d": self.d,
-            "rank": self.rank,
-            "defect": self.defect,
-            "t": self.t,
-            "variant": self.variant,
-            "dims": dict(self.dims),
-            "predicted": {
-                k: {"value": p.value, "theorem": p.theorem, "suspect": p.suspect}
-                for k, p in self.predicted.items()
-            },
-            "flags": dict(self.flags),
-            "capable": self.capable,
-            "oracle": dict(self.oracle),
-            "match": self.match,
-            "expected_mismatches": list(self.expected_mismatches),
-            "unexpected_mismatches": list(self.unexpected_mismatches),
-        }
-
-
-class NotGeneralizedHeisenberg(ValueError):
-    pass
-
-
-def classify_by_multiplier(a: LieAlgebra):
-    """Defect certified by (d, dim M(L)): 0, 1, 2, or "other"."""
-    if not is_generalized_heisenberg(a):
-        raise NotGeneralizedHeisenberg("input is not a generalized Heisenberg algebra")
-    d = minimal_generators(a)
-    m = multiplier_dim(a)
-    base = d * (d - 1) * (d + 1) // 3
-    if m == (d ** 3 - d) // 3:
-        return 0
-    if m == base - d + 1:
-        return 1
-    if m == base - 2 * d + 2:
-        return 2
-    return "other"
-
-
-@dataclass
-class QuotientEvidence:
-    line: Vec
-    quotient_multiplier: int
-    strict_drop: bool
-
-
-@dataclass
-class CapabilityReport:
-    capable: bool
-    exterior_center_dim: int
-    multiplier: int
-    evidence: list[QuotientEvidence] = field(default_factory=list)
-
-    @property
-    def all_quotients_drop(self) -> bool:
-        return all(e.strict_drop for e in self.evidence)
-
-
-def capability_by_quotients(a: LieAlgebra, random_lines: int = 4, seed: int = 0) -> CapabilityReport:
-    """Capability verdict with quotient-drop corroboration.
-
-    The exterior-center computation (Hopf presentation) is authoritative; the
-    one-dimensional central quotients M(L/K) < M(L) only corroborate, since the
-    drop criterion is one-directional.
-    """
-    der = derived_subalgebra(a)
-    _require_class2(a, der)
-    if der.dim == 0:
-        raise ClassTwoRequired("capability pipeline expects a non-abelian class-2 algebra")
-    from . import hopf
-
-    pres = hopf.presentation_from_class2(a)
-    ec = hopf.exterior_center(pres)
-    m = multiplier_dim(a)
-    z = center(a)
-    lines: list[Vec] = []
-    for c in range(a.dim):
-        unit = {c: _ONE}
-        if z.contains_vec(unit):
-            lines.append(unit)
-    rng = random.Random(seed)
-    zvecs = z.vectors()
-    for _ in range(random_lines):
-        v: Vec = {}
-        while not v:
-            v = {}
-            for row in zvecs:
-                coef = Fraction(rng.randint(-2, 2))
-                if coef:
-                    for i, x in row.items():
-                        t = v.get(i, 0) + coef * x
-                        if t:
-                            v[i] = t
-                        else:
-                            v.pop(i, None)
-        lines.append(v)
-    evidence = []
-    for line in lines:
-        sub = Subspace.from_vectors(a.dim, [line])
-        quo, _ = quotient(a, sub)
-        mq = multiplier_dim(quo)
-        evidence.append(QuotientEvidence(line, mq, mq < m))
-    return CapabilityReport(
-        capable=ec.dim == 0,
-        exterior_center_dim=ec.dim,
-        multiplier=m,
-        evidence=evidence,
-    )
-
+    n, r = k.n, k.r
+    m_l = n * (n - 1) // 2 - r + (r * n - k.rank)
+    return {
+        "m_L": m_l,
+        "wedge": m_l + r,
+        "tensor": m_l + r + square_dim(n),
+        "j2": m_l + square_dim(n),
+        "psi2_rank": k.rank,
+    }

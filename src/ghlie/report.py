@@ -1,19 +1,99 @@
 """One-algebra analysis: multiplier-route dimensions, printed-form comparison,
-oracle concordance and capability, assembled into a DimReport."""
+oracle concordance, capability and defect classification."""
 
 from __future__ import annotations
 
+import random
+from dataclasses import dataclass, field
+from fractions import Fraction
+
 from . import hopf
 from .closed_forms import closed_form_eval
-from .liealg import LieAlgebra, center, derived_subalgebra
-from .multiplier import DimReport, psi2_image, square_dim
+from .exactla import Subspace, Vec
+from .liealg import ClassTwoRequired, LieAlgebra, center, quotient, rebase_class2
+from .multiplier import Psi2Data, dimensions, psi2_image
+
+_ONE = Fraction(1)
 
 
-def intrinsic_context(a: LieAlgebra) -> tuple[int, int, int]:
-    """(d, rank, t) read off the algebra: d = dim L/Z, t = dim Z - dim L²."""
-    r = derived_subalgebra(a).dim
-    z = center(a).dim
-    return a.dim - z, r, z - r
+@dataclass(frozen=True)
+class Analysis:
+    """What both routes need of one class-2 algebra, computed once per entry call.
+
+    algebra is the input rebased to the basis contract (generators, then L²)
+    and derived its L²; center is Z(L) in the input's own coordinates, so
+    capability evidence reads in those coordinates.  Built afresh per call
+    and passed down; never cached on the algebra.
+    """
+
+    algebra: LieAlgebra
+    derived: Subspace
+    center: Subspace
+    k: Psi2Data
+    presentation: hopf.FreePresentation
+
+    @classmethod
+    def of(cls, a: LieAlgebra) -> "Analysis":
+        """Raises ClassTwoRequired beyond class 2."""
+        b, der = rebase_class2(a)
+        return cls(b, der, center(a), psi2_image(b, der), hopf.presentation_from_class2(b))
+
+    @property
+    def r(self) -> int:
+        return self.derived.dim
+
+    @property
+    def n(self) -> int:
+        return self.algebra.dim - self.r
+
+
+@dataclass
+class DimReport:
+    """Computed vs. predicted dimensions for one algebra.
+
+    dims and predicted share the keys m_L, wedge, tensor, j2, psi2_rank; flags
+    holds per-key "match" / "mismatch" / "expected_mismatch" / "no_prediction".
+    """
+
+    d: int
+    rank: int
+    defect: int
+    t: int = 0
+    variant: str = "generic"
+    provenance: str = ""
+    dims: dict = field(default_factory=dict)
+    predicted: dict = field(default_factory=dict)
+    flags: dict = field(default_factory=dict)
+    capable: bool | None = None
+    oracle: dict = field(default_factory=dict)
+    expected_mismatches: list = field(default_factory=list)
+    unexpected_mismatches: list = field(default_factory=list)
+
+    @property
+    def match(self) -> bool:
+        """True when nothing unexpected disagrees (suspect forms excluded)."""
+        return not self.unexpected_mismatches
+
+    def to_dict(self) -> dict:
+        return {
+            "provenance": self.provenance,
+            "d": self.d,
+            "rank": self.rank,
+            "defect": self.defect,
+            "t": self.t,
+            "variant": self.variant,
+            "dims": dict(self.dims),
+            "predicted": {
+                k: {"value": p.value, "theorem": p.theorem, "suspect": p.suspect}
+                for k, p in self.predicted.items()
+            },
+            "flags": dict(self.flags),
+            "capable": self.capable,
+            "oracle": dict(self.oracle),
+            "match": self.match,
+            "expected_mismatches": list(self.expected_mismatches),
+            "unexpected_mismatches": list(self.unexpected_mismatches),
+        }
 
 
 def analyze(
@@ -33,24 +113,14 @@ def analyze(
     otherwise they are read off the algebra itself.  Raises ClassTwoRequired
     beyond class 2.
     """
-    data = psi2_image(a)
-    der = derived_subalgebra(a)
-    r = der.dim
-    n = a.dim - r
-    m_l = n * (n - 1) // 2 - r + (r * n - data.rank)
-    dims = {
-        "m_L": m_l,
-        "wedge": m_l + r,
-        "tensor": m_l + r + square_dim(n),
-        "j2": m_l + square_dim(n),
-        "psi2_rank": data.rank,
-    }
-
-    d_int, _, t_int = intrinsic_context(a)
+    ctx = Analysis.of(a)
+    dims = dimensions(ctx.k)
+    r = ctx.r
+    # Read off the algebra: d = dim L/Z, t = dim Z - dim L².
     if d is None:
-        d = d_int
+        d = a.dim - ctx.center.dim
     if t is None:
-        t = t_int
+        t = ctx.center.dim - r
     if defect is None:
         defect = d * (d - 1) // 2 - r if d >= 2 else 0
 
@@ -61,7 +131,7 @@ def analyze(
 
     # Defect-3 branch detection from the Heisenberg-part Jacobi-cycle rank
     # (an abelian summand contributes exactly rank·t extra dimensions).
-    psi2_core = data.rank - r * t
+    psi2_core = ctx.k.rank - r * t
     if defect == 3:
         full = d * (d - 1) * (d - 2) // 6
         if variant is None:
@@ -119,7 +189,7 @@ def analyze(
                 report.flags[key] = "mismatch"
                 report.unexpected_mismatches.append(record)
 
-    pres = hopf.presentation_from_class2(a)
+    pres = ctx.presentation
     ec = hopf.exterior_center(pres)
     report.capable = ec.dim == 0
     if defect in (1, 2) and d >= 3 and not report.capable:
@@ -153,13 +223,102 @@ def analyze(
             check_ker_beta = pres.hall.d <= 6
         if check_ker_beta:
             kb = hopf.ker_beta(pres)
-            agree = kb == data.image
+            agree = kb == ctx.k.image
             report.oracle["ker_beta_matches"] = agree
             if not agree:
                 report.unexpected_mismatches.append({
                     "key": "ker_beta",
                     "theorem": "Thm 1.3",
                     "printed": kb.dim,
-                    "computed": data.image.dim,
+                    "computed": ctx.k.rank,
                 })
     return report
+
+
+class NotGeneralizedHeisenberg(ValueError):
+    pass
+
+
+def classify_by_multiplier(a: LieAlgebra):
+    """Defect certified by (d, dim M(L)): 0, 1, 2, or "other"."""
+    ctx = Analysis.of(a)
+    # L² ⊆ Z(L) at class 2, so Z(L) = L² iff the dimensions agree.
+    if ctx.center.dim != ctx.r:
+        raise NotGeneralizedHeisenberg("input is not a generalized Heisenberg algebra")
+    d = ctx.n
+    m = dimensions(ctx.k)["m_L"]
+    base = d * (d - 1) * (d + 1) // 3
+    if m == (d ** 3 - d) // 3:
+        return 0
+    if m == base - d + 1:
+        return 1
+    if m == base - 2 * d + 2:
+        return 2
+    return "other"
+
+
+@dataclass
+class QuotientEvidence:
+    line: Vec
+    quotient_multiplier: int
+    strict_drop: bool
+
+
+@dataclass
+class CapabilityReport:
+    capable: bool
+    exterior_center_dim: int
+    multiplier: int
+    evidence: list[QuotientEvidence] = field(default_factory=list)
+
+    @property
+    def all_quotients_drop(self) -> bool:
+        return all(e.strict_drop for e in self.evidence)
+
+
+def capability_by_quotients(a: LieAlgebra, random_lines: int = 4, seed: int = 0) -> CapabilityReport:
+    """Capability verdict with quotient-drop corroboration.
+
+    The exterior-center computation (Hopf presentation) is authoritative; the
+    one-dimensional central quotients M(L/K) < M(L) only corroborate, since the
+    drop criterion is one-directional.  Lines are in the input's coordinates.
+    """
+    ctx = Analysis.of(a)
+    if ctx.r == 0:
+        raise ClassTwoRequired("capability pipeline expects a non-abelian class-2 algebra")
+    ec = hopf.exterior_center(ctx.presentation)
+    m = dimensions(ctx.k)["m_L"]
+    z = ctx.center
+    lines: list[Vec] = []
+    for c in range(a.dim):
+        unit = {c: _ONE}
+        if z.contains_vec(unit):
+            lines.append(unit)
+    rng = random.Random(seed)
+    zvecs = z.vectors()
+    for _ in range(random_lines):
+        v: Vec = {}
+        while not v:
+            v = {}
+            for row in zvecs:
+                coef = Fraction(rng.randint(-2, 2))
+                if coef:
+                    for i, x in row.items():
+                        t = v.get(i, 0) + coef * x
+                        if t:
+                            v[i] = t
+                        else:
+                            v.pop(i, None)
+        lines.append(v)
+    evidence = []
+    for line in lines:
+        sub = Subspace.from_vectors(a.dim, [line])
+        quo, _ = quotient(a, sub)
+        mq = dimensions(psi2_image(quo))["m_L"]
+        evidence.append(QuotientEvidence(line, mq, mq < m))
+    return CapabilityReport(
+        capable=ec.dim == 0,
+        exterior_center_dim=ec.dim,
+        multiplier=m,
+        evidence=evidence,
+    )

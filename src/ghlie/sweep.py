@@ -4,7 +4,8 @@ A sweep row is the DimReport of one instance; the gate distinguishes
 unexpected mismatches (formula-vs-oracle disagreement, or a sound printed form
 failing) from the ledgered expected mismatches (the printed displays the
 computation refutes).  Identical configuration and seeds produce
-byte-identical report files; rows run in a process pool sized by GHA_THREADS.
+byte-identical report files, whatever the worker count; rows run in a
+process pool sized by GHA_THREADS.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ def _runner(args) -> dict:
 
 def run_sweep(cfg: SweepConfig) -> dict:
     cases = grid_cases(cfg.d_values, cfg.defects, cfg.t_values, cfg.seeds)
+    if not cases:
+        raise ValueError("the sweep grid has no cases")
     if len(cases) > cfg.max_cases:
         raise ValueError(f"{len(cases)} cases exceed the configured cap {cfg.max_cases}")
     jobs = cfg.jobs if cfg.jobs is not None else default_jobs()
@@ -76,8 +79,11 @@ def run_sweep(cfg: SweepConfig) -> dict:
         rows = [_runner(w) for w in work]
     expected = [m for row in rows for m in row["expected_mismatches"]]
     unexpected = [m for row in rows for m in row["unexpected_mismatches"]]
+    # The worker count is left out so that it cannot change the report file.
+    config = asdict(cfg)
+    del config["jobs"]
     report = {
-        "config": asdict(cfg),
+        "config": config,
         "rows": rows,
         "expected_mismatch_ledger": [dict(e) for e in EXPECTED_MISMATCHES],
         "summary": {

@@ -7,8 +7,11 @@ instances cannot satisfy Z = L² (see fixtures module) yet must still reproduce
 every printed value.
 """
 
+import hashlib
 import itertools
+import json
 from functools import lru_cache
+from pathlib import Path
 
 from ghlie import hopf
 from ghlie.closed_forms import (
@@ -28,20 +31,12 @@ from ghlie.liealg import (
     abelian,
     center,
     change_of_basis,
-    derived_subalgebra,
     direct_sum,
     heisenberg,
     jacobi_check,
     quotient,
 )
-from ghlie.multiplier import (
-    exterior_square_dim,
-    k_subspace,
-    multiplier_dim,
-    psi2_image,
-    square_dim,
-    tensor_square_dim,
-)
+from ghlie.multiplier import dimensions, psi2_image, square_dim
 from ghlie.sweep import SweepConfig, run_sweep, sweep_exit_code
 
 D_RANGE = (3, 4, 5, 6)
@@ -52,14 +47,9 @@ def _pass(num: int, text: str) -> None:
     print(f"[criterion {num:02d}] PASS — {text}")
 
 
-def _five_dims(a):
-    """(m_L, wedge, tensor, j2, psi2) from a single Jacobi-cycle pass."""
-    data = psi2_image(a)
-    r = derived_subalgebra(a).dim
-    n = a.dim - r
-    m = n * (n - 1) // 2 - r + (r * n - data.rank)
-    sq = square_dim(n)
-    return (m, m + r, m + r + sq, m + sq, data.rank)
+def dims(a):
+    """The five reported dimensions from a single Jacobi-cycle pass."""
+    return dimensions(psi2_image(a))
 
 
 def _random_conjugator(rng, n):
@@ -117,7 +107,7 @@ def test_criterion_02_multiplier_closed_forms():
             poly = d * (d - 1) * (d + 1) // 3 - defect * d + defect
             assert poly == want
             for a in [fix(d, defect)] + [fix(d, defect, "generic", s) for s in SEEDS]:
-                got = multiplier_dim(a)
+                got = dims(a)["m_L"]
                 assert got == want, (d, defect, got, want)
     _pass(2, "multiplier dims equal the printed forms: defect 1 -> 6, 17, 36, 65; "
              "defect 2 -> 4, 14, 32, 60")
@@ -130,16 +120,18 @@ def test_criterion_03_oracle_concordance():
             for seed in (None, *SEEDS):
                 a = fix(d, defect, "generic", seed)
                 p = pres(d, defect, "generic", seed)
-                assert hopf.hopf_multiplier_dim(p) == multiplier_dim(a), (d, defect, seed)
-                assert hopf.exterior_square_oracle(p) == exterior_square_dim(a)
+                got = dims(a)
+                assert hopf.hopf_multiplier_dim(p) == got["m_L"], (d, defect, seed)
+                assert hopf.exterior_square_oracle(p) == got["wedge"]
                 checked += 1
     randoms = 0
     for d in (3, 4, 5):
         for seed in range(50):
             a = random_class2(d, seed)
             p = hopf.presentation_from_class2(a)
-            assert hopf.hopf_multiplier_dim(p) == multiplier_dim(a), (d, seed)
-            assert hopf.exterior_square_oracle(p) == exterior_square_dim(a), (d, seed)
+            got = dims(a)
+            assert hopf.hopf_multiplier_dim(p) == got["m_L"], (d, seed)
+            assert hopf.exterior_square_oracle(p) == got["wedge"], (d, seed)
             randoms += 1
     literal = 0
     for d, defect, variant in defect_cells():
@@ -149,7 +141,7 @@ def test_criterion_03_oracle_concordance():
             if seed is not None and variant == "deficient":
                 continue
             a = fix(d, defect, variant, seed)
-            assert hopf.ker_beta(pres(d, defect, variant, seed)) == k_subspace(a), (
+            assert hopf.ker_beta(pres(d, defect, variant, seed)) == psi2_image(a).image, (
                 d, defect, variant, seed)
             literal += 1
     _pass(3, f"Hopf oracle agrees with the formula route on {checked} fixtures and "
@@ -162,18 +154,17 @@ def test_criterion_04_exterior_tensor_identities():
         for defect in (1, 2):
             rank_ = d * (d - 1) // 2 - defect
             a = fix(d, defect)
-            m = multiplier_dim(a)
-            wedge = exterior_square_dim(a)
-            tensor = tensor_square_dim(a)
+            got = dims(a)
+            m, wedge, tensor = got["m_L"], got["wedge"], got["tensor"]
             assert wedge == m + rank_
             assert tensor == wedge + d * (d + 1) // 2
             printed = closed_form_eval(d, 0, defect)
             assert wedge == printed["wedge"].value, (d, defect)
             assert tensor == printed["tensor"].value, (d, defect)
     a3 = fix(3, 1)
-    assert (exterior_square_dim(a3), tensor_square_dim(a3)) == (8, 14)
+    assert (dims(a3)["wedge"], dims(a3)["tensor"]) == (8, 14)
     b3 = fix(3, 2)
-    assert (exterior_square_dim(b3), tensor_square_dim(b3)) == (5, 11)
+    assert (dims(b3)["wedge"], dims(b3)["tensor"]) == (5, 11)
     _pass(4, "wedge = m + dim L² and tensor = wedge + d(d+1)/2 reproduce the printed "
              "polynomials (d=3: 8/14 at defect 1, 5/11 at defect 2)")
 
@@ -184,10 +175,10 @@ def test_criterion_05_defect3_branches():
         generic = fix(d, 3, "generic")
         assert psi2_image(generic).rank == full, d
         want = d * (d - 1) * (d + 1) // 3 - 3 * d + 3
-        assert multiplier_dim(generic) == want, d
+        assert dims(generic)["m_L"] == want, d
         triangle = fix(d, 3, "deficient")
         assert psi2_image(triangle).rank == full - 1, d
-        m_tri = multiplier_dim(triangle)
+        m_tri = dims(triangle)["m_L"]
         assert m_tri == hopf.hopf_multiplier_dim(pres(d, 3, "deficient")), d
         printed_second = d * (d - 1) * (d + 1) // 3 - 3 * d + 2
         assert m_tri != printed_second
@@ -207,7 +198,7 @@ def test_criterion_06_capability():
     for d in D_RANGE:
         for defect in (1, 2):
             a = fix(d, defect)
-            m = multiplier_dim(a)
+            m = dims(a)["m_L"]
             z = center(a)
             lines = [c for c in range(a.dim) if z.contains_vec({c: 1})]
             assert lines
@@ -215,7 +206,7 @@ def test_criterion_06_capability():
                 from ghlie.exactla import Subspace
 
                 quo, _ = quotient(a, Subspace.from_vectors(a.dim, [{c: 1}]))
-                assert multiplier_dim(quo) < m, (d, defect, c)
+                assert dims(quo)["m_L"] < m, (d, defect, c)
     neg = hopf.exterior_center(hopf.presentation_from_class2(heisenberg(2)))
     assert neg.dim > 0
     _pass(6, "defect 1 and 2 instances all have zero exterior center and strict "
@@ -232,7 +223,7 @@ def test_criterion_07_covers():
         rep = hopf.verify_cover(a, cov.algebra, cov.central_ideal)
         assert rep.nilpotency_class == 3, (d, defect, variant)
         assert rep.z_in_derived and rep.b_central and rep.b_in_derived
-        assert rep.cover_dim == a.dim + multiplier_dim(a)
+        assert rep.cover_dim == a.dim + dims(a)["m_L"]
         assert rep.b_dim == rep.multiplier
         assert rep.branch_ok and 0 <= rep.s <= defect, (d, defect, rep.s)
         assert rep.quotient_matches
@@ -250,11 +241,12 @@ def test_criterion_08_direct_sum_pipeline():
     for d in (3, 4, 5):
         for defect in (1, 2):
             h = fix(d, defect)
-            m_h = multiplier_dim(h)
+            m_h = dims(h)["m_L"]
             for t in (1, 2):
                 L = direct_sum(h, abelian(t))
-                assert multiplier_dim(L) == m_h + d * t + t * (t - 1) // 2, (d, defect, t)
-                assert tensor_square_dim(L) == exterior_square_dim(L) + square_dim(d + t)
+                got = dims(L)
+                assert got["m_L"] == m_h + d * t + t * (t - 1) // 2, (d, defect, t)
+                assert got["tensor"] == got["wedge"] + square_dim(d + t)
     for d in (3, 4, 5):
         red = reduction_check(d, 1)
         assert red["tensor"] is False and red["j2"] is False
@@ -284,6 +276,16 @@ def test_criterion_09_expected_mismatch_gate():
              f"the ledger exactly, none others")
 
 
+def test_default_sweep_rows_match_reference():
+    # The stored digest of the default sweep (d 3..6, defects 1..3, t 0..2,
+    # seeds 0..4) pins every row byte for byte, with the pool in use.
+    ref = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text())
+    report = run_sweep(SweepConfig(jobs=2))
+    digest = hashlib.sha256(json.dumps(report["rows"], sort_keys=True).encode("utf-8")).hexdigest()
+    assert digest == ref["rows_sha256"]
+    assert report["summary"] == ref["summary"]
+
+
 def test_criterion_10_property_suites():
     # exhaustive antisymmetry + Jacobi + grading on the free bracket, d <= 6
     for d in (2, 3, 4, 5, 6):
@@ -310,10 +312,10 @@ def test_criterion_10_property_suites():
     rng = _random.Random(20240)
     for d, defect, variant in defect_cells():
         a = fix(d, defect, variant)
-        base = _five_dims(a)
+        base = dims(a)
         for _ in range(20):
             b = change_of_basis(a, _random_conjugator(rng, a.dim))
-            assert _five_dims(b) == base, (d, defect, variant)
+            assert dims(b) == base, (d, defect, variant)
 
     # rref idempotence + rank-nullity on 200 seeded random matrices
     rng = _random.Random(555)

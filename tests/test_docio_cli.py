@@ -46,6 +46,14 @@ def test_document_validation():
     bad = dict(good, brackets=[{"i": 0, "j": 1, "v": {"9": "1"}}])
     with pytest.raises(docio.DocumentError):
         docio.document_to_algebra(bad)
+    # JSON true/false are ints to Python but not indices
+    for bad in (
+        dict(good, dim=True, labels=["x"], brackets=[]),
+        dict(good, brackets=[{"i": False, "j": 1, "v": {"2": "1"}}]),
+        dict(good, brackets=[{"i": 0, "j": True, "v": {"2": "1"}}]),
+    ):
+        with pytest.raises(docio.DocumentError):
+            docio.document_to_algebra(bad)
 
 
 # --- CLI exit-code contract --------------------------------------------------------
@@ -149,6 +157,32 @@ def test_cover_of_heisenberg1(ws, capsys):
     assert json.loads(open("hc.json").read())["dim"] == 5
 
 
+@pytest.mark.parametrize("a, m_l, cls", [
+    (abelian(0), 0, 0), (abelian(1), 0, 1), (abelian(2), 1, 2), (abelian(3), 3, 2),
+    (direct_sum(heisenberg(1), abelian(1)), 4, 3),
+])
+def test_cover_of_abelian_and_sums_exits_0(ws, capsys, a, m_l, cls):
+    # the cover of A(n) is free of class min(n, 2), not of class 3
+    docio.write_document("l.json", a)
+    assert main(["cover", "l.json", "--out", "c.json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and report["class"] == cls and report["multiplier"] == m_l
+    assert report["cover_dim"] == a.dim + m_l
+    assert json.loads(open("c.json").read())["dim"] == a.dim + m_l
+
+
+def test_zero_algebra(ws, capsys):
+    docio.write_document("z.json", abelian(0))
+    assert main(["analyze", "z.json", "--oracle"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert set(rep["dims"].values()) == {0} and rep["oracle"]["m_L"] == 0
+    assert main(["oracle-compare", "z.json"]) == 0
+    assert json.loads(capsys.readouterr().out)["agree"] is True
+    assert main(["cover", "z.json", "--out", "zc.json"]) == 0
+    assert json.loads(capsys.readouterr().out)["cover_dim"] == 0
+    assert main(["capable", "z.json"]) == 2  # abelian input, as documented
+
+
 def test_capable_cli(ws, capsys):
     assert main(["gen", "--family", "heisenberg", "--m", "2", "--out", "h2.json"]) == 0
     capsys.readouterr()
@@ -167,10 +201,9 @@ def test_oracle_compare_cli(ws, capsys):
 
 
 def test_sweep_cli_and_determinism(ws, capsys):
-    args = ["sweep", "--d", "3..4", "--defect", "1", "--t", "0", "--seeds", "2",
-            "--jobs", "1", "--out", "r1.json"]
-    assert main(args) == 0
-    assert main(args[:-1] + ["r2.json"]) == 0
+    args = ["sweep", "--d", "3..4", "--defect", "1", "--t", "0", "--seeds", "2", "--out"]
+    assert main(args + ["r1.json", "--jobs", "1"]) == 0
+    assert main(args + ["r2.json", "--jobs", "2"]) == 0
     assert open("r1.json", "rb").read() == open("r2.json", "rb").read()
     rep = json.loads(open("r1.json").read())
     assert rep["summary"]["unexpected_mismatches"] == 0
@@ -178,9 +211,9 @@ def test_sweep_cli_and_determinism(ws, capsys):
     assert ms == {6, 17}
 
 
-def test_sweep_include_printed_j2_flag(ws, capsys):
+def test_sweep_compares_printed_j2_by_default(ws, capsys):
     assert main(["sweep", "--d", "3", "--defect", "1", "--t", "0", "--seeds", "0",
-                 "--jobs", "1", "--include-printed-j2", "--out", "r.json"]) == 0
+                 "--jobs", "1", "--out", "r.json"]) == 0
     rep = json.loads(open("r.json").read())
     rows = rep["rows"]
     assert len(rows) == 1
@@ -245,6 +278,22 @@ def test_analyze_abelian(ws, capsys):
 def test_sweep_case_cap(ws):
     assert main(["sweep", "--d", "3..6", "--defect", "1..3", "--t", "0..2",
                  "--seeds", "5", "--max-cases", "10"]) == 2
+
+
+def test_sweep_empty_grid_exits_2(ws, capsys):
+    assert main(["sweep", "--d", "3", "--defect", "5", "--jobs", "1"]) == 2
+    assert "no cases" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "a.json", "--json"], ["cover", "a.json", "--json"],
+    ["capable", "a.json", "--json"], ["oracle-compare", "a.json", "--json"],
+    ["sweep", "--include-printed-j2"],
+])
+def test_removed_options_are_rejected(ws, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_gen_json_status(ws, capsys):

@@ -11,7 +11,6 @@ from ghlie.exactla import (
     kernel_basis,
     rank,
     rref,
-    solve,
     subspace_intersect,
     subspace_sum,
     vec_from_list,
@@ -117,14 +116,6 @@ def test_contains():
     assert not contains(span(2, [0, 1]), [1, 0])
     with pytest.raises(ValueError):
         contains(span(2, [0, 1]), [1, 0, 0])
-
-
-def test_solve_consistent_and_inconsistent():
-    m = Matrix.from_dense([[1, 2], [3, 4]])
-    x = solve(m, {0: F(5), 1: F(11)})
-    assert m.apply(x) == {0: F(5), 1: F(11)}
-    singular = Matrix.from_dense([[1, 1], [1, 1]])
-    assert solve(singular, {0: F(1), 1: F(2)}) is None
 
 
 # --- property suites ----------------------------------------------------------

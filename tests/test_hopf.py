@@ -1,7 +1,7 @@
 import itertools
 from fractions import Fraction
 
-from ghlie.exactla import vec_axpy
+from ghlie.exactla import Matrix, rref, vec_axpy
 from ghlie.fixtures import canonical_gh, random_class2
 from ghlie.liealg import (
     GhSpec,
@@ -25,7 +25,7 @@ from ghlie.hopf import (
     presentation_from_class2,
     verify_cover,
 )
-from ghlie.multiplier import k_subspace, multiplier_dim
+from ghlie.multiplier import dimensions, psi2_image
 
 F = Fraction
 ONE = F(1)
@@ -106,6 +106,25 @@ def test_presentation_of_defect_one():
     assert p.rel_bracket_span.dim == 3
 
 
+def test_lifts_map_onto_the_derived_basis():
+    # φ(lift_s) = y_s with the lift supported on the pivot columns of RREF(φ):
+    # that pins the lift to the unique solution whose free coordinates are 0
+    for a in (canonical_gh(4, 2), heisenberg(2), random_class2(4, 3), random_class2(5, 8)):
+        p = presentation_from_class2(a)
+        t, h = p.target, p.hall
+        phi = Matrix.from_rows(h.grade2_dim, [
+            {w: x for w, ij in enumerate(h.pairs) for k, x in t.pair(*ij).items() if k == h.d + s}
+            for s in range(len(p.lifts))
+        ])
+        pivots = {min(row) for row in rref(phi)[0].row_vecs() if row}
+        for s, lift in enumerate(p.lifts):
+            assert set(lift) <= pivots
+            image = {}
+            for w, x in lift.items():
+                vec_axpy(image, x, t.pair(*h.pairs[w]))
+            assert image == {h.d + s: ONE}
+
+
 def test_presentation_of_heisenberg1():
     p = presentation_from_class2(heisenberg(1))
     assert p.hall.grade2_dim == 1
@@ -128,7 +147,7 @@ def test_exterior_square_and_ker_beta():
     assert exterior_square_oracle(p) == 8
     kb = ker_beta(p)
     assert kb.dim == 1
-    assert kb == k_subspace(a)
+    assert kb == psi2_image(a).image
     p_free = presentation_from_class2(gh(3, 3))
     assert ker_beta(p_free).dim == 1  # 9 - 8
 
@@ -138,8 +157,8 @@ def test_oracle_concordance_on_random_class2():
         for seed in range(8):
             a = random_class2(d, seed)
             p = presentation_from_class2(a)
-            assert hopf_multiplier_dim(p) == multiplier_dim(a)
-            assert ker_beta(p) == k_subspace(a)
+            assert hopf_multiplier_dim(p) == dimensions(psi2_image(a))["m_L"]
+            assert ker_beta(p) == psi2_image(a).image
 
 
 # --- exterior center --------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -192,6 +193,26 @@ def test_center_violation_exhausts_retries_at_unrealizable_cell():
         gh(3, 1, seed=7)
 
 
+class _ZeroRng:
+    """Stands in for random.Random; every draw is 0, so no draw has full rank."""
+
+    def randint(self, lo, hi):
+        return 0
+
+
+def test_retry_budget_raises_center_violation(monkeypatch):
+    from ghlie import fixtures
+    from ghlie.liealg import random_relation_subspace
+
+    with pytest.raises(CenterViolation):
+        random_relation_subspace(3, 1, _ZeroRng())
+    monkeypatch.setattr(fixtures, "random", SimpleNamespace(Random=lambda seed: _ZeroRng()))
+    with pytest.raises(CenterViolation):
+        fixtures.seeded_gh(3, 2, seed=0)
+    with pytest.raises(CenterViolation):
+        fixtures.random_class2(3, seed=0)
+
+
 def test_gh_determinism():
     assert gh(4, 4, seed=11).bracket == gh(4, 4, seed=11).bracket
 
@@ -248,17 +269,18 @@ def test_rebase_class2_restores_contract():
     rng = random.Random(9)
     a = gh(3, 2, seed=4)
     scrambled = change_of_basis(a, random_invertible(rng, a.dim))
-    fixed = rebase_class2(scrambled)
-    der = derived_subalgebra(fixed)
+    fixed, der = rebase_class2(scrambled)
+    assert der == derived_subalgebra(fixed)
     assert der.pivots == (3, 4)
     assert all(len(v) == 1 for v in der.vectors())
-    assert rebase_class2(a) is a  # contract already holds
+    assert rebase_class2(a)[0] is a  # contract already holds
 
 
 def test_rebase_of_direct_sum_orders_generators_first():
     a = direct_sum(gh(3, 2, seed=4), abelian(2))
-    fixed = rebase_class2(a)
-    assert derived_subalgebra(fixed).pivots == (5, 6)
+    fixed, der = rebase_class2(a)
+    assert der == derived_subalgebra(fixed)
+    assert der.pivots == (5, 6)
 
 
 # --- bracket properties (hypothesis) ------------------------------------------------

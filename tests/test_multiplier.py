@@ -16,17 +16,12 @@ from ghlie.liealg import (
     gh_construct,
     heisenberg,
 )
-from ghlie.multiplier import (
+from ghlie.multiplier import dimensions, psi2_image, square_dim
+from ghlie.report import (
+    Analysis,
     NotGeneralizedHeisenberg,
     capability_by_quotients,
     classify_by_multiplier,
-    exterior_square_dim,
-    j2_dim,
-    k_subspace,
-    multiplier_dim,
-    psi2_image,
-    square_dim,
-    tensor_square_dim,
 )
 
 F = Fraction
@@ -37,12 +32,27 @@ def gh(d, rank, seed=0):
     return gh_construct(GhSpec(d=d, rank=rank, seed=seed))
 
 
+def dims(a):
+    return dimensions(psi2_image(a))
+
+
+def scrambled(a, seed):
+    """a in a random integer basis, off the generators-then-L² contract."""
+    from ghlie.exactla import rank as mat_rank
+
+    rng = random.Random(seed)
+    while True:
+        p = Matrix.from_dense([[rng.randint(-2, 2) for _ in range(a.dim)] for _ in range(a.dim)])
+        if mat_rank(p) == a.dim:
+            return change_of_basis(a, p)
+
+
 # --- psi2 ----------------------------------------------------------------------
 
 def test_psi2_abelian_is_zero():
     data = psi2_image(abelian(4))
     assert data.rank == 0
-    assert data.codomain_dim == 0
+    assert (data.n, data.r) == (4, 0)
 
 
 def test_psi2_full_rank_families():
@@ -63,7 +73,7 @@ def test_psi2_rejects_class_three():
     with pytest.raises(ClassTwoRequired):
         psi2_image(cover.algebra)
     with pytest.raises(ClassTwoRequired):
-        multiplier_dim(cover.algebra)
+        Analysis.of(cover.algebra)
 
 
 def full_enumeration_span(a):
@@ -93,28 +103,33 @@ def full_enumeration_span(a):
 
 def test_triples_suffice_against_full_enumeration():
     # multilinearity + the repeated-argument vanishing make i<j<k triples enough
+    # the scrambled input also checks that rebasing leaves K's coordinates alone
     for a in (canonical_gh(3, 1), canonical_gh(4, 2), canonical_gh(4, 3, "deficient"),
-              heisenberg(2), random_class2(4, seed=12)):
+              heisenberg(2), random_class2(4, seed=12), scrambled(canonical_gh(4, 2), 5)):
         assert psi2_image(a).image == full_enumeration_span(a)
 
 
 def test_k_subspace_equals_psi2_image():
-    for a in (canonical_gh(3, 1), canonical_gh(4, 1), heisenberg(2), random_class2(3, 5)):
-        assert k_subspace(a) == psi2_image(a).image
+    # the analysis computes K on the rebased algebra from its stored L²
+    for a in (canonical_gh(3, 1), canonical_gh(4, 1), heisenberg(2), random_class2(3, 5),
+              scrambled(random_class2(3, 5), 1)):
+        ctx = Analysis.of(a)
+        assert ctx.k.image == psi2_image(a).image
+        assert ctx.derived == derived_subalgebra(ctx.algebra)
 
 
 # --- dimension formulas ------------------------------------------------------------
 
 def test_multiplier_of_abelian():
-    assert multiplier_dim(abelian(4)) == 6
-    assert multiplier_dim(abelian(1)) == 0
+    assert dims(abelian(4))["m_L"] == 6
+    assert dims(abelian(1))["m_L"] == 0
 
 
 def test_multiplier_examples():
-    assert multiplier_dim(canonical_gh(3, 1)) == 6
-    assert multiplier_dim(canonical_gh(4, 2)) == 14
-    assert multiplier_dim(heisenberg(1)) == 2
-    assert multiplier_dim(heisenberg(2)) == 5
+    assert dims(canonical_gh(3, 1))["m_L"] == 6
+    assert dims(canonical_gh(4, 2))["m_L"] == 14
+    assert dims(heisenberg(1))["m_L"] == 2
+    assert dims(heisenberg(2))["m_L"] == 5
 
 
 def test_square_dim():
@@ -124,21 +139,18 @@ def test_square_dim():
 
 
 def test_wedge_tensor_j2():
-    a = canonical_gh(3, 1)
-    assert exterior_square_dim(a) == 8
-    assert tensor_square_dim(a) == 14
-    assert j2_dim(a) == 12
-    b = abelian(3)
-    assert tensor_square_dim(b) == 9 and j2_dim(b) == 9
+    assert dims(canonical_gh(3, 1)) == {"m_L": 6, "wedge": 8, "tensor": 14, "j2": 12, "psi2_rank": 1}
+    assert dims(abelian(3)) == {"m_L": 3, "wedge": 3, "tensor": 9, "j2": 9, "psi2_rank": 0}
 
 
 def test_decomposition_identities():
     for a in (canonical_gh(4, 1), canonical_gh(5, 2), heisenberg(2), random_class2(4, 3)):
         r = derived_subalgebra(a).dim
         n = a.dim - r
-        assert exterior_square_dim(a) == multiplier_dim(a) + r
-        assert tensor_square_dim(a) == exterior_square_dim(a) + square_dim(n)
-        assert j2_dim(a) == tensor_square_dim(a) - r
+        got = dims(a)
+        assert got["wedge"] == got["m_L"] + r
+        assert got["tensor"] == got["wedge"] + square_dim(n)
+        assert got["j2"] == got["tensor"] - r
 
 
 def test_classification_by_multiplier():
@@ -156,9 +168,9 @@ def test_direct_sum_multiplier_law():
     for d, defect in ((3, 1), (4, 2), (5, 1)):
         rank = d * (d - 1) // 2 - defect
         h = gh(d, rank, seed=d)
-        m = multiplier_dim(h)
+        m = dims(h)["m_L"]
         for t in (1, 2):
-            got = multiplier_dim(direct_sum(h, abelian(t)))
+            got = dims(direct_sum(h, abelian(t)))["m_L"]
             assert got == m + d * t + t * (t - 1) // 2
 
 
@@ -206,7 +218,7 @@ def test_multiplier_agrees_with_second_cohomology():
         direct_sum(canonical_gh(3, 1), abelian(1)),
     ] + [random_class2(4, seed) for seed in range(6)]
     for a in cases:
-        assert h2_dim(a) == multiplier_dim(a)
+        assert h2_dim(a) == dims(a)["m_L"]
 
 
 # --- capability ------------------------------------------------------------------------
@@ -235,30 +247,7 @@ def test_heisenberg1_is_capable():
 # --- basis-change invariance -------------------------------------------------------------
 
 def test_reported_dimensions_are_basis_invariant():
-    rng = random.Random(77)
     a = canonical_gh(4, 2)
-    base = (
-        multiplier_dim(a),
-        exterior_square_dim(a),
-        tensor_square_dim(a),
-        j2_dim(a),
-        psi2_image(a).rank,
-    )
-    from ghlie.exactla import rank as mat_rank
-
-    for _ in range(5):
-        while True:
-            p = Matrix.from_dense(
-                [[rng.randint(-2, 2) for _ in range(a.dim)] for _ in range(a.dim)]
-            )
-            if mat_rank(p) == a.dim:
-                break
-        b = change_of_basis(a, p)
-        got = (
-            multiplier_dim(b),
-            exterior_square_dim(b),
-            tensor_square_dim(b),
-            j2_dim(b),
-            psi2_image(b).rank,
-        )
-        assert got == base
+    base = dims(a)
+    for seed in range(77, 82):
+        assert dims(scrambled(a, seed)) == base
