@@ -3,7 +3,8 @@
 Subcommands: gen, analyze, cover, capable, sweep, oracle-compare.
 Exit codes: 0 ok; 2 usage/parse error (including an empty sweep grid and
 capable on an abelian input); 3 construction failure; 4 Jacobi violation;
-5 unexpected mismatch.  GHA_THREADS overrides the sweep worker count.
+5 unexpected mismatch.  GHA_THREADS overrides the sweep worker count; it
+and --jobs must be positive integers (exit 2 otherwise).
 """
 
 from __future__ import annotations
@@ -303,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--t", default="0..2")
     sw.add_argument("--seeds", type=int, default=5)
     sw.add_argument("--out")
-    sw.add_argument("--jobs", type=int)
+    sw.add_argument("--jobs", type=int, help="worker processes (at most the case and core counts)")
     sw.add_argument("--max-cases", type=int, default=5000)
     sw.add_argument("--no-oracle", action="store_true")
     sw.add_argument(

@@ -162,13 +162,13 @@ def presentation_from_class2(a: LieAlgebra) -> FreePresentation:
     r = der.dim
     d = a.dim - r
     h = hall_basis(d)
+    g2 = h.grade2_dim
     # Grade-2 coordinates -> L² coordinates, one column per wedge pair.
-    phi_entries = {}
+    phi_rows: list[Vec] = [{} for _ in range(r)]
     for w, (i, j) in enumerate(h.pairs):
         for k, x in a.pair(i, j).items():
-            phi_entries[(k - d, w)] = x
-    phi = Matrix(r, h.grade2_dim, phi_entries)
-    rel2 = kernel_basis(phi)
+            phi_rows[k - d][w] = x
+    rel2 = kernel_basis(Matrix(g2, phi_rows))
     bracket_gens = []
     for s_vec in rel2.vectors():
         emb = {h.pair_coord(w): x for w, x in s_vec.items()}
@@ -179,10 +179,9 @@ def presentation_from_class2(a: LieAlgebra) -> FreePresentation:
     rf = Subspace.from_vectors(h.grade3_dim, bracket_gens)
     # All lifts from one elimination: RREF [φ | I_r] = [RREF(φ) | E], and
     # x_s = Σ_i E[i][s] e_(pivot i) solves φ x_s = e_s with free coordinates 0.
-    g2 = h.grade2_dim
-    aug, _ = rref(Matrix(r, g2 + r, {**phi_entries, **{(s, g2 + s): _ONE for s in range(r)}}))
+    aug, _ = rref(Matrix(g2 + r, [{**row, g2 + s: _ONE} for s, row in enumerate(phi_rows)]))
     lifts: list[Vec] = [{} for _ in range(r)]
-    for row in aug.row_vecs():
+    for row in aug.rows:
         p = min(row)
         if p >= g2:
             raise ClassTwoRequired("derived basis vector is not in the bracket image")
@@ -212,15 +211,14 @@ def ker_beta(p: FreePresentation) -> Subspace:
     d = h.d
     r = len(p.lifts)
     rf = p.rel_bracket_span
-    entries = {}
+    rows: list[Vec] = [{} for _ in range(h.grade3_dim - rf.dim)]
     for s in range(r):
         emb = {h.pair_coord(w): x for w, x in p.lifts[s].items()}
         for g in range(d):
             w3 = _grade3_part(h, free_bracket(h, emb, {g: _ONE}))
             for q, x in rf.quotient_coords(w3).items():
-                entries[(q, s * d + g)] = x
-    m = Matrix(h.grade3_dim - rf.dim, r * d, entries)
-    return kernel_basis(m)
+                rows[q][s * d + g] = x
+    return kernel_basis(Matrix(r * d, rows))
 
 
 def exterior_center(p: FreePresentation) -> Subspace:
@@ -234,35 +232,21 @@ def exterior_center(p: FreePresentation) -> Subspace:
     d = h.d
     r = len(p.lifts)
     rf = p.rel_bracket_span
-    entries = {}
-    row = 0
+    rows: list[Vec] = []
     for k in range(d):
-        # grade-2 component of [Σ a_i x_i, x_k] must vanish identically
-        cols: dict[int, dict[int, Fraction]] = {}
-        for i in range(d):
-            if i == k:
-                continue
-            if i < k:
-                cols.setdefault(h.pair_index[(i, k)], {})[i] = _ONE
-            else:
-                cols.setdefault(h.pair_index[(k, i)], {})[i] = -_ONE
-        for _, by_col in sorted(cols.items()):
-            for i, x in by_col.items():
-                entries[(row, i)] = x
-            row += 1
+        # grade-2 component of [Σ a_i x_i, x_k] is ±a_i on the pair {i, k}, so
+        # it vanishes iff a_i = 0 for every i != k
+        rows.extend({i: _ONE} for i in range(d) if i != k)
         # grade-3 component of [Σ b_s lift_s, x_k] must lie in [R,F]
-        by_q: dict[int, dict[int, Fraction]] = {}
+        by_q: dict[int, Vec] = {}
         for s in range(r):
             emb = {h.pair_coord(w): x for w, x in p.lifts[s].items()}
             w3 = _grade3_part(h, free_bracket(h, emb, {k: _ONE}))
             for q, x in rf.quotient_coords(w3).items():
                 by_q.setdefault(q, {})[d + s] = x
-        for _, by_col in sorted(by_q.items()):
-            for c, x in by_col.items():
-                entries[(row, c)] = x
-            row += 1
-    m = Matrix(row, d + r, entries)
-    return kernel_basis(m)
+        # the kernel depends only on the row space, not on the row order
+        rows.extend(by_q.values())
+    return kernel_basis(Matrix(d + r, rows))
 
 
 @dataclass
@@ -279,7 +263,6 @@ def cover_construct(p: FreePresentation) -> Cover:
     d = h.d
     rf = p.rel_bracket_span
     comp3 = rf.complement_coords()
-    pos3 = {c: q for q, c in enumerate(comp3)}
     g2 = h.grade2_dim
     dim = d + g2 + len(comp3)
 
@@ -293,8 +276,8 @@ def cover_construct(p: FreePresentation) -> Cover:
             else:
                 w3[c - low] = x
         if w3:
-            for c, x in rf.reduce(w3).items():
-                out[d + g2 + pos3[c]] = x
+            for q, x in rf.quotient_coords(w3).items():
+                out[d + g2 + q] = x
         return out
 
     table = {}
@@ -376,7 +359,7 @@ def verify_cover(a: LieAlgebra, cover: LieAlgebra, b: Subspace) -> CoverReport:
     b_in_derived = all(der.contains_vec(u) for u in b.vectors())
     z_in_derived = all(der.contains_vec(u) for u in z.vectors())
     m_dim = dimensions(psi2_image(a))["m_L"]
-    quo, _ = quotient(cover, b)
+    quo = quotient(cover, b)
     canonical = _canonical_class2(p)
     quotient_matches = quo.bracket == canonical.bracket and _iso_onto_target(p, canonical)
     cube_in_b = all(b.contains_vec(u) for u in cube.vectors())
@@ -418,8 +401,7 @@ def _iso_onto_target(p: FreePresentation, canonical: LieAlgebra) -> bool:
     for c in comp:
         i, j = p.hall.pairs[c]
         images.append(t.pair(i, j))
-    basis = Matrix.from_rows(t.dim, images)
-    if mat_rank(basis) != t.dim:
+    if mat_rank(Matrix(t.dim, images)) != t.dim:
         return False
     for i, j in itertools.combinations(range(canonical.dim), 2):
         lhs = bracket_vectors(t, images[i], images[j])

@@ -117,16 +117,15 @@ def derived_subalgebra(a: LieAlgebra) -> Subspace:
 
 def center(a: LieAlgebra) -> Subspace:
     """Kernel of v -> ([v, b_j])_j, assembled from the stacked adjoint maps."""
-    entries = {}
+    n = a.dim
+    rows: list[Vec] = [{} for _ in range(n * n)]
     for (i, j), w in a.bracket.items():
         for k, x in w.items():
-            # [e_i, e_j] = w contributes x to row (j, k) col i and -x to row (i, k) col j.
-            r1 = j * a.dim + k
-            entries[(r1, i)] = entries.get((r1, i), 0) + x
-            r2 = i * a.dim + k
-            entries[(r2, j)] = entries.get((r2, j), 0) - x
-    m = Matrix(a.dim * a.dim, a.dim, entries)
-    return kernel_basis(m)
+            # [e_i, e_j] = w puts x in row (j, k) col i and -x in row (i, k) col j;
+            # no other bracket writes either entry.
+            rows[j * n + k][i] = x
+            rows[i * n + k][j] = -x
+    return kernel_basis(Matrix(n, rows))
 
 
 def lower_central_series(a: LieAlgebra) -> list[Subspace]:
@@ -157,12 +156,8 @@ def nilpotency_class(a: LieAlgebra) -> int:
     return len(series) - 1
 
 
-def quotient(a: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
-    """Quotient algebra on the complement coordinates of the ideal.
-
-    Returns (L/ideal, projection) with projection a (dim L/ideal) x (dim L)
-    matrix mapping old coordinates to quotient coordinates.
-    """
+def quotient(a: LieAlgebra, ideal: Subspace) -> LieAlgebra:
+    """Quotient algebra L/ideal on the complement coordinates of the ideal."""
     if ideal.ambient_dim != a.dim:
         raise ValueError("ideal lives in the wrong ambient space")
     for u in ideal.vectors():
@@ -171,12 +166,6 @@ def quotient(a: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
                 raise NotAnIdealError("subspace is not an ideal")
     comp = ideal.complement_coords()
     new_dim = len(comp)
-    proj_entries = {}
-    for c_old in range(a.dim):
-        img = ideal.quotient_coords({c_old: _ONE})
-        for k, x in img.items():
-            proj_entries[(k, c_old)] = x
-    proj = Matrix(new_dim, a.dim, proj_entries)
     table = {}
     for s, t in itertools.combinations(range(new_dim), 2):
         w = a.pair(comp[s], comp[t])
@@ -184,7 +173,7 @@ def quotient(a: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
         if img:
             table[(s, t)] = img
     labels = tuple(a.labels[c] for c in comp)
-    return LieAlgebra(new_dim, labels, table), proj
+    return LieAlgebra(new_dim, labels, table)
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
@@ -322,21 +311,16 @@ def minimal_generators(a: LieAlgebra) -> int:
 
 def change_of_basis(a: LieAlgebra, new_basis: Matrix) -> LieAlgebra:
     """Structure constants in the basis b'_i = row i of new_basis (invertible)."""
-    if new_basis.rows != a.dim or new_basis.cols != a.dim:
+    rows = new_basis.rows
+    if len(rows) != a.dim or new_basis.cols != a.dim:
         raise ValueError("basis matrix must be square of the algebra dimension")
-    rows = new_basis.row_vecs()
-    # old coordinates -> new coordinates via the inverse transpose, once.
-    inv_rows = invert(new_basis.transpose()).row_vecs()
+    # Old coordinates w have new coordinates Σ_c w_c · (row c of the inverse).
+    inv_rows = invert(new_basis).rows
     table = {}
     for i, j in itertools.combinations(range(a.dim), 2):
-        w = bracket_vectors(a, rows[i], rows[j])
-        if not w:
-            continue
-        coords = {}
-        for k, row in enumerate(inv_rows):
-            s = sum((x * w[c] for c, x in row.items() if c in w), start=Fraction(0))
-            if s:
-                coords[k] = s
+        coords: Vec = {}
+        for c, x in bracket_vectors(a, rows[i], rows[j]).items():
+            vec_axpy(coords, x, inv_rows[c])
         if coords:
             table[(i, j)] = coords
     return LieAlgebra(a.dim, a.labels, table)
@@ -354,11 +338,11 @@ def rebase_class2(a: LieAlgebra) -> tuple[LieAlgebra, Subspace]:
         raise ClassTwoRequired("input must be nilpotent of class at most 2")
     der = series[1]
     n = a.dim - der.dim
-    trailing = Matrix(der.dim, a.dim, {(s, n + s): _ONE for s in range(der.dim)})
-    if der.basis != trailing:
+    # RREF rows whose pivots are the trailing coordinates are those unit rows.
+    if der.pivots != tuple(range(n, a.dim)):
         rows = [{c: _ONE} for c in der.complement_coords()] + der.vectors()
-        a = change_of_basis(a, Matrix.from_rows(a.dim, rows))
-    return a, Subspace(a.dim, trailing)
+        a = change_of_basis(a, Matrix(a.dim, rows))
+    return a, Subspace(a.dim, [{c: _ONE} for c in range(n, a.dim)])
 
 
 def subalgebra_closure(a: LieAlgebra, seed_vectors) -> Subspace:

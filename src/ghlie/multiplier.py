@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .exactla import Subspace, Vec
+from .exactla import Subspace, Vec, vec_axpy
 from .liealg import LieAlgebra, rebase_class2
 
 
@@ -63,13 +63,7 @@ def psi2_image(a: LieAlgebra, der: Subspace | None = None) -> Psi2Data:
             ((comp[g3], comp[g1]), g2),
             ((comp[g2], comp[g3]), g1),
         ):
-            for s, x in der.coords(a.pair(ci, cj)).items():
-                key = s * n + g
-                t = v.get(key, 0) + x
-                if t:
-                    v[key] = t
-                else:
-                    v.pop(key, None)
+            vec_axpy(v, 1, {s * n + g: x for s, x in der.coords(a.pair(ci, cj)).items()})
         if v:
             gens.append(v)
     return Psi2Data(n, r, Subspace.from_vectors(r * n, gens))

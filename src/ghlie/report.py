@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from . import hopf
 from .closed_forms import closed_form_eval
-from .exactla import Subspace, Vec
+from .exactla import Subspace, Vec, vec_axpy
 from .liealg import ClassTwoRequired, LieAlgebra, center, quotient, rebase_class2
 from .multiplier import Psi2Data, dimensions, psi2_image
 
@@ -299,21 +299,13 @@ def capability_by_quotients(a: LieAlgebra, random_lines: int = 4, seed: int = 0)
     for _ in range(random_lines):
         v: Vec = {}
         while not v:
-            v = {}
             for row in zvecs:
-                coef = Fraction(rng.randint(-2, 2))
-                if coef:
-                    for i, x in row.items():
-                        t = v.get(i, 0) + coef * x
-                        if t:
-                            v[i] = t
-                        else:
-                            v.pop(i, None)
+                vec_axpy(v, Fraction(rng.randint(-2, 2)), row)
         lines.append(v)
     evidence = []
     for line in lines:
         sub = Subspace.from_vectors(a.dim, [line])
-        quo, _ = quotient(a, sub)
+        quo = quotient(a, sub)
         mq = dimensions(psi2_image(quo))["m_L"]
         evidence.append(QuotientEvidence(line, mq, mq < m))
     return CapabilityReport(

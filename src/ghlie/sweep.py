@@ -5,7 +5,8 @@ unexpected mismatches (formula-vs-oracle disagreement, or a sound printed form
 failing) from the ledgered expected mismatches (the printed displays the
 computation refutes).  Identical configuration and seeds produce
 byte-identical report files, whatever the worker count; rows run in a
-process pool sized by GHA_THREADS.
+process pool of at most min(jobs, cases, cores) workers, where jobs
+defaults to GHA_THREADS and then to the core count.
 """
 
 from __future__ import annotations
@@ -32,13 +33,16 @@ class SweepConfig:
 
 
 def default_jobs() -> int:
+    """GHA_THREADS, or the core count when it is unset or empty.
+
+    Raises ValueError unless GHA_THREADS is a positive integer.
+    """
     env = os.environ.get("GHA_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"GHA_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def run_case(case: FixtureCase, include_suspect: bool = True, with_oracle: bool = True) -> dict:
@@ -71,9 +75,14 @@ def run_sweep(cfg: SweepConfig) -> dict:
     if len(cases) > cfg.max_cases:
         raise ValueError(f"{len(cases)} cases exceed the configured cap {cfg.max_cases}")
     jobs = cfg.jobs if cfg.jobs is not None else default_jobs()
+    if jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, got {jobs}")
+    # The pool starts all its workers at once; more than there are cases or
+    # cores only costs forks.
+    workers = min(jobs, len(cases), os.cpu_count() or 1)
     work = [(c, cfg.include_suspect, cfg.with_oracle) for c in cases]
-    if jobs > 1 and len(cases) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_runner, work, chunksize=4))
     else:
         rows = [_runner(w) for w in work]

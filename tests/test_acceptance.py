@@ -205,7 +205,7 @@ def test_criterion_06_capability():
             for c in lines:
                 from ghlie.exactla import Subspace
 
-                quo, _ = quotient(a, Subspace.from_vectors(a.dim, [{c: 1}]))
+                quo = quotient(a, Subspace.from_vectors(a.dim, [{c: 1}]))
                 assert dims(quo)["m_L"] < m, (d, defect, c)
     neg = hopf.exterior_center(hopf.presentation_from_class2(heisenberg(2)))
     assert neg.dim > 0

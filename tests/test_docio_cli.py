@@ -304,8 +304,55 @@ def test_gen_json_status(ws, capsys):
                       "center_equals_derived": True}
 
 
-def test_gha_threads_env(ws, monkeypatch):
+def test_gha_threads_env(ws, monkeypatch, capsys):
     monkeypatch.setenv("GHA_THREADS", "1")
     from ghlie.sweep import default_jobs
 
     assert default_jobs() == 1
+    for bad in ("0", "-2", "two", "1.5"):
+        monkeypatch.setenv("GHA_THREADS", bad)
+        with pytest.raises(ValueError):
+            default_jobs()
+        assert main(["sweep", "--d", "3", "--defect", "1", "--t", "0", "--seeds", "0"]) == 2
+    assert "GHA_THREADS must be a positive integer" in capsys.readouterr().err
+
+
+def test_sweep_nonpositive_jobs_exits_2(ws, capsys):
+    for jobs in ("0", "-1"):
+        assert main(["sweep", "--d", "3", "--defect", "1", "--t", "0", "--seeds", "0",
+                     "--jobs", jobs]) == 2
+    assert "jobs must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs, cores, workers", [
+    (100_000, 2, 2),    # capped by the cores
+    (100_000, 64, 4),   # capped by the 4 cases
+    (3, 64, 3),
+    (1, 64, None),      # serial: no pool at all
+])
+def test_sweep_pool_size_is_capped(monkeypatch, jobs, cores, workers):
+    # A stub pool records what would be forked; no real pool starts here.
+    import ghlie.sweep as sweep
+
+    requested = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", StubPool)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: cores)
+    cfg = sweep.SweepConfig(d_values=(3, 4), defects=(1,), t_values=(0,), seeds=1,
+                            with_oracle=False, jobs=jobs)
+    report = sweep.run_sweep(cfg)
+    assert report["summary"]["cases"] == 4
+    assert requested == ([workers] if workers else [])

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -7,12 +8,15 @@ from hypothesis import strategies as st
 from ghlie.exactla import (
     Matrix,
     Subspace,
+    _rref_rows,
     contains,
+    invert,
     kernel_basis,
     rank,
     rref,
     subspace_intersect,
     subspace_sum,
+    vec_axpy,
     vec_from_list,
 )
 
@@ -20,16 +24,26 @@ F = Fraction
 
 
 def dense(m):
-    return [[F(x) for x in row] for row in m.to_dense()]
+    return [[row.get(c, F(0)) for c in range(m.cols)] for row in m.rows]
+
+
+def transpose(m):
+    return Matrix(len(m.rows), [{r: row[c] for r, row in enumerate(m.rows) if c in row} for c in range(m.cols)])
 
 
 # --- rref -------------------------------------------------------------------
 
+def test_matrix_rows_are_coerced_and_bounded():
+    assert Matrix(2, [{0: 0, 1: 2}]).rows == [{1: F(2)}]
+    with pytest.raises(IndexError):
+        Matrix(2, [{0: 1}, {2: 1}])
+
+
 def test_rref_zero_matrix():
-    m = Matrix(3, 3)
+    m = Matrix(3, [{}, {}, {}])
     r, rk = rref(m)
     assert rk == 0
-    assert r.entries == {}
+    assert r == m
 
 
 def test_rref_identity():
@@ -50,7 +64,7 @@ def test_rref_preserves_row_space():
     m = Matrix.from_dense([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     r, rk = rref(m)
     assert rk == 2
-    assert Subspace.from_vectors(3, m.row_vecs()) == Subspace.from_vectors(3, r.row_vecs())
+    assert Subspace.from_vectors(3, m.rows) == Subspace.from_vectors(3, r.rows)
 
 
 # --- kernels ----------------------------------------------------------------
@@ -60,7 +74,7 @@ def test_kernel_of_identity_is_zero():
 
 
 def test_kernel_of_zero_matrix_is_full():
-    k = kernel_basis(Matrix(2, 3))
+    k = kernel_basis(Matrix(3, [{}, {}]))
     assert k == Subspace.full(3)
 
 
@@ -144,7 +158,7 @@ def test_rref_idempotent(m):
 @given(matrices())
 @settings(max_examples=100, deadline=None)
 def test_rank_of_transpose(m):
-    assert rank(m) == rank(m.transpose())
+    assert rank(m) == rank(transpose(m))
 
 
 @given(matrices())
@@ -156,7 +170,7 @@ def test_rank_nullity(m):
 @given(matrices(), st.fractions(min_value=-5, max_value=5).filter(bool))
 @settings(max_examples=60, deadline=None)
 def test_scaling_preserves_pivot_structure(m, c):
-    scaled = Matrix(m.rows, m.cols, {k: c * v for k, v in m.entries.items()})
+    scaled = Matrix(m.cols, [{k: c * v for k, v in row.items()} for row in m.rows])
     r1, _ = rref(m)
     r2, _ = rref(scaled)
     assert r1 == r2  # RREF normalizes the scale away entirely
@@ -185,3 +199,106 @@ def test_dimension_formula(a_rows, b_rows):
     assert (
         subspace_sum(a, b).dim + subspace_intersect(a, b).dim == a.dim + b.dim
     )
+
+
+# --- the shared kernel against its earlier implementation ---------------------
+
+def _reference_row_sub(r, pivot_row, coef):
+    out = dict(r)
+    for c, v in pivot_row.items():
+        s = out.get(c, F(0)) - coef * v
+        if s:
+            out[c] = s
+        else:
+            out.pop(c, None)
+    return out
+
+
+def _reference_rref_rows(row_vecs):
+    """The copy-per-step elimination that _rref_rows replaced, kept as its reference."""
+    work = [(min(r), dict(r)) for r in row_vecs if r]
+    done = []
+    while work:
+        lead = min(l for l, _ in work)
+        for idx, (l, r) in enumerate(work):
+            if l == lead:
+                pivot = r
+                work.pop(idx)
+                break
+        inv = F(1) / pivot[lead]
+        if inv != 1:
+            pivot = {c: inv * v for c, v in pivot.items()}
+        nxt = []
+        for l, r in work:
+            coef = r.get(lead)
+            if coef is not None:
+                r = _reference_row_sub(r, pivot, coef)
+                if r:
+                    nxt.append((min(r), r))
+            else:
+                nxt.append((l, r))
+        work = nxt
+        for i, r in enumerate(done):
+            coef = r.get(lead)
+            if coef is not None:
+                done[i] = _reference_row_sub(r, pivot, coef)
+        done.append(pivot)
+    return done
+
+
+scalars = st.one_of(
+    st.integers(-4, 4).map(F),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@st.composite
+def row_lists(draw, max_cols=7, max_rows=7):
+    """Sparse rows with integer or rational entries, plus repeated and scaled copies."""
+    cols = draw(st.integers(1, max_cols))
+    rows = draw(st.lists(
+        st.dictionaries(st.integers(0, cols - 1), scalars.filter(bool)), max_size=max_rows,
+    ))
+    if rows:
+        copies = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), scalars), max_size=4))
+        rows += [{c: k * x for c, x in rows[i].items() if k * x} for i, k in copies]
+    return draw(st.permutations(rows))
+
+
+@given(row_lists())
+@settings(max_examples=200, deadline=None)
+def test_rref_rows_matches_reference_kernel(rows):
+    before = copy.deepcopy(rows)
+    got = _rref_rows(rows)
+    assert rows == before
+    want = _reference_rref_rows(rows)
+    assert got == want
+    assert [list(r) for r in got] == [list(r) for r in want]  # key order too
+    assert not any(g is r for g in got for r in rows)
+
+
+def test_operations_leave_subspace_rows_unchanged():
+    sub = span(4, [1, 2, 0, 3], [0, 1, 1, 0])
+    other = span(4, [1, 0, 0, 0], [0, 0, 1, 1])
+    before = copy.deepcopy([sub.vectors(), other.vectors()])
+    # the shared rows themselves go in as arguments too
+    for v in (vec_from_list([3, 1, 4, 1]), *sub.vectors(), *other.vectors()):
+        for w in (sub, other):
+            w.reduce(v)
+            w.coords(v)
+            w.quotient_coords(v)
+            contains(w, v)
+    for a, b in ((sub, other), (other, sub), (sub, sub)):
+        subspace_sum(a, b)
+        subspace_intersect(a, b)
+    kernel_basis(Matrix(4, sub.vectors()))
+    m = Matrix(4, sub.vectors() + [{2: F(1)}, {3: F(1)}])
+    m_before = copy.deepcopy(m.rows)
+    inv = invert(m)
+    assert [sub.vectors(), other.vectors()] == before
+    assert m.rows == m_before
+    for i, row in enumerate(m.rows):
+        product = {}
+        for c, x in row.items():
+            vec_axpy(product, x, inv.rows[c])
+        assert product == {i: F(1)}

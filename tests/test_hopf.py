@@ -112,11 +112,11 @@ def test_lifts_map_onto_the_derived_basis():
     for a in (canonical_gh(4, 2), heisenberg(2), random_class2(4, 3), random_class2(5, 8)):
         p = presentation_from_class2(a)
         t, h = p.target, p.hall
-        phi = Matrix.from_rows(h.grade2_dim, [
+        phi = Matrix(h.grade2_dim, [
             {w: x for w, ij in enumerate(h.pairs) for k, x in t.pair(*ij).items() if k == h.d + s}
             for s in range(len(p.lifts))
         ])
-        pivots = {min(row) for row in rref(phi)[0].row_vecs() if row}
+        pivots = {min(row) for row in rref(phi)[0].rows if row}
         for s, lift in enumerate(p.lifts):
             assert set(lift) <= pivots
             image = {}

@@ -182,29 +182,22 @@ def h2_dim(a):
     Independent of both the Jacobi-cycle count and the Hopf formula; over a
     field the multiplier has the dimension of H² with trivial coefficients.
     """
-    from ghlie.exactla import Matrix, rank
+    from ghlie.exactla import Matrix, rank, vec_axpy
 
     n = a.dim
     pairs = list(itertools.combinations(range(n), 2))
     pidx = {p: w for w, p in enumerate(pairs)}
-    entries = {}
-    row = 0
+    rows = []
     for i, j, k in itertools.combinations(range(n), 3):
-        touched = False
+        row = {}
         for (x, y), z in (((i, j), k), ((k, i), j), ((j, k), i)):
             for l, c in a.pair(x, y).items():
                 if l == z:
                     continue
                 w, sign = (pidx[(l, z)], 1) if l < z else (pidx[(z, l)], -1)
-                cur = entries.get((row, w), 0) + sign * c
-                if cur:
-                    entries[(row, w)] = cur
-                    touched = True
-                else:
-                    entries.pop((row, w), None)
-        if touched:
-            row += 1
-    constraints = Matrix(row, len(pairs), entries)
+                vec_axpy(row, sign * c, {w: 1})
+        rows.append(row)
+    constraints = Matrix(len(pairs), rows)
     cocycles = len(pairs) - rank(constraints)
     coboundaries = derived_subalgebra(a).dim
     return cocycles - coboundaries
