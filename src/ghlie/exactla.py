@@ -6,11 +6,17 @@ single normal form: a sparse row (Vec) maps a column to a nonzero Fraction, a
 matrix is a width plus a list of such rows, and a subspace is its unique
 reduced row-echelon basis held as such rows.  All comparisons are exact
 equalities; there are no tolerances anywhere.
+
+The one elimination kernel works on primitive integer rows: denominators are
+cleared by their lcm, the content gcd is divided out, and rows are eliminated
+by fraction-free cross-multiplication (Bareiss 1968).  The canonical Fraction
+RREF is built only on return.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 # Sparse vector: coordinate -> nonzero Fraction.  Absent means zero.
@@ -76,14 +82,49 @@ class Matrix:
         return f"Matrix({len(self.rows)}x{self.cols})"
 
 
+def _primitive(r: dict) -> dict:
+    """Divide an integer row by the gcd of its entries, in place."""
+    g = gcd(*r.values())
+    if g != 1:
+        for c, x in r.items():
+            r[c] = x // g
+    return r
+
+
+def _cross_eliminate(r: dict, a: int, pivot: dict, p: int) -> None:
+    """In place, r := (p/g)·r − (a/g)·pivot with g = gcd(a, p), made primitive."""
+    g = gcd(a, p)
+    if p != g:
+        s = p // g
+        for c, x in r.items():
+            r[c] = s * x
+    t = a // g
+    for c, x in pivot.items():
+        y = r.get(c, 0) - t * x
+        if y:
+            r[c] = y
+        else:
+            del r[c]
+    _primitive(r)
+
+
 def _rref_rows(rows: Iterable[Vec]) -> list[Vec]:
     """Reduced row echelon form of a list of sparse rows.
 
-    Returns nonzero rows ordered by pivot column; input rows are not mutated.
+    Returns new nonzero rows ordered by pivot column, each with its keys in
+    ascending column order; input rows are not mutated.  Elimination runs on
+    primitive integer rows; the Fraction rows are built only on return.
     """
-    # (leading column, row) pairs; leading column of processed pivots only grows.
-    work = [(min(r), dict(r)) for r in rows if r]
-    done: list[Vec] = []
+    # (leading column, primitive integer row) pairs; leading column of
+    # processed pivots only grows.  Done rows keep their integer pivot entry
+    # until the end.
+    work = []
+    for r in rows:
+        if r:
+            den = lcm(*(x.denominator for x in r.values()))
+            ints = {c: x.numerator * (den // x.denominator) for c, x in r.items()}
+            work.append((min(r), _primitive(ints)))
+    done: list[tuple[int, dict]] = []
     while work:
         lead = min(l for l, _ in work)
         for idx, (l, r) in enumerate(work):
@@ -91,25 +132,27 @@ def _rref_rows(rows: Iterable[Vec]) -> list[Vec]:
                 pivot = r
                 work.pop(idx)
                 break
-        inv = _ONE / pivot[lead]
-        if inv != 1:
-            pivot = {c: inv * v for c, v in pivot.items()}
+        p = pivot[lead]
+        if p < 0:  # with p > 0, a unit pivot never rescales the rows it meets
+            for c, x in pivot.items():
+                pivot[c] = -x
+            p = -p
         nxt = []
         for l, r in work:
-            coef = r.get(lead)
-            if coef is not None:
-                vec_axpy(r, -coef, pivot)
+            a = r.get(lead)
+            if a is not None:
+                _cross_eliminate(r, a, pivot, p)
                 if r:
                     nxt.append((min(r), r))
             else:
                 nxt.append((l, r))
         work = nxt
-        for r in done:
-            coef = r.get(lead)
-            if coef is not None:
-                vec_axpy(r, -coef, pivot)
-        done.append(pivot)
-    return done
+        for _, r in done:
+            a = r.get(lead)
+            if a is not None:
+                _cross_eliminate(r, a, pivot, p)
+        done.append((lead, pivot))
+    return [{c: Fraction(x, r[l]) for c, x in sorted(r.items())} for l, r in done]
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
@@ -203,20 +246,25 @@ class Subspace:
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """Right null space {x : m x = 0} in canonical form."""
-    reduced = _rref_rows(m.rows)
-    piv = [min(r) for r in reduced]
-    piv_set = set(piv)
-    free = [c for c in range(m.cols) if c not in piv_set]
-    gens = []
-    for f in free:
-        v = {f: _ONE}
-        for p, row in zip(piv, reduced):
-            coef = row.get(f)
-            if coef is not None:
-                v[p] = -coef
-        gens.append(v)
-    return Subspace.from_vectors(m.cols, gens)
+    """Right null space {x : m x = 0} in canonical form, from one elimination.
+
+    m is reduced with its columns reversed (c -> cols-1-c).  A free column f
+    then gives the null vector with a 1 at f and, elsewhere, entries only at
+    pivot columns beyond f: it leads with 1 at f and is zero at every other
+    free column.  Sorted by f, these vectors already are the canonical RREF
+    basis, so no second elimination is needed.
+    """
+    last = m.cols - 1
+    reduced = _rref_rows([{last - c: x for c, x in r.items()} for r in m.rows])
+    pivots = {last - min(r) for r in reduced}
+    gens = {f: {f: _ONE} for f in range(m.cols) if f not in pivots}
+    # Rows by ascending pivot in m's columns, so each vector's keys ascend.
+    for r in reversed(reduced):
+        p = last - min(r)
+        for c, x in r.items():
+            if last - c != p:
+                gens[last - c][p] = -x
+    return Subspace(m.cols, gens.values())
 
 
 def invert(m: Matrix) -> Matrix:

@@ -118,14 +118,14 @@ def derived_subalgebra(a: LieAlgebra) -> Subspace:
 def center(a: LieAlgebra) -> Subspace:
     """Kernel of v -> ([v, b_j])_j, assembled from the stacked adjoint maps."""
     n = a.dim
-    rows: list[Vec] = [{} for _ in range(n * n)]
+    rows: dict[int, Vec] = {}
     for (i, j), w in a.bracket.items():
         for k, x in w.items():
             # [e_i, e_j] = w puts x in row (j, k) col i and -x in row (i, k) col j;
-            # no other bracket writes either entry.
-            rows[j * n + k][i] = x
-            rows[i * n + k][j] = -x
-    return kernel_basis(Matrix(n, rows))
+            # no other bracket writes either entry.  Rows no bracket writes are zero.
+            rows.setdefault(j * n + k, {})[i] = x
+            rows.setdefault(i * n + k, {})[j] = -x
+    return kernel_basis(Matrix(n, rows.values()))
 
 
 def lower_central_series(a: LieAlgebra) -> list[Subspace]:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +78,19 @@ def test_gen_and_analyze_roundtrip(ws, capsys):
     assert rep["dims"] == {"m_L": 6, "wedge": 8, "tensor": 14, "j2": 12, "psi2_rank": 1}
     assert rep["capable"] is True
     assert rep["flags"]["j2"] == "expected_mismatch"
+
+
+def test_python_m_ghlie_runs_from_a_checkout(ws, capsys):
+    assert main(["gen", "--family", "gh", "--d", "3", "--rank", "2",
+                 "--canonical", "--out", "a.json"]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "a.json"]) == 0
+    want = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "ghlie", "analyze", "a.json"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == want
 
 
 def test_gen_abelian(ws, capsys):

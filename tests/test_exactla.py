@@ -2,7 +2,7 @@ import copy
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghlie.exactla import (
@@ -246,35 +246,77 @@ def _reference_rref_rows(row_vecs):
     return done
 
 
-scalars = st.one_of(
+small_scalars = st.one_of(
     st.integers(-4, 4).map(F),
     st.fractions(min_value=-4, max_value=4, max_denominator=6),
 )
+# Numerators up to ±2^80 over denominators up to 2^40: the integer kernel's
+# denominator lcm and content gcd both have work to do.
+large_scalars = st.builds(F, st.integers(-2**80, 2**80), st.integers(1, 2**40))
 
 
 @st.composite
-def row_lists(draw, max_cols=7, max_rows=7):
+def row_lists(draw, max_cols=7, max_rows=7, min_cols=1):
     """Sparse rows with integer or rational entries, plus repeated and scaled copies."""
-    cols = draw(st.integers(1, max_cols))
+    scalars = draw(st.sampled_from((small_scalars, large_scalars)))
+    cols = draw(st.integers(min_cols, max_cols))
     rows = draw(st.lists(
-        st.dictionaries(st.integers(0, cols - 1), scalars.filter(bool)), max_size=max_rows,
+        st.dictionaries(st.integers(0, cols - 1), scalars.filter(bool)) if cols else st.just({}),
+        max_size=max_rows,
     ))
     if rows:
         copies = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), scalars), max_size=4))
         rows += [{c: k * x for c, x in rows[i].items() if k * x} for i, k in copies]
-    return draw(st.permutations(rows))
+    return cols, draw(st.permutations(rows))
 
 
 @given(row_lists())
 @settings(max_examples=200, deadline=None)
-def test_rref_rows_matches_reference_kernel(rows):
+def test_rref_rows_matches_reference_kernel(case):
+    _, rows = case
     before = copy.deepcopy(rows)
     got = _rref_rows(rows)
     assert rows == before
     want = _reference_rref_rows(rows)
     assert got == want
-    assert [list(r) for r in got] == [list(r) for r in want]  # key order too
+    for r in got:
+        assert list(r) == sorted(r)
+        assert all(type(x) is F for x in r.values())
     assert not any(g is r for g in got for r in rows)
+
+
+def _reference_kernel_basis(m):
+    """The two-elimination kernel_basis that one reversed-column elimination replaced."""
+    reduced = _rref_rows(m.rows)
+    piv = [min(r) for r in reduced]
+    piv_set = set(piv)
+    free = [c for c in range(m.cols) if c not in piv_set]
+    gens = []
+    for f in free:
+        v = {f: F(1)}
+        for p, row in zip(piv, reduced):
+            coef = row.get(f)
+            if coef is not None:
+                v[p] = -coef
+        gens.append(v)
+    return Subspace.from_vectors(m.cols, gens)
+
+
+@given(row_lists(min_cols=0))
+@example((0, []))
+@example((0, [{}, {}]))
+@example((3, [{}, {}]))  # the zero matrix
+@example((4, [{0: F(1), 2: F(2)}, {0: F(3), 2: F(-1)}]))  # columns 1 and 3 all zero
+@settings(max_examples=200, deadline=None)
+def test_kernel_basis_matches_reference(case):
+    cols, rows = case
+    m = Matrix(cols, rows)
+    got = kernel_basis(m)
+    assert got == _reference_kernel_basis(m)
+    assert got.dim == cols - rank(m)
+    for v in got.vectors():
+        for row in m.rows:
+            assert sum(x * v.get(c, 0) for c, x in row.items()) == 0
 
 
 def test_operations_leave_subspace_rows_unchanged():
