@@ -10,7 +10,9 @@ equalities; there are no tolerances anywhere.
 The one elimination kernel works on primitive integer rows: denominators are
 cleared by their lcm, the content gcd is divided out, and rows are eliminated
 by fraction-free cross-multiplication (Bareiss 1968).  The canonical Fraction
-RREF is built only on return.
+RREF is built only on return, and ``rank`` builds none.  ``Subspace.reduce``
+is fraction-free too: it eliminates against integer copies of the basis rows,
+made once per subspace, and builds Fractions only for the residual.
 """
 
 from __future__ import annotations
@@ -108,22 +110,22 @@ def _cross_eliminate(r: dict, a: int, pivot: dict, p: int) -> None:
     _primitive(r)
 
 
-def _rref_rows(rows: Iterable[Vec]) -> list[Vec]:
-    """Reduced row echelon form of a list of sparse rows.
+def _integer_row(r: Vec) -> tuple[int, dict]:
+    """(lcm of the denominators of r, r scaled by it to integers)."""
+    den = lcm(*(x.denominator for x in r.values()))
+    return den, {c: x.numerator * (den // x.denominator) for c, x in r.items()}
 
-    Returns new nonzero rows ordered by pivot column, each with its keys in
-    ascending column order; input rows are not mutated.  Elimination runs on
-    primitive integer rows; the Fraction rows are built only on return.
+
+def _eliminate(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
+    """Integer RREF of a list of sparse rows: (pivot column, primitive row) pairs.
+
+    Pairs come ordered by pivot column; each row has a positive pivot entry and
+    zeros in every other pivot column.  Input rows are not mutated.
     """
     # (leading column, primitive integer row) pairs; leading column of
     # processed pivots only grows.  Done rows keep their integer pivot entry
     # until the end.
-    work = []
-    for r in rows:
-        if r:
-            den = lcm(*(x.denominator for x in r.values()))
-            ints = {c: x.numerator * (den // x.denominator) for c, x in r.items()}
-            work.append((min(r), _primitive(ints)))
+    work = [(min(r), _primitive(_integer_row(r)[1])) for r in rows if r]
     done: list[tuple[int, dict]] = []
     while work:
         lead = min(l for l, _ in work)
@@ -152,7 +154,17 @@ def _rref_rows(rows: Iterable[Vec]) -> list[Vec]:
             if a is not None:
                 _cross_eliminate(r, a, pivot, p)
         done.append((lead, pivot))
-    return [{c: Fraction(x, r[l]) for c, x in sorted(r.items())} for l, r in done]
+    return done
+
+
+def _rref_rows(rows: Iterable[Vec]) -> list[Vec]:
+    """Reduced row echelon form of a list of sparse rows.
+
+    Returns new nonzero rows ordered by pivot column, each with its keys in
+    ascending column order; input rows are not mutated.  Elimination runs on
+    primitive integer rows; the Fraction rows are built only on return.
+    """
+    return [{c: Fraction(x, r[l]) for c, x in sorted(r.items())} for l, r in _eliminate(rows)]
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
@@ -163,7 +175,8 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
 
 
 def rank(m: Matrix) -> int:
-    return len(_rref_rows(m.rows))
+    """Number of pivots of the integer elimination; no Fraction row is built."""
+    return len(_eliminate(m.rows))
 
 
 class Subspace:
@@ -175,7 +188,7 @@ class Subspace:
     caller that edits one copies it first.
     """
 
-    __slots__ = ("ambient_dim", "_rows", "pivots", "_comp_pos")
+    __slots__ = ("ambient_dim", "_rows", "pivots", "_comp_pos", "_int_rows")
 
     def __init__(self, ambient_dim: int, rows: Iterable[Vec]):
         """rows must already be the canonical RREF basis (see from_vectors)."""
@@ -183,6 +196,7 @@ class Subspace:
         self._rows = tuple(rows)
         self.pivots = tuple(min(r) for r in self._rows)
         self._comp_pos = None
+        self._int_rows = None
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Vec]) -> "Subspace":
@@ -209,13 +223,36 @@ class Subspace:
         return list(self._rows)
 
     def reduce(self, v: Vec) -> Vec:
-        """Residual of v after eliminating all pivot coordinates."""
-        out = dict(v)
-        for p, row in zip(self.pivots, self._rows):
-            coef = out.get(p)
-            if coef is not None:
-                vec_axpy(out, -coef, row)
-        return out
+        """Residual of v after eliminating all pivot coordinates.
+
+        v = u/scale with u an integer row, eliminated by cross-multiplication
+        against the primitive integer basis rows.  A basis row is zero at the
+        other pivots, so the pivots to eliminate are those v holds.
+        """
+        if self._int_rows is None:  # unit pivot rows scaled by their lcm are primitive
+            self._int_rows = {p: _integer_row(r)[1] for p, r in zip(self.pivots, self._rows)}
+        rows = self._int_rows
+        hits = sorted(c for c in v if c in rows)
+        if not hits:
+            return dict(v)
+        scale, u = _integer_row(v)
+        for p in hits:
+            row = rows[p]
+            a, q = u[p], row[p]
+            g = gcd(a, q)
+            if q != g:
+                s = q // g
+                scale *= s
+                for c, x in u.items():
+                    u[c] = s * x
+            t = a // g
+            for c, x in row.items():
+                y = u.get(c, 0) - t * x
+                if y:
+                    u[c] = y
+                else:
+                    del u[c]
+        return {c: Fraction(x, scale) for c, x in u.items()}
 
     def contains_vec(self, v: Vec) -> bool:
         return not self.reduce(v)

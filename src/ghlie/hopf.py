@@ -11,7 +11,8 @@ grade-2 relation space S.  Then
 and the exterior center, ker β and the cover F/[R,F] are all finite linear
 algebra in the graded coordinates.  Truncation at class 3 is sound because
 [R,F] already contains F⁴-terms' sources: for a class-2 target every bracket
-of interest lands in grade <= 3.
+of interest lands in grade <= 3.  The β images [lift_s, x_g] mod [R,F], read
+by both the exterior center and ker β, are built once per presentation.
 
 Hall conventions (fixed so signs are reproducible bit for bit):
   * generators x_1 < ... < x_d (0-based internally);
@@ -24,7 +25,7 @@ Hall conventions (fixed so signs are reproducible bit for bit):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactla import Matrix, Subspace, Vec, kernel_basis, rref, vec_axpy
@@ -97,20 +98,11 @@ class HallBasis:
             if a < b:
                 return {self.pair_coord(self.pair_index[(a, b)]): _ONE}
             return {self.pair_coord(self.pair_index[(b, a)]): -_ONE}
-        if ga == 2 and gb == 1:
-            i, j = self.pairs[a - self.d]
-            return self._pair_gen_bracket(i, j, b)
-        # ga == 1 and gb == 2
-        i, j = self.pairs[b - self.d]
-        return {c: -x for c, x in self._pair_gen_bracket(i, j, a).items()}
-
-    def _pair_gen_bracket(self, i: int, j: int, k: int) -> Vec:
-        if k >= i:
-            return {self.triple_coord(self.triple_index[(i, j, k)]): _ONE}
-        return {
-            self.triple_coord(self.triple_index[(k, j, i)]): _ONE,
-            self.triple_coord(self.triple_index[(k, i, j)]): -_ONE,
-        }
+        if ga == 2:
+            w, g, sign = a - self.d, b, _ONE
+        else:  # ga == 1 and gb == 2
+            w, g, sign = b - self.d, a, -_ONE
+        return {self.triple_coord(m): sign * x for m, x in wedge_gen_bracket(self, {w: _ONE}, g).items()}
 
 
 _HALL_CACHE: dict[int, HallBasis] = {}
@@ -131,13 +123,32 @@ def free_bracket(h: HallBasis, u: Vec, v: Vec) -> Vec:
     return out
 
 
+def wedge_gen_bracket(h: HallBasis, w: Vec, g: int) -> Vec:
+    """[w, x_g] for w in the grade-2 pair coordinates, in grade-3 triple coordinates.
+
+    The Hall rule directly: [[x_i, x_j], x_g] is the triple (i, j, g) when
+    g >= i, and (g, j, i) - (g, i, j) otherwise.  For a fixed g distinct pairs
+    give distinct triples, so no two terms meet.
+    """
+    out: Vec = {}
+    for c, x in w.items():
+        i, j = h.pairs[c]
+        if g >= i:
+            out[h.triple_index[(i, j, g)]] = x
+        else:
+            out[h.triple_index[(g, j, i)]] = x
+            out[h.triple_index[(g, i, j)]] = -x
+    return out
+
+
 @dataclass
 class FreePresentation:
     """Class-2 target presented as F_{d,3}/(rel2 ⊕ F³).
 
     rel2 lives in the grade-2 wedge coordinates, rel_bracket_span = [rel2, F]
     in the grade-3 coordinates.  lifts[s] is a grade-2 preimage of the s-th
-    derived basis vector of the target.
+    derived basis vector of the target.  The β images are built on first use
+    (see ``_beta_images``) and kept with the presentation.
     """
 
     hall: HallBasis
@@ -145,20 +156,18 @@ class FreePresentation:
     rel_bracket_span: Subspace
     lifts: list[Vec]
     target: LieAlgebra
+    _beta: list[Vec] | None = field(default=None, init=False, compare=False, repr=False)
 
 
-def _grade3_part(h: HallBasis, w: Vec) -> Vec:
-    off = h.d + h.grade2_dim
-    return {c - off: x for c, x in w.items() if c >= off}
-
-
-def presentation_from_class2(a: LieAlgebra) -> FreePresentation:
+def presentation_from_class2(a: LieAlgebra, der: Subspace | None = None) -> FreePresentation:
     """Free presentation of a nilpotent algebra of class <= 2.
 
-    An input off the basis contract (generators first, then L²) is re-based
-    first; the stored target is the re-based algebra.
+    der is the derived subalgebra of a as rebase_class2 returns it; without it
+    a is rebased here onto the basis contract (generators first, then L²),
+    which also rejects class > 2.  The stored target is the rebased algebra.
     """
-    a, der = rebase_class2(a)
+    if der is None:
+        a, der = rebase_class2(a)
     r = der.dim
     d = a.dim - r
     h = hall_basis(d)
@@ -171,11 +180,10 @@ def presentation_from_class2(a: LieAlgebra) -> FreePresentation:
     rel2 = kernel_basis(Matrix(g2, phi_rows))
     bracket_gens = []
     for s_vec in rel2.vectors():
-        emb = {h.pair_coord(w): x for w, x in s_vec.items()}
         for k in range(d):
-            w3 = free_bracket(h, emb, {k: _ONE})
+            w3 = wedge_gen_bracket(h, s_vec, k)
             if w3:
-                bracket_gens.append(_grade3_part(h, w3))
+                bracket_gens.append(w3)
     rf = Subspace.from_vectors(h.grade3_dim, bracket_gens)
     # All lifts from one elimination: RREF [φ | I_r] = [RREF(φ) | E], and
     # x_s = Σ_i E[i][s] e_(pivot i) solves φ x_s = e_s with free coordinates 0.
@@ -201,24 +209,28 @@ def exterior_square_oracle(p: FreePresentation) -> int:
     return p.hall.grade2_dim + p.hall.grade3_dim - p.rel_bracket_span.dim
 
 
+def _beta_images(p: FreePresentation) -> list[Vec]:
+    """β on the basis: entry s·d + g is [lift_s, x_g] mod [R,F] in quotient coordinates.
+
+    Built on first use and kept with the presentation.
+    """
+    if p._beta is None:
+        h, rf = p.hall, p.rel_bracket_span
+        p._beta = [rf.quotient_coords(wedge_gen_bracket(h, y, g)) for y in p.lifts for g in range(h.d)]
+    return p._beta
+
+
 def ker_beta(p: FreePresentation) -> Subspace:
     """Kernel of β: L² ⊗ L/L² -> F³/[R,F], (s, g) -> [lift(y_s), x_g].
 
     Returned in the (derived index, generator index) lexicographic coordinates
     shared with the Jacobi-cycle subspace K, so equality checks are literal.
     """
-    h = p.hall
-    d = h.d
-    r = len(p.lifts)
-    rf = p.rel_bracket_span
-    rows: list[Vec] = [{} for _ in range(h.grade3_dim - rf.dim)]
-    for s in range(r):
-        emb = {h.pair_coord(w): x for w, x in p.lifts[s].items()}
-        for g in range(d):
-            w3 = _grade3_part(h, free_bracket(h, emb, {g: _ONE}))
-            for q, x in rf.quotient_coords(w3).items():
-                rows[q][s * d + g] = x
-    return kernel_basis(Matrix(r * d, rows))
+    rows: list[Vec] = [{} for _ in range(p.hall.grade3_dim - p.rel_bracket_span.dim)]
+    for sg, img in enumerate(_beta_images(p)):
+        for q, x in img.items():
+            rows[q][sg] = x
+    return kernel_basis(Matrix(len(p.lifts) * p.hall.d, rows))
 
 
 def exterior_center(p: FreePresentation) -> Subspace:
@@ -228,24 +240,20 @@ def exterior_center(p: FreePresentation) -> Subspace:
     generator block must already vanish in grade 2, so only derived-direction
     elements can survive; capability of the target is exactly this being zero.
     """
-    h = p.hall
-    d = h.d
+    d = p.hall.d
     r = len(p.lifts)
-    rf = p.rel_bracket_span
-    rows: list[Vec] = []
-    for k in range(d):
-        # grade-2 component of [Σ a_i x_i, x_k] is ±a_i on the pair {i, k}, so
-        # it vanishes iff a_i = 0 for every i != k
-        rows.extend({i: _ONE} for i in range(d) if i != k)
-        # grade-3 component of [Σ b_s lift_s, x_k] must lie in [R,F]
-        by_q: dict[int, Vec] = {}
-        for s in range(r):
-            emb = {h.pair_coord(w): x for w, x in p.lifts[s].items()}
-            w3 = _grade3_part(h, free_bracket(h, emb, {k: _ONE}))
-            for q, x in rf.quotient_coords(w3).items():
-                by_q.setdefault(q, {})[d + s] = x
-        # the kernel depends only on the row space, not on the row order
-        rows.extend(by_q.values())
+    # grade-2 component of [Σ a_i x_i, x_k] is ±a_i on the pair {i, k}, so it
+    # vanishes for every k iff a = 0 (with one generator there is no pair)
+    rows: list[Vec] = [{i: _ONE} for i in range(d)] if d > 1 else []
+    # grade-3 component of [Σ b_s lift_s, x_k] must lie in [R,F]: one row
+    # per (q, k) over the derived columns
+    by_qk: dict[tuple[int, int], Vec] = {}
+    for sk, img in enumerate(_beta_images(p)):
+        s, k = divmod(sk, d)
+        for q, x in img.items():
+            by_qk.setdefault((q, k), {})[d + s] = x
+    # the kernel depends only on the row space, not on the row order
+    rows.extend(by_qk.values())
     return kernel_basis(Matrix(d + r, rows))
 
 
@@ -343,7 +351,8 @@ def verify_cover(a: LieAlgebra, cover: LieAlgebra, b: Subspace) -> CoverReport:
     (L*)³ ⊆ B; the defect bound is dim rel2 of the presentation.  The cover
     of A(n) is free of class min(n, 2); that of a non-abelian L has class 3.
     """
-    p = presentation_from_class2(a)
+    a, der_a = rebase_class2(a)
+    p = presentation_from_class2(a, der_a)
     der = derived_subalgebra(cover)
     z = center(cover)
     series = lower_central_series(cover)
@@ -358,7 +367,7 @@ def verify_cover(a: LieAlgebra, cover: LieAlgebra, b: Subspace) -> CoverReport:
     )
     b_in_derived = all(der.contains_vec(u) for u in b.vectors())
     z_in_derived = all(der.contains_vec(u) for u in z.vectors())
-    m_dim = dimensions(psi2_image(a))["m_L"]
+    m_dim = dimensions(psi2_image(a, der_a))["m_L"]
     quo = quotient(cover, b)
     canonical = _canonical_class2(p)
     quotient_matches = quo.bracket == canonical.bracket and _iso_onto_target(p, canonical)

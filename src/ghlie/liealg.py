@@ -136,9 +136,10 @@ def lower_central_series(a: LieAlgebra) -> list[Subspace]:
         if prev.dim == 0:
             break
         gens = [
-            bracket_vectors(a, u, {j: _ONE})
+            w
             for u in prev.vectors()
             for j in range(a.dim)
+            if (w := bracket_vectors(a, u, {j: _ONE}))
         ]
         nxt = Subspace.from_vectors(a.dim, gens)
         if nxt == prev:

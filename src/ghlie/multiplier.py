@@ -49,21 +49,18 @@ def psi2_image(a: LieAlgebra, der: Subspace | None = None) -> Psi2Data:
     a is rebased here, which also rejects class > 2.  Rebasing leaves K
     unchanged coordinate for coordinate: the rebased generators are the
     complement coordinates of L², its derived basis the RREF basis of L².
+    The coordinates are read off the basis contract: generator g is
+    coordinate g and derived basis vector s is coordinate n + s.
     """
     if der is None:
         a, der = rebase_class2(a)
     r = der.dim
-    comp = der.complement_coords()
-    n = len(comp)
+    n = a.dim - r
     gens = []
     for g1, g2, g3 in itertools.combinations(range(n), 3):
         v: Vec = {}
-        for (ci, cj), g in (
-            ((comp[g1], comp[g2]), g3),
-            ((comp[g3], comp[g1]), g2),
-            ((comp[g2], comp[g3]), g1),
-        ):
-            vec_axpy(v, 1, {s * n + g: x for s, x in der.coords(a.pair(ci, cj)).items()})
+        for (i, j), g in (((g1, g2), g3), ((g3, g1), g2), ((g2, g3), g1)):
+            vec_axpy(v, 1, {(c - n) * n + g: x for c, x in a.pair(i, j).items()})
         if v:
             gens.append(v)
     return Psi2Data(n, r, Subspace.from_vectors(r * n, gens))

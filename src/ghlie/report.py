@@ -36,7 +36,7 @@ class Analysis:
     def of(cls, a: LieAlgebra) -> "Analysis":
         """Raises ClassTwoRequired beyond class 2."""
         b, der = rebase_class2(a)
-        return cls(b, der, center(a), psi2_image(b, der), hopf.presentation_from_class2(b))
+        return cls(b, der, center(a), psi2_image(b, der), hopf.presentation_from_class2(b, der))
 
     @property
     def r(self) -> int:

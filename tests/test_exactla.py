@@ -344,3 +344,53 @@ def test_operations_leave_subspace_rows_unchanged():
         for c, x in row.items():
             vec_axpy(product, x, inv.rows[c])
         assert product == {i: F(1)}
+
+
+def _reference_reduce(sub, v):
+    """The Fraction reduce that the integer one replaced, kept as its reference."""
+    out = dict(v)
+    for p, row in zip(sub.pivots, sub.vectors()):
+        coef = out.get(p)
+        if coef is not None:
+            vec_axpy(out, -coef, row)
+    return out
+
+
+def _reference_coords(sub, v):
+    if _reference_reduce(sub, v):
+        return None
+    return {t: v[p] for t, p in enumerate(sub.pivots) if p in v}
+
+
+def _reference_quotient_coords(sub, v):
+    pos = {c: k for k, c in enumerate(sub.complement_coords())}
+    return {pos[c]: x for c, x in _reference_reduce(sub, v).items()}
+
+
+@given(row_lists(max_rows=6), st.integers(0, 8), st.lists(st.integers(-3, 3), max_size=6))
+# v meets two pivots, and each elimination brings in a new column
+@example((4, [{0: F(1), 2: F(1)}, {1: F(1), 3: F(1)}, {0: F(1), 1: F(1)}]), 2, [])
+@example((4, [{0: F(2), 2: F(1, 3)}, {1: F(3, 4), 3: F(5)}, {0: F(1, 2), 1: F(7), 2: F(-1)}]), 2, [1, 2])
+@settings(max_examples=200, deadline=None)
+def test_reduce_matches_reference(case, split, mix):
+    cols, rows = case
+    sub = Subspace.from_vectors(cols, rows[:split])
+    # rows inside and (mostly) outside the subspace, and a mix of both
+    vectors = list(rows)
+    combo = {}
+    for k, v in zip(mix, rows):
+        vec_axpy(combo, F(k), v)
+    vectors.append(combo)
+    sub_rows = copy.deepcopy(sub.vectors())
+    before = copy.deepcopy(vectors)
+    for _ in range(2):  # the first call builds the integer rows, the second reuses them
+        for v in vectors:
+            want = _reference_reduce(sub, v)
+            got = sub.reduce(v)
+            assert list(got.items()) == list(want.items())
+            assert all(type(x) is F for x in got.values())
+            assert sub.quotient_coords(v) == _reference_quotient_coords(sub, v)
+            assert sub.coords(v) == _reference_coords(sub, v)
+            assert sub.contains_vec(v) == (not want)
+    assert vectors == before
+    assert sub.vectors() == sub_rows

@@ -1,13 +1,16 @@
 import itertools
+import random
 from fractions import Fraction
 
-from ghlie.exactla import Matrix, rref, vec_axpy
-from ghlie.fixtures import canonical_gh, random_class2
+from ghlie.exactla import Matrix, kernel_basis, rank, rref, vec_axpy
+from ghlie.fixtures import canonical_gh, grid_cases, random_class2, seeded_gh
 from ghlie.liealg import (
     GhSpec,
     abelian,
     center,
+    change_of_basis,
     derived_subalgebra,
+    direct_sum,
     gh_construct,
     heisenberg,
     jacobi_check,
@@ -24,6 +27,7 @@ from ghlie.hopf import (
     ker_beta,
     presentation_from_class2,
     verify_cover,
+    wedge_gen_bracket,
 )
 from ghlie.multiplier import dimensions, psi2_image
 
@@ -247,3 +251,107 @@ def test_cover_of_rebased_input():
 def _cover_pair(p):
     cov = cover_construct(p)
     return cov.algebra, cov.central_ideal
+
+
+# --- the direct Hall rewrite and the shared β map against their earlier code ------------
+
+def _reference_wedge_gen_bracket(h, w, g):
+    """_grade3_part(free_bracket(h, w in Hall coordinates, x_g)) as it was computed
+    before the direct rewrite: the old _pair_gen_bracket on each pair, then the
+    grade-3 coordinates shifted to start at 0."""
+    out = {}
+    for c, x in w.items():
+        i, j = h.pairs[c]
+        if g >= i:
+            term = {h.triple_coord(h.triple_index[(i, j, g)]): ONE}
+        else:
+            term = {
+                h.triple_coord(h.triple_index[(g, j, i)]): ONE,
+                h.triple_coord(h.triple_index[(g, i, j)]): -ONE,
+            }
+        vec_axpy(out, x, term)
+    off = h.d + h.grade2_dim
+    return {c - off: x for c, x in out.items() if c >= off}
+
+
+def test_wedge_gen_bracket_matches_reference():
+    rng = random.Random(0)
+    for d in range(1, 7):
+        h = hall_basis(d)
+        off = h.d + h.grade2_dim
+        vectors = [{w: ONE} for w in range(h.grade2_dim)]
+        for _ in range(20 if h.grade2_dim else 0):
+            support = rng.sample(range(h.grade2_dim), rng.randint(1, h.grade2_dim))
+            vectors.append({w: F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5)) for w in support})
+        for w in vectors:
+            for g in range(d):
+                want = _reference_wedge_gen_bracket(h, w, g)
+                got = wedge_gen_bracket(h, w, g)
+                assert list(got.items()) == list(want.items()), (d, w, g)
+                # free_bracket reads the same rule through basis_bracket, in both orders
+                emb = {h.pair_coord(c): x for c, x in w.items()}
+                assert free_bracket(h, emb, {g: ONE}) == {off + m: x for m, x in want.items()}
+                assert free_bracket(h, {g: ONE}, emb) == {off + m: -x for m, x in want.items()}
+
+
+def _reference_ker_beta(p):
+    """ker_beta as it was before the β map was shared: every image built per call."""
+    h = p.hall
+    d = h.d
+    r = len(p.lifts)
+    rf = p.rel_bracket_span
+    rows = [{} for _ in range(h.grade3_dim - rf.dim)]
+    for s in range(r):
+        for g in range(d):
+            w3 = _reference_wedge_gen_bracket(h, p.lifts[s], g)
+            for q, x in rf.quotient_coords(w3).items():
+                rows[q][s * d + g] = x
+    return kernel_basis(Matrix(r * d, rows))
+
+
+def _reference_exterior_center(p):
+    """exterior_center as it was before the β map was shared."""
+    h = p.hall
+    d = h.d
+    r = len(p.lifts)
+    rf = p.rel_bracket_span
+    rows = []
+    for k in range(d):
+        rows.extend({i: ONE} for i in range(d) if i != k)
+        by_q = {}
+        for s in range(r):
+            w3 = _reference_wedge_gen_bracket(h, p.lifts[s], k)
+            for q, x in rf.quotient_coords(w3).items():
+                by_q.setdefault(q, {})[d + s] = x
+        rows.extend(by_q.values())
+    return kernel_basis(Matrix(d + r, rows))
+
+
+def rational_basis(a, seed):
+    """a in a seeded basis with entries p/q, |p| <= 3, 1 <= q <= 3."""
+    rng = random.Random(seed)
+    while True:
+        m = Matrix.from_dense([[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(a.dim)] for _ in range(a.dim)])
+        if rank(m) == a.dim:
+            return change_of_basis(a, m)
+
+
+def test_shared_beta_matches_per_call_reference():
+    inputs = [c.build() for c in grid_cases((3, 4, 5), (1, 2, 3), (0, 1), 1)]
+    inputs += [direct_sum(heisenberg(1), abelian(t)) for t in range(3)]
+    inputs += [abelian(n) for n in range(5)]
+    inputs += [
+        rational_basis(seeded_gh(4, 1, 0), 1),
+        rational_basis(random_class2(4, 3), 2),
+        rational_basis(direct_sum(heisenberg(1), abelian(1)), 3),
+    ]
+    for a in inputs:
+        p = presentation_from_class2(a)
+        want_kb, want_ec = _reference_ker_beta(p), _reference_exterior_center(p)
+        assert ker_beta(p) == want_kb
+        assert exterior_center(p) == want_ec
+        assert ker_beta(p) == want_kb
+        q = presentation_from_class2(a)
+        assert exterior_center(q) == want_ec
+        assert ker_beta(q) == want_kb
+        assert exterior_center(q) == want_ec

@@ -1,11 +1,14 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from ghlie.exactla import Matrix, Subspace
-from ghlie.fixtures import canonical_gh, random_class2
+from ghlie import hopf, liealg
+from ghlie.exactla import Matrix, Subspace, vec_axpy
+from ghlie.exactla import rank as mat_rank
+from ghlie.fixtures import canonical_gh, random_class2, seeded_gh
 from ghlie.liealg import (
     ClassTwoRequired,
     GhSpec,
@@ -15,11 +18,13 @@ from ghlie.liealg import (
     direct_sum,
     gh_construct,
     heisenberg,
+    rebase_class2,
 )
 from ghlie.multiplier import dimensions, psi2_image, square_dim
 from ghlie.report import (
     Analysis,
     NotGeneralizedHeisenberg,
+    analyze,
     capability_by_quotients,
     classify_by_multiplier,
 )
@@ -38,8 +43,6 @@ def dims(a):
 
 def scrambled(a, seed):
     """a in a random integer basis, off the generators-then-L² contract."""
-    from ghlie.exactla import rank as mat_rank
-
     rng = random.Random(seed)
     while True:
         p = Matrix.from_dense([[rng.randint(-2, 2) for _ in range(a.dim)] for _ in range(a.dim)])
@@ -116,6 +119,62 @@ def test_k_subspace_equals_psi2_image():
         ctx = Analysis.of(a)
         assert ctx.k.image == psi2_image(a).image
         assert ctx.derived == derived_subalgebra(ctx.algebra)
+
+
+def _reference_psi2_span(a, der):
+    """psi2_image's K as it was computed through der.coords, before the contract read."""
+    r = der.dim
+    comp = der.complement_coords()
+    n = len(comp)
+    gens = []
+    for g1, g2, g3 in itertools.combinations(range(n), 3):
+        v = {}
+        for (ci, cj), g in (
+            ((comp[g1], comp[g2]), g3),
+            ((comp[g3], comp[g1]), g2),
+            ((comp[g2], comp[g3]), g1),
+        ):
+            vec_axpy(v, 1, {s * n + g: x for s, x in der.coords(a.pair(ci, cj)).items()})
+        if v:
+            gens.append(v)
+    return n, r, Subspace.from_vectors(r * n, gens)
+
+
+def rational_basis(a, seed):
+    """a in a seeded basis with entries p/q, |p| <= 3, 1 <= q <= 3."""
+    rng = random.Random(seed)
+    while True:
+        m = Matrix.from_dense([[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(a.dim)] for _ in range(a.dim)])
+        if mat_rank(m) == a.dim:
+            return change_of_basis(a, m)
+
+
+def test_psi2_contract_read_matches_coords_reference():
+    for k, a in enumerate((canonical_gh(3, 1), seeded_gh(4, 1, 0), seeded_gh(4, 3, 1), seeded_gh(5, 2, 2),
+                           random_class2(4, 3), heisenberg(2), direct_sum(heisenberg(1), abelian(2)),
+                           abelian(3))):
+        b, der = rebase_class2(rational_basis(a, k))
+        n, r, image = _reference_psi2_span(b, der)
+        for got in (psi2_image(b, der), psi2_image(b), psi2_image(rational_basis(a, k))):
+            assert (got.n, got.r, got.image) == (n, r, image), k
+
+
+def test_analyze_rebases_and_presents_once(monkeypatch):
+    # one analysis rebases its input once and builds one presentation from it
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(liealg, "lower_central_series", counted("lcs", liealg.lower_central_series))
+    monkeypatch.setattr(hopf, "presentation_from_class2", counted("pres", hopf.presentation_from_class2))
+    for a in (canonical_gh(4, 1), scrambled(random_class2(3, 5), 1), direct_sum(heisenberg(1), abelian(1))):
+        calls.clear()
+        analyze(a, with_oracle=True, check_ker_beta=True)
+        assert calls == {"lcs": 1, "pres": 1}
 
 
 # --- dimension formulas ------------------------------------------------------------
