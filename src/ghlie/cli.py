@@ -12,11 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from . import docio, hopf
 from .fixtures import canonical_gh, relations_from_pairs
 from .liealg import (
     CenterViolation,
+    ClassTwoRequired,
     GhSpec,
     LieAlgebra,
     abelian,
@@ -58,10 +60,21 @@ def _status(a: LieAlgebra) -> dict:
     }
 
 
-def _require_jacobi(a: LieAlgebra) -> None:
-    bad = jacobi_check(a)
-    if bad:
-        raise _JacobiViolation(bad)
+@contextmanager
+def _require_jacobi(a: LieAlgebra):
+    """Tell a Jacobi violation from class > 2 when the class-2 certificate fails.
+
+    rebase_class2's certificate L² ⊆ Z(L) proves the Jacobi identity, so the
+    O(dim³) scan runs only on input it rejected: a violation raises
+    _JacobiViolation (exit 4), otherwise ClassTwoRequired stands (exit 2).
+    """
+    try:
+        yield
+    except ClassTwoRequired:
+        bad = jacobi_check(a)
+        if bad:
+            raise _JacobiViolation(bad) from None
+        raise
 
 
 class _JacobiViolation(Exception):
@@ -143,27 +156,27 @@ def cmd_gen(args) -> int:
 
 def cmd_analyze(args) -> int:
     a, meta = docio.read_document(args.path)
-    _require_jacobi(a)
-    rep = analyze(
-        a,
-        d=meta.get("d"),
-        defect=meta.get("defect"),
-        t=meta.get("t"),
-        variant=meta.get("variant"),
-        with_oracle=args.oracle,
-        include_suspect=not args.skip_suspect_forms,
-        provenance=meta.get("family", ""),
-    )
+    with _require_jacobi(a):
+        rep = analyze(
+            a,
+            d=meta.get("d"),
+            defect=meta.get("defect"),
+            t=meta.get("t"),
+            variant=meta.get("variant"),
+            with_oracle=args.oracle,
+            include_suspect=not args.skip_suspect_forms,
+            provenance=meta.get("family", ""),
+        )
     print(json.dumps(rep.to_dict(), indent=2))
     return 0 if rep.match else 5
 
 
 def cmd_cover(args) -> int:
     a, meta = docio.read_document(args.path)
-    _require_jacobi(a)
-    pres = hopf.presentation_from_class2(a)
-    cov = hopf.cover_construct(pres)
-    rep = hopf.verify_cover(pres.target, cov.algebra, cov.central_ideal)
+    with _require_jacobi(a):
+        pres = hopf.presentation_from_class2(a)
+        cov = hopf.cover_construct(pres)
+        rep = hopf.verify_cover(pres.target, cov.algebra, cov.central_ideal)
     b_rows = [
         {str(c): docio.rational_str(x) for c, x in sorted(v.items())}
         for v in cov.central_ideal.vectors()
@@ -194,8 +207,8 @@ def cmd_cover(args) -> int:
 
 def cmd_capable(args) -> int:
     a, _ = docio.read_document(args.path)
-    _require_jacobi(a)
-    rep = capability_by_quotients(a, random_lines=args.random_lines, seed=args.seed or 0)
+    with _require_jacobi(a):
+        rep = capability_by_quotients(a, random_lines=args.random_lines, seed=args.seed or 0)
     print(json.dumps({
         "capable": rep.capable,
         "exterior_center_dim": rep.exterior_center_dim,
@@ -243,8 +256,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle_compare(args) -> int:
     a, _ = docio.read_document(args.path)
-    _require_jacobi(a)
-    rep = analyze(a, with_oracle=True)
+    with _require_jacobi(a):
+        rep = analyze(a, with_oracle=True)
     formula = {k: rep.dims[k] for k in ("m_L", "wedge")}
     oracle = {k: rep.oracle[k] for k in ("m_L", "wedge")}
     agree = formula == oracle and rep.oracle.get("ker_beta_matches", True)

@@ -18,6 +18,7 @@ made once per subspace, and builds Fractions only for the residual.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -122,33 +123,35 @@ def _eliminate(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
     Pairs come ordered by pivot column; each row has a positive pivot entry and
     zeros in every other pivot column.  Input rows are not mutated.
     """
-    # (leading column, primitive integer row) pairs; leading column of
-    # processed pivots only grows.  Done rows keep their integer pivot entry
-    # until the end.
-    work = [(min(r), _primitive(_integer_row(r)[1])) for r in rows if r]
+    # Working rows (primitive integer rows) bucketed by leading column, with a
+    # heap of the occupied columns.  Only the rows that lead at the smallest
+    # column hold it, so each step touches one bucket; a reduced row leads
+    # further right, so a processed column never comes back.  Done rows keep
+    # their integer pivot entry until the end.
+    buckets: dict[int, list[dict]] = {}
+    for r in rows:
+        if r:
+            buckets.setdefault(min(r), []).append(_primitive(_integer_row(r)[1]))
+    heap = list(buckets)
+    heapify(heap)
     done: list[tuple[int, dict]] = []
-    while work:
-        lead = min(l for l, _ in work)
-        for idx, (l, r) in enumerate(work):
-            if l == lead:
-                pivot = r
-                work.pop(idx)
-                break
+    while heap:
+        lead = heappop(heap)
+        bucket = buckets.pop(lead)
+        pivot = bucket.pop(0)
         p = pivot[lead]
         if p < 0:  # with p > 0, a unit pivot never rescales the rows it meets
             for c, x in pivot.items():
                 pivot[c] = -x
             p = -p
-        nxt = []
-        for l, r in work:
-            a = r.get(lead)
-            if a is not None:
-                _cross_eliminate(r, a, pivot, p)
-                if r:
-                    nxt.append((min(r), r))
-            else:
-                nxt.append((l, r))
-        work = nxt
+        for r in bucket:
+            _cross_eliminate(r, r[lead], pivot, p)
+            if r:
+                l = min(r)
+                if l not in buckets:
+                    buckets[l] = []
+                    heappush(heap, l)
+                buckets[l].append(r)
         for _, r in done:
             a = r.get(lead)
             if a is not None:

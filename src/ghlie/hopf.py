@@ -165,9 +165,11 @@ def presentation_from_class2(a: LieAlgebra, der: Subspace | None = None) -> Free
     der is the derived subalgebra of a as rebase_class2 returns it; without it
     a is rebased here onto the basis contract (generators first, then L²),
     which also rejects class > 2.  The stored target is the rebased algebra.
+    A rebased off-contract input has the brackets of its pivot pairs as its
+    derived basis, so each of its lifts is a unit wedge vector.
     """
     if der is None:
-        a, der = rebase_class2(a)
+        a, der, _ = rebase_class2(a)
     r = der.dim
     d = a.dim - r
     h = hall_basis(d)
@@ -351,7 +353,7 @@ def verify_cover(a: LieAlgebra, cover: LieAlgebra, b: Subspace) -> CoverReport:
     (L*)³ ⊆ B; the defect bound is dim rel2 of the presentation.  The cover
     of A(n) is free of class min(n, 2); that of a non-abelian L has class 3.
     """
-    a, der_a = rebase_class2(a)
+    a, der_a, _ = rebase_class2(a)
     p = presentation_from_class2(a, der_a)
     der = derived_subalgebra(cover)
     z = center(cover)

@@ -327,23 +327,43 @@ def change_of_basis(a: LieAlgebra, new_basis: Matrix) -> LieAlgebra:
     return LieAlgebra(a.dim, a.labels, table)
 
 
-def rebase_class2(a: LieAlgebra) -> tuple[LieAlgebra, Subspace]:
-    """Rewrite a class-2 algebra in the basis contract (generators, then L²).
+def rebase_class2(a: LieAlgebra) -> tuple[LieAlgebra, Subspace, Subspace]:
+    """Certify class <= 2 and rewrite a in the basis contract (generators, then L²).
 
-    Returns the rebased algebra and its derived subalgebra, which is spanned
-    by the trailing coordinates.  The algebra is a itself when the contract
-    already holds.
+    The certificate is L² ⊆ Z(L): it is the class check, and since it makes
+    every [[e_i, e_j], e_k] zero it also proves the Jacobi identity, so a
+    table that fails Jacobi always fails it.  ClassTwoRequired otherwise.
+
+    Returns the rebased algebra, its derived subalgebra (the trailing unit
+    coordinates) and Z(L) in a's own coordinates.  The algebra is a itself
+    when the contract already holds.  Otherwise the generators are the
+    complement coordinates of L² and the derived basis is the brackets of
+    the pivot pairs: the matrix whose column w is the bracket of generator
+    pair w, read at the pivot coordinates of L², is eliminated once, and the
+    columns of its RREF are the rebased structure constants.  a's labels are
+    kept.
     """
-    series = lower_central_series(a)
-    if series[-1].dim or len(series) > 3:
+    der = derived_subalgebra(a)
+    z = center(a)
+    if not all(z.contains_vec(v) for v in der.vectors()):
         raise ClassTwoRequired("input must be nilpotent of class at most 2")
-    der = series[1]
     n = a.dim - der.dim
     # RREF rows whose pivots are the trailing coordinates are those unit rows.
     if der.pivots != tuple(range(n, a.dim)):
-        rows = [{c: _ONE} for c in der.complement_coords()] + der.vectors()
-        a = change_of_basis(a, Matrix(a.dim, rows))
-    return a, Subspace(a.dim, [{c: _ONE} for c in range(n, a.dim)])
+        gens = der.complement_coords()
+        pairs = wedge_pairs(n)
+        # A vector of L² is fixed by its entries at the pivots of L²'s RREF basis.
+        rows: dict[int, Vec] = {p: {} for p in der.pivots}
+        for w, (i, j) in enumerate(pairs):
+            for p, x in a.pair(gens[i], gens[j]).items():
+                if p in rows:
+                    rows[p][w] = x
+        cols: list[Vec] = [{} for _ in pairs]
+        for s, row in enumerate(Subspace.from_vectors(len(pairs), rows.values()).vectors()):
+            for w, x in row.items():
+                cols[w][n + s] = x
+        a = LieAlgebra(a.dim, a.labels, {pairs[w]: v for w, v in enumerate(cols) if v})
+    return a, Subspace(a.dim, [{c: _ONE} for c in range(n, a.dim)]), z
 
 
 def subalgebra_closure(a: LieAlgebra, seed_vectors) -> Subspace:

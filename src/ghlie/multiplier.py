@@ -46,14 +46,16 @@ def psi2_image(a: LieAlgebra, der: Subspace | None = None) -> Psi2Data:
     """Span of [x,y]⊗z̄ + [z,x]⊗ȳ + [y,z]⊗x̄ over basis triples of L/L².
 
     der is the derived subalgebra of a as rebase_class2 returns it; without it
-    a is rebased here, which also rejects class > 2.  Rebasing leaves K
-    unchanged coordinate for coordinate: the rebased generators are the
-    complement coordinates of L², its derived basis the RREF basis of L².
-    The coordinates are read off the basis contract: generator g is
-    coordinate g and derived basis vector s is coordinate n + s.
+    a is rebased here, which also rejects class > 2.  K lives in the rebased
+    algebra's coordinates: for an input off the contract the generators are
+    the complement coordinates of L² and the derived basis the brackets of
+    the pivot pairs, so K's coordinates depend on that choice of basis of L²
+    while its dimension does not.  The coordinates are read off the basis
+    contract: generator g is coordinate g and derived basis vector s is
+    coordinate n + s.
     """
     if der is None:
-        a, der = rebase_class2(a)
+        a, der, _ = rebase_class2(a)
     r = der.dim
     n = a.dim - r
     gens = []

@@ -10,7 +10,7 @@ from fractions import Fraction
 from . import hopf
 from .closed_forms import closed_form_eval
 from .exactla import Subspace, Vec, vec_axpy
-from .liealg import ClassTwoRequired, LieAlgebra, center, quotient, rebase_class2
+from .liealg import _RETRY_BUDGET, ClassTwoRequired, LieAlgebra, quotient, rebase_class2
 from .multiplier import Psi2Data, dimensions, psi2_image
 
 _ONE = Fraction(1)
@@ -20,10 +20,12 @@ _ONE = Fraction(1)
 class Analysis:
     """What both routes need of one class-2 algebra, computed once per entry call.
 
-    algebra is the input rebased to the basis contract (generators, then L²)
-    and derived its L²; center is Z(L) in the input's own coordinates, so
-    capability evidence reads in those coordinates.  Built afresh per call
-    and passed down; never cached on the algebra.
+    algebra is the input rebased to the basis contract (generators, then L²,
+    the latter in the pivot-bracket basis when the input was off the
+    contract) and derived its L²; center is Z(L) in the input's own
+    coordinates, the one rebase_class2 computed for its class-2 certificate,
+    so capability evidence reads in those coordinates.  Built afresh per
+    call and passed down; never cached on the algebra.
     """
 
     algebra: LieAlgebra
@@ -35,8 +37,8 @@ class Analysis:
     @classmethod
     def of(cls, a: LieAlgebra) -> "Analysis":
         """Raises ClassTwoRequired beyond class 2."""
-        b, der = rebase_class2(a)
-        return cls(b, der, center(a), psi2_image(b, der), hopf.presentation_from_class2(b, der))
+        b, der, z = rebase_class2(a)
+        return cls(b, der, z, psi2_image(b, der), hopf.presentation_from_class2(b, der))
 
     @property
     def r(self) -> int:
@@ -281,7 +283,9 @@ def capability_by_quotients(a: LieAlgebra, random_lines: int = 4, seed: int = 0)
 
     The exterior-center computation (Hopf presentation) is authoritative; the
     one-dimensional central quotients M(L/K) < M(L) only corroborate, since the
-    drop criterion is one-directional.  Lines are in the input's coordinates.
+    drop criterion is one-directional.  Lines are in the input's coordinates;
+    a random line that comes out zero is drawn again, up to _RETRY_BUDGET
+    draws per line (ValueError beyond).
     """
     ctx = Analysis.of(a)
     if ctx.r == 0:
@@ -297,10 +301,14 @@ def capability_by_quotients(a: LieAlgebra, random_lines: int = 4, seed: int = 0)
     rng = random.Random(seed)
     zvecs = z.vectors()
     for _ in range(random_lines):
-        v: Vec = {}
-        while not v:
+        for _ in range(_RETRY_BUDGET):
+            v: Vec = {}
             for row in zvecs:
                 vec_axpy(v, Fraction(rng.randint(-2, 2)), row)
+            if v:
+                break
+        else:
+            raise ValueError(f"no nonzero central line drawn within {_RETRY_BUDGET} draws")
         lines.append(v)
     evidence = []
     for line in lines:

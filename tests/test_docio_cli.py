@@ -1,15 +1,21 @@
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
+from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ghlie import docio
+from ghlie import cli, docio, hopf
 from ghlie.cli import main
-from ghlie.fixtures import canonical_gh
-from ghlie.liealg import abelian, direct_sum, heisenberg
+from ghlie.exactla import Matrix
+from ghlie.exactla import rank as mat_rank
+from ghlie.fixtures import canonical_gh, random_class2, seeded_gh
+from ghlie.liealg import LieAlgebra, abelian, change_of_basis, direct_sum, heisenberg, jacobi_check
 
 
 # --- document round trips -------------------------------------------------------
@@ -373,3 +379,53 @@ def test_sweep_pool_size_is_capped(monkeypatch, jobs, cores, workers):
     report = sweep.run_sweep(cfg)
     assert report["summary"]["cases"] == 4
     assert requested == ([workers] if workers else [])
+
+
+# --- Jacobi scan only on input the class-2 certificate rejects ------------------------
+
+@contextmanager
+def _reference_require_jacobi(a):
+    """cli._require_jacobi as it was: the full Jacobi scan before the command runs."""
+    bad = jacobi_check(a)
+    if bad:
+        raise cli._JacobiViolation(bad)
+    yield
+
+
+def _cli_table(seed):
+    """Valid class 2, class 3, a random table (Jacobi almost always fails) or A(0)."""
+    rng = random.Random(seed)
+    kind = seed % 4
+    if kind == 0:
+        a = (seeded_gh(3, 1, seed), random_class2(3, seed), direct_sum(heisenberg(1), abelian(1)))[rng.randrange(3)]
+    elif kind == 1:
+        a = hopf.cover_construct(hopf.presentation_from_class2(heisenberg(1))).algebra
+    elif kind == 2:
+        n = rng.randint(3, 4)
+        pairs = list(itertools.combinations(range(n), 2))
+        a = LieAlgebra(n, [f"v{k}" for k in range(n)], {
+            p: {k: Fraction(rng.randint(-2, 2)) for k in rng.sample(range(n), rng.randint(1, 2))}
+            for p in rng.sample(pairs, rng.randint(1, len(pairs)))
+        })
+    else:
+        return abelian(0)
+    while True:  # a seeded rational basis, off the basis contract
+        m = Matrix.from_dense([[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(a.dim)]
+                               for _ in range(a.dim)])
+        if mat_rank(m) == a.dim:
+            return change_of_basis(a, m)
+
+
+def test_jacobi_scan_only_on_rejected_input_matches_full_scan(ws, capsys, monkeypatch):
+    # exit code, stdout and stderr equal those of the full scan before each command
+    codes = set()
+    for seed in range(24):
+        docio.write_document("t.json", _cli_table(seed))
+        for argv in (["analyze", "--oracle"], ["cover"], ["capable"], ["oracle-compare"]):
+            got = main(argv + ["t.json"]), *capsys.readouterr()
+            with monkeypatch.context() as mp:
+                mp.setattr(cli, "_require_jacobi", _reference_require_jacobi)
+                want = main(argv + ["t.json"]), *capsys.readouterr()
+            assert got == want, (seed, argv)
+            codes.add(got[0])
+    assert {0, 2, 4} <= codes

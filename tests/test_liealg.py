@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from ghlie.exactla import Matrix, Subspace
+from ghlie.exactla import Matrix, Subspace, vec_axpy
 from ghlie.fixtures import canonical_gh, relations_from_pairs
 from ghlie.liealg import (
     CenterViolation,
@@ -268,18 +269,20 @@ def test_rebase_class2_restores_contract():
     rng = random.Random(9)
     a = gh(3, 2, seed=4)
     scrambled = change_of_basis(a, random_invertible(rng, a.dim))
-    fixed, der = rebase_class2(scrambled)
+    fixed, der, z = rebase_class2(scrambled)
     assert der == derived_subalgebra(fixed)
     assert der.pivots == (3, 4)
     assert all(len(v) == 1 for v in der.vectors())
+    assert z == center(scrambled)
     assert rebase_class2(a)[0] is a  # contract already holds
 
 
 def test_rebase_of_direct_sum_orders_generators_first():
     a = direct_sum(gh(3, 2, seed=4), abelian(2))
-    fixed, der = rebase_class2(a)
+    fixed, der, z = rebase_class2(a)
     assert der == derived_subalgebra(fixed)
     assert der.pivots == (5, 6)
+    assert z == center(a)
 
 
 # --- bracket properties (hypothesis) ------------------------------------------------
@@ -315,3 +318,143 @@ def test_bracket_bilinear_property(u, v, w, a, b):
     vec_axpy(rhs, a, bracket_vectors(_ALGEBRA, u, w))
     vec_axpy(rhs, b, bracket_vectors(_ALGEBRA, v, w))
     assert lhs == rhs
+
+
+# --- class-2 certificate and pivot-bracket rebase (differential) ---------------------
+
+from ghlie.exactla import rank as mat_rank  # noqa: E402
+from ghlie.fixtures import random_class2, seeded_gh  # noqa: E402
+from ghlie.hopf import cover_construct, presentation_from_class2  # noqa: E402
+from ghlie.liealg import ClassTwoRequired, wedge_pairs  # noqa: E402
+from ghlie.multiplier import dimensions, psi2_image  # noqa: E402
+
+
+def _reference_rebase_class2(a):
+    """rebase_class2 as it was: the class check by the lower central series,
+    then change_of_basis onto the complement units of L² and L²'s RREF rows."""
+    series = lower_central_series(a)
+    if series[-1].dim or len(series) > 3:
+        raise ClassTwoRequired("input must be nilpotent of class at most 2")
+    der = series[1]
+    n = a.dim - der.dim
+    if der.pivots != tuple(range(n, a.dim)):
+        rows = [{c: ONE} for c in der.complement_coords()] + der.vectors()
+        a = change_of_basis(a, Matrix(a.dim, rows))
+    return a, Subspace(a.dim, [{c: ONE} for c in range(n, a.dim)])
+
+
+def _sl2():
+    # e, f, h: [e, f] = h, [h, e] = 2e, [h, f] = -2f
+    return LieAlgebra(3, "efh", {(0, 1): {2: ONE}, (0, 2): {0: F(-2)}, (1, 2): {1: F(2)}})
+
+
+_CLASS2_ZOO = (
+    lambda s: seeded_gh(3, 1, s),
+    lambda s: seeded_gh(4, 1 + s % 3, s),
+    lambda s: random_class2(3 + s % 2, s),
+    lambda s: direct_sum(seeded_gh(3, 1 + s % 2, s), abelian(1 + s % 2)),
+    lambda s: heisenberg(1 + s % 2),
+    lambda s: direct_sum(heisenberg(1), abelian(1 + s % 2)),
+    lambda s: abelian(s % 4),
+)
+_REJECTED_ZOO = (
+    # class 3: the cover of H(1)
+    lambda s: cover_construct(presentation_from_class2(heisenberg(1))).algebra,
+    # not nilpotent
+    lambda s: LieAlgebra(2, "xy", {(0, 1): {1: ONE}}),
+    lambda s: direct_sum(_sl2(), heisenberg(1)),
+    # Jacobi fails: [x1,x2]=x3, [x1,x3]=x1
+    lambda s: LieAlgebra(3, "abc", {(0, 1): {2: ONE}, (0, 2): {0: ONE}}),
+)
+
+
+def _random_table(seed):
+    """A random antisymmetric table on 3..5 coordinates: almost never a Lie algebra."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 5)
+    table = {
+        p: {k: F(rng.randint(-2, 2)) for k in rng.sample(range(n), rng.randint(1, 2))}
+        for p in rng.sample(wedge_pairs(n), rng.randint(1, n))
+    }
+    return LieAlgebra(n, [f"v{k}" for k in range(n)], table)
+
+
+def _in_rational_basis(a, seed):
+    """a in a seeded basis with entries p/q, |p| <= 3, 1 <= q <= 3."""
+    rng = random.Random(seed)
+    while True:
+        m = Matrix.from_dense([[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(a.dim)]
+                               for _ in range(a.dim)])
+        if mat_rank(m) == a.dim:
+            return change_of_basis(a, m)
+
+
+def _check_rebase_against_reference(a):
+    try:
+        want = _reference_rebase_class2(a)
+    except ClassTwoRequired:
+        with pytest.raises(ClassTwoRequired):
+            rebase_class2(a)
+        return
+    b, der, z = rebase_class2(a)
+    b0, der0 = want
+    assert z == center(a)
+    assert (b.dim, der.dim) == (b0.dim, der0.dim)
+    assert (b is a) == (b0 is a)
+    n, r = b.dim - der.dim, der.dim
+    # on the contract: L² is the trailing unit coordinates, and the table is a Lie algebra
+    assert der == derived_subalgebra(b) and der.pivots == tuple(range(n, b.dim))
+    assert b.labels == a.labels
+    assert jacobi_check(b) == []
+    assert presentation_from_class2(b, der).rel2 == presentation_from_class2(b0, der0).rel2
+    assert dimensions(psi2_image(b, der)) == dimensions(psi2_image(b0, der0))
+    if b is a:
+        return
+    pairs = wedge_pairs(n)
+    # the generator brackets agree up to the change of derived basis: the
+    # rebased constants are the RREF of the reference's
+    phi = [{w: b.pair(i, j)[n + s] for w, (i, j) in enumerate(pairs) if n + s in b.pair(i, j)}
+           for s in range(r)]
+    phi0 = [{w: b0.pair(i, j)[n + s] for w, (i, j) in enumerate(pairs) if n + s in b0.pair(i, j)}
+            for s in range(r)]
+    assert phi == Subspace.from_vectors(len(pairs), phi0).vectors()
+    # each derived basis vector is the bracket of its pivot pair (a unit entry), and
+    # generator i -> unit complement coordinate gens[i] of L² embeds b in a
+    gens = derived_subalgebra(a).complement_coords()
+    images = [{g: ONE} for g in gens]
+    for s in range(r):
+        w = min(phi[s])
+        assert b.pair(*pairs[w]) == {n + s: ONE}
+        images.append(a.pair(gens[pairs[w][0]], gens[pairs[w][1]]))
+    assert mat_rank(Matrix(a.dim, images)) == a.dim
+    for i, j in itertools.combinations(range(b.dim), 2):
+        want_img = bracket_vectors(a, images[i], images[j])
+        got_img = {}
+        for k, x in b.pair(i, j).items():
+            vec_axpy(got_img, x, images[k])
+        assert got_img == want_img, (i, j)
+
+
+@given(st.integers(min_value=0, max_value=len(_CLASS2_ZOO) + len(_REJECTED_ZOO) - 1),
+       st.integers(min_value=0, max_value=10**6), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_rebase_matches_reference(kind, seed, rational):
+    zoo = _CLASS2_ZOO + _REJECTED_ZOO
+    a = zoo[kind](seed)
+    _check_rebase_against_reference(_in_rational_basis(a, seed) if rational else a)
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_rebase_verdict_on_random_tables(seed, rational):
+    a = _random_table(seed)
+    _check_rebase_against_reference(_in_rational_basis(a, seed) if rational else a)
+
+
+def test_rebase_rejects_jacobi_violations():
+    # L² ⊆ Z(L) makes every Jacobi term zero, so a violation always fails the certificate
+    for seed in range(200):
+        a = _random_table(seed)
+        if jacobi_check(a):
+            with pytest.raises(ClassTwoRequired):
+                rebase_class2(a)

@@ -2,10 +2,11 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from ghlie import hopf, liealg
+from ghlie import hopf, liealg, multiplier, report
 from ghlie.exactla import Matrix, Subspace, vec_axpy
 from ghlie.exactla import rank as mat_rank
 from ghlie.fixtures import canonical_gh, random_class2, seeded_gh
@@ -105,11 +106,13 @@ def full_enumeration_span(a):
 
 
 def test_triples_suffice_against_full_enumeration():
-    # multilinearity + the repeated-argument vanishing make i<j<k triples enough
-    # the scrambled input also checks that rebasing leaves K's coordinates alone
+    # multilinearity + the repeated-argument vanishing make i<j<k triples enough;
+    # K is read in the rebased algebra's coordinates (for the scrambled input,
+    # a derived basis of pivot brackets), so the enumeration runs there too
     for a in (canonical_gh(3, 1), canonical_gh(4, 2), canonical_gh(4, 3, "deficient"),
               heisenberg(2), random_class2(4, seed=12), scrambled(canonical_gh(4, 2), 5)):
-        assert psi2_image(a).image == full_enumeration_span(a)
+        b, _, _ = rebase_class2(a)
+        assert psi2_image(a).image == full_enumeration_span(b)
 
 
 def test_k_subspace_equals_psi2_image():
@@ -153,14 +156,16 @@ def test_psi2_contract_read_matches_coords_reference():
     for k, a in enumerate((canonical_gh(3, 1), seeded_gh(4, 1, 0), seeded_gh(4, 3, 1), seeded_gh(5, 2, 2),
                            random_class2(4, 3), heisenberg(2), direct_sum(heisenberg(1), abelian(2)),
                            abelian(3))):
-        b, der = rebase_class2(rational_basis(a, k))
+        b, der, _ = rebase_class2(rational_basis(a, k))
         n, r, image = _reference_psi2_span(b, der)
         for got in (psi2_image(b, der), psi2_image(b), psi2_image(rational_basis(a, k))):
             assert (got.n, got.r, got.image) == (n, r, image), k
 
 
 def test_analyze_rebases_and_presents_once(monkeypatch):
-    # one analysis rebases its input once and builds one presentation from it
+    # one analysis rebases its input once, computes Z(L) once (the rebase's
+    # class-2 certificate, reused as the analysis's center), builds no lower
+    # central series and one presentation
     calls = Counter()
 
     def counted(name, fn):
@@ -169,12 +174,17 @@ def test_analyze_rebases_and_presents_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(liealg, "lower_central_series", counted("lcs", liealg.lower_central_series))
+    # patch every module that binds a name, so no call goes uncounted
+    for name, key in (("rebase_class2", "rebase"), ("center", "center"), ("lower_central_series", "lcs")):
+        wrapper = counted(key, getattr(liealg, name))
+        for module in (liealg, report, hopf, multiplier):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
     monkeypatch.setattr(hopf, "presentation_from_class2", counted("pres", hopf.presentation_from_class2))
     for a in (canonical_gh(4, 1), scrambled(random_class2(3, 5), 1), direct_sum(heisenberg(1), abelian(1))):
         calls.clear()
         analyze(a, with_oracle=True, check_ker_beta=True)
-        assert calls == {"lcs": 1, "pres": 1}
+        assert calls == {"rebase": 1, "center": 1, "pres": 1}
 
 
 # --- dimension formulas ------------------------------------------------------------
@@ -294,6 +304,38 @@ def test_heisenberg2_is_not_capable():
 def test_heisenberg1_is_capable():
     rep = capability_by_quotients(heisenberg(1))
     assert rep.capable and rep.multiplier == 2
+
+
+def _reference_lines(a, random_lines, seed):
+    """capability_by_quotients' lines as drawn before the redraw was bounded."""
+    z = liealg.center(a)
+    lines = [{c: ONE} for c in range(a.dim) if z.contains_vec({c: ONE})]
+    rng = random.Random(seed)
+    for _ in range(random_lines):
+        v = {}
+        while not v:
+            for row in z.vectors():
+                vec_axpy(v, F(rng.randint(-2, 2)), row)
+        lines.append(v)
+    return lines
+
+
+class _ZeroRng:
+    """Stands in for random.Random; every draw is 0, so every line comes out zero."""
+
+    def randint(self, lo, hi):
+        return 0
+
+
+def test_capability_redraw_is_bounded(monkeypatch):
+    # same lines, in the same draw order, as the unbounded loop
+    for a, seed in ((canonical_gh(3, 1), 0), (heisenberg(1), 3), (scrambled(canonical_gh(4, 2), 2), 1),
+                    (direct_sum(heisenberg(1), abelian(2)), 5)):
+        assert [e.line for e in capability_by_quotients(a, seed=seed).evidence] == _reference_lines(a, 4, seed)
+    monkeypatch.setattr(report, "random", SimpleNamespace(Random=lambda seed: _ZeroRng()))
+    with pytest.raises(ValueError, match="no nonzero central line"):
+        capability_by_quotients(canonical_gh(3, 1))
+    assert capability_by_quotients(canonical_gh(3, 1), random_lines=0).capable
 
 
 # --- basis-change invariance -------------------------------------------------------------
