@@ -3,9 +3,11 @@
 Format: {"dim": n, "labels": [...], "brackets": [{"i": i, "j": j, "v": {...}}],
 "meta": {...}} with 0 <= i < j < dim, v keyed by stringified basis indices and
 valued by rationals rendered "p/q" (or "p" for integers).  Unlisted pairs are
-zero brackets.  Serialization is canonical: brackets sorted by (i, j), v keys
-sorted numerically, UTF-8, no floats; parse ∘ serialize is the identity on
-canonical documents.
+zero brackets.  meta is free-form, except that d, defect and t, which
+``analyze`` reads as the instance's context, must be nonnegative integers.
+Serialization is canonical: brackets sorted by (i, j), v keys sorted
+numerically, UTF-8, no floats; parse ∘ serialize is the identity on canonical
+documents.
 """
 
 from __future__ import annotations
@@ -93,6 +95,9 @@ def document_to_algebra(doc) -> tuple[LieAlgebra, dict]:
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise DocumentError("meta must be an object")
+    for key in ("d", "defect", "t"):
+        if key in meta and not (_is_int(meta[key]) and meta[key] >= 0):
+            raise DocumentError(f"meta {key} must be a nonnegative integer")
     return LieAlgebra(dim, labels, table), meta
 
 
@@ -103,7 +108,7 @@ def dumps(doc: dict) -> str:
 def loads(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nesting too deep
         raise DocumentError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")

@@ -2,17 +2,21 @@
 
 Everything downstream (bracket tables, Hall-basis rewriting, the dimension
 formulas) reduces to row reduction over the rationals, so this module keeps a
-single normal form: a sparse row (Vec) maps a column to a nonzero Fraction, a
-matrix is a width plus a list of such rows, and a subspace is its unique
-reduced row-echelon basis held as such rows.  All comparisons are exact
-equalities; there are no tolerances anywhere.
+single normal form: a sparse row (Vec) maps a column to a nonzero exact
+rational, a matrix is a width plus a list of such rows, and a subspace is its
+unique reduced row-echelon basis held as such rows.  An exact rational is an
+``int`` when integral, else a ``Fraction``, never a float or a bool: ``vec``
+coerces external input to it, and the kernel and ``Subspace.reduce`` return
+it (equal ints and Fractions compare, hash and print alike).  All comparisons
+are exact equalities; there are no tolerances anywhere.
 
 The one elimination kernel works on primitive integer rows: denominators are
 cleared by their lcm, the content gcd is divided out, and rows are eliminated
-by fraction-free cross-multiplication (Bareiss 1968).  The canonical Fraction
-RREF is built only on return, and ``rank`` builds none.  ``Subspace.reduce``
-is fraction-free too: it eliminates against integer copies of the basis rows,
-made once per subspace, and builds Fractions only for the residual.
+by fraction-free cross-multiplication (Bareiss 1968).  The canonical rational
+RREF is built only on return (a row with a unit pivot needs no division), and
+``rank`` builds none.  ``Subspace.reduce`` is fraction-free too: it eliminates
+against integer copies of the basis rows, made once per subspace, and divides
+only the residual.
 """
 
 from __future__ import annotations
@@ -22,20 +26,29 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-# Sparse vector: coordinate -> nonzero Fraction.  Absent means zero.
+# Sparse vector: coordinate -> nonzero exact rational (int when integral,
+# else Fraction).  Absent means zero.
 Vec = dict
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
+
+
+def _ratio(num: int, den: int) -> int | Fraction:
+    """num/den for den > 0: an int when den divides num, else a Fraction."""
+    return Fraction(num, den) if num % den else num // den
 
 
 def vec(items: Mapping[int, object]) -> Vec:
-    """Build a sparse vector, dropping zeros and coercing to Fraction."""
+    """Sparse vector from external input: zeros dropped, int when integral, else Fraction."""
     out = {}
     for i, x in items.items():
-        f = Fraction(x)
-        if f:
-            out[i] = f
+        if type(x) is not int:
+            x = Fraction(x)
+            if x.denominator == 1:
+                x = x.numerator
+        if x:
+            out[i] = x
     return out
 
 
@@ -43,7 +56,7 @@ def vec_from_list(xs: Sequence[object]) -> Vec:
     return vec(dict(enumerate(xs)))
 
 
-def vec_axpy(acc: Vec, c: Fraction, v: Vec) -> None:
+def vec_axpy(acc: Vec, c: int | Fraction, v: Vec) -> None:
     """In-place acc += c*v; acc must be a dict the caller owns."""
     if not c:
         return
@@ -56,13 +69,13 @@ def vec_axpy(acc: Vec, c: Fraction, v: Vec) -> None:
 
 
 class Matrix:
-    """Sparse rational matrix: a width and a list of sparse rows."""
+    """Sparse rational matrix: a width and a list of sparse rows (zeros dropped)."""
 
     __slots__ = ("cols", "rows")
 
     def __init__(self, cols: int, rows: Iterable[Mapping]):
         self.cols = cols
-        self.rows = [vec(r) for r in rows]
+        self.rows = [{c: x for c, x in r.items() if x} for r in rows]
         for r in self.rows:
             if r and (min(r) < 0 or max(r) >= cols):
                 raise IndexError(f"row {r} has a column outside width {cols}")
@@ -72,7 +85,7 @@ class Matrix:
         dense = list(dense)
         if cols is None:
             cols = len(dense[0]) if dense else 0
-        return cls(cols, [dict(enumerate(row)) for row in dense])
+        return cls(cols, [vec_from_list(row) for row in dense])
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -113,6 +126,8 @@ def _cross_eliminate(r: dict, a: int, pivot: dict, p: int) -> None:
 
 def _integer_row(r: Vec) -> tuple[int, dict]:
     """(lcm of the denominators of r, r scaled by it to integers)."""
+    if all(type(x) is int for x in r.values()):
+        return 1, dict(r)
     den = lcm(*(x.denominator for x in r.values()))
     return den, {c: x.numerator * (den // x.denominator) for c, x in r.items()}
 
@@ -165,9 +180,13 @@ def _rref_rows(rows: Iterable[Vec]) -> list[Vec]:
 
     Returns new nonzero rows ordered by pivot column, each with its keys in
     ascending column order; input rows are not mutated.  Elimination runs on
-    primitive integer rows; the Fraction rows are built only on return.
+    primitive integer rows; each is divided by its pivot entry only on return.
     """
-    return [{c: Fraction(x, r[l]) for c, x in sorted(r.items())} for l, r in _eliminate(rows)]
+    out = []
+    for l, r in _eliminate(rows):
+        p, items = r[l], sorted(r.items())
+        out.append(dict(items) if p == 1 else {c: _ratio(x, p) for c, x in items})
+    return out
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
@@ -178,7 +197,7 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
 
 
 def rank(m: Matrix) -> int:
-    """Number of pivots of the integer elimination; no Fraction row is built."""
+    """Number of pivots of the integer elimination; no rational row is built."""
     return len(_eliminate(m.rows))
 
 
@@ -255,7 +274,7 @@ class Subspace:
                     u[c] = y
                 else:
                     del u[c]
-        return {c: Fraction(x, scale) for c, x in u.items()}
+        return u if scale == 1 else {c: _ratio(x, scale) for c, x in u.items()}
 
     def contains_vec(self, v: Vec) -> bool:
         return not self.reduce(v)

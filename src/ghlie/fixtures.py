@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactla import Subspace
 from .liealg import (
@@ -32,7 +31,7 @@ from .liealg import (
     wedge_pairs,
 )
 
-_ONE = Fraction(1)
+_ONE = 1
 
 
 def canonical_killed_pairs(d: int, defect: int, variant: str = "generic") -> list[tuple[int, int]]:

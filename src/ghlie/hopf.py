@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .exactla import Matrix, Subspace, Vec, kernel_basis, rref, vec_axpy
 from .exactla import rank as mat_rank
@@ -45,7 +44,7 @@ from .liealg import (
 )
 from .multiplier import dimensions, psi2_image
 
-_ONE = Fraction(1)
+_ONE = 1
 
 
 class HallBasis:
@@ -350,26 +349,26 @@ def verify_cover(a: LieAlgebra, cover: LieAlgebra, b: Subspace) -> CoverReport:
     """Check the Thm-2.6 shape of a claimed cover of the class-2 algebra a.
 
     Branch detection: s = dim B - dim (L*)³ with B ≅ (L*)³ ⊕ A(s) whenever
-    (L*)³ ⊆ B; the defect bound is dim rel2 of the presentation.  The cover
-    of A(n) is free of class min(n, 2); that of a non-abelian L has class 3.
+    (L*)³ ⊆ B; the defect bound is dim rel2 of the presentation.  The
+    expected class comes from the formula route: (L*)³ ≅ (L² ⊗ L/L²)/K has
+    dimension r·n - rank K, and when that is 0 the cover has class
+    min(dim L, 2), as for A(n) and for H(m) with m >= 2.
     """
     a, der_a, _ = rebase_class2(a)
     p = presentation_from_class2(a, der_a)
     der = derived_subalgebra(cover)
     z = center(cover)
-    series = lower_central_series(cover)
+    series = lower_central_series(cover, der)
     # The class counts the nonzero terms; -1 marks a non-nilpotent cover.
     cls = sum(1 for t in series if t.dim) if series[-1].dim == 0 else -1
     # series[2] is (L*)³ when present ([L, L², L³, ...]).
     cube = series[2] if len(series) > 2 else Subspace.zero(cover.dim)
-    b_central = all(
-        not bracket_vectors(cover, u, {j: _ONE})
-        for u in b.vectors()
-        for j in range(cover.dim)
-    )
+    # Z(cover) is {v : [v, e_j] = 0 for all j}, so B is central iff B ⊆ Z(cover).
+    b_central = all(z.contains_vec(u) for u in b.vectors())
     b_in_derived = all(der.contains_vec(u) for u in b.vectors())
     z_in_derived = all(der.contains_vec(u) for u in z.vectors())
-    m_dim = dimensions(psi2_image(a, der_a))["m_L"]
+    k = psi2_image(a, der_a)
+    m_dim = dimensions(k)["m_L"]
     quo = quotient(cover, b)
     canonical = _canonical_class2(p)
     quotient_matches = quo.bracket == canonical.bracket and _iso_onto_target(p, canonical)
@@ -384,7 +383,7 @@ def verify_cover(a: LieAlgebra, cover: LieAlgebra, b: Subspace) -> CoverReport:
         cover_dim=cover.dim,
         expected_dim=a.dim + m_dim,
         nilpotency_class=cls,
-        expected_class=3 if p.lifts else min(a.dim, 2),
+        expected_class=3 if k.r * k.n > k.rank else min(a.dim, 2),
         z_in_derived=z_in_derived,
         b_central=b_central,
         b_in_derived=b_in_derived,

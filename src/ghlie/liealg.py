@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactla import (
     Matrix,
@@ -25,10 +24,11 @@ from .exactla import (
     invert,
     kernel_basis,
     subspace_sum,
+    vec,
     vec_axpy,
 )
 
-_ONE = Fraction(1)
+_ONE = 1
 
 
 class CenterViolation(ValueError):
@@ -44,7 +44,7 @@ class ClassTwoRequired(ValueError):
 
 
 class LieAlgebra:
-    """Basis labels plus the sparse bracket table {(i, j) i<j: Vec}."""
+    """Basis labels plus the sparse bracket table {(i, j) i<j: Vec}, coerced by ``vec``."""
 
     __slots__ = ("dim", "labels", "bracket")
 
@@ -57,7 +57,7 @@ class LieAlgebra:
         for (i, j), v in bracket.items():
             if not 0 <= i < j < dim:
                 raise ValueError(f"bracket key ({i},{j}) is not an ordered pair below {dim}")
-            v = {k: Fraction(x) for k, x in v.items() if x}
+            v = vec(v)
             if any(not 0 <= k < dim for k in v):
                 raise ValueError("bracket value has a coordinate outside the algebra")
             if v:
@@ -128,9 +128,9 @@ def center(a: LieAlgebra) -> Subspace:
     return kernel_basis(Matrix(n, rows.values()))
 
 
-def lower_central_series(a: LieAlgebra) -> list[Subspace]:
-    """[L, L², L³, ...] down to stabilization (last term zero iff nilpotent)."""
-    series = [Subspace.full(a.dim), derived_subalgebra(a)]
+def lower_central_series(a: LieAlgebra, der: Subspace | None = None) -> list[Subspace]:
+    """[L, L², L³, ...] down to stabilization (last term zero iff nilpotent); der is L² if known."""
+    series = [Subspace.full(a.dim), derived_subalgebra(a) if der is None else der]
     while True:
         prev = series[-1]
         if prev.dim == 0:
@@ -263,7 +263,7 @@ def random_relation_subspace(d: int, rank: int, rng: random.Random) -> Subspace:
     target = n - rank
     for _ in range(_RETRY_BUDGET):
         rows = [
-            {c: Fraction(rng.randint(-3, 3)) for c in range(n)}
+            {c: rng.randint(-3, 3) for c in range(n)}
             for _ in range(target)
         ]
         sub = Subspace.from_vectors(n, [{c: x for c, x in row.items() if x} for row in rows])

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import hopf
 from .closed_forms import closed_form_eval
@@ -13,7 +12,7 @@ from .exactla import Subspace, Vec, vec_axpy
 from .liealg import _RETRY_BUDGET, ClassTwoRequired, LieAlgebra, quotient, rebase_class2
 from .multiplier import Psi2Data, dimensions, psi2_image
 
-_ONE = Fraction(1)
+_ONE = 1
 
 
 @dataclass(frozen=True)
@@ -304,7 +303,7 @@ def capability_by_quotients(a: LieAlgebra, random_lines: int = 4, seed: int = 0)
         for _ in range(_RETRY_BUDGET):
             v: Vec = {}
             for row in zvecs:
-                vec_axpy(v, Fraction(rng.randint(-2, 2)), row)
+                vec_axpy(v, rng.randint(-2, 2), row)
             if v:
                 break
         else:

@@ -16,11 +16,17 @@ from ghlie.exactla import (
     rref,
     subspace_intersect,
     subspace_sum,
+    vec,
     vec_axpy,
     vec_from_list,
 )
 
 F = Fraction
+
+
+def canonical(x):
+    """The numeric contract: an int exactly when x is integral, else a Fraction."""
+    return type(x) is (int if x.denominator == 1 else F)
 
 
 def dense(m):
@@ -35,6 +41,10 @@ def transpose(m):
 
 def test_matrix_rows_are_coerced_and_bounded():
     assert Matrix(2, [{0: 0, 1: 2}]).rows == [{1: F(2)}]
+    # from_dense is external input: coerced to the contract, a bool included
+    m = Matrix.from_dense([[F(4, 2), 0, F(1, 2), True]])
+    assert m.rows == [{0: 2, 2: F(1, 2), 3: 1}]
+    assert all(canonical(x) for x in m.rows[0].values())
     with pytest.raises(IndexError):
         Matrix(2, [{0: 1}, {2: 1}])
 
@@ -246,22 +256,30 @@ def _reference_rref_rows(row_vecs):
     return done
 
 
-small_scalars = st.one_of(
-    st.integers(-4, 4).map(F),
-    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+# (int entries, Fraction entries); the Fractions include integral ones like
+# F(2), which the kernel accepts but never returns.
+small_scalars = (
+    st.integers(-4, 4),
+    st.one_of(st.integers(-4, 4).map(F), st.fractions(min_value=-4, max_value=4, max_denominator=6)),
 )
 # Numerators up to ±2^80 over denominators up to 2^40: the integer kernel's
 # denominator lcm and content gcd both have work to do.
-large_scalars = st.builds(F, st.integers(-2**80, 2**80), st.integers(1, 2**40))
+large_scalars = (
+    st.integers(-2**80, 2**80),
+    st.builds(F, st.integers(-2**80, 2**80), st.integers(1, 2**40)),
+)
 
 
 @st.composite
 def row_lists(draw, max_cols=7, max_rows=7, min_cols=1):
-    """Sparse rows with integer or rational entries, plus repeated and scaled copies."""
-    scalars = draw(st.sampled_from((small_scalars, large_scalars)))
+    """Sparse rows of int, Fraction or mixed entries, plus repeated and scaled copies."""
+    ints, fracs = draw(st.sampled_from((small_scalars, large_scalars)))
+    scalars = st.one_of(ints, fracs)
     cols = draw(st.integers(min_cols, max_cols))
     rows = draw(st.lists(
-        st.dictionaries(st.integers(0, cols - 1), scalars.filter(bool)) if cols else st.just({}),
+        st.sampled_from((ints, fracs, scalars)).flatmap(
+            lambda s: st.dictionaries(st.integers(0, cols - 1), s.filter(bool))
+        ) if cols else st.just({}),
         max_size=max_rows,
     ))
     if rows:
@@ -281,7 +299,7 @@ def test_rref_rows_matches_reference_kernel(case):
     assert got == want
     for r in got:
         assert list(r) == sorted(r)
-        assert all(type(x) is F for x in r.values())
+        assert all(canonical(x) for x in r.values())
     assert not any(g is r for g in got for r in rows)
 
 
@@ -388,7 +406,8 @@ def test_reduce_matches_reference(case, split, mix):
             want = _reference_reduce(sub, v)
             got = sub.reduce(v)
             assert list(got.items()) == list(want.items())
-            assert all(type(x) is F for x in got.values())
+            # a vector in the contract (as vec makes it) reduces to one in it
+            assert all(canonical(x) for x in sub.reduce(vec(v)).values())
             assert sub.quotient_coords(v) == _reference_quotient_coords(sub, v)
             assert sub.coords(v) == _reference_coords(sub, v)
             assert sub.contains_vec(v) == (not want)

@@ -2,11 +2,15 @@ import itertools
 import random
 from fractions import Fraction
 
-from ghlie.exactla import Matrix, kernel_basis, rank, rref, vec_axpy
+import pytest
+
+from ghlie.exactla import Matrix, Subspace, kernel_basis, rank, rref, vec_axpy
 from ghlie.fixtures import canonical_gh, grid_cases, random_class2, seeded_gh
 from ghlie.liealg import (
     GhSpec,
+    NotAnIdealError,
     abelian,
+    bracket_vectors,
     center,
     change_of_basis,
     derived_subalgebra,
@@ -202,6 +206,31 @@ def test_cover_of_free_class2_is_free_class3():
 def test_cover_of_heisenberg1():
     cov = cover_construct(presentation_from_class2(heisenberg(1)))
     assert cov.algebra.dim == 5
+
+
+def test_cover_of_heisenberg_m_has_class_2():
+    # M(H(m)) = Λ²(L/L²)/L² for m >= 2: K is all of L² ⊗ L/L², so (L*)³ = 0
+    for m in (2, 3):
+        a = heisenberg(m)
+        cov = cover_construct(presentation_from_class2(a))
+        rep = verify_cover(a, cov.algebra, cov.central_ideal)
+        assert (rep.nilpotency_class, rep.expected_class, rep.cube_dim) == (2, 2, 0)
+        assert rep.ok
+
+
+def test_verify_cover_b_central_matches_bracket_scan():
+    # B ⊆ Z(cover) against the bracket scan it replaced, on central and
+    # non-central ideals; a subspace that is not an ideal is refused
+    for a in (canonical_gh(3, 1), canonical_gh(4, 2), direct_sum(heisenberg(1), abelian(1))):
+        cov = cover_construct(presentation_from_class2(a))
+        c = cov.algebra
+        ideals = [cov.central_ideal, center(c), *lower_central_series(c)]
+        scans = [all(not bracket_vectors(c, u, {j: ONE}) for u in b.vectors() for j in range(c.dim))
+                 for b in ideals]
+        assert not all(scans)
+        assert [verify_cover(a, c, b).b_central for b in ideals] == scans
+        with pytest.raises(NotAnIdealError):
+            verify_cover(a, c, Subspace.from_vectors(c.dim, [{0: ONE}]))
 
 
 def test_cover_of_defect_two():
