@@ -1,10 +1,12 @@
 """Command-line surface.
 
 Subcommands: gen, analyze, cover, capable, sweep, oracle-compare.
-Exit codes: 0 ok; 2 usage/parse error (including an empty sweep grid and
-capable on an abelian input); 3 construction failure; 4 Jacobi violation;
-5 unexpected mismatch.  GHA_THREADS overrides the sweep worker count; it
-and --jobs must be positive integers (exit 2 otherwise).
+Exit codes: 0 ok; 2 usage/parse error (including an empty sweep grid,
+capable on an abelian input, and meta that contradicts the algebra: analyze
+reads meta d and checks meta defect, t and variant against the values it
+derives); 3 construction failure; 4 Jacobi violation; 5 unexpected mismatch.
+GHA_THREADS overrides the sweep worker count; it and --jobs must be
+positive integers (exit 2 otherwise).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .liealg import (
     jacobi_check,
     nilpotency_class,
 )
-from .report import analyze, capability_by_quotients
+from .report import ContextError, analyze, capability_by_quotients
 from .sweep import SweepConfig, run_sweep, sweep_exit_code
 
 
@@ -157,16 +159,21 @@ def cmd_gen(args) -> int:
 def cmd_analyze(args) -> int:
     a, meta = docio.read_document(args.path)
     with _require_jacobi(a):
-        rep = analyze(
-            a,
-            d=meta.get("d"),
-            defect=meta.get("defect"),
-            t=meta.get("t"),
-            variant=meta.get("variant"),
-            with_oracle=args.oracle,
-            include_suspect=not args.skip_suspect_forms,
-            provenance=meta.get("family", ""),
-        )
+        try:
+            rep = analyze(
+                a,
+                d=meta.get("d"),
+                with_oracle=args.oracle,
+                include_suspect=not args.skip_suspect_forms,
+                provenance=meta.get("family", ""),
+            )
+        except ContextError as e:
+            raise docio.DocumentError(f"meta {e}") from None
+    for key in ("defect", "t", "variant"):
+        if key in meta and meta[key] != getattr(rep, key):
+            raise docio.DocumentError(
+                f"meta {key} is {meta[key]!r}, but the algebra gives {getattr(rep, key)!r}"
+            )
     print(json.dumps(rep.to_dict(), indent=2))
     return 0 if rep.match else 5
 

@@ -3,8 +3,10 @@
 Format: {"dim": n, "labels": [...], "brackets": [{"i": i, "j": j, "v": {...}}],
 "meta": {...}} with 0 <= i < j < dim, v keyed by stringified basis indices and
 valued by rationals rendered "p/q" (or "p" for integers).  Unlisted pairs are
-zero brackets.  meta is free-form, except that d, defect and t, which
-``analyze`` reads as the instance's context, must be nonnegative integers.
+zero brackets.  meta is free-form, except that d, defect and t must be
+nonnegative integers: ``analyze`` reads meta d as the generator count of the
+Heisenberg part and checks meta defect, t and variant against the values it
+derives from the algebra and d.
 Serialization is canonical: brackets sorted by (i, j), v keys sorted
 numerically, UTF-8, no floats; parse ∘ serialize is the identity on canonical
 documents.

@@ -35,6 +35,8 @@ _ONE = 1
 
 
 def canonical_killed_pairs(d: int, defect: int, variant: str = "generic") -> list[tuple[int, int]]:
+    if variant == "deficient" and defect != 3:
+        raise ValueError("the deficient branch exists only at defect 3")
     if defect == 0:
         return []
     if defect == 1:

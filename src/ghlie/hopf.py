@@ -378,7 +378,7 @@ def verify_cover(a: LieAlgebra, cover: LieAlgebra, b: Subspace) -> CoverReport:
     branch_ok = cube_in_b and 0 <= s <= defect
     witness_ok = None
     if p.hall.d == 3:
-        witness_ok = _extension_witness_agrees(p, cover)
+        witness_ok = _extension_witness_agrees(p, cover, series)
     return CoverReport(
         cover_dim=cover.dim,
         expected_dim=a.dim + m_dim,
@@ -461,12 +461,11 @@ def extension_witness(p: FreePresentation) -> LieAlgebra:
     return LieAlgebra(dim, labels, table)
 
 
-def _extension_witness_agrees(p: FreePresentation, cover: LieAlgebra) -> bool:
+def _extension_witness_agrees(p: FreePresentation, cover: LieAlgebra, series: list[Subspace]) -> bool:
+    """series is the cover's lower central series, as verify_cover built it."""
     lstar = extension_witness(p)
     gen_span = subalgebra_closure(lstar, [{i: _ONE} for i in range(p.hall.d)])
     sub = restrict(lstar, gen_span)
     if sub.dim != cover.dim:
         return False
-    sub_series = [s.dim for s in lower_central_series(sub)]
-    cov_series = [s.dim for s in lower_central_series(cover)]
-    return sub_series == cov_series
+    return [s.dim for s in lower_central_series(sub)] == [s.dim for s in series]

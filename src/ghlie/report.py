@@ -97,12 +97,13 @@ class DimReport:
         }
 
 
+class ContextError(ValueError):
+    """A pinned d that no split L = H ⊕ A(t) of the algebra realizes."""
+
+
 def analyze(
     a: LieAlgebra,
     d: int | None = None,
-    defect: int | None = None,
-    t: int | None = None,
-    variant: str | None = None,
     with_oracle: bool = False,
     include_suspect: bool = True,
     check_ker_beta: bool | None = None,
@@ -110,68 +111,54 @@ def analyze(
 ) -> DimReport:
     """Compute all reported dimensions of a class <= 2 algebra.
 
-    d/defect/t/variant may be pinned by the caller (sweep provenance);
-    otherwise they are read off the algebra itself.  Raises ClassTwoRequired
+    The context is read off the algebra.  d, the generator count of the
+    Heisenberg part, is the one choice (default dim L/Z(L)); then t = n - d
+    with n = dim L/L², defect = d(d-1)/2 - dim L², and the defect-3 branch
+    is the one the Heisenberg part's Jacobi-cycle rank selects.  Raises
+    ContextError unless 0 <= t <= dim Z(L) - dim L², and ClassTwoRequired
     beyond class 2.
     """
     ctx = Analysis.of(a)
     dims = dimensions(ctx.k)
     r = ctx.r
-    # Read off the algebra: d = dim L/Z, t = dim Z - dim L².
     if d is None:
         d = a.dim - ctx.center.dim
-    if t is None:
-        t = ctx.center.dim - r
-    if defect is None:
-        defect = d * (d - 1) // 2 - r if d >= 2 else 0
+    t = ctx.n - d
+    if not 0 <= t <= ctx.center.dim - r:
+        raise ContextError(f"d={d} gives t={t}, outside 0..{ctx.center.dim - r}")
+    defect = d * (d - 1) // 2 - r
+    report = DimReport(d=d, rank=r, defect=defect, t=t, provenance=provenance, dims=dims)
 
-    report = DimReport(
-        d=d, rank=r, defect=defect, t=t, variant=variant or "generic",
-        provenance=provenance, dims=dims,
-    )
-
-    # Defect-3 branch detection from the Heisenberg-part Jacobi-cycle rank
-    # (an abelian summand contributes exactly rank·t extra dimensions).
-    psi2_core = ctx.k.rank - r * t
-    if defect == 3:
+    # The printed displays cover GH(d, d(d-1)/2 - defect) ⊕ A(t), defect 1..3.
+    # Prop 2.2 pins the Heisenberg part's Jacobi-cycle rank (an abelian
+    # summand adds exactly r·t): C(d,3), or C(d,3) - 1 on the deficient
+    # defect-3 branch.
+    if r and defect in (1, 2, 3):
         full = d * (d - 1) * (d - 2) // 6
-        if variant is None:
-            if psi2_core == full:
-                variant = "generic"
-            elif psi2_core == full - 1:
-                variant = "deficient"
-        if variant is None:
+        psi2_core = ctx.k.rank - r * t
+        if defect == 3 and psi2_core == full - 1:
+            report.variant = "deficient"
+        elif defect == 3 and psi2_core != full:
             report.unexpected_mismatches.append({
                 "key": "psi2_rank",
                 "theorem": "Prop 2.2(ii)",
                 "computed": psi2_core,
                 "printed": f"{full} or {full - 1}",
             })
-            variant = "generic"
-        report.variant = variant
-    else:
-        variant = variant or "generic"
-
-    predicted = {}
-    if d >= 3 and defect in (1, 2, 3):
-        predicted = closed_form_eval(d, t, defect, variant)
-    if not include_suspect:
-        predicted = {k: p for k, p in predicted.items() if not p.suspect}
-    report.predicted = predicted
-
-    if t > 0 and d >= 3 and defect in (1, 2):
-        # Prop 2.2(i) still pins the Heisenberg-part rank under a summand.
-        full = d * (d - 1) * (d - 2) // 6
-        if psi2_core != full:
+        elif t > 0 and psi2_core != full:
             report.unexpected_mismatches.append({
                 "key": "psi2_rank",
                 "theorem": "Prop 2.2(i)",
                 "printed": full,
                 "computed": psi2_core,
             })
+        predicted = closed_form_eval(d, t, defect, report.variant)
+        report.predicted = {
+            k: p for k, p in predicted.items() if include_suspect or not p.suspect
+        }
 
     for key, value in dims.items():
-        p = predicted.get(key)
+        p = report.predicted.get(key)
         if p is None:
             report.flags[key] = "no_prediction"
             continue
@@ -193,7 +180,7 @@ def analyze(
     pres = ctx.presentation
     ec = hopf.exterior_center(pres)
     report.capable = ec.dim == 0
-    if defect in (1, 2) and d >= 3 and not report.capable:
+    if r and defect in (1, 2) and not report.capable:
         report.unexpected_mismatches.append({
             "key": "capable",
             "theorem": "Thm 2.4" if t == 0 else "Cor 2.5",

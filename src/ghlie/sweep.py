@@ -48,13 +48,7 @@ def default_jobs() -> int:
 def run_case(case: FixtureCase, include_suspect: bool = True, with_oracle: bool = True) -> dict:
     a = case.build()
     rep = analyze(
-        a,
-        d=case.d,
-        defect=case.defect,
-        t=case.t,
-        variant=case.variant if case.seed is None else None,
-        with_oracle=with_oracle,
-        include_suspect=include_suspect,
+        a, d=case.d, with_oracle=with_oracle, include_suspect=include_suspect,
         provenance=case.name,
     )
     row = rep.to_dict()

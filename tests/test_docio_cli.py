@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -10,12 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from ghlie import cli, docio, hopf
+from ghlie import cli, closed_forms, docio, hopf
 from ghlie.cli import main
 from ghlie.exactla import Matrix
 from ghlie.exactla import rank as mat_rank
-from ghlie.fixtures import canonical_gh, random_class2, seeded_gh
+from ghlie.fixtures import canonical_gh, grid_cases, random_class2, seeded_gh
 from ghlie.liealg import LieAlgebra, abelian, change_of_basis, direct_sum, heisenberg, jacobi_check
+from ghlie.sweep import SweepConfig, run_case
 
 
 # --- document round trips -------------------------------------------------------
@@ -124,6 +126,14 @@ def test_gen_sum_family_and_sum_analysis(ws, capsys):
     assert rep["flags"]["m_L"] == "match"
     assert rep["predicted"]["m_L"]["theorem"] == "Thm 2.9(i)"
     assert rep["flags"]["tensor"] == "expected_mismatch"
+
+
+def test_gen_deficient_variant_needs_defect_3(ws, capsys):
+    for defect in ("1", "2"):
+        assert main(["gen", "--family", "gh", "--d", "4", "--defect", defect, "--canonical",
+                     "--variant", "deficient", "--out", "x.json"]) == 2
+        assert "deficient branch exists only at defect 3" in capsys.readouterr().err
+        assert not Path("x.json").exists()
 
 
 def test_gen_center_violation_exits_3(ws):
@@ -254,17 +264,66 @@ def test_sweep_skip_suspect_forms(ws, capsys):
     assert "j2" not in rep["rows"][0]["predicted"]
 
 
-def test_analyze_unexpected_mismatch_exits_5(ws, capsys):
-    # meta misdeclaring the defect pits the computed dims against the wrong
-    # printed forms; the gate must trip
-    from ghlie import docio
-    from ghlie.fixtures import canonical_gh
-
-    docio.write_document("lie.json", canonical_gh(4, 2), {"d": 4, "defect": 1, "t": 0})
-    assert main(["analyze", "lie.json"]) == 5
+def test_analyze_unexpected_mismatch_exits_5(ws, capsys, monkeypatch):
+    # with the defect-1 J2 display dropped from the ledger, its refutation
+    # (printed 22, computed 12 at d=3) is unexpected and the gate must trip
+    ledger = tuple(e for e in closed_forms.EXPECTED_MISMATCHES
+                   if (e["key"], e["defect"], e["t"]) != ("j2", 1, "zero"))
+    monkeypatch.setattr(closed_forms, "EXPECTED_MISMATCHES", ledger)
+    assert main(["gen", "--family", "gh", "--d", "3", "--rank", "2", "--canonical",
+                 "--out", "a.json"]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "a.json"]) == 5
     rep = json.loads(capsys.readouterr().out)
-    assert rep["unexpected_mismatches"]
+    assert [m["key"] for m in rep["unexpected_mismatches"]] == ["j2"]
     assert rep["match"] is False
+
+
+@pytest.mark.parametrize("a, meta, key", [
+    (canonical_gh(4, 2), {"d": 4, "defect": 1, "t": 0}, "defect"),
+    (canonical_gh(3, 1), {"d": 3, "defect": 1, "t": 1}, "t"),
+    (canonical_gh(3, 1), {"d": 5, "defect": 1}, "d"),
+    (canonical_gh(4, 3, "deficient"), {"d": 4, "defect": 3, "variant": "generic"}, "variant"),
+    (direct_sum(canonical_gh(3, 1), abelian(1)), {"d": 3, "t": 2}, "t"),
+])
+def test_analyze_meta_contradicting_the_algebra_exits_2(ws, capsys, a, meta, key):
+    # meta pins only d; a defect, t or variant that disagrees with the values
+    # derived from the algebra is an input error, raised before any output
+    docio.write_document("lie.json", a, meta)
+    assert main(["analyze", "lie.json", "--oracle"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: meta {key}"), err
+
+
+def test_canonical_grid_documents_analyze_as_their_sweep_rows(ws, capsys):
+    # every canonical cell of the default grid, written by gen (gh at t = 0,
+    # sum at t > 0), analyzes to its sweep row's context and verdicts
+    keys = ("d", "t", "defect", "variant", "dims", "predicted", "flags",
+            "expected_mismatches", "unexpected_mismatches")
+    cfg = SweepConfig()
+    cases = grid_cases(cfg.d_values, cfg.defects, cfg.t_values, 0)
+    assert len(cases) == 42
+    for case in cases:
+        argv = ["gen", "--family", "sum" if case.t else "gh", "--d", str(case.d),
+                "--defect", str(case.defect), "--t", str(case.t), "--canonical",
+                "--variant", case.variant, "--out", "g.json"]
+        assert main(argv) == 0, case.name
+        capsys.readouterr()
+        assert main(["analyze", "g.json", "--oracle"]) == 0, case.name
+        rep = json.loads(capsys.readouterr().out)
+        row = run_case(case)
+        assert {k: rep[k] for k in keys} == {k: row[k] for k in keys}, case.name
+
+
+def test_readme_cli_block_runs(ws, capsys):
+    # every `ghlie ...` line of the README's CLI block exits 0, in order
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("ghlie ")]
+    assert "ghlie analyze h11.json" in lines
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+        capsys.readouterr()
 
 
 def test_gen_with_explicit_kill_relations(ws, capsys):

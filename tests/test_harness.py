@@ -12,7 +12,8 @@ is put in a random rational basis, and the harness checks that
   denominator 1).
 
 Every document the CLI reads that breaks the document format exits 2 with an
-``error:`` line and no traceback.
+``error:`` line and no traceback, and so does ``analyze`` on well-typed meta
+that contradicts the algebra.
 """
 
 import io
@@ -183,21 +184,41 @@ def test_the_good_document_is_accepted():
             assert main(["analyze", str(path), "--oracle"]) == 0
 
 
-@given(malformed_documents())
-@example("[" * 100_000)  # nested too deep for the JSON decoder
-@example(json.dumps(dict(_GOOD, meta={"d": "x"})))  # analyze reads meta d as a number
-@settings(max_examples=80, deadline=None)
-def test_malformed_document_exits_2_without_traceback(text):
+def _assert_exits_2(text, commands):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "doc.json")
         if isinstance(text, bytes):
             path.write_bytes(text)
         else:
             path.write_text(text, encoding="utf-8")
-        for cmd in ("analyze", "cover", "capable", "oracle-compare"):
+        for cmd in commands:
             err = io.StringIO()
             # an exception escaping main is the traceback the console would print
             with redirect_stdout(io.StringIO()), redirect_stderr(err):
                 code = main([cmd, str(path)])
             assert code == 2, (cmd, err.getvalue())
             assert err.getvalue().startswith("error: "), (cmd, err.getvalue())
+
+
+@given(malformed_documents())
+@example("[" * 100_000)  # nested too deep for the JSON decoder
+@example(json.dumps(dict(_GOOD, meta={"d": "x"})))  # analyze reads meta d as a number
+@settings(max_examples=80, deadline=None)
+def test_malformed_document_exits_2_without_traceback(text):
+    _assert_exits_2(text, ("analyze", "cover", "capable", "oracle-compare"))
+
+
+# The good document's algebra allows d = 3 only (dim L/Z = dim L/L² = 3),
+# and then t = 0, defect = 1 and the generic branch.
+_CONTEXT = {"d": 3, "t": 0, "defect": 1, "variant": "generic"}
+
+
+@given(st.sampled_from(sorted(_CONTEXT)).flatmap(lambda key: st.tuples(
+    st.just(key),
+    (st.integers(0, 50) if key != "variant" else st.one_of(_junk, st.text(max_size=9)))
+    .filter(lambda x: x != _CONTEXT[key]),
+)))
+@settings(max_examples=40, deadline=None)
+def test_contradicting_meta_exits_2_on_analyze(kv):
+    # well-typed meta that the algebra contradicts; only analyze reads meta
+    _assert_exits_2(json.dumps(_with(["meta", kv[0]], kv[1])), ("analyze",))
