@@ -28,7 +28,6 @@ from .hopf import (
     cover_construct,
     exterior_center,
     exterior_square_oracle,
-    free_bracket,
     hall_basis,
     hopf_multiplier_dim,
     ker_beta,

@@ -85,13 +85,16 @@ class _JacobiViolation(Exception):
         self.triples = triples
 
 
-def _parse_kill(text: str) -> list[tuple[int, int]]:
+def _parse_kill(text: str, d: int) -> list[tuple[int, int]]:
+    """1-based pairs 'i,j;k,l' -> 0-based (min, max) pairs of distinct generators."""
     pairs = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
         i, j = (int(x) for x in chunk.split(","))
+        if i == j or not (1 <= i <= d and 1 <= j <= d):
+            raise docio.DocumentError(f"--kill pair {chunk!r} needs two distinct generators in 1..{d}")
         pairs.append((min(i, j) - 1, max(i, j) - 1))
     return pairs
 
@@ -108,9 +111,11 @@ def _build_gh(args) -> tuple[LieAlgebra, dict]:
     else:
         raise docio.DocumentError("need --rank or --defect")
     defect = max_rank - rank
+    if args.variant == "deficient" and not args.canonical:
+        raise docio.DocumentError("--variant deficient needs --canonical")
     meta = {"family": "gh", "d": d, "rank": rank, "defect": defect}
     if args.kill:
-        rel = relations_from_pairs(d, _parse_kill(args.kill))
+        rel = relations_from_pairs(d, _parse_kill(args.kill, d))
         a = gh_construct(GhSpec(d=d, rank=rank, relation_subspace=rel))
         meta["relations"] = args.kill
     elif args.canonical:

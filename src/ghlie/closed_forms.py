@@ -17,8 +17,6 @@ from fractions import Fraction
 
 F = Fraction
 
-KEYS = ("m_L", "wedge", "tensor", "j2", "psi2_rank")
-
 
 @dataclass(frozen=True)
 class Predicted:

@@ -20,10 +20,15 @@ Hall conventions (fixed so signs are reproducible bit for bit):
   * grade 3: [[x_i, x_j], x_k] with i < j and k >= i, lexicographic, which
     counts (d³-d)/3; the one rewrite needed, for k < i < j, is
     [[x_i, x_j], x_k] = [[x_k, x_j], x_i] - [[x_k, x_i], x_j].
+
+``wedge_gen_bracket`` applies that rule; it is the only bracket rewrite here.
+[R,F], the β images and the cover's table are all read from it, since every
+bracket of grade >= 4 vanishes in F_{d,3}.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -41,6 +46,7 @@ from .liealg import (
     rebase_class2,
     restrict,
     subalgebra_closure,
+    wedge_pairs,
 )
 from .multiplier import dimensions, psi2_image
 
@@ -54,7 +60,7 @@ class HallBasis:
 
     def __init__(self, d: int):
         self.d = d
-        self.pairs = list(itertools.combinations(range(d), 2))
+        self.pairs = wedge_pairs(d)
         self.triples = [
             (i, j, k) for (i, j) in self.pairs for k in range(i, d)
         ]
@@ -69,57 +75,10 @@ class HallBasis:
     def grade3_dim(self) -> int:
         return len(self.triples)
 
-    @property
-    def dim(self) -> int:
-        return self.d + len(self.pairs) + len(self.triples)
 
-    def grade_of(self, idx: int) -> int:
-        if idx < self.d:
-            return 1
-        if idx < self.d + len(self.pairs):
-            return 2
-        return 3
-
-    def pair_coord(self, w: int) -> int:
-        return self.d + w
-
-    def triple_coord(self, m: int) -> int:
-        return self.d + len(self.pairs) + m
-
-    def basis_bracket(self, a: int, b: int) -> Vec:
-        """[e_a, e_b] rewritten into Hall coordinates."""
-        ga, gb = self.grade_of(a), self.grade_of(b)
-        if ga + gb > 3:
-            return {}
-        if ga == 1 and gb == 1:
-            if a == b:
-                return {}
-            if a < b:
-                return {self.pair_coord(self.pair_index[(a, b)]): _ONE}
-            return {self.pair_coord(self.pair_index[(b, a)]): -_ONE}
-        if ga == 2:
-            w, g, sign = a - self.d, b, _ONE
-        else:  # ga == 1 and gb == 2
-            w, g, sign = b - self.d, a, -_ONE
-        return {self.triple_coord(m): sign * x for m, x in wedge_gen_bracket(self, {w: _ONE}, g).items()}
-
-
-_HALL_CACHE: dict[int, HallBasis] = {}
-
-
+@functools.cache
 def hall_basis(d: int) -> HallBasis:
-    if d not in _HALL_CACHE:
-        _HALL_CACHE[d] = HallBasis(d)
-    return _HALL_CACHE[d]
-
-
-def free_bracket(h: HallBasis, u: Vec, v: Vec) -> Vec:
-    """Bilinear bracket of F_{d,3} in Hall coordinates."""
-    out: Vec = {}
-    for a, x in u.items():
-        for b, y in v.items():
-            vec_axpy(out, x * y, h.basis_bracket(a, b))
-    return out
+    return HallBasis(d)
 
 
 def wedge_gen_bracket(h: HallBasis, w: Vec, g: int) -> Vec:
@@ -267,37 +226,25 @@ class Cover:
 
 
 def cover_construct(p: FreePresentation) -> Cover:
-    """Quotient F_{d,3}/[R,F]; dim = dim L + dim M(L), B = R/[R,F] central."""
+    """Quotient F_{d,3}/[R,F]; dim = dim L + dim M(L), B = R/[R,F] central.
+
+    Basis: the generators, the wedge pairs, then the triples of a complement of
+    [R,F].  [x_i, x_j] (i < j) is its pair coordinate and [x_g, e_w] is
+    -[e_w, x_g] mod [R,F] by the Hall rule; every other basis bracket has
+    grade >= 4 and is zero.
+    """
     h = p.hall
     d = h.d
     rf = p.rel_bracket_span
     comp3 = rf.complement_coords()
     g2 = h.grade2_dim
     dim = d + g2 + len(comp3)
-
-    def project(w: Vec) -> Vec:
-        out = {}
-        low = h.d + g2
-        w3 = {}
-        for c, x in w.items():
-            if c < low:
-                out[c] = x
-            else:
-                w3[c - low] = x
-        if w3:
-            for q, x in rf.quotient_coords(w3).items():
-                out[d + g2 + q] = x
-        return out
-
-    table = {}
-    for i, j in itertools.combinations(range(dim), 2):
-        ei = i if i < d + g2 else h.triple_coord(comp3[i - d - g2])
-        ej = j if j < d + g2 else h.triple_coord(comp3[j - d - g2])
-        w = free_bracket(h, {ei: _ONE}, {ej: _ONE})
-        if w:
-            img = project(w)
+    table = {ij: {d + w: _ONE} for w, ij in enumerate(h.pairs)}
+    for g in range(d):
+        for w in range(g2):
+            img = rf.quotient_coords(wedge_gen_bracket(h, {w: _ONE}, g))
             if img:
-                table[(i, j)] = img
+                table[(g, d + w)] = {d + g2 + q: -x for q, x in img.items()}
     gen_labels = list(p.target.labels[:d])
     pair_labels = [f"[{gen_labels[i]},{gen_labels[j]}]" for i, j in h.pairs]
     triple_labels = [
@@ -370,7 +317,7 @@ def verify_cover(a: LieAlgebra, cover: LieAlgebra, b: Subspace) -> CoverReport:
     k = psi2_image(a, der_a)
     m_dim = dimensions(k)["m_L"]
     quo = quotient(cover, b)
-    canonical = _canonical_class2(p)
+    canonical = class2_from_relations(p.hall.d, p.rel2)
     quotient_matches = quo.bracket == canonical.bracket and _iso_onto_target(p, canonical)
     cube_in_b = all(b.contains_vec(u) for u in cube.vectors())
     s = b.dim - cube.dim
@@ -396,10 +343,6 @@ def verify_cover(a: LieAlgebra, cover: LieAlgebra, b: Subspace) -> CoverReport:
         branch_ok=branch_ok,
         witness_ok=witness_ok,
     )
-
-
-def _canonical_class2(p: FreePresentation) -> LieAlgebra:
-    return class2_from_relations(p.hall.d, p.rel2)
 
 
 def _iso_onto_target(p: FreePresentation, canonical: LieAlgebra) -> bool:

@@ -136,6 +136,26 @@ def test_gen_deficient_variant_needs_defect_3(ws, capsys):
         assert not Path("x.json").exists()
 
 
+@pytest.mark.parametrize("family, extra", [
+    ("gh", []), ("gh", ["--seed", "3"]), ("gh", ["--kill", "1,2;3,4;1,3"]), ("sum", ["--t", "1"]),
+])
+def test_gen_deficient_variant_needs_canonical(ws, capsys, family, extra):
+    # without --canonical the variant used to be dropped: a seeded generic algebra was written
+    assert main(["gen", "--family", family, "--d", "4", "--defect", "3", "--variant", "deficient",
+                 *extra, "--out", "x.json"]) == 2
+    assert capsys.readouterr().err == "error: --variant deficient needs --canonical\n"
+    assert not Path("x.json").exists()
+
+
+@pytest.mark.parametrize("kill", ["1,1", "1,9", "0,2", "1,2;3,3", "5,1"])
+def test_gen_kill_pair_outside_the_generators_exits_2(ws, capsys, kill):
+    assert main(["gen", "--family", "gh", "--d", "4", "--rank", "5",
+                 "--kill", kill, "--out", "k.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --kill pair ") and err.endswith("needs two distinct generators in 1..4\n")
+    assert not Path("k.json").exists()
+
+
 def test_gen_center_violation_exits_3(ws):
     assert main(["gen", "--family", "gh", "--d", "3", "--rank", "1", "--seed", "2"]) == 3
 

@@ -6,7 +6,7 @@ is put in a random rational basis, and the harness checks that
 * the formula route equals the Hopf oracle (m_L, the exterior square, and ker β
   against K as literal subspaces);
 * the dimensions do not depend on the basis;
-* ``verify_cover`` accepts the constructed cover;
+* ``verify_cover`` accepts the constructed cover, whose table satisfies Jacobi;
 * every stored table and subspace value meets the numeric contract: an int
   when integral, else a Fraction (never a float, a bool, or a Fraction with
   denominator 1).
@@ -32,7 +32,7 @@ from ghlie.cli import main
 from ghlie.exactla import Matrix, Subspace
 from ghlie.exactla import rank as mat_rank
 from ghlie.fixtures import canonical_gh, random_class2, seeded_gh, with_abelian_part
-from ghlie.liealg import LieAlgebra, change_of_basis
+from ghlie.liealg import LieAlgebra, change_of_basis, jacobi_check
 from ghlie.multiplier import dimensions
 from ghlie.report import Analysis
 
@@ -93,6 +93,7 @@ def test_routes_agree_in_random_rational_bases(core, d, t, seed):
     # the cover verifies, from the rational-basis input
     cov = hopf.cover_construct(ctx_b.presentation)
     assert hopf.verify_cover(b, cov.algebra, cov.central_ideal).ok
+    assert jacobi_check(cov.algebra) == []
     p = ctx_b.presentation
     assert_contract(
         b, ctx_b.algebra, ctx_b.derived, ctx_b.center, ctx_b.k.image,

@@ -5,14 +5,16 @@ from fractions import Fraction
 import pytest
 
 from ghlie.exactla import Matrix, Subspace, kernel_basis, rank, rref, vec_axpy
-from ghlie.fixtures import canonical_gh, grid_cases, random_class2, seeded_gh
+from ghlie.fixtures import canonical_gh, grid_cases, random_class2, seeded_gh, with_abelian_part
 from ghlie.liealg import (
     GhSpec,
+    LieAlgebra,
     NotAnIdealError,
     abelian,
     bracket_vectors,
     center,
     change_of_basis,
+    class2_from_relations,
     derived_subalgebra,
     direct_sum,
     gh_construct,
@@ -25,7 +27,6 @@ from ghlie.hopf import (
     extension_witness,
     exterior_center,
     exterior_square_oracle,
-    free_bracket,
     hall_basis,
     hopf_multiplier_dim,
     ker_beta,
@@ -43,61 +44,60 @@ def gh(d, rank, seed=0):
     return gh_construct(GhSpec(d=d, rank=rank, seed=seed))
 
 
-# --- Hall basis ------------------------------------------------------------------
+# --- Hall basis and the bracket of F_{d,3} ------------------------------------------
+
+def free_class3(d):
+    """F_{d,3} as cover_construct writes it: the cover of the free class-2 algebra
+    on d generators, where R = F³ and [R,F] = 0, so basis index d + g2 + m is triple m."""
+    free2 = class2_from_relations(d, Subspace.zero(d * (d - 1) // 2))
+    return cover_construct(presentation_from_class2(free2)).algebra
+
+
+def grade(h, idx):
+    return 1 if idx < h.d else 2 if idx < h.d + h.grade2_dim else 3
+
+
+def assert_graded(f, h):
+    """Every stored bracket [e_a, e_b] has grade(a) + grade(b) <= 3 and lies in that grade."""
+    for (a, b), v in f.bracket.items():
+        g = grade(h, a) + grade(h, b)
+        assert g <= 3 and all(grade(h, c) == g for c in v), (a, b, v)
+
 
 def test_hall_counts():
     for d, expect in ((2, (2, 1, 2)), (3, (3, 3, 8)), (4, (4, 6, 20)), (6, (6, 15, 70))):
         h = hall_basis(d)
         assert (h.d, h.grade2_dim, h.grade3_dim) == expect
         assert h.grade3_dim == (d**3 - d) // 3
-        assert h.dim == sum(expect)
+        assert free_class3(d).dim == sum(expect)
 
 
 def test_free_bracket_basics():
     h = hall_basis(3)
-    assert free_bracket(h, {0: ONE}, {0: ONE}) == {}
+    f = free_class3(3)
+    off = h.d + h.grade2_dim
+    assert f.pair(0, 0) == {}
+    s12 = h.d + h.pair_index[(0, 1)]
+    assert f.pair(0, 1) == {s12: ONE}
     # [[x1,x2],x3] is already basic
-    s12 = h.pair_coord(h.pair_index[(0, 1)])
-    m = free_bracket(h, {s12: ONE}, {2: ONE})
-    assert m == {h.triple_coord(h.triple_index[(0, 1, 2)]): ONE}
+    assert f.pair(s12, 2) == {off + h.triple_index[(0, 1, 2)]: ONE}
     # [[x2,x3],x1] rewrites through one Jacobi step
-    s23 = h.pair_coord(h.pair_index[(1, 2)])
-    got = free_bracket(h, {s23: ONE}, {0: ONE})
-    assert got == {
-        h.triple_coord(h.triple_index[(0, 2, 1)]): ONE,
-        h.triple_coord(h.triple_index[(0, 1, 2)]): -ONE,
+    s23 = h.d + h.pair_index[(1, 2)]
+    assert f.pair(s23, 0) == {
+        off + h.triple_index[(0, 2, 1)]: ONE,
+        off + h.triple_index[(0, 1, 2)]: -ONE,
     }
 
 
-def exhaustive_antisymmetry_and_jacobi(d):
-    h = hall_basis(d)
-    units = [{i: ONE} for i in range(h.dim)]
-    for a, b in itertools.combinations(range(h.dim), 2):
-        lhs = free_bracket(h, units[a], units[b])
-        rhs = {c: -x for c, x in free_bracket(h, units[b], units[a]).items()}
-        assert lhs == rhs
-    for a, b, c in itertools.combinations(range(h.dim), 3):
-        acc = dict(free_bracket(h, free_bracket(h, units[a], units[b]), units[c]))
-        vec_axpy(acc, ONE, free_bracket(h, free_bracket(h, units[c], units[a]), units[b]))
-        vec_axpy(acc, ONE, free_bracket(h, free_bracket(h, units[b], units[c]), units[a]))
-        assert acc == {}
-
-
 def test_free_bracket_antisymmetry_and_jacobi_small():
+    # antisymmetry is built into the table (i < j stored); Jacobi over every basis triple
     for d in (2, 3, 4):
-        exhaustive_antisymmetry_and_jacobi(d)
+        assert jacobi_check(free_class3(d)) == []
 
 
 def test_grading():
-    h = hall_basis(3)
-    for a in range(h.dim):
-        for b in range(h.dim):
-            w = free_bracket(h, {a: ONE}, {b: ONE})
-            ga, gb = h.grade_of(a), h.grade_of(b)
-            if ga + gb > 3:
-                assert w == {}
-            else:
-                assert all(h.grade_of(c) == ga + gb for c in w)
+    for d in (2, 3):
+        assert_graded(free_class3(d), hall_basis(d))
 
 
 # --- presentations ------------------------------------------------------------------
@@ -285,28 +285,27 @@ def _cover_pair(p):
 # --- the direct Hall rewrite and the shared β map against their earlier code ------------
 
 def _reference_wedge_gen_bracket(h, w, g):
-    """_grade3_part(free_bracket(h, w in Hall coordinates, x_g)) as it was computed
-    before the direct rewrite: the old _pair_gen_bracket on each pair, then the
-    grade-3 coordinates shifted to start at 0."""
+    """The grade-3 part of the old free bracket [w, x_g] as it was computed before
+    the direct rewrite: the old _pair_gen_bracket on each pair, summed."""
     out = {}
     for c, x in w.items():
         i, j = h.pairs[c]
         if g >= i:
-            term = {h.triple_coord(h.triple_index[(i, j, g)]): ONE}
+            term = {h.triple_index[(i, j, g)]: ONE}
         else:
             term = {
-                h.triple_coord(h.triple_index[(g, j, i)]): ONE,
-                h.triple_coord(h.triple_index[(g, i, j)]): -ONE,
+                h.triple_index[(g, j, i)]: ONE,
+                h.triple_index[(g, i, j)]: -ONE,
             }
         vec_axpy(out, x, term)
-    off = h.d + h.grade2_dim
-    return {c - off: x for c, x in out.items() if c >= off}
+    return out
 
 
 def test_wedge_gen_bracket_matches_reference():
     rng = random.Random(0)
     for d in range(1, 7):
         h = hall_basis(d)
+        f = free_class3(d)
         off = h.d + h.grade2_dim
         vectors = [{w: ONE} for w in range(h.grade2_dim)]
         for _ in range(20 if h.grade2_dim else 0):
@@ -317,10 +316,10 @@ def test_wedge_gen_bracket_matches_reference():
                 want = _reference_wedge_gen_bracket(h, w, g)
                 got = wedge_gen_bracket(h, w, g)
                 assert list(got.items()) == list(want.items()), (d, w, g)
-                # free_bracket reads the same rule through basis_bracket, in both orders
-                emb = {h.pair_coord(c): x for c, x in w.items()}
-                assert free_bracket(h, emb, {g: ONE}) == {off + m: x for m, x in want.items()}
-                assert free_bracket(h, {g: ONE}, emb) == {off + m: -x for m, x in want.items()}
+                # the cover's table reads the same rule, in both orders
+                emb = {h.d + c: x for c, x in w.items()}
+                assert bracket_vectors(f, emb, {g: ONE}) == {off + m: x for m, x in want.items()}
+                assert bracket_vectors(f, {g: ONE}, emb) == {off + m: -x for m, x in want.items()}
 
 
 def _reference_ker_beta(p):
@@ -384,3 +383,91 @@ def test_shared_beta_matches_per_call_reference():
         assert exterior_center(q) == want_ec
         assert ker_beta(q) == want_kb
         assert exterior_center(q) == want_ec
+
+
+# --- the cover's table against the free-bracket build it replaced -----------------------
+
+def _reference_basis_bracket(h, a, b):
+    """[e_a, e_b] of F_{d,3} in Hall coordinates (generators, pairs, triples), as
+    HallBasis.basis_bracket computed it."""
+    ga, gb = grade(h, a), grade(h, b)
+    if ga + gb > 3:
+        return {}
+    if ga == 1 and gb == 1:
+        if a == b:
+            return {}
+        if a < b:
+            return {h.d + h.pair_index[(a, b)]: ONE}
+        return {h.d + h.pair_index[(b, a)]: -ONE}
+    if ga == 2:
+        w, g, sign = a - h.d, b, ONE
+    else:  # ga == 1 and gb == 2
+        w, g, sign = b - h.d, a, -ONE
+    off = h.d + h.grade2_dim
+    return {off + m: sign * x for m, x in wedge_gen_bracket(h, {w: ONE}, g).items()}
+
+
+def _reference_free_bracket(h, u, v):
+    out = {}
+    for a, x in u.items():
+        for b, y in v.items():
+            vec_axpy(out, x * y, _reference_basis_bracket(h, a, b))
+    return out
+
+
+def _reference_cover_construct(p):
+    """cover_construct as it was: the free bracket of every pair of cover basis
+    vectors, projected mod [R,F]."""
+    h = p.hall
+    d = h.d
+    rf = p.rel_bracket_span
+    comp3 = rf.complement_coords()
+    g2 = h.grade2_dim
+    low = d + g2
+    dim = low + len(comp3)
+
+    def project(w):
+        out = {c: x for c, x in w.items() if c < low}
+        w3 = {c - low: x for c, x in w.items() if c >= low}
+        if w3:
+            for q, x in rf.quotient_coords(w3).items():
+                out[low + q] = x
+        return out
+
+    table = {}
+    for i, j in itertools.combinations(range(dim), 2):
+        ei = i if i < low else low + comp3[i - low]
+        ej = j if j < low else low + comp3[j - low]
+        w = _reference_free_bracket(h, {ei: ONE}, {ej: ONE})
+        if w:
+            img = project(w)
+            if img:
+                table[(i, j)] = img
+    gen_labels = list(p.target.labels[:d])
+    pair_labels = [f"[{gen_labels[i]},{gen_labels[j]}]" for i, j in h.pairs]
+    triple_labels = [
+        f"[[{gen_labels[i]},{gen_labels[j]}],{gen_labels[k]}]"
+        for (i, j, k) in (h.triples[m] for m in comp3)
+    ]
+    algebra = LieAlgebra(dim, gen_labels + pair_labels + triple_labels, table)
+    b_gens = [{d + w: x for w, x in v.items()} for v in p.rel2.vectors()]
+    b_gens += [{low + q: ONE} for q in range(len(comp3))]
+    return algebra, Subspace.from_vectors(dim, b_gens)
+
+
+def test_cover_construct_matches_free_bracket_reference():
+    inputs = [c.build() for c in grid_cases((3, 4, 5), (1, 2, 3), (0, 1), 1)]
+    inputs += [abelian(n) for n in range(4)] + [heisenberg(m) for m in (1, 2, 3)]
+    inputs += [direct_sum(heisenberg(1), abelian(t)) for t in range(3)]
+    # the harness's algebras: random_class2 and seeded_gh cores with an A(t) summand
+    inputs += [with_abelian_part(random_class2(d, s), t) for d, s, t in ((3, 0, 0), (3, 5, 2), (4, 1, 1), (4, 7, 0))]
+    inputs += [with_abelian_part(seeded_gh(4, 1 + s % 3, s), s % 2) for s in range(3)]
+    dense = inputs[-7:] + [seeded_gh(5, 1, 7), seeded_gh(4, 3, 2), heisenberg(2)]
+    inputs += [rational_basis(a, s) for s, a in enumerate(dense)]
+    for a in inputs:
+        p = presentation_from_class2(a)
+        cov = cover_construct(p)
+        ref_algebra, ref_b = _reference_cover_construct(p)
+        assert cov.algebra == ref_algebra
+        assert cov.algebra.labels == ref_algebra.labels
+        assert cov.central_ideal == ref_b
