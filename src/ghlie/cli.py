@@ -92,7 +92,10 @@ def _parse_kill(text: str, d: int) -> list[tuple[int, int]]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        i, j = (int(x) for x in chunk.split(","))
+        try:
+            i, j = (int(x) for x in chunk.split(","))
+        except ValueError:
+            raise docio.DocumentError(f"--kill pair {chunk!r} must look like i,j") from None
         if i == j or not (1 <= i <= d and 1 <= j <= d):
             raise docio.DocumentError(f"--kill pair {chunk!r} needs two distinct generators in 1..{d}")
         pairs.append((min(i, j) - 1, max(i, j) - 1))
@@ -113,6 +116,8 @@ def _build_gh(args) -> tuple[LieAlgebra, dict]:
     defect = max_rank - rank
     if args.variant == "deficient" and not args.canonical:
         raise docio.DocumentError("--variant deficient needs --canonical")
+    if args.kill and args.canonical:
+        raise docio.DocumentError("--kill cannot be combined with --canonical")
     meta = {"family": "gh", "d": d, "rank": rank, "defect": defect}
     if args.kill:
         rel = relations_from_pairs(d, _parse_kill(args.kill, d))

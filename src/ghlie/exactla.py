@@ -87,10 +87,6 @@ class Matrix:
             cols = len(dense[0]) if dense else 0
         return cls(cols, [vec_from_list(row) for row in dense])
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, [{i: _ONE} for i in range(n)])
-
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.cols == other.cols and self.rows == other.rows
 
@@ -187,13 +183,6 @@ def _rref_rows(rows: Iterable[Vec]) -> list[Vec]:
         p, items = r[l], sorted(r.items())
         out.append(dict(items) if p == 1 else {c: _ratio(x, p) for c, x in items})
     return out
-
-
-def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Unique reduced row-echelon form of m, padded with zero rows, and its rank."""
-    reduced = _rref_rows(m.rows)
-    rank = len(reduced)
-    return Matrix(m.cols, reduced + [{}] * (len(m.rows) - rank)), rank
 
 
 def rank(m: Matrix) -> int:
@@ -364,14 +353,3 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         if min(r) >= n
     ]
     return Subspace.from_vectors(n, inter)
-
-
-def contains(a: Subspace, v: Vec | Sequence[object]) -> bool:
-    """Membership v ∈ a; accepts a sparse dict or a dense length-n sequence."""
-    if not isinstance(v, dict):
-        if len(v) != a.ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-        v = vec_from_list(v)
-    elif any(not 0 <= i < a.ambient_dim for i in v):
-        raise ValueError("vector coordinate outside ambient dimension")
-    return a.contains_vec(v)

@@ -32,10 +32,9 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .exactla import Matrix, Subspace, Vec, kernel_basis, rref, vec_axpy
+from .exactla import Matrix, Subspace, Vec, kernel_basis, vec_axpy
 from .exactla import rank as mat_rank
 from .liealg import (
-    ClassTwoRequired,
     LieAlgebra,
     bracket_vectors,
     center,
@@ -105,7 +104,8 @@ class FreePresentation:
 
     rel2 lives in the grade-2 wedge coordinates, rel_bracket_span = [rel2, F]
     in the grade-3 coordinates.  lifts[s] is a grade-2 preimage of the s-th
-    derived basis vector of the target.  The β images are built on first use
+    derived basis vector of the target: the unit wedge vector of the pair
+    whose bracket it is.  The β images are built on first use
     (see ``_beta_images``) and kept with the presentation.
     """
 
@@ -120,11 +120,11 @@ class FreePresentation:
 def presentation_from_class2(a: LieAlgebra, der: Subspace | None = None) -> FreePresentation:
     """Free presentation of a nilpotent algebra of class <= 2.
 
-    der is the derived subalgebra of a as rebase_class2 returns it; without it
-    a is rebased here onto the basis contract (generators first, then L²),
-    which also rejects class > 2.  The stored target is the rebased algebra.
-    A rebased off-contract input has the brackets of its pivot pairs as its
-    derived basis, so each of its lifts is a unit wedge vector.
+    der is the derived subalgebra of a as rebase_class2 returns it, with a
+    rebased; without it a is rebased here (which also rejects class > 2).
+    The stored target is the rebased algebra.  Its derived basis vector y_s
+    is the bracket of the last pair whose bracket has a y_s term, so lift s
+    is that unit wedge vector: the last entry of row s of φ.
     """
     if der is None:
         a, der, _ = rebase_class2(a)
@@ -145,17 +145,7 @@ def presentation_from_class2(a: LieAlgebra, der: Subspace | None = None) -> Free
             if w3:
                 bracket_gens.append(w3)
     rf = Subspace.from_vectors(h.grade3_dim, bracket_gens)
-    # All lifts from one elimination: RREF [φ | I_r] = [RREF(φ) | E], and
-    # x_s = Σ_i E[i][s] e_(pivot i) solves φ x_s = e_s with free coordinates 0.
-    aug, _ = rref(Matrix(g2 + r, [{**row, g2 + s: _ONE} for s, row in enumerate(phi_rows)]))
-    lifts: list[Vec] = [{} for _ in range(r)]
-    for row in aug.rows:
-        p = min(row)
-        if p >= g2:
-            raise ClassTwoRequired("derived basis vector is not in the bracket image")
-        for c, x in row.items():
-            if c >= g2:
-                lifts[c - g2][p] = x
+    lifts: list[Vec] = [{max(row): _ONE} for row in phi_rows]
     return FreePresentation(h, rel2, rf, lifts, a)
 
 

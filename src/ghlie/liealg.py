@@ -335,12 +335,14 @@ def rebase_class2(a: LieAlgebra) -> tuple[LieAlgebra, Subspace, Subspace]:
     table that fails Jacobi always fails it.  ClassTwoRequired otherwise.
 
     Returns the rebased algebra, its derived subalgebra (the trailing unit
-    coordinates) and Z(L) in a's own coordinates.  The algebra is a itself
-    when the contract already holds.  Otherwise the generators are the
-    complement coordinates of L² and the derived basis is the brackets of
-    the pivot pairs: the matrix whose column w is the bracket of generator
-    pair w, read at the pivot coordinates of L², is eliminated once, and the
-    columns of its RREF are the rebased structure constants.  a's labels are
+    coordinates) and Z(L) in a's own coordinates.  The generators are the
+    complement coordinates of L², and the derived basis is the brackets of
+    the last independent generator pairs, numbered by ascending pair: the
+    matrix whose column w is the bracket of generator pair w, read at the
+    pivot coordinates of L², is eliminated once with its pair columns
+    reversed, and the columns of that RREF are the rebased structure
+    constants.  This is the basis class2_from_relations builds, so its
+    tables come back equal and the rebase is idempotent.  a's labels are
     kept.
     """
     der = derived_subalgebra(a)
@@ -348,22 +350,22 @@ def rebase_class2(a: LieAlgebra) -> tuple[LieAlgebra, Subspace, Subspace]:
     if not all(z.contains_vec(v) for v in der.vectors()):
         raise ClassTwoRequired("input must be nilpotent of class at most 2")
     n = a.dim - der.dim
-    # RREF rows whose pivots are the trailing coordinates are those unit rows.
-    if der.pivots != tuple(range(n, a.dim)):
-        gens = der.complement_coords()
-        pairs = wedge_pairs(n)
-        # A vector of L² is fixed by its entries at the pivots of L²'s RREF basis.
-        rows: dict[int, Vec] = {p: {} for p in der.pivots}
-        for w, (i, j) in enumerate(pairs):
-            for p, x in a.pair(gens[i], gens[j]).items():
-                if p in rows:
-                    rows[p][w] = x
-        cols: list[Vec] = [{} for _ in pairs]
-        for s, row in enumerate(Subspace.from_vectors(len(pairs), rows.values()).vectors()):
-            for w, x in row.items():
-                cols[w][n + s] = x
-        a = LieAlgebra(a.dim, a.labels, {pairs[w]: v for w, v in enumerate(cols) if v})
-    return a, Subspace(a.dim, [{c: _ONE} for c in range(n, a.dim)]), z
+    gens = der.complement_coords()
+    pairs = wedge_pairs(n)
+    last = len(pairs) - 1
+    # A vector of L² is fixed by its entries at the pivots of L²'s RREF basis.
+    rows: dict[int, Vec] = {p: {} for p in der.pivots}
+    for w, (i, j) in enumerate(pairs):
+        for p, x in a.pair(gens[i], gens[j]).items():
+            if p in rows:
+                rows[p][last - w] = x
+    # Reversed, the RREF rows lead at the last independent pairs, latest first.
+    cols: list[Vec] = [{} for _ in pairs]
+    for s, row in enumerate(reversed(Subspace.from_vectors(len(pairs), rows.values()).vectors())):
+        for c, x in row.items():
+            cols[last - c][n + s] = x
+    b = LieAlgebra(a.dim, a.labels, {pairs[w]: v for w, v in enumerate(cols) if v})
+    return b, Subspace(a.dim, [{c: _ONE} for c in range(n, a.dim)]), z
 
 
 def subalgebra_closure(a: LieAlgebra, seed_vectors) -> Subspace:

@@ -47,10 +47,10 @@ def psi2_image(a: LieAlgebra, der: Subspace | None = None) -> Psi2Data:
 
     der is the derived subalgebra of a as rebase_class2 returns it; without it
     a is rebased here, which also rejects class > 2.  K lives in the rebased
-    algebra's coordinates: for an input off the contract the generators are
-    the complement coordinates of L² and the derived basis the brackets of
-    the pivot pairs, so K's coordinates depend on that choice of basis of L²
-    while its dimension does not.  The coordinates are read off the basis
+    algebra's coordinates: the generators are the complement coordinates of
+    L² and the derived basis the brackets of the last independent generator
+    pairs, so K's coordinates depend on that choice of basis of L² while its
+    dimension does not.  The coordinates are read off the basis
     contract: generator g is coordinate g and derived basis vector s is
     coordinate n + s.
     """

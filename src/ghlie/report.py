@@ -19,12 +19,12 @@ _ONE = 1
 class Analysis:
     """What both routes need of one class-2 algebra, computed once per entry call.
 
-    algebra is the input rebased to the basis contract (generators, then L²,
-    the latter in the pivot-bracket basis when the input was off the
-    contract) and derived its L²; center is Z(L) in the input's own
-    coordinates, the one rebase_class2 computed for its class-2 certificate,
-    so capability evidence reads in those coordinates.  Built afresh per
-    call and passed down; never cached on the algebra.
+    algebra is the input rebased to the basis contract (generators, then L²
+    in the basis of brackets of the last independent generator pairs, the
+    one class2_from_relations builds) and derived its L²; center is Z(L) in
+    the input's own coordinates, the one rebase_class2 computed for its
+    class-2 certificate, so capability evidence reads in those coordinates.
+    Built afresh per call and passed down; never cached on the algebra.
     """
 
     algebra: LieAlgebra

@@ -147,12 +147,27 @@ def test_gen_deficient_variant_needs_canonical(ws, capsys, family, extra):
     assert not Path("x.json").exists()
 
 
-@pytest.mark.parametrize("kill", ["1,1", "1,9", "0,2", "1,2;3,3", "5,1"])
+_MALFORMED_KILL = ("1", "1,2,3", "a,b")
+
+
+@pytest.mark.parametrize("kill", ["1,1", "1,9", "0,2", "1,2;3,3", "5,1", *_MALFORMED_KILL])
 def test_gen_kill_pair_outside_the_generators_exits_2(ws, capsys, kill):
     assert main(["gen", "--family", "gh", "--d", "4", "--rank", "5",
                  "--kill", kill, "--out", "k.json"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: --kill pair ") and err.endswith("needs two distinct generators in 1..4\n")
+    if kill in _MALFORMED_KILL:
+        # these used to print Python's unpacking or int() message
+        assert err == f"error: --kill pair '{kill}' must look like i,j\n"
+    else:
+        assert err.startswith("error: --kill pair ") and err.endswith("needs two distinct generators in 1..4\n")
+    assert not Path("k.json").exists()
+
+
+def test_gen_kill_with_canonical_exits_2(ws, capsys):
+    # --canonical used to be dropped: the killed-pair algebra was written without it
+    assert main(["gen", "--family", "gh", "--d", "4", "--rank", "5", "--kill", "1,2",
+                 "--canonical", "--out", "k.json"]) == 2
+    assert capsys.readouterr().err == "error: --kill cannot be combined with --canonical\n"
     assert not Path("k.json").exists()
 
 
@@ -344,6 +359,23 @@ def test_readme_cli_block_runs(ws, capsys):
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, line
         capsys.readouterr()
+
+
+def test_paper_tables_script_rows_are_the_canonical_sweep_rows():
+    # the README's scripts/paper_tables.py: one row per canonical cell, its five
+    # numbers those run_case computes, and no unexpected mismatch
+    script = Path(__file__).resolve().parents[1] / "scripts" / "paper_tables.py"
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "UNEXPECTED" not in done.stdout
+    rows = done.stdout.splitlines()[2:]
+    assert len(rows) == 28
+    cases = {c.name: c for c in grid_cases((3, 4, 5, 6), (1, 2, 3), (0, 1), 0)}
+    for line in rows:
+        name, *numbers = line.split()[:6]
+        dims = run_case(cases.pop(name))["dims"]
+        assert [int(x) for x in numbers] == [dims[k] for k in ("m_L", "wedge", "tensor", "j2", "psi2_rank")], name
+    assert not cases
 
 
 def test_gen_with_explicit_kill_relations(ws, capsys):

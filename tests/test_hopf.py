@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from ghlie.exactla import Matrix, Subspace, kernel_basis, rank, rref, vec_axpy
+from ghlie import hopf
+from ghlie.exactla import Matrix, Subspace, _rref_rows, kernel_basis, rank, vec_axpy
 from ghlie.fixtures import canonical_gh, grid_cases, random_class2, seeded_gh, with_abelian_part
 from ghlie.liealg import (
     GhSpec,
@@ -115,22 +116,17 @@ def test_presentation_of_defect_one():
 
 
 def test_lifts_map_onto_the_derived_basis():
-    # φ(lift_s) = y_s with the lift supported on the pivot columns of RREF(φ):
-    # that pins the lift to the unique solution whose free coordinates are 0
-    for a in (canonical_gh(4, 2), heisenberg(2), random_class2(4, 3), random_class2(5, 8)):
+    # φ(lift_s) = y_s with the lift one unit entry: the last pair whose bracket
+    # has a y_s term, and in the rebased basis that bracket is y_s itself
+    for a in (canonical_gh(4, 2), heisenberg(2), random_class2(4, 3), random_class2(5, 8),
+              rational_basis(seeded_gh(4, 2, 1), 4), direct_sum(heisenberg(1), abelian(2))):
         p = presentation_from_class2(a)
         t, h = p.target, p.hall
-        phi = Matrix(h.grade2_dim, [
-            {w: x for w, ij in enumerate(h.pairs) for k, x in t.pair(*ij).items() if k == h.d + s}
-            for s in range(len(p.lifts))
-        ])
-        pivots = {min(row) for row in rref(phi)[0].rows if row}
         for s, lift in enumerate(p.lifts):
-            assert set(lift) <= pivots
-            image = {}
-            for w, x in lift.items():
-                vec_axpy(image, x, t.pair(*h.pairs[w]))
-            assert image == {h.d + s: ONE}
+            [(w, x)] = lift.items()
+            assert x == 1
+            assert t.pair(*h.pairs[w]) == {h.d + s: ONE}
+            assert all(h.d + s not in t.pair(*h.pairs[v]) for v in range(w + 1, h.grade2_dim))
 
 
 def test_presentation_of_heisenberg1():
@@ -383,6 +379,47 @@ def test_shared_beta_matches_per_call_reference():
         assert exterior_center(q) == want_ec
         assert ker_beta(q) == want_kb
         assert exterior_center(q) == want_ec
+
+
+def _reference_lifts(p):
+    """The lifts as presentation_from_class2 solved for them before they were read
+    off the rebased table: all from one RREF of [φ | I_r], x_s = Σ_i E[i][s] e_(pivot i)
+    with the free coordinates 0."""
+    t, h = p.target, p.hall
+    g2, r = h.grade2_dim, len(p.lifts)
+    phi_rows = [{} for _ in range(r)]
+    for w, (i, j) in enumerate(h.pairs):
+        for k, x in t.pair(i, j).items():
+            phi_rows[k - h.d][w] = x
+    lifts = [{} for _ in range(r)]
+    for row in _rref_rows([{**row, g2 + s: ONE} for s, row in enumerate(phi_rows)]):
+        piv = min(row)
+        assert piv < g2, "derived basis vector is not in the bracket image"
+        for c, x in row.items():
+            if c >= g2:
+                lifts[c - g2][piv] = x
+    return lifts
+
+
+def test_beta_images_match_the_solved_lifts_reference():
+    # a unit lift and the solved one differ by an element of rel2, and
+    # [rel2, x_g] lies in [R,F], so the β images mod [R,F] agree
+    inputs = [c.build() for c in grid_cases((3, 4, 5), (1, 2, 3), (0, 1), 1)]
+    inputs += [heisenberg(m) for m in (1, 2)] + [abelian(2), direct_sum(heisenberg(1), abelian(1))]
+    dense = [seeded_gh(4, 1, 0), seeded_gh(4, 3, 1), random_class2(4, 3), random_class2(5, 8),
+             with_abelian_part(seeded_gh(3, 1, 2), 1), with_abelian_part(canonical_gh(4, 2), 1),
+             heisenberg(2), direct_sum(heisenberg(1), abelian(1))]
+    inputs += [rational_basis(a, s) for s, a in enumerate(dense)]
+    assert len(inputs) >= 40
+    differ = 0
+    for a in inputs:
+        p = presentation_from_class2(a)
+        h, rf = p.hall, p.rel_bracket_span
+        lifts = _reference_lifts(p)
+        differ += lifts != p.lifts
+        want = [rf.quotient_coords(_reference_wedge_gen_bracket(h, y, g)) for y in lifts for g in range(h.d)]
+        assert hopf._beta_images(p) == want
+    assert differ  # the unit lifts are not the solved ones on every input
 
 
 # --- the cover's table against the free-bracket build it replaced -----------------------

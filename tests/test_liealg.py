@@ -274,7 +274,7 @@ def test_rebase_class2_restores_contract():
     assert der.pivots == (3, 4)
     assert all(len(v) == 1 for v in der.vectors())
     assert z == center(scrambled)
-    assert rebase_class2(a)[0] is a  # contract already holds
+    assert rebase_class2(a)[0] == a  # class2_from_relations builds the same basis
 
 
 def test_rebase_of_direct_sum_orders_generators_first():
@@ -400,7 +400,6 @@ def _check_rebase_against_reference(a):
     b0, der0 = want
     assert z == center(a)
     assert (b.dim, der.dim) == (b0.dim, der0.dim)
-    assert (b is a) == (b0 is a)
     n, r = b.dim - der.dim, der.dim
     # on the contract: L² is the trailing unit coordinates, and the table is a Lie algebra
     assert der == derived_subalgebra(b) and der.pivots == tuple(range(n, b.dim))
@@ -408,22 +407,27 @@ def _check_rebase_against_reference(a):
     assert jacobi_check(b) == []
     assert presentation_from_class2(b, der).rel2 == presentation_from_class2(b0, der0).rel2
     assert dimensions(psi2_image(b, der)) == dimensions(psi2_image(b0, der0))
-    if b is a:
-        return
     pairs = wedge_pairs(n)
+    last = len(pairs) - 1
+
+    def flip(rows):
+        return [{last - w: x for w, x in row.items()} for row in rows]
+
     # the generator brackets agree up to the change of derived basis: the
-    # rebased constants are the RREF of the reference's
+    # rebased constants are the RREF of the reference's with the pair columns
+    # reversed, its rows taken by ascending pivot pair
     phi = [{w: b.pair(i, j)[n + s] for w, (i, j) in enumerate(pairs) if n + s in b.pair(i, j)}
            for s in range(r)]
     phi0 = [{w: b0.pair(i, j)[n + s] for w, (i, j) in enumerate(pairs) if n + s in b0.pair(i, j)}
             for s in range(r)]
-    assert phi == Subspace.from_vectors(len(pairs), phi0).vectors()
-    # each derived basis vector is the bracket of its pivot pair (a unit entry), and
+    assert phi == flip(reversed(Subspace.from_vectors(len(pairs), flip(phi0)).vectors()))
+    # each derived basis vector is the bracket of its pivot pair, the last pair
+    # whose bracket has a term in it (a unit entry), and
     # generator i -> unit complement coordinate gens[i] of L² embeds b in a
     gens = derived_subalgebra(a).complement_coords()
     images = [{g: ONE} for g in gens]
     for s in range(r):
-        w = min(phi[s])
+        w = max(phi[s])
         assert b.pair(*pairs[w]) == {n + s: ONE}
         images.append(a.pair(gens[pairs[w][0]], gens[pairs[w][1]]))
     assert mat_rank(Matrix(a.dim, images)) == a.dim
@@ -458,3 +462,47 @@ def test_rebase_rejects_jacobi_violations():
         if jacobi_check(a):
             with pytest.raises(ClassTwoRequired):
                 rebase_class2(a)
+
+
+# --- the rebase's one normal form: the basis class2_from_relations builds -----------
+
+from ghlie.fixtures import defect_variants  # noqa: E402
+from ghlie.liealg import class2_from_relations  # noqa: E402
+
+
+def _random_relations(d, rng):
+    """A wedge subspace of any dimension, spanned by rows of small nonzero entries."""
+    n = d * (d - 1) // 2
+    rows = [
+        {c: rng.choice((-3, -2, -1, 1, 2, 3)) for c in rng.sample(range(n), rng.randint(1, n))}
+        for _ in range(rng.randint(0, n))
+    ]
+    return Subspace.from_vectors(n, rows)
+
+
+@given(st.integers(min_value=2, max_value=7), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=80, deadline=None)
+def test_rebase_returns_class2_from_relations_tables(d, seed):
+    rng = random.Random(seed)
+    a = class2_from_relations(d, _random_relations(d, rng))
+    assert rebase_class2(a)[0] == a
+    # off the contract the rebase lands in the same normal form, so it is idempotent
+    off = [direct_sum(a, abelian(rng.randint(1, 2)))]
+    if a.dim <= 10:
+        off.append(_in_rational_basis(a, seed))
+    for c in off:
+        b = rebase_class2(c)[0]
+        assert rebase_class2(b)[0] == b
+
+
+def test_rebase_returns_canonical_heisenberg_and_abelian_tables():
+    tables = [
+        canonical_gh(d, defect, variant)
+        for d in range(3, 9)
+        for defect in (1, 2, 3)
+        if defect < 3 or d >= 4
+        for variant in defect_variants(d, defect)
+    ]
+    tables += [heisenberg(m) for m in range(1, 5)] + [abelian(n) for n in range(5)]
+    for a in tables:
+        assert rebase_class2(a)[0] == a
