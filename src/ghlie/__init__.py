@@ -20,7 +20,6 @@ from .liealg import (
     is_generalized_heisenberg,
     jacobi_check,
     lower_central_series,
-    minimal_generators,
     quotient,
 )
 from .multiplier import dimensions, psi2_image, square_dim

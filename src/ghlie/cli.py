@@ -12,6 +12,7 @@ positive integers (exit 2 otherwise).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from contextlib import contextmanager
@@ -201,22 +202,11 @@ def cmd_cover(args) -> int:
     out_meta = dict(meta, B=b_rows, cover_of=meta.get("family", ""))
     _emit(docio.algebra_to_document(cov.algebra, out_meta), args.out)
     report = {
-        "cover_dim": rep.cover_dim,
-        "expected_dim": rep.expected_dim,
-        "class": rep.nilpotency_class,
-        "z_in_derived": rep.z_in_derived,
-        "b_central": rep.b_central,
-        "b_in_derived": rep.b_in_derived,
-        "b_dim": rep.b_dim,
-        "multiplier": rep.multiplier,
-        "quotient_matches": rep.quotient_matches,
-        "cube_dim": rep.cube_dim,
-        "s": rep.s,
-        "defect": rep.defect,
-        "branch_ok": rep.branch_ok,
-        "witness_ok": rep.witness_ok,
-        "ok": rep.ok,
+        ("class" if key == "nilpotency_class" else key): value
+        for key, value in dataclasses.asdict(rep).items()
+        if key != "expected_class"
     }
+    report["ok"] = rep.ok
     stream = sys.stdout if args.out else sys.stderr
     print(json.dumps(report, indent=2), file=stream)
     return 0 if rep.ok else 5

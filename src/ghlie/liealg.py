@@ -305,11 +305,6 @@ def is_generalized_heisenberg(a: LieAlgebra) -> bool:
     return center(a) == derived_subalgebra(a)
 
 
-def minimal_generators(a: LieAlgebra) -> int:
-    """dim L/L²; the minimal generator count for nilpotent algebras."""
-    return a.dim - derived_subalgebra(a).dim
-
-
 def change_of_basis(a: LieAlgebra, new_basis: Matrix) -> LieAlgebra:
     """Structure constants in the basis b'_i = row i of new_basis (invertible)."""
     rows = new_basis.rows
@@ -343,7 +338,7 @@ def rebase_class2(a: LieAlgebra) -> tuple[LieAlgebra, Subspace, Subspace]:
     reversed, and the columns of that RREF are the rebased structure
     constants.  This is the basis class2_from_relations builds, so its
     tables come back equal and the rebase is idempotent.  a's labels are
-    kept.
+    permuted with the coordinates: generators, then the pivots of L².
     """
     der = derived_subalgebra(a)
     z = center(a)
@@ -364,7 +359,8 @@ def rebase_class2(a: LieAlgebra) -> tuple[LieAlgebra, Subspace, Subspace]:
     for s, row in enumerate(reversed(Subspace.from_vectors(len(pairs), rows.values()).vectors())):
         for c, x in row.items():
             cols[last - c][n + s] = x
-    b = LieAlgebra(a.dim, a.labels, {pairs[w]: v for w, v in enumerate(cols) if v})
+    labels = [a.labels[g] for g in gens] + [a.labels[p] for p in der.pivots]
+    b = LieAlgebra(a.dim, labels, {pairs[w]: v for w, v in enumerate(cols) if v})
     return b, Subspace(a.dim, [{c: _ONE} for c in range(n, a.dim)]), z
 
 

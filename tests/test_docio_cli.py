@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -520,7 +521,12 @@ def _cli_table(seed):
         })
     else:
         return abelian(0)
-    while True:  # a seeded rational basis, off the basis contract
+    return _in_rational_basis(a, rng)
+
+
+def _in_rational_basis(a, rng):
+    """a in a seeded rational basis, off the basis contract."""
+    while True:
         m = Matrix.from_dense([[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(a.dim)]
                                for _ in range(a.dim)])
         if mat_rank(m) == a.dim:
@@ -540,3 +546,56 @@ def test_jacobi_scan_only_on_rejected_input_matches_full_scan(ws, capsys, monkey
             assert got == want, (seed, argv)
             codes.add(got[0])
     assert {0, 2, 4} <= codes
+
+
+# --- the cover command's output, pinned -----------------------------------------------
+
+def _cover_documents():
+    """name -> (algebra, family) of the documents whose `cover` output is pinned."""
+    return {
+        "canonical-d3-defect1": (canonical_gh(3, 1), "gh"),
+        "canonical-d4-defect2": (canonical_gh(4, 2), "gh"),
+        "canonical-d4-defect3-deficient": (canonical_gh(4, 3, "deficient"), "gh"),
+        "canonical-d5-defect3": (canonical_gh(5, 3), "gh"),
+        "seeded-d6-defect1": (seeded_gh(6, 1, 0), "gh"),
+        "A(0)": (abelian(0), "abelian"),
+        "A(3)": (abelian(3), "abelian"),
+        "H(2)": (heisenberg(2), "heisenberg"),
+        "H(1)+A(1)": (direct_sum(heisenberg(1), abelian(1)), "sum"),
+        "rational-d4-defect1": (_in_rational_basis(seeded_gh(4, 1, 0), random.Random(4)), "gh"),
+    }
+
+
+# sha256 of json.dumps([exit code, stdout, stderr, --out document]); the last two
+# inputs are off the basis contract, and their cover labels follow the rebase
+_COVER_SHA256 = {
+    "canonical-d3-defect1": "da241951a86b1e71048b93941b3b74e8d0d7165cdb5df90560a2805d148c6bbb",
+    "canonical-d4-defect2": "0073b19dd03c5738ae25c2d1ebe9ba4526cef3095dd6142178bcc8d2eb973626",
+    "canonical-d4-defect3-deficient": "d6698d612b4839bd87f81a304b3729cafd34248bbf257ce2273f03b033047818",
+    "canonical-d5-defect3": "00f7cfbe262a7f58e42230d73361885b8b26b605cf4c96fa45ff244b8e9107e4",
+    "seeded-d6-defect1": "8017d4cb78910bd72fd944aa81493be22438957f5c44a4043f551627b841b22a",
+    "A(0)": "3e8313994f9c57208d79ed98ccf34d77bb48473ac9c5a410e5113c15d0056095",
+    "A(3)": "59cdf866a3f1f4ae6e09f9e46b17ffa97f8efbb8676322fb97400d8cf97a1ed8",
+    "H(2)": "a78e98f801052c3b5d61ab3c90be396ab28dbcb0e96994a036331d0fb23749cc",
+    "H(1)+A(1)": "31d57f898889c3fb275c657681da25d6a19ff456d6f685b6af46a173cbe9861c",
+    "rational-d4-defect1": "9d73dc3e8ff61ba8d346f5eaf76b25b0b6b9b83abb453721a40edbfd0fb2201f",
+}
+
+
+def test_cover_output_matches_pinned_digests(ws, capsys):
+    got = {}
+    for name, (a, family) in _cover_documents().items():
+        docio.write_document("l.json", a, {"family": family})
+        code = main(["cover", "l.json", "--out", "c.json"])
+        out, err = capsys.readouterr()
+        text = Path("c.json").read_text(encoding="utf-8")
+        got[name] = hashlib.sha256(json.dumps([code, out, err, text]).encode("utf-8")).hexdigest()
+    assert got == _COVER_SHA256
+
+
+def test_cover_labels_follow_the_rebased_generators(ws, capsys):
+    # H(1)+A(1) is x1, x2, z, a1 with z = [x1, x2]: its generators are x1, x2, a1
+    docio.write_document("l.json", direct_sum(heisenberg(1), abelian(1)))
+    assert main(["cover", "l.json", "--out", "c.json"]) == 0
+    doc = json.loads(Path("c.json").read_text(encoding="utf-8"))
+    assert doc["labels"][:6] == ["x1", "x2", "a1", "[x1,x2]", "[x1,a1]", "[x2,a1]"]

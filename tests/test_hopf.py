@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -22,6 +23,8 @@ from ghlie.liealg import (
     heisenberg,
     jacobi_check,
     lower_central_series,
+    quotient,
+    rebase_class2,
 )
 from ghlie.hopf import (
     cover_construct,
@@ -508,3 +511,101 @@ def test_cover_construct_matches_free_bracket_reference():
         assert cov.algebra == ref_algebra
         assert cov.algebra.labels == ref_algebra.labels
         assert cov.central_ideal == ref_b
+
+
+# --- verify_cover against the second presentation it no longer builds ---------------------
+
+def _reference_iso_onto_target(p, canonical):
+    """Generator-fixing map canonical -> target is a bracket isomorphism."""
+    t = p.target
+    d = p.hall.d
+    images = [{i: ONE} for i in range(d)]
+    for c in p.rel2.complement_coords():
+        i, j = p.hall.pairs[c]
+        images.append(t.pair(i, j))
+    if rank(Matrix(t.dim, images)) != t.dim:
+        return False
+    for i, j in itertools.combinations(range(canonical.dim), 2):
+        lhs = bracket_vectors(t, images[i], images[j])
+        rhs = {}
+        for k, x in canonical.pair(i, j).items():
+            vec_axpy(rhs, x, images[k])
+        if lhs != rhs:
+            return False
+    return True
+
+
+def _reference_verify_cover(a, cover, b):
+    """verify_cover as it was: a second free presentation, the quotient compared
+    with class2_from_relations(d, rel2) through a generator-fixing isomorphism
+    check, and dim rel2 as the defect bound."""
+    a, der_a, _ = rebase_class2(a)
+    p = presentation_from_class2(a, der_a)
+    der = derived_subalgebra(cover)
+    z = center(cover)
+    series = lower_central_series(cover, der)
+    cls = sum(1 for t in series if t.dim) if series[-1].dim == 0 else -1
+    cube = series[2] if len(series) > 2 else Subspace.zero(cover.dim)
+    k = psi2_image(a, der_a)
+    m_dim = dimensions(k)["m_L"]
+    quo = quotient(cover, b)
+    canonical = class2_from_relations(p.hall.d, p.rel2)
+    s = b.dim - cube.dim
+    return hopf.CoverReport(
+        cover_dim=cover.dim,
+        expected_dim=a.dim + m_dim,
+        nilpotency_class=cls,
+        expected_class=3 if k.r * k.n > k.rank else min(a.dim, 2),
+        z_in_derived=all(der.contains_vec(u) for u in z.vectors()),
+        b_central=all(z.contains_vec(u) for u in b.vectors()),
+        b_in_derived=all(der.contains_vec(u) for u in b.vectors()),
+        b_dim=b.dim,
+        multiplier=m_dim,
+        quotient_matches=quo.bracket == canonical.bracket and _reference_iso_onto_target(p, canonical),
+        cube_dim=cube.dim,
+        s=s,
+        defect=p.rel2.dim,
+        branch_ok=all(b.contains_vec(u) for u in cube.vectors()) and 0 <= s <= p.rel2.dim,
+        witness_ok=hopf._extension_witness_agrees(p, cover, series) if p.hall.d == 3 else None,
+    )
+
+
+def test_verify_cover_matches_the_second_presentation_reference():
+    inputs = [c.build() for c in grid_cases((3, 4, 5), (1, 2, 3), (0,), 1)]
+    inputs += [abelian(n) for n in range(5)] + [heisenberg(m) for m in (1, 2, 3)]
+    inputs += [direct_sum(heisenberg(1), abelian(t)) for t in (1, 2)]
+    inputs += [with_abelian_part(canonical_gh(d, k), 1) for d, k in ((3, 1), (4, 2), (5, 3))]
+    inputs += [random_class2(d, s) for d, s in ((3, 0), (4, 1), (4, 7))]
+    dense = [seeded_gh(4, 1, 0), seeded_gh(4, 3, 1), canonical_gh(4, 3, "deficient"),
+             with_abelian_part(seeded_gh(3, 1, 2), 1), random_class2(4, 3), heisenberg(2),
+             abelian(3), direct_sum(heisenberg(1), abelian(1))]
+    inputs += [rational_basis(a, s) for s, a in enumerate(dense)]
+    assert len(inputs) >= 40
+    checked = mismatched = 0
+    for a in inputs:
+        p = presentation_from_class2(a)
+        cover, b = _cover_pair(p)
+        # the input itself, off the basis contract or not, and the rebased target
+        for x in (a, p.target):
+            got = dataclasses.asdict(verify_cover(x, cover, b))
+            assert got == dataclasses.asdict(_reference_verify_cover(x, cover, b))
+            assert got["quotient_matches"]
+            checked += 1
+    # a cover of one algebra checked against another of the same dimension
+    pairs = [(heisenberg(2), direct_sum(heisenberg(1), abelian(2))),
+             (canonical_gh(4, 1), seeded_gh(4, 1, 0)),
+             (canonical_gh(4, 3, "generic"), canonical_gh(4, 3, "deficient")),
+             (abelian(4), direct_sum(heisenberg(1), abelian(1))),
+             (canonical_gh(3, 1), rational_basis(seeded_gh(3, 1, 1), 5))]
+    for x, y in pairs:
+        assert x.dim == y.dim
+        for cover_of, a in ((x, y), (y, x)):
+            cover, b = _cover_pair(presentation_from_class2(cover_of))
+            got = dataclasses.asdict(verify_cover(a, cover, b))
+            assert got == dataclasses.asdict(_reference_verify_cover(a, cover, b))
+            mismatched += not got["quotient_matches"]
+    assert checked >= 80 and mismatched >= 2
+    # the reference compared brackets only, so it took the quotient A(3) for A(2)
+    cover, b = _cover_pair(presentation_from_class2(abelian(3)))
+    assert _reference_verify_cover(abelian(2), cover, b).quotient_matches
+    assert not verify_cover(abelian(2), cover, b).quotient_matches
