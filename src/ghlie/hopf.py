@@ -295,7 +295,7 @@ def verify_cover(a: LieAlgebra, cover: LieAlgebra, b: Subspace) -> CoverReport:
     a, der_a, _ = rebase_class2(a)
     d = a.dim - der_a.dim
     der = derived_subalgebra(cover)
-    z = center(cover)
+    z = center(cover, der)
     series = lower_central_series(cover, der)
     # The class counts the nonzero terms; -1 marks a non-nilpotent cover.
     cls = sum(1 for t in series if t.dim) if series[-1].dim == 0 else -1

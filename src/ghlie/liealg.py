@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from .exactla import (
     Matrix,
@@ -98,14 +99,33 @@ def bracket_vectors(a: LieAlgebra, u: Vec, v: Vec) -> Vec:
     return out
 
 
+def _adjoint(a: LieAlgebra) -> list[dict[int, Vec]]:
+    """adj[i][j] = [e_i, e_j] for the stored brackets, in both orders."""
+    adj: list[dict[int, Vec]] = [{} for _ in range(a.dim)]
+    for (i, j), w in a.bracket.items():
+        adj[i][j], adj[j][i] = w, {k: -x for k, x in w.items()}
+    return adj
+
+
+def _ad_basis(adj: list[dict[int, Vec]], vectors) -> Iterator[Vec]:
+    """The nonzero [u, e_j] for u in vectors, read from u's support and the adjoint index."""
+    for u in vectors:
+        out: dict[int, Vec] = {}
+        for i, x in u.items():
+            for j, w in adj[i].items():
+                vec_axpy(out.setdefault(j, {}), x, w)
+        yield from (w for w in out.values() if w)
+
+
 def jacobi_check(a: LieAlgebra) -> list[tuple[int, int, int]]:
     """Triples i<j<k violating the Jacobi identity (empty list = valid table)."""
     bad = []
-    e = [{i: _ONE} for i in range(a.dim)]
+    adj = _adjoint(a)
     for i, j, k in itertools.combinations(range(a.dim), 3):
-        acc = dict(bracket_vectors(a, a.pair(i, j), e[k]))
-        vec_axpy(acc, _ONE, bracket_vectors(a, a.pair(k, i), e[j]))
-        vec_axpy(acc, _ONE, bracket_vectors(a, a.pair(j, k), e[i]))
+        acc: Vec = {}
+        for p, q, r in ((i, j, k), (k, i, j), (j, k, i)):
+            for m, x in adj[p].get(q, {}).items():
+                vec_axpy(acc, x, adj[m].get(r, {}))
         if acc:
             bad.append((i, j, k))
     return bad
@@ -115,34 +135,32 @@ def derived_subalgebra(a: LieAlgebra) -> Subspace:
     return Subspace.from_vectors(a.dim, list(a.bracket.values()))
 
 
-def center(a: LieAlgebra) -> Subspace:
-    """Kernel of v -> ([v, b_j])_j, assembled from the stacked adjoint maps."""
+def center(a: LieAlgebra, der: Subspace | None = None) -> Subspace:
+    """Kernel of v -> ([v, b_j])_j, assembled from the stacked adjoint maps; der is L² if known.
+
+    Each [v, b_j] lies in L², the span of the table's values, and a vector of L² is fixed
+    by its entries at the pivots of L²'s RREF: only those rows (j, k) are kept, for any table.
+    """
     n = a.dim
+    piv = set((derived_subalgebra(a) if der is None else der).pivots)
     rows: dict[int, Vec] = {}
     for (i, j), w in a.bracket.items():
         for k, x in w.items():
             # [e_i, e_j] = w puts x in row (j, k) col i and -x in row (i, k) col j;
             # no other bracket writes either entry.  Rows no bracket writes are zero.
-            rows.setdefault(j * n + k, {})[i] = x
-            rows.setdefault(i * n + k, {})[j] = -x
+            if k in piv:
+                rows.setdefault(j * n + k, {})[i] = x
+                rows.setdefault(i * n + k, {})[j] = -x
     return kernel_basis(Matrix(n, rows.values()))
 
 
 def lower_central_series(a: LieAlgebra, der: Subspace | None = None) -> list[Subspace]:
     """[L, L², L³, ...] down to stabilization (last term zero iff nilpotent); der is L² if known."""
     series = [Subspace.full(a.dim), derived_subalgebra(a) if der is None else der]
-    while True:
-        prev = series[-1]
-        if prev.dim == 0:
-            break
-        gens = [
-            w
-            for u in prev.vectors()
-            for j in range(a.dim)
-            if (w := bracket_vectors(a, u, {j: _ONE}))
-        ]
-        nxt = Subspace.from_vectors(a.dim, gens)
-        if nxt == prev:
+    adj = _adjoint(a)
+    while series[-1].dim:
+        nxt = Subspace.from_vectors(a.dim, list(_ad_basis(adj, series[-1].vectors())))
+        if nxt == series[-1]:
             break
         series.append(nxt)
     return series
@@ -161,20 +179,14 @@ def quotient(a: LieAlgebra, ideal: Subspace) -> LieAlgebra:
     """Quotient algebra L/ideal on the complement coordinates of the ideal."""
     if ideal.ambient_dim != a.dim:
         raise ValueError("ideal lives in the wrong ambient space")
-    for u in ideal.vectors():
-        for j in range(a.dim):
-            if not ideal.contains_vec(bracket_vectors(a, u, {j: _ONE})):
-                raise NotAnIdealError("subspace is not an ideal")
+    if not all(ideal.contains_vec(w) for w in _ad_basis(_adjoint(a), ideal.vectors())):
+        raise NotAnIdealError("subspace is not an ideal")
     comp = ideal.complement_coords()
-    new_dim = len(comp)
-    table = {}
-    for s, t in itertools.combinations(range(new_dim), 2):
-        w = a.pair(comp[s], comp[t])
-        img = ideal.quotient_coords(w)
-        if img:
-            table[(s, t)] = img
-    labels = tuple(a.labels[c] for c in comp)
-    return LieAlgebra(new_dim, labels, table)
+    table = {
+        (s, t): ideal.quotient_coords(a.pair(comp[s], comp[t]))
+        for s, t in itertools.combinations(range(len(comp)), 2)
+    }
+    return LieAlgebra(len(comp), [a.labels[c] for c in comp], table)
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
@@ -302,7 +314,8 @@ def gh_construct(spec: GhSpec) -> LieAlgebra:
 
 def is_generalized_heisenberg(a: LieAlgebra) -> bool:
     """True iff the derived subalgebra equals the center (as subspaces)."""
-    return center(a) == derived_subalgebra(a)
+    der = derived_subalgebra(a)
+    return center(a, der) == der
 
 
 def change_of_basis(a: LieAlgebra, new_basis: Matrix) -> LieAlgebra:
@@ -341,7 +354,7 @@ def rebase_class2(a: LieAlgebra) -> tuple[LieAlgebra, Subspace, Subspace]:
     permuted with the coordinates: generators, then the pivots of L².
     """
     der = derived_subalgebra(a)
-    z = center(a)
+    z = center(a, der)
     if not all(z.contains_vec(v) for v in der.vectors()):
         raise ClassTwoRequired("input must be nilpotent of class at most 2")
     n = a.dim - der.dim

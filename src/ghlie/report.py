@@ -271,19 +271,17 @@ def capability_by_quotients(a: LieAlgebra, random_lines: int = 4, seed: int = 0)
     one-dimensional central quotients M(L/K) < M(L) only corroborate, since the
     drop criterion is one-directional.  Lines are in the input's coordinates;
     a random line that comes out zero is drawn again, up to _RETRY_BUDGET
-    draws per line (ValueError beyond).
+    draws per line (ValueError beyond, as for random_lines < 0).
     """
+    if random_lines < 0:
+        raise ValueError(f"the number of random lines must be nonnegative, got {random_lines}")
     ctx = Analysis.of(a)
     if ctx.r == 0:
         raise ClassTwoRequired("capability pipeline expects a non-abelian class-2 algebra")
     ec = hopf.exterior_center(ctx.presentation)
     m = dimensions(ctx.k)["m_L"]
     z = ctx.center
-    lines: list[Vec] = []
-    for c in range(a.dim):
-        unit = {c: _ONE}
-        if z.contains_vec(unit):
-            lines.append(unit)
+    lines: list[Vec] = [{c: _ONE} for c in range(a.dim) if z.contains_vec({c: _ONE})]
     rng = random.Random(seed)
     zvecs = z.vectors()
     for _ in range(random_lines):

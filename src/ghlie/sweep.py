@@ -63,6 +63,8 @@ def _runner(args) -> dict:
 
 
 def run_sweep(cfg: SweepConfig) -> dict:
+    if cfg.seeds < 0:
+        raise ValueError(f"the number of seeds must be nonnegative, got {cfg.seeds}")
     cases = grid_cases(cfg.d_values, cfg.defects, cfg.t_values, cfg.seeds)
     if not cases:
         raise ValueError("the sweep grid has no cases")

@@ -459,6 +459,25 @@ def test_sweep_nonpositive_jobs_exits_2(ws, capsys):
     assert "jobs must be a positive integer" in capsys.readouterr().err
 
 
+def test_negative_counts_exit_2(ws, capsys):
+    # a negative count used to run an empty range: canonical cases only, or no random line
+    from ghlie.report import capability_by_quotients
+    from ghlie.sweep import run_sweep
+
+    with pytest.raises(ValueError, match="seeds must be nonnegative"):
+        run_sweep(SweepConfig(d_values=(3,), defects=(1,), t_values=(0,), seeds=-1, jobs=1))
+    with pytest.raises(ValueError, match="random lines must be nonnegative"):
+        capability_by_quotients(heisenberg(2), random_lines=-1)
+    assert main(["sweep", "--d", "3", "--defect", "1", "--t", "0", "--seeds", "-1", "--jobs", "1"]) == 2
+    assert capsys.readouterr().err == "error: the number of seeds must be nonnegative, got -1\n"
+    docio.write_document("h2.json", heisenberg(2))
+    assert main(["capable", "h2.json", "--random-lines", "-1"]) == 2
+    assert capsys.readouterr().err == "error: the number of random lines must be nonnegative, got -1\n"
+    # zero stays a valid count
+    assert main(["capable", "h2.json", "--random-lines", "0"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["evidence"]) == 1
+
+
 @pytest.mark.parametrize("jobs, cores, workers", [
     (100_000, 2, 2),    # capped by the cores
     (100_000, 64, 4),   # capped by the 4 cases

@@ -505,3 +505,194 @@ def test_rebase_returns_canonical_heisenberg_and_abelian_tables():
     tables += [heisenberg(m) for m in range(1, 5)] + [abelian(n) for n in range(5)]
     for a in tables:
         assert rebase_class2(a)[0] == a
+
+
+# --- brackets from the table's nonzeros (differential) -------------------------------
+#
+# center reads only the rows (j, k) at L²'s pivots, and lower_central_series,
+# quotient's ideal check and jacobi_check bracket through the adjoint index of
+# the stored brackets.  The scans they replace are kept here as references.
+
+from ghlie.docio import write_document  # noqa: E402
+from ghlie.exactla import kernel_basis, vec  # noqa: E402
+from ghlie.fixtures import with_abelian_part  # noqa: E402
+
+
+def _reference_center(a):
+    """center as it was: the kernel of every row (j, k) of the stacked adjoint maps."""
+    n = a.dim
+    rows = {}
+    for (i, j), w in a.bracket.items():
+        for k, x in w.items():
+            rows.setdefault(j * n + k, {})[i] = x
+            rows.setdefault(i * n + k, {})[j] = -x
+    return kernel_basis(Matrix(n, rows.values()))
+
+
+def _reference_lower_central_series(a):
+    """lower_central_series as it was: bracket_vectors(a, u, e_j) for every u and every j."""
+    series = [Subspace.full(a.dim), derived_subalgebra(a)]
+    while True:
+        prev = series[-1]
+        if prev.dim == 0:
+            break
+        gens = [
+            w
+            for u in prev.vectors()
+            for j in range(a.dim)
+            if (w := bracket_vectors(a, u, {j: ONE}))
+        ]
+        nxt = Subspace.from_vectors(a.dim, gens)
+        if nxt == prev:
+            break
+        series.append(nxt)
+    return series
+
+
+def _reference_quotient(a, ideal):
+    """quotient as it was: every ideal vector bracketed with every e_j by bracket_vectors."""
+    for u in ideal.vectors():
+        for j in range(a.dim):
+            if not ideal.contains_vec(bracket_vectors(a, u, {j: ONE})):
+                raise NotAnIdealError("subspace is not an ideal")
+    comp = ideal.complement_coords()
+    table = {}
+    for s, t in itertools.combinations(range(len(comp)), 2):
+        img = ideal.quotient_coords(a.pair(comp[s], comp[t]))
+        if img:
+            table[(s, t)] = img
+    return LieAlgebra(len(comp), tuple(a.labels[c] for c in comp), table)
+
+
+def _reference_jacobi_check(a):
+    """jacobi_check as it was: three bracket_vectors calls per triple."""
+    bad = []
+    e = [{i: ONE} for i in range(a.dim)]
+    for i, j, k in itertools.combinations(range(a.dim), 3):
+        acc = dict(bracket_vectors(a, a.pair(i, j), e[k]))
+        vec_axpy(acc, ONE, bracket_vectors(a, a.pair(k, i), e[j]))
+        vec_axpy(acc, ONE, bracket_vectors(a, a.pair(j, k), e[i]))
+        if acc:
+            bad.append((i, j, k))
+    return bad
+
+
+def _class_marker(series):
+    """verify_cover's class: the nonzero terms, or -1 when the series stalls above zero."""
+    return sum(1 for t in series if t.dim) if series[-1].dim == 0 else -1
+
+
+def _candidate_ideals(a, rng):
+    """L², Z(L), and lines, planes and Z(L) + a line, which are often not ideals."""
+    if a.dim == 0:
+        return [Subspace.zero(0)]
+    z = _reference_center(a)
+    lines = [{0: ONE}, {a.dim - 1: ONE}, vec({c: F(rng.randint(-3, 3), rng.randint(1, 3)) for c in range(a.dim)})]
+    plane = [{rng.randrange(a.dim): ONE}, vec({c: rng.randint(-2, 2) for c in range(a.dim)})]
+    # Z(L) plus a unit line at or past Z(L)'s first pivot, often not central
+    central_first = z.vectors() + [{rng.randrange(min(z.pivots, default=0), a.dim): ONE}]
+    return [derived_subalgebra(a), z] + [
+        Subspace.from_vectors(a.dim, vs) for vs in [plane, central_first] + [[v] for v in lines]
+    ]
+
+
+def _check_brackets_against_reference(a, ideals=()):
+    der = derived_subalgebra(a)
+    z = _reference_center(a)
+    assert center(a) == z
+    assert center(a, der) == z
+    series = _reference_lower_central_series(a)
+    assert lower_central_series(a) == series
+    assert lower_central_series(a, der) == series
+    assert _class_marker(lower_central_series(a, der)) == _class_marker(series)
+    assert jacobi_check(a) == _reference_jacobi_check(a)
+    outcomes = set()
+    for sub in ideals:
+        try:
+            want = _reference_quotient(a, sub)
+        except NotAnIdealError:
+            with pytest.raises(NotAnIdealError):
+                quotient(a, sub)
+            outcomes.add("not an ideal")
+            continue
+        got = quotient(a, sub)
+        assert got == want and got.labels == want.labels
+        outcomes.add("ideal")
+    return outcomes
+
+
+@given(st.integers(min_value=0, max_value=len(_CLASS2_ZOO) + len(_REJECTED_ZOO)),
+       st.integers(min_value=0, max_value=10**6), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_brackets_match_reference_on_the_zoo(kind, seed, rational):
+    # class <= 2, class 3, not nilpotent, Jacobi failing, and random tables
+    zoo = _CLASS2_ZOO + _REJECTED_ZOO + (_random_table,)
+    a = zoo[kind](seed)
+    if rational:
+        a = _in_rational_basis(a, seed)
+    _check_brackets_against_reference(a, _candidate_ideals(a, random.Random(seed)))
+
+
+def _harness_algebra(d, t, seed):
+    """The harness's class-2 cores (d + t <= 5 generators), in a random rational basis."""
+    core = random_class2(d, seed) if seed % 2 else seeded_gh(d, 1 + seed % 3 if d == 4 else 1 + seed % 2, seed)
+    return _in_rational_basis(with_abelian_part(core, min(t, 5 - d)), seed)
+
+
+@given(st.integers(3, 4), st.integers(0, 2), st.integers(0, 10**6))
+@settings(max_examples=12, deadline=None)
+def test_brackets_match_reference_on_harness_algebras_and_covers(d, t, seed):
+    rng = random.Random(seed)
+    a = _harness_algebra(d, t, seed)
+    _check_brackets_against_reference(a, _candidate_ideals(a, rng))
+    cov = cover_construct(presentation_from_class2(a))
+    ideals = [cov.central_ideal] + _candidate_ideals(cov.algebra, rng)
+    assert _check_brackets_against_reference(cov.algebra, ideals) == {"ideal", "not an ideal"}
+
+
+def test_brackets_match_reference_on_standard_families():
+    for a in [heisenberg(m) for m in range(1, 4)] + [abelian(n) for n in range(4)]:
+        _check_brackets_against_reference(a, _candidate_ideals(a, random.Random(a.dim)))
+    # the -1 class marker and class 3 come out of the new series as from the old
+    h1_cover = _REJECTED_ZOO[0](0)
+    assert _class_marker(lower_central_series(h1_cover)) == 3
+    for make in _REJECTED_ZOO[1:3]:
+        a = make(0)
+        assert _class_marker(lower_central_series(a)) == -1
+        assert _class_marker(_reference_lower_central_series(a)) == -1
+        _check_brackets_against_reference(a)
+
+
+def test_quotient_by_a_non_ideal_raises_like_the_reference():
+    for a, vectors in [
+        (heisenberg(1), [{0: ONE}]),
+        (direct_sum(abelian(1), heisenberg(1)), [{0: ONE}, {1: ONE}]),  # a1 central, x1 not
+        (heisenberg(2), [{0: ONE, 2: ONE}]),
+        (_REJECTED_ZOO[0](0), [{1: ONE}, {2: ONE}]),
+        (_sl2(), [{2: ONE}]),
+    ]:
+        sub = Subspace.from_vectors(a.dim, vectors)
+        with pytest.raises(NotAnIdealError):
+            _reference_quotient(a, sub)
+        with pytest.raises(NotAnIdealError):
+            quotient(a, sub)
+
+
+def test_jacobi_check_matches_reference_on_failing_tables(tmp_path, capsys):
+    from ghlie.cli import main
+
+    failing = 0
+    for seed in range(200):
+        a = _random_table(seed)
+        for b in (a, _in_rational_basis(a, seed)) if seed < 40 else (a,):
+            want = _reference_jacobi_check(b)
+            assert jacobi_check(b) == want, seed
+            failing += bool(want)
+    assert failing > 100
+    # the CLI's exit 4 and its message read the same triples
+    a = next(t for t in map(_random_table, range(200)) if _reference_jacobi_check(t))
+    want = _reference_jacobi_check(a)
+    path = str(tmp_path / "t.json")
+    write_document(path, a)
+    assert main(["analyze", path]) == 4
+    assert capsys.readouterr().err == f"error: Jacobi identity fails on triples {want[:5]}\n"
