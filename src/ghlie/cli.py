@@ -37,11 +37,17 @@ from .report import ContextError, analyze, capability_by_quotients
 from .sweep import SweepConfig, run_sweep, sweep_exit_code
 
 
-def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",") if x]
+def _parse_range(text: str, option: str) -> list[int]:
+    """'lo..hi' or a comma list of integers -> the list of values."""
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise docio.DocumentError(
+            f"{option} {text!r} must look like lo..hi or a comma list of integers"
+        ) from None
 
 
 def _emit(doc: dict, path: str | None) -> None:
@@ -235,9 +241,9 @@ def cmd_capable(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = SweepConfig(
-        d_values=tuple(_parse_range(args.d)),
-        defects=tuple(_parse_range(args.defect)),
-        t_values=tuple(_parse_range(args.t)),
+        d_values=tuple(_parse_range(args.d, "--d")),
+        defects=tuple(_parse_range(args.defect, "--defect")),
+        t_values=tuple(_parse_range(args.t, "--t")),
         seeds=args.seeds,
         include_suspect=not args.skip_suspect_forms,
         with_oracle=not args.no_oracle,

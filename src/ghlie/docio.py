@@ -70,6 +70,8 @@ def document_to_algebra(doc) -> tuple[LieAlgebra, dict]:
     brackets = doc.get("brackets", [])
     if not isinstance(brackets, list):
         raise DocumentError("brackets must be a list")
+    # Every pair and coordinate read is kept, zeros too, so that a repeat is
+    # caught whatever its first value; LieAlgebra drops the zeros.
     table = {}
     for entry in brackets:
         if not isinstance(entry, dict) or not {"i", "j", "v"} <= set(entry):
@@ -81,7 +83,7 @@ def document_to_algebra(doc) -> tuple[LieAlgebra, dict]:
             raise DocumentError(f"duplicate bracket pair ({i},{j})")
         if not isinstance(v, dict):
             raise DocumentError("bracket value must be an object")
-        vec = {}
+        vec = table[(i, j)] = {}
         for k_str, x_str in v.items():
             try:
                 k = int(k_str)
@@ -89,11 +91,9 @@ def document_to_algebra(doc) -> tuple[LieAlgebra, dict]:
                 raise DocumentError(f"bad coordinate key {k_str!r}") from e
             if not 0 <= k < dim:
                 raise DocumentError(f"coordinate {k} outside dimension {dim}")
-            x = parse_rational(x_str)
-            if x:
-                vec[k] = x
-        if vec:
-            table[(i, j)] = vec
+            if k in vec:
+                raise DocumentError(f"coordinate {k} given twice in bracket ({i},{j})")
+            vec[k] = parse_rational(x_str)
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise DocumentError("meta must be an object")

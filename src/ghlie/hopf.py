@@ -35,13 +35,12 @@ from dataclasses import dataclass, field
 from .exactla import Matrix, Subspace, Vec, kernel_basis
 from .liealg import (
     LieAlgebra,
+    bracket_vectors,
     center,
     derived_subalgebra,
     lower_central_series,
     quotient,
     rebase_class2,
-    restrict,
-    subalgebra_closure,
     wedge_pairs,
 )
 from .multiplier import dimensions, psi2_image
@@ -101,9 +100,9 @@ class FreePresentation:
 
     rel2 lives in the grade-2 wedge coordinates, rel_bracket_span = [rel2, F]
     in the grade-3 coordinates.  lifts[s] is a grade-2 preimage of the s-th
-    derived basis vector of the target: the unit wedge vector of the pair
-    whose bracket it is.  The β images are built on first use
-    (see ``_beta_images``) and kept with the presentation.
+    derived basis vector of the target: the unit wedge vector at rel2's s-th
+    complement coordinate, whose bracket it is.  The β images are built on
+    first use (see ``_beta_images``) and kept with the presentation.
     """
 
     hall: HallBasis
@@ -114,35 +113,26 @@ class FreePresentation:
     _beta: list[Vec] | None = field(default=None, init=False, compare=False, repr=False)
 
 
-def presentation_from_class2(a: LieAlgebra, der: Subspace | None = None) -> FreePresentation:
+def presentation_from_class2(a: LieAlgebra, rel2: Subspace | None = None) -> FreePresentation:
     """Free presentation of a nilpotent algebra of class <= 2.
 
-    der is the derived subalgebra of a as rebase_class2 returns it, with a
-    rebased; without it a is rebased here (which also rejects class > 2).
-    The stored target is the rebased algebra.  Its derived basis vector y_s
-    is the bracket of the last pair whose bracket has a y_s term, so lift s
-    is that unit wedge vector: the last entry of row s of φ.
+    rel2 is the relation subspace rebase_class2 returns with a rebased;
+    without it a is rebased here (which also rejects class > 2).  The stored
+    target is the rebased algebra, class2_from_relations(d, rel2), so rel2 is
+    S itself and y_s is the bracket of rel2's s-th complement coordinate:
+    lift s is that unit wedge vector.
     """
-    if der is None:
-        a, der, _ = rebase_class2(a)
-    r = der.dim
-    d = a.dim - r
-    h = hall_basis(d)
-    g2 = h.grade2_dim
-    # Grade-2 coordinates -> L² coordinates, one column per wedge pair.
-    phi_rows: list[Vec] = [{} for _ in range(r)]
-    for w, (i, j) in enumerate(h.pairs):
-        for k, x in a.pair(i, j).items():
-            phi_rows[k - d][w] = x
-    rel2 = kernel_basis(Matrix(g2, phi_rows))
+    if rel2 is None:
+        a, rel2, _ = rebase_class2(a)
+    lifts: list[Vec] = [{c: _ONE} for c in rel2.complement_coords()]
+    h = hall_basis(a.dim - len(lifts))
     bracket_gens = []
     for s_vec in rel2.vectors():
-        for k in range(d):
+        for k in range(h.d):
             w3 = wedge_gen_bracket(h, s_vec, k)
             if w3:
                 bracket_gens.append(w3)
     rf = Subspace.from_vectors(h.grade3_dim, bracket_gens)
-    lifts: list[Vec] = [{max(row): _ONE} for row in phi_rows]
     return FreePresentation(h, rel2, rf, lifts, a)
 
 
@@ -282,18 +272,18 @@ class CoverReport:
 def verify_cover(a: LieAlgebra, cover: LieAlgebra, b: Subspace) -> CoverReport:
     """Check the Thm-2.6 shape of a claimed cover of the class-2 algebra a.
 
-    a is rebased once; d = dim L/L² and r = dim L² are read off that rebase.
+    a is rebased once; d = dim L/L² is read off K of the rebased table.
     The quotient cover/B must equal the rebased table, the basis a cover built
     by cover_construct induces on it.  Branch detection: s = dim B - dim (L*)³
-    with B ≅ (L*)³ ⊕ A(s) whenever (L*)³ ⊆ B; the defect bound is
-    d(d-1)/2 - r, the dimension of the grade-2 relations, since the generator
-    brackets span L².  The expected class comes from the formula route:
-    (L*)³ ≅ (L² ⊗ L/L²)/K has dimension r·n - rank K, and when that is 0 the
-    cover has class min(dim L, 2), as for A(n) and for H(m) with m >= 2.
+    with B ≅ (L*)³ ⊕ A(s) whenever (L*)³ ⊆ B; the defect bound is dim rel2,
+    the dimension of the grade-2 relations, d(d-1)/2 - dim L² since the
+    generator brackets span L².  The expected class comes from the formula
+    route: (L*)³ ≅ (L² ⊗ L/L²)/K has dimension r·n - rank K, and when that
+    is 0 the cover has class min(dim L, 2), as for A(n) and for H(m), m >= 2.
     A free presentation is built only for the d = 3 extension witness.
     """
-    a, der_a, _ = rebase_class2(a)
-    d = a.dim - der_a.dim
+    a, rel2, _ = rebase_class2(a)
+    k = psi2_image(a, rel2)
     der = derived_subalgebra(cover)
     z = center(cover, der)
     series = lower_central_series(cover, der)
@@ -305,14 +295,12 @@ def verify_cover(a: LieAlgebra, cover: LieAlgebra, b: Subspace) -> CoverReport:
     b_central = all(z.contains_vec(u) for u in b.vectors())
     b_in_derived = all(der.contains_vec(u) for u in b.vectors())
     z_in_derived = all(der.contains_vec(u) for u in z.vectors())
-    k = psi2_image(a, der_a)
     m_dim = dimensions(k)["m_L"]
     cube_in_b = all(b.contains_vec(u) for u in cube.vectors())
     s = b.dim - cube.dim
-    defect = d * (d - 1) // 2 - der_a.dim
     witness_ok = None
-    if d == 3:
-        witness_ok = _extension_witness_agrees(presentation_from_class2(a, der_a), cover, series)
+    if k.n == 3:
+        witness_ok = _extension_witness_agrees(presentation_from_class2(a, rel2), cover, series)
     return CoverReport(
         cover_dim=cover.dim,
         expected_dim=a.dim + m_dim,
@@ -326,8 +314,8 @@ def verify_cover(a: LieAlgebra, cover: LieAlgebra, b: Subspace) -> CoverReport:
         quotient_matches=quotient(cover, b) == a,
         cube_dim=cube.dim,
         s=s,
-        defect=defect,
-        branch_ok=cube_in_b and 0 <= s <= defect,
+        defect=rel2.dim,
+        branch_ok=cube_in_b and 0 <= s <= rel2.dim,
         witness_ok=witness_ok,
     )
 
@@ -371,10 +359,18 @@ def extension_witness(p: FreePresentation) -> LieAlgebra:
 
 
 def _extension_witness_agrees(p: FreePresentation, cover: LieAlgebra, series: list[Subspace]) -> bool:
-    """series is the cover's lower central series, as verify_cover built it."""
+    """The subalgebra the generators generate in the witness has the cover's series.
+
+    series is the cover's lower central series, as verify_cover built it.  The
+    k-th term of the generated subalgebra's series is spanned by the
+    left-normed brackets of at least k generators, read in the witness's own
+    coordinates; the witness is graded, so the brackets run out.
+    """
     lstar = extension_witness(p)
-    gen_span = subalgebra_closure(lstar, [{i: _ONE} for i in range(p.hall.d)])
-    sub = restrict(lstar, gen_span)
-    if sub.dim != cover.dim:
-        return False
-    return [s.dim for s in lower_central_series(sub)] == [s.dim for s in series]
+    gens = [{g: _ONE} for g in range(p.hall.d)]
+    terms = [gens]  # terms[k]: the nonzero left-normed brackets of k + 1 generators
+    while terms[-1]:
+        terms.append([w for u in terms[-1] for g in gens if (w := bracket_vectors(lstar, u, g))])
+    dims = [Subspace.from_vectors(lstar.dim, [v for t in terms[k:] for v in t]).dim
+            for k in range(len(terms))]
+    return dims == [t.dim for t in series]

@@ -24,7 +24,6 @@ from .exactla import (
     Vec,
     invert,
     kernel_basis,
-    subspace_sum,
     vec,
     vec_axpy,
 )
@@ -248,19 +247,21 @@ def class2_from_relations(d: int, relations: Subspace, labels=None) -> LieAlgebr
 
     No center condition is imposed; the result is class <= 2 with
     dim L² = d(d-1)/2 - dim relations and the standard basis contract.
+    Derived basis vector y_s is the image of the s-th complement coordinate
+    of relations; this is the one class-2 normal form (see rebase_class2).
     """
     pairs = wedge_pairs(d)
     if relations.ambient_dim != len(pairs):
         raise ValueError("relations have wrong ambient dimension")
-    r = len(pairs) - relations.dim
+    comp = relations.complement_coords()
     if labels is None:
-        labels = [f"x{i+1}" for i in range(d)] + [f"y{s+1}" for s in range(r)]
-    table = {}
-    for w, (i, j) in enumerate(pairs):
-        img = relations.quotient_coords({w: _ONE})
-        if img:
-            table[(i, j)] = {d + s: x for s, x in img.items()}
-    return LieAlgebra(d + r, labels, table)
+        labels = [f"x{i+1}" for i in range(d)] + [f"y{s+1}" for s in range(len(comp))]
+    # Read off the RREF rows: mod relations, a pivot pair is minus the rest of its row.
+    pos = {c: d + s for s, c in enumerate(comp)}
+    img = {c: {k: _ONE} for c, k in pos.items()}
+    for p, row in zip(relations.pivots, relations.vectors()):
+        img[p] = {pos[c]: -x for c, x in row.items() if c != p}
+    return LieAlgebra(d + len(comp), labels, {pairs[w]: img[w] for w in range(len(pairs))})
 
 
 _RETRY_BUDGET = 64
@@ -342,63 +343,27 @@ def rebase_class2(a: LieAlgebra) -> tuple[LieAlgebra, Subspace, Subspace]:
     every [[e_i, e_j], e_k] zero it also proves the Jacobi identity, so a
     table that fails Jacobi always fails it.  ClassTwoRequired otherwise.
 
-    Returns the rebased algebra, its derived subalgebra (the trailing unit
-    coordinates) and Z(L) in a's own coordinates.  The generators are the
-    complement coordinates of L², and the derived basis is the brackets of
-    the last independent generator pairs, numbered by ascending pair: the
-    matrix whose column w is the bracket of generator pair w, read at the
-    pivot coordinates of L², is eliminated once with its pair columns
-    reversed, and the columns of that RREF are the rebased structure
-    constants.  This is the basis class2_from_relations builds, so its
-    tables come back equal and the rebase is idempotent.  a's labels are
-    permuted with the coordinates: generators, then the pivots of L².
+    Returns the rebased algebra, its grade-2 relation subspace rel2 and Z(L)
+    in a's own coordinates.  The generators are the complement coordinates of
+    L², and rel2 is the kernel of the map sending generator pair w to its
+    bracket, read at the pivot coordinates of L².  The rebased algebra is
+    class2_from_relations(n, rel2), so its derived basis vector y_s is the
+    bracket of rel2's s-th complement coordinate and the rebase is idempotent.
+    a's labels are permuted with the coordinates: generators, then the pivots
+    of L².
     """
     der = derived_subalgebra(a)
     z = center(a, der)
     if not all(z.contains_vec(v) for v in der.vectors()):
         raise ClassTwoRequired("input must be nilpotent of class at most 2")
-    n = a.dim - der.dim
     gens = der.complement_coords()
-    pairs = wedge_pairs(n)
-    last = len(pairs) - 1
+    pairs = wedge_pairs(len(gens))
     # A vector of L² is fixed by its entries at the pivots of L²'s RREF basis.
     rows: dict[int, Vec] = {p: {} for p in der.pivots}
     for w, (i, j) in enumerate(pairs):
         for p, x in a.pair(gens[i], gens[j]).items():
             if p in rows:
-                rows[p][last - w] = x
-    # Reversed, the RREF rows lead at the last independent pairs, latest first.
-    cols: list[Vec] = [{} for _ in pairs]
-    for s, row in enumerate(reversed(Subspace.from_vectors(len(pairs), rows.values()).vectors())):
-        for c, x in row.items():
-            cols[last - c][n + s] = x
+                rows[p][w] = x
+    rel2 = kernel_basis(Matrix(len(pairs), rows.values()))
     labels = [a.labels[g] for g in gens] + [a.labels[p] for p in der.pivots]
-    b = LieAlgebra(a.dim, labels, {pairs[w]: v for w, v in enumerate(cols) if v})
-    return b, Subspace(a.dim, [{c: _ONE} for c in range(n, a.dim)]), z
-
-
-def subalgebra_closure(a: LieAlgebra, seed_vectors) -> Subspace:
-    """Smallest subalgebra containing the given vectors, as a subspace."""
-    sub = Subspace.from_vectors(a.dim, list(seed_vectors))
-    while True:
-        gens = sub.vectors()
-        new = [bracket_vectors(a, u, v) for u, v in itertools.combinations(gens, 2)]
-        grown = subspace_sum(sub, Subspace.from_vectors(a.dim, new))
-        if grown.dim == sub.dim:
-            return sub
-        sub = grown
-
-
-def restrict(a: LieAlgebra, sub: Subspace) -> LieAlgebra:
-    """The algebra structure induced on a bracket-closed subspace."""
-    basis = sub.vectors()
-    table = {}
-    for s, t in itertools.combinations(range(len(basis)), 2):
-        w = bracket_vectors(a, basis[s], basis[t])
-        coords = sub.coords(w)
-        if coords is None:
-            raise ValueError("subspace is not closed under the bracket")
-        if coords:
-            table[(s, t)] = coords
-    labels = tuple(f"u{k+1}" for k in range(len(basis)))
-    return LieAlgebra(len(basis), labels, table)
+    return class2_from_relations(len(gens), rel2, labels), rel2, z

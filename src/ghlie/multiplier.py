@@ -42,21 +42,19 @@ class Psi2Data:
         return self.image.dim
 
 
-def psi2_image(a: LieAlgebra, der: Subspace | None = None) -> Psi2Data:
+def psi2_image(a: LieAlgebra, rel2: Subspace | None = None) -> Psi2Data:
     """Span of [x,y]⊗z̄ + [z,x]⊗ȳ + [y,z]⊗x̄ over basis triples of L/L².
 
-    der is the derived subalgebra of a as rebase_class2 returns it; without it
-    a is rebased here, which also rejects class > 2.  K lives in the rebased
-    algebra's coordinates: the generators are the complement coordinates of
-    L² and the derived basis the brackets of the last independent generator
-    pairs, so K's coordinates depend on that choice of basis of L² while its
-    dimension does not.  The coordinates are read off the basis
-    contract: generator g is coordinate g and derived basis vector s is
-    coordinate n + s.
+    rel2 is the relation subspace rebase_class2 returns with a rebased;
+    without it a is rebased here, which also rejects class > 2.  K lives in
+    the rebased algebra's coordinates, the normal form class2_from_relations
+    builds, so K's coordinates depend on that choice of basis of L² while its
+    dimension does not.  The coordinates are read off the basis contract:
+    generator g is coordinate g and derived basis vector s is coordinate n + s.
     """
-    if der is None:
-        a, der, _ = rebase_class2(a)
-    r = der.dim
+    if rel2 is None:
+        a, rel2, _ = rebase_class2(a)
+    r = rel2.ambient_dim - rel2.dim
     n = a.dim - r
     gens = []
     for g1, g2, g3 in itertools.combinations(range(n), 3):

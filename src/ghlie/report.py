@@ -19,16 +19,16 @@ _ONE = 1
 class Analysis:
     """What both routes need of one class-2 algebra, computed once per entry call.
 
-    algebra is the input rebased to the basis contract (generators, then L²
-    in the basis of brackets of the last independent generator pairs, the
-    one class2_from_relations builds) and derived its L²; center is Z(L) in
-    the input's own coordinates, the one rebase_class2 computed for its
-    class-2 certificate, so capability evidence reads in those coordinates.
-    Built afresh per call and passed down; never cached on the algebra.
+    algebra is the input rebased to the basis contract, the normal form
+    class2_from_relations builds from the relation subspace rebase_class2
+    returns, which K and the presentation both take; center is Z(L) in the
+    input's own coordinates, the one rebase_class2 computed for its class-2
+    certificate, so capability evidence reads in those coordinates.  r and
+    n are read off K.  Built afresh per call and passed down; never cached
+    on the algebra.
     """
 
     algebra: LieAlgebra
-    derived: Subspace
     center: Subspace
     k: Psi2Data
     presentation: hopf.FreePresentation
@@ -36,16 +36,16 @@ class Analysis:
     @classmethod
     def of(cls, a: LieAlgebra) -> "Analysis":
         """Raises ClassTwoRequired beyond class 2."""
-        b, der, z = rebase_class2(a)
-        return cls(b, der, z, psi2_image(b, der), hopf.presentation_from_class2(b, der))
+        b, rel2, z = rebase_class2(a)
+        return cls(b, z, psi2_image(b, rel2), hopf.presentation_from_class2(b, rel2))
 
     @property
     def r(self) -> int:
-        return self.derived.dim
+        return self.k.r
 
     @property
     def n(self) -> int:
-        return self.algebra.dim - self.r
+        return self.k.n
 
 
 @dataclass

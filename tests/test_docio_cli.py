@@ -187,6 +187,40 @@ def test_analyze_parse_error_exits_2(ws):
     assert main(["analyze", "missing.json"]) == 2
 
 
+def _write_h1(brackets):
+    with open("h.json", "w") as f:
+        json.dump({"dim": 3, "labels": ["x", "y", "z"], "brackets": brackets}, f)
+
+
+@pytest.mark.parametrize("brackets", [
+    [{"i": 0, "j": 1, "v": {}}, {"i": 0, "j": 1, "v": {"2": "1"}}],
+    [{"i": 0, "j": 1, "v": {"2": "0"}}, {"i": 0, "j": 1, "v": {"2": "1"}}],
+    [{"i": 0, "j": 1, "v": {"2": "1"}}, {"i": 0, "j": 1, "v": {}}],
+    [{"i": 0, "j": 1, "v": {"2": "1"}}, {"i": 0, "j": 1, "v": {"2": "1"}}],
+])
+def test_analyze_duplicate_bracket_pair_exits_2(ws, capsys, brackets):
+    # a duplicate whose first value was zero used to be read as the second value
+    _write_h1(brackets)
+    assert main(["analyze", "h.json"]) == 2
+    assert capsys.readouterr().err == "error: duplicate bracket pair (0,1)\n"
+
+
+@pytest.mark.parametrize("v", [{"2": "1", "02": "1"}, {"2": "0", "02": "1"}, {"2": "1", " 2": "0"},
+                               {"+2": "1", "2": "-1"}])
+def test_analyze_coordinate_given_twice_exits_2(ws, capsys, v):
+    # a repeated coordinate used to be read as its last value
+    _write_h1([{"i": 0, "j": 1, "v": v}])
+    assert main(["analyze", "h.json"]) == 2
+    assert capsys.readouterr().err == "error: coordinate 2 given twice in bracket (0,1)\n"
+
+
+def test_zero_values_are_read_as_absent(ws, capsys):
+    _write_h1([{"i": 0, "j": 1, "v": {"2": "1", "1": "0"}}, {"i": 0, "j": 2, "v": {"1": "0/3"}},
+               {"i": 1, "j": 2, "v": {}}])
+    a, _ = docio.read_document("h.json")
+    assert a == heisenberg(1) and a.bracket == {(0, 1): {2: 1}}
+
+
 def test_analyze_jacobi_violation_exits_4(ws):
     doc = {
         "dim": 3,
@@ -413,6 +447,16 @@ def test_analyze_abelian(ws, capsys):
 def test_sweep_case_cap(ws):
     assert main(["sweep", "--d", "3..6", "--defect", "1..3", "--t", "0..2",
                  "--seeds", "5", "--max-cases", "10"]) == 2
+
+
+@pytest.mark.parametrize("option, text", [
+    ("--d", "a"), ("--d", "3.."), ("--d", "..4"), ("--d", "3..a"), ("--defect", "1,x"),
+    ("--defect", "1.5"), ("--t", "0..2..3"), ("--t", " "),
+])
+def test_sweep_malformed_range_names_the_option(ws, capsys, option, text):
+    # these used to print int()'s message, naming neither the option nor its forms
+    assert main(["sweep", "--jobs", "1", option, text]) == 2
+    assert capsys.readouterr().err == f"error: {option} {text!r} must look like lo..hi or a comma list of integers\n"
 
 
 def test_sweep_empty_grid_exits_2(ws, capsys):

@@ -96,7 +96,7 @@ def test_routes_agree_in_random_rational_bases(core, d, t, seed):
     assert jacobi_check(cov.algebra) == []
     p = ctx_b.presentation
     assert_contract(
-        b, ctx_b.algebra, ctx_b.derived, ctx_b.center, ctx_b.k.image,
+        b, ctx_b.algebra, ctx_b.center, ctx_b.k.image,
         p.rel2, p.rel_bracket_span, p.lifts, hopf.ker_beta(p), hopf.exterior_center(p),
         cov.algebra, cov.central_ideal,
     )

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from ghlie import hopf
-from ghlie.exactla import Matrix, Subspace, _rref_rows, kernel_basis, rank, vec_axpy
+from ghlie.exactla import Matrix, Subspace, _rref_rows, kernel_basis, rank, subspace_sum, vec_axpy
 from ghlie.fixtures import canonical_gh, grid_cases, random_class2, seeded_gh, with_abelian_part
 from ghlie.liealg import (
+    ClassTwoRequired,
     GhSpec,
     LieAlgebra,
     NotAnIdealError,
@@ -25,6 +26,7 @@ from ghlie.liealg import (
     lower_central_series,
     quotient,
     rebase_class2,
+    wedge_pairs,
 )
 from ghlie.hopf import (
     cover_construct,
@@ -539,14 +541,14 @@ def _reference_verify_cover(a, cover, b):
     """verify_cover as it was: a second free presentation, the quotient compared
     with class2_from_relations(d, rel2) through a generator-fixing isomorphism
     check, and dim rel2 as the defect bound."""
-    a, der_a, _ = rebase_class2(a)
-    p = presentation_from_class2(a, der_a)
+    a, rel2, _ = rebase_class2(a)
+    p = presentation_from_class2(a, rel2)
     der = derived_subalgebra(cover)
     z = center(cover)
     series = lower_central_series(cover, der)
     cls = sum(1 for t in series if t.dim) if series[-1].dim == 0 else -1
     cube = series[2] if len(series) > 2 else Subspace.zero(cover.dim)
-    k = psi2_image(a, der_a)
+    k = psi2_image(a, rel2)
     m_dim = dimensions(k)["m_L"]
     quo = quotient(cover, b)
     canonical = class2_from_relations(p.hall.d, p.rel2)
@@ -609,3 +611,137 @@ def test_verify_cover_matches_the_second_presentation_reference():
     cover, b = _cover_pair(presentation_from_class2(abelian(3)))
     assert _reference_verify_cover(abelian(2), cover, b).quotient_matches
     assert not verify_cover(abelian(2), cover, b).quotient_matches
+
+
+# --- the one normal form against the read-off and φ kernel it replaced -------------------
+
+def _reference_rebase_read_off(a):
+    """rebase_class2 as it was: the generator-pair matrix at L²'s pivots eliminated
+    with its pair columns reversed and the columns of that RREF read off as the
+    rebased constants; returns the table, L² as its trailing units, and Z(L)."""
+    der = derived_subalgebra(a)
+    z = center(a, der)
+    if not all(z.contains_vec(v) for v in der.vectors()):
+        raise ClassTwoRequired("input must be nilpotent of class at most 2")
+    n = a.dim - der.dim
+    gens = der.complement_coords()
+    pairs = wedge_pairs(n)
+    last = len(pairs) - 1
+    rows = {p: {} for p in der.pivots}
+    for w, (i, j) in enumerate(pairs):
+        for p, x in a.pair(gens[i], gens[j]).items():
+            if p in rows:
+                rows[p][last - w] = x
+    cols = [{} for _ in pairs]
+    for s, row in enumerate(reversed(Subspace.from_vectors(len(pairs), rows.values()).vectors())):
+        for c, x in row.items():
+            cols[last - c][n + s] = x
+    labels = [a.labels[g] for g in gens] + [a.labels[p] for p in der.pivots]
+    b = LieAlgebra(a.dim, labels, {pairs[w]: v for w, v in enumerate(cols) if v})
+    return b, Subspace(a.dim, [{c: ONE} for c in range(n, a.dim)]), z
+
+
+def _reference_phi_presentation(a, der):
+    """presentation_from_class2 as it was, on a rebased table and its L²: φ rebuilt
+    from the table, S its kernel, and lift s the unit at the last entry of φ's row s."""
+    r = der.dim
+    d = a.dim - r
+    h = hall_basis(d)
+    phi_rows = [{} for _ in range(r)]
+    for w, (i, j) in enumerate(h.pairs):
+        for k, x in a.pair(i, j).items():
+            phi_rows[k - d][w] = x
+    rel2 = kernel_basis(Matrix(h.grade2_dim, phi_rows))
+    gens = [w3 for v in rel2.vectors() for k in range(d) if (w3 := wedge_gen_bracket(h, v, k))]
+    rf = Subspace.from_vectors(h.grade3_dim, gens)
+    return rel2, [{max(row): ONE} for row in phi_rows], rf
+
+
+def _normal_form_inputs():
+    # the harness's algebras: random_class2 and seeded_gh cores with an A(t) summand
+    harness = [with_abelian_part(random_class2(d, s), t) for d, s, t in ((3, 0, 0), (3, 5, 2), (4, 1, 1), (4, 7, 0))]
+    harness += [with_abelian_part(seeded_gh(d, 1 + s % 2, s), t) for d, s, t in ((3, 2, 1), (4, 3, 0), (4, 4, 1))]
+    inputs = harness + [rational_basis(a, s) for s, a in enumerate(harness)]
+    inputs += [c.build() for c in grid_cases((3, 4, 5), (1, 2, 3), (0, 2), 1)]
+    inputs += [with_abelian_part(canonical_gh(d, k), t) for d, k, t in ((3, 1, 1), (4, 2, 2), (5, 3, 1))]
+    inputs += [heisenberg(m) for m in (1, 2, 3)] + [abelian(n) for n in range(5)]
+    inputs += [direct_sum(heisenberg(1), abelian(1)), rational_basis(direct_sum(heisenberg(1), abelian(1)), 9)]
+    return inputs
+
+
+def test_normal_form_matches_the_read_off_and_phi_kernel_references():
+    inputs = _normal_form_inputs()
+    assert len(inputs) >= 40
+    for a in inputs:
+        b0, der0, z0 = _reference_rebase_read_off(a)
+        rel0, lifts0, rf0 = _reference_phi_presentation(b0, der0)
+        b, rel2, z = rebase_class2(a)
+        assert (b, b.labels, rel2, z) == (b0, b0.labels, rel0, z0)
+        p = presentation_from_class2(a)
+        assert (p.target, p.target.labels, p.rel2, p.lifts, p.rel_bracket_span) == (b0, b0.labels, rel0, lifts0, rf0)
+        assert psi2_image(b, rel2) == psi2_image(a)
+    # class 3 and non-nilpotent tables raise on both paths
+    sl2 = LieAlgebra(3, "efh", {(0, 1): {2: ONE}, (0, 2): {0: F(-2)}, (1, 2): {1: F(2)}})
+    rejected = [cover_construct(presentation_from_class2(a)).algebra for a in (heisenberg(1), canonical_gh(3, 1))]
+    rejected += [LieAlgebra(2, "xy", {(0, 1): {1: ONE}}), direct_sum(sl2, heisenberg(1))]
+    for a in rejected + [rational_basis(a, s) for s, a in enumerate(rejected)]:
+        for fn in (_reference_rebase_read_off, rebase_class2, presentation_from_class2, psi2_image):
+            with pytest.raises(ClassTwoRequired):
+                fn(a)
+
+
+# --- the d = 3 witness against the closure and restriction it replaced --------------------
+
+def _reference_subalgebra_closure(a, seed_vectors):
+    """Smallest subalgebra containing the given vectors, as a subspace."""
+    sub = Subspace.from_vectors(a.dim, list(seed_vectors))
+    while True:
+        gens = sub.vectors()
+        new = [bracket_vectors(a, u, v) for u, v in itertools.combinations(gens, 2)]
+        grown = subspace_sum(sub, Subspace.from_vectors(a.dim, new))
+        if grown.dim == sub.dim:
+            return sub
+        sub = grown
+
+
+def _reference_restrict(a, sub):
+    """The algebra structure induced on a bracket-closed subspace."""
+    basis = sub.vectors()
+    table = {}
+    for s, t in itertools.combinations(range(len(basis)), 2):
+        coords = sub.coords(bracket_vectors(a, basis[s], basis[t]))
+        if coords is None:
+            raise ValueError("subspace is not closed under the bracket")
+        if coords:
+            table[(s, t)] = coords
+    return LieAlgebra(len(basis), [f"u{k+1}" for k in range(len(basis))], table)
+
+
+def _reference_witness_agrees(p, cover, series):
+    """_extension_witness_agrees as it was: the generated subalgebra by closure,
+    restricted to its own basis, and that algebra's lower central series."""
+    lstar = extension_witness(p)
+    sub = _reference_restrict(lstar, _reference_subalgebra_closure(lstar, [{i: ONE} for i in range(p.hall.d)]))
+    if sub.dim != cover.dim:
+        return False
+    return [s.dim for s in lower_central_series(sub)] == [s.dim for s in series]
+
+
+def test_witness_matches_the_closure_and_restrict_reference():
+    d3 = [canonical_gh(3, 1), canonical_gh(3, 2), class2_from_relations(3, Subspace.zero(3)), abelian(3),
+          direct_sum(heisenberg(1), abelian(1))]
+    d3 += [seeded_gh(3, 1 + s % 2, s) for s in range(3)] + [random_class2(3, s) for s in range(4)]
+    d3 += [rational_basis(a, s) for s, a in enumerate(d3[:6])]
+    presentations = [presentation_from_class2(a) for a in d3]
+    others = [canonical_gh(4, 2), heisenberg(2), abelian(2), direct_sum(heisenberg(1), abelian(2))]
+    covers = [cover_construct(p).algebra for p in presentations]
+    covers += [cover_construct(presentation_from_class2(a)).algebra for a in others]
+    verdicts = []
+    for p in presentations:
+        assert p.hall.d == 3
+        for cover in covers:
+            series = lower_central_series(cover)
+            got = hopf._extension_witness_agrees(p, cover, series)
+            assert got == _reference_witness_agrees(p, cover, series)
+            verdicts.append(got)
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 100

@@ -266,19 +266,22 @@ def test_rebase_class2_restores_contract():
     rng = random.Random(9)
     a = gh(3, 2, seed=4)
     scrambled = change_of_basis(a, random_invertible(rng, a.dim))
-    fixed, der, z = rebase_class2(scrambled)
-    assert der == derived_subalgebra(fixed)
+    fixed, rel2, z = rebase_class2(scrambled)
+    der = derived_subalgebra(fixed)
     assert der.pivots == (3, 4)
     assert all(len(v) == 1 for v in der.vectors())
+    assert (rel2.ambient_dim, rel2.dim) == (3, 1)
+    assert fixed == class2_from_relations(3, rel2)
     assert z == center(scrambled)
     assert rebase_class2(a)[0] == a  # class2_from_relations builds the same basis
 
 
 def test_rebase_of_direct_sum_orders_generators_first():
     a = direct_sum(gh(3, 2, seed=4), abelian(2))
-    fixed, der, z = rebase_class2(a)
-    assert der == derived_subalgebra(fixed)
-    assert der.pivots == (5, 6)
+    fixed, rel2, z = rebase_class2(a)
+    assert derived_subalgebra(fixed).pivots == (5, 6)
+    assert (rel2.ambient_dim, rel2.dim) == (10, 8)
+    assert fixed == class2_from_relations(5, rel2)
     assert z == center(a)
 
 
@@ -319,10 +322,11 @@ def test_bracket_bilinear_property(u, v, w, a, b):
 
 # --- class-2 certificate and pivot-bracket rebase (differential) ---------------------
 
+from ghlie.exactla import kernel_basis  # noqa: E402
 from ghlie.exactla import rank as mat_rank  # noqa: E402
 from ghlie.fixtures import random_class2, seeded_gh  # noqa: E402
 from ghlie.hopf import cover_construct, presentation_from_class2  # noqa: E402
-from ghlie.liealg import ClassTwoRequired, wedge_pairs  # noqa: E402
+from ghlie.liealg import ClassTwoRequired, class2_from_relations, wedge_pairs  # noqa: E402
 from ghlie.multiplier import dimensions, psi2_image  # noqa: E402
 
 
@@ -393,19 +397,20 @@ def _check_rebase_against_reference(a):
         with pytest.raises(ClassTwoRequired):
             rebase_class2(a)
         return
-    b, der, z = rebase_class2(a)
+    b, rel2, z = rebase_class2(a)
     b0, der0 = want
+    der = derived_subalgebra(b)
     assert z == center(a)
     assert (b.dim, der.dim) == (b0.dim, der0.dim)
     n, r = b.dim - der.dim, der.dim
     # on the contract: L² is the trailing unit coordinates, and the table is a Lie algebra
-    assert der == derived_subalgebra(b) and der.pivots == tuple(range(n, b.dim))
+    assert der == der0 and b == class2_from_relations(n, rel2)
     # the labels travel with their coordinates: generators first, then L²'s pivots
     a_der = derived_subalgebra(a)
     assert b.labels == tuple(a.labels[c] for c in a_der.complement_coords() + a_der.pivots)
     assert jacobi_check(b) == []
-    assert presentation_from_class2(b, der).rel2 == presentation_from_class2(b0, der0).rel2
-    assert dimensions(psi2_image(b, der)) == dimensions(psi2_image(b0, der0))
+    assert presentation_from_class2(b, rel2).rel2 == rel2
+    assert dimensions(psi2_image(b, rel2)) == dimensions(psi2_image(b0))
     pairs = wedge_pairs(n)
     last = len(pairs) - 1
 
@@ -420,6 +425,8 @@ def _check_rebase_against_reference(a):
     phi0 = [{w: b0.pair(i, j)[n + s] for w, (i, j) in enumerate(pairs) if n + s in b0.pair(i, j)}
             for s in range(r)]
     assert phi == flip(reversed(Subspace.from_vectors(len(pairs), flip(phi0)).vectors()))
+    # rel2 is the kernel of the reference's pair map, whatever its derived basis
+    assert rel2 == kernel_basis(Matrix(len(pairs), phi0))
     # each derived basis vector is the bracket of its pivot pair, the last pair
     # whose bracket has a term in it (a unit entry), and
     # generator i -> unit complement coordinate gens[i] of L² embeds b in a
@@ -479,12 +486,31 @@ def _random_relations(d, rng):
     return Subspace.from_vectors(n, rows)
 
 
-@given(st.integers(min_value=2, max_value=7), st.integers(min_value=0, max_value=10**6))
+def _reference_class2_from_relations_table(d, relations):
+    """class2_from_relations's table as it was built: each pair reduced by quotient_coords."""
+    table = {}
+    for w, (i, j) in enumerate(wedge_pairs(d)):
+        img = relations.quotient_coords({w: 1})
+        if img:
+            table[(i, j)] = {d + s: x for s, x in img.items()}
+    return table
+
+
+def _typed(table):
+    return [(p, [(c, type(x), x) for c, x in v.items()]) for p, v in table.items()]
+
+
+@given(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=80, deadline=None)
 def test_rebase_returns_class2_from_relations_tables(d, seed):
     rng = random.Random(seed)
-    a = class2_from_relations(d, _random_relations(d, rng))
-    assert rebase_class2(a)[0] == a
+    rel = _random_relations(d, rng)
+    a = class2_from_relations(d, rel)
+    # the table read off the RREF rows is the one the reductions built, key order and types too
+    assert _typed(a.bracket) == _typed(_reference_class2_from_relations_table(d, rel))
+    # the rebase hands back the relations it was built from, and the same table
+    b, rel2, z = rebase_class2(a)
+    assert (b, b.labels, rel2, z) == (a, a.labels, rel, center(a))
     # off the contract the rebase lands in the same normal form, so it is idempotent
     off = [direct_sum(a, abelian(rng.randint(1, 2)))]
     if a.dim <= 10:

@@ -15,6 +15,7 @@ from ghlie.liealg import (
     GhSpec,
     abelian,
     change_of_basis,
+    class2_from_relations,
     derived_subalgebra,
     direct_sum,
     gh_construct,
@@ -121,7 +122,9 @@ def test_k_subspace_equals_psi2_image():
               scrambled(random_class2(3, 5), 1)):
         ctx = Analysis.of(a)
         assert ctx.k.image == psi2_image(a).image
-        assert ctx.derived == derived_subalgebra(ctx.algebra)
+        r = derived_subalgebra(ctx.algebra).dim
+        assert (ctx.n, ctx.r) == (ctx.algebra.dim - r, r)
+        assert ctx.algebra == class2_from_relations(ctx.n, ctx.presentation.rel2)
 
 
 def _reference_psi2_span(a, der):
@@ -156,9 +159,9 @@ def test_psi2_contract_read_matches_coords_reference():
     for k, a in enumerate((canonical_gh(3, 1), seeded_gh(4, 1, 0), seeded_gh(4, 3, 1), seeded_gh(5, 2, 2),
                            random_class2(4, 3), heisenberg(2), direct_sum(heisenberg(1), abelian(2)),
                            abelian(3))):
-        b, der, _ = rebase_class2(rational_basis(a, k))
-        n, r, image = _reference_psi2_span(b, der)
-        for got in (psi2_image(b, der), psi2_image(b), psi2_image(rational_basis(a, k))):
+        b, rel2, _ = rebase_class2(rational_basis(a, k))
+        n, r, image = _reference_psi2_span(b, derived_subalgebra(b))
+        for got in (psi2_image(b, rel2), psi2_image(b), psi2_image(rational_basis(a, k))):
             assert (got.n, got.r, got.image) == (n, r, image), k
 
 
