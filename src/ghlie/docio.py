@@ -9,13 +9,14 @@ Heisenberg part and checks meta defect, t and variant against the values it
 derives from the algebra and d.
 Serialization is canonical: brackets sorted by (i, j), v keys sorted
 numerically, UTF-8, no floats; parse ∘ serialize is the identity on canonical
-documents.
+documents.  A key repeated in any JSON object is an error, not the last value.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 
 from .liealg import LieAlgebra
@@ -107,9 +108,17 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key given twice is an error (json keeps the last)."""
+    for key, n in Counter(k for k, _ in pairs).items():
+        if n > 1:
+            raise DocumentError(f"key {key!r} given twice in one JSON object")
+    return dict(pairs)
+
+
 def loads(text: str) -> dict:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nesting too deep
         raise DocumentError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):

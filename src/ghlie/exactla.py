@@ -12,11 +12,12 @@ are exact equalities; there are no tolerances anywhere.
 
 The one elimination kernel works on primitive integer rows: denominators are
 cleared by their lcm, the content gcd is divided out, and rows are eliminated
-by fraction-free cross-multiplication (Bareiss 1968).  The canonical rational
-RREF is built only on return (a row with a unit pivot needs no division), and
-``rank`` builds none.  ``Subspace.reduce`` is fraction-free too: it eliminates
-against integer copies of the basis rows, made once per subspace, and divides
-only the residual.
+by fraction-free cross-multiplication (Bareiss 1968).  Each answer pays only
+for what it reads: ``rank`` counts the pivots of the forward pass; an RREF
+adds one back-substitution, from the last pivot up, and divides only on
+return; ``kernel_basis`` eliminates the short side of m (mᵀ beside an
+identity block when m is tall).  ``Subspace.reduce`` is fraction-free too: it
+eliminates against integer copies of the basis rows, made once per subspace.
 """
 
 from __future__ import annotations
@@ -29,9 +30,6 @@ from typing import Iterable, Mapping, Sequence
 # Sparse vector: coordinate -> nonzero exact rational (int when integral,
 # else Fraction).  Absent means zero.
 Vec = dict
-
-_ZERO = 0
-_ONE = 1
 
 
 def _ratio(num: int, den: int) -> int | Fraction:
@@ -52,16 +50,12 @@ def vec(items: Mapping[int, object]) -> Vec:
     return out
 
 
-def vec_from_list(xs: Sequence[object]) -> Vec:
-    return vec(dict(enumerate(xs)))
-
-
 def vec_axpy(acc: Vec, c: int | Fraction, v: Vec) -> None:
     """In-place acc += c*v; acc must be a dict the caller owns."""
     if not c:
         return
     for i, x in v.items():
-        s = acc.get(i, _ZERO) + c * x
+        s = acc.get(i, 0) + c * x
         if s:
             acc[i] = s
         else:
@@ -85,7 +79,7 @@ class Matrix:
         dense = list(dense)
         if cols is None:
             cols = len(dense[0]) if dense else 0
-        return cls(cols, [vec_from_list(row) for row in dense])
+        return cls(cols, [vec(dict(enumerate(row))) for row in dense])
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.cols == other.cols and self.rows == other.rows
@@ -128,17 +122,15 @@ def _integer_row(r: Vec) -> tuple[int, dict]:
     return den, {c: x.numerator * (den // x.denominator) for c, x in r.items()}
 
 
-def _eliminate(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
-    """Integer RREF of a list of sparse rows: (pivot column, primitive row) pairs.
+def _forward(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
+    """Integer row echelon form: (pivot column, primitive row) pairs by pivot column.
 
-    Pairs come ordered by pivot column; each row has a positive pivot entry and
-    zeros in every other pivot column.  Input rows are not mutated.
+    Pivot entries are positive and later pivot columns are not cleared; input rows are not mutated.
     """
     # Working rows (primitive integer rows) bucketed by leading column, with a
     # heap of the occupied columns.  Only the rows that lead at the smallest
     # column hold it, so each step touches one bucket; a reduced row leads
-    # further right, so a processed column never comes back.  Done rows keep
-    # their integer pivot entry until the end.
+    # further right, so a processed column never comes back.
     buckets: dict[int, list[dict]] = {}
     for r in rows:
         if r:
@@ -163,11 +155,22 @@ def _eliminate(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
                     buckets[l] = []
                     heappush(heap, l)
                 buckets[l].append(r)
-        for _, r in done:
-            a = r.get(lead)
-            if a is not None:
-                _cross_eliminate(r, a, pivot, p)
         done.append((lead, pivot))
+    return done
+
+
+def _eliminate(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
+    """Integer RREF: ``_forward``'s pairs, then zeros in every other pivot column.
+
+    One back-substitution from the last pivot up: a row clears the later pivot
+    columns it holds against rows already reduced, so none comes back.
+    """
+    done = _forward(rows)
+    reduced: dict[int, dict] = {}
+    for lead, r in reversed(done):
+        for c in [c for c in r if c in reduced]:
+            _cross_eliminate(r, r[c], reduced[c], reduced[c][c])
+        reduced[lead] = r
     return done
 
 
@@ -175,8 +178,7 @@ def _rref_rows(rows: Iterable[Vec]) -> list[Vec]:
     """Reduced row echelon form of a list of sparse rows.
 
     Returns new nonzero rows ordered by pivot column, each with its keys in
-    ascending column order; input rows are not mutated.  Elimination runs on
-    primitive integer rows; each is divided by its pivot entry only on return.
+    ascending column order; input rows are not mutated.
     """
     out = []
     for l, r in _eliminate(rows):
@@ -186,8 +188,8 @@ def _rref_rows(rows: Iterable[Vec]) -> list[Vec]:
 
 
 def rank(m: Matrix) -> int:
-    """Number of pivots of the integer elimination; no rational row is built."""
-    return len(_eliminate(m.rows))
+    """Number of pivots of the forward pass; nothing is back-substituted."""
+    return len(_forward(m.rows))
 
 
 class Subspace:
@@ -219,7 +221,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, [{i: _ONE} for i in range(ambient_dim)])
+        return cls(ambient_dim, [{i: 1} for i in range(ambient_dim)])
 
     @property
     def dim(self) -> int:
@@ -294,18 +296,28 @@ class Subspace:
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """Right null space {x : m x = 0} in canonical form, from one elimination.
+    """Right null space {x : m x = 0} in canonical form, from m's short side.
 
-    m is reduced with its columns reversed (c -> cols-1-c).  A free column f
-    then gives the null vector with a 1 at f and, elsewhere, entries only at
-    pivot columns beyond f: it leads with 1 at f and is zero at every other
-    free column.  Sorted by f, these vectors already are the canonical RREF
-    basis, so no second elimination is needed.
+    Tall m (more nonzero rows than columns): in a forward pass over [mᵀ | I],
+    the rows that lead inside I span the null space; one small RREF of them
+    is the canonical basis.  Wide m is reduced with its columns reversed
+    (c -> cols-1-c): a free column f gives the null vector with a 1 at f and
+    other entries only at pivot columns beyond f, so, sorted by f, these are
+    the canonical basis already.
     """
+    rows = [r for r in m.rows if r]
+    n = len(rows)
+    if n > m.cols:
+        transposed = [{n + c: 1} for c in range(m.cols)]
+        for i, r in enumerate(rows):
+            for c, x in r.items():
+                transposed[c][i] = x
+        null = [{c - n: x for c, x in r.items()} for lead, r in _forward(transposed) if lead >= n]
+        return Subspace.from_vectors(m.cols, null)
     last = m.cols - 1
-    reduced = _rref_rows([{last - c: x for c, x in r.items()} for r in m.rows])
+    reduced = _rref_rows([{last - c: x for c, x in r.items()} for r in rows])
     pivots = {last - min(r) for r in reduced}
-    gens = {f: {f: _ONE} for f in range(m.cols) if f not in pivots}
+    gens = {f: {f: 1} for f in range(m.cols) if f not in pivots}
     # Rows by ascending pivot in m's columns, so each vector's keys ascend.
     for r in reversed(reduced):
         p = last - min(r)
@@ -322,34 +334,9 @@ def invert(m: Matrix) -> Matrix:
         raise ValueError("only square matrices are invertible")
     rows = [dict(r) for r in m.rows]
     for i, r in enumerate(rows):
-        r[n + i] = _ONE
+        r[n + i] = 1
     reduced = _rref_rows(rows)
     if len(reduced) != n or any(min(r) != i for i, r in enumerate(reduced)):
         raise ValueError("matrix is singular")
     return Matrix(n, [{c - n: x for c, x in r.items() if c >= n} for r in reduced])
 
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    return Subspace.from_vectors(a.ambient_dim, a.vectors() + b.vectors())
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the Zassenhaus double-block trick."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    n = a.ambient_dim
-    rows = []
-    for v in a.vectors():
-        r = dict(v)
-        r.update({c + n: x for c, x in v.items()})
-        rows.append(r)
-    rows.extend(b.vectors())
-    reduced = _rref_rows(rows)
-    inter = [
-        {c - n: x for c, x in r.items()}
-        for r in reduced
-        if min(r) >= n
-    ]
-    return Subspace.from_vectors(n, inter)

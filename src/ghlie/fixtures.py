@@ -31,8 +31,6 @@ from .liealg import (
     wedge_pairs,
 )
 
-_ONE = 1
-
 
 def canonical_killed_pairs(d: int, defect: int, variant: str = "generic") -> list[tuple[int, int]]:
     if variant == "deficient" and defect != 3:
@@ -55,7 +53,7 @@ def canonical_killed_pairs(d: int, defect: int, variant: str = "generic") -> lis
 def relations_from_pairs(d: int, killed: list[tuple[int, int]]) -> Subspace:
     pairs = wedge_pairs(d)
     idx = {p: w for w, p in enumerate(pairs)}
-    return Subspace.from_vectors(len(pairs), [{idx[p]: _ONE} for p in killed])
+    return Subspace.from_vectors(len(pairs), [{idx[p]: 1} for p in killed])
 
 
 def canonical_gh(d: int, defect: int, variant: str = "generic") -> LieAlgebra:

@@ -45,8 +45,6 @@ from .liealg import (
 )
 from .multiplier import dimensions, psi2_image
 
-_ONE = 1
-
 
 class HallBasis:
     """Graded Hall basis of the free nilpotent class-3 algebra on d generators."""
@@ -124,7 +122,7 @@ def presentation_from_class2(a: LieAlgebra, rel2: Subspace | None = None) -> Fre
     """
     if rel2 is None:
         a, rel2, _ = rebase_class2(a)
-    lifts: list[Vec] = [{c: _ONE} for c in rel2.complement_coords()]
+    lifts: list[Vec] = [{c: 1} for c in rel2.complement_coords()]
     h = hall_basis(a.dim - len(lifts))
     bracket_gens = []
     for s_vec in rel2.vectors():
@@ -181,7 +179,7 @@ def exterior_center(p: FreePresentation) -> Subspace:
     r = len(p.lifts)
     # grade-2 component of [Σ a_i x_i, x_k] is ±a_i on the pair {i, k}, so it
     # vanishes for every k iff a = 0 (with one generator there is no pair)
-    rows: list[Vec] = [{i: _ONE} for i in range(d)] if d > 1 else []
+    rows: list[Vec] = [{i: 1} for i in range(d)] if d > 1 else []
     # grade-3 component of [Σ b_s lift_s, x_k] must lie in [R,F]: one row
     # per (q, k) over the derived columns
     by_qk: dict[tuple[int, int], Vec] = {}
@@ -216,10 +214,10 @@ def cover_construct(p: FreePresentation) -> Cover:
     comp3 = rf.complement_coords()
     g2 = h.grade2_dim
     dim = d + g2 + len(comp3)
-    table = {ij: {d + w: _ONE} for w, ij in enumerate(h.pairs)}
+    table = {ij: {d + w: 1} for w, ij in enumerate(h.pairs)}
     for g in range(d):
         for w in range(g2):
-            img = rf.quotient_coords(wedge_gen_bracket(h, {w: _ONE}, g))
+            img = rf.quotient_coords(wedge_gen_bracket(h, {w: 1}, g))
             if img:
                 table[(g, d + w)] = {d + g2 + q: -x for q, x in img.items()}
     gen_labels = list(p.target.labels[:d])
@@ -231,7 +229,7 @@ def cover_construct(p: FreePresentation) -> Cover:
     algebra = LieAlgebra(dim, gen_labels + pair_labels + triple_labels, table)
     b_gens = [
         {d + w: x for w, x in v.items()} for v in p.rel2.vectors()
-    ] + [{d + g2 + q: _ONE} for q in range(len(comp3))]
+    ] + [{d + g2 + q: 1} for q in range(len(comp3))]
     central = Subspace.from_vectors(dim, b_gens)
     return Cover(algebra, central)
 
@@ -337,12 +335,12 @@ def extension_witness(p: FreePresentation) -> LieAlgebra:
     dim = d + r + g2 + n_dim
 
     def n_image(s: int, i: int) -> Vec:
-        return {d + r + g2 + q: x for q, x in kb.quotient_coords({s * d + i: _ONE}).items()}
+        return {d + r + g2 + q: x for q, x in kb.quotient_coords({s * d + i: 1}).items()}
 
     table: dict[tuple[int, int], Vec] = {}
     for i, j in itertools.combinations(range(d), 2):
         v: Vec = dict(t.pair(i, j))
-        v[d + r + h.pair_index[(i, j)]] = _ONE
+        v[d + r + h.pair_index[(i, j)]] = 1
         table[(i, j)] = v
     for s in range(r):
         for i in range(d):
@@ -367,7 +365,7 @@ def _extension_witness_agrees(p: FreePresentation, cover: LieAlgebra, series: li
     coordinates; the witness is graded, so the brackets run out.
     """
     lstar = extension_witness(p)
-    gens = [{g: _ONE} for g in range(p.hall.d)]
+    gens = [{g: 1} for g in range(p.hall.d)]
     terms = [gens]  # terms[k]: the nonzero left-normed brackets of k + 1 generators
     while terms[-1]:
         terms.append([w for u in terms[-1] for g in gens if (w := bracket_vectors(lstar, u, g))])

@@ -28,8 +28,6 @@ from .exactla import (
     vec_axpy,
 )
 
-_ONE = 1
-
 
 class CenterViolation(ValueError):
     """The requested relation subspace leaves a generator combination central."""
@@ -207,7 +205,7 @@ def heisenberg(m: int) -> LieAlgebra:
     if m < 1:
         raise ValueError("m must be at least 1")
     labels = tuple(f"x{i+1}" for i in range(2 * m)) + ("z",)
-    table = {(2 * i, 2 * i + 1): {2 * m: _ONE} for i in range(m)}
+    table = {(2 * i, 2 * i + 1): {2 * m: 1} for i in range(m)}
     return LieAlgebra(2 * m + 1, labels, table)
 
 
@@ -258,7 +256,7 @@ def class2_from_relations(d: int, relations: Subspace, labels=None) -> LieAlgebr
         labels = [f"x{i+1}" for i in range(d)] + [f"y{s+1}" for s in range(len(comp))]
     # Read off the RREF rows: mod relations, a pivot pair is minus the rest of its row.
     pos = {c: d + s for s, c in enumerate(comp)}
-    img = {c: {k: _ONE} for c, k in pos.items()}
+    img = {c: {k: 1} for c, k in pos.items()}
     for p, row in zip(relations.pivots, relations.vectors()):
         img[p] = {pos[c]: -x for c, x in row.items() if c != p}
     return LieAlgebra(d + len(comp), labels, {pairs[w]: img[w] for w in range(len(pairs))})

@@ -12,8 +12,6 @@ from .exactla import Subspace, Vec, vec_axpy
 from .liealg import _RETRY_BUDGET, ClassTwoRequired, LieAlgebra, quotient, rebase_class2
 from .multiplier import Psi2Data, dimensions, psi2_image
 
-_ONE = 1
-
 
 @dataclass(frozen=True)
 class Analysis:
@@ -281,7 +279,7 @@ def capability_by_quotients(a: LieAlgebra, random_lines: int = 4, seed: int = 0)
     ec = hopf.exterior_center(ctx.presentation)
     m = dimensions(ctx.k)["m_L"]
     z = ctx.center
-    lines: list[Vec] = [{c: _ONE} for c in range(a.dim) if z.contains_vec({c: _ONE})]
+    lines: list[Vec] = [{c: 1} for c in range(a.dim) if z.contains_vec({c: 1})]
     rng = random.Random(seed)
     zvecs = z.vectors()
     for _ in range(random_lines):

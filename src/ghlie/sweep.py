@@ -65,6 +65,10 @@ def _runner(args) -> dict:
 def run_sweep(cfg: SweepConfig) -> dict:
     if cfg.seeds < 0:
         raise ValueError(f"the number of seeds must be nonnegative, got {cfg.seeds}")
+    for field in ("d_values", "defects", "t_values"):
+        values = getattr(cfg, field)
+        if len(set(values)) != len(values):
+            raise ValueError(f"{field} repeats a value: {list(values)}")
     cases = grid_cases(cfg.d_values, cfg.defects, cfg.t_values, cfg.seeds)
     if not cases:
         raise ValueError("the sweep grid has no cases")

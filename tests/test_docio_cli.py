@@ -214,6 +214,20 @@ def test_analyze_coordinate_given_twice_exits_2(ws, capsys, v):
     assert capsys.readouterr().err == "error: coordinate 2 given twice in bracket (0,1)\n"
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"dim":3,"brackets":[{"i":0,"j":1,"v":{"2":"1","2":"0"}}]}', "2"),
+    ('{"dim":3,"brackets":[{"i":0,"j":1,"v":{"2":"1"}}],"dim":4}', "dim"),
+    ('{"dim":3,"brackets":[{"i":0,"i":1,"j":2,"v":{}}]}', "i"),
+    ('{"dim":3,"brackets":[],"meta":{"d":2,"d":3}}', "d"),
+])
+def test_analyze_repeated_json_key_exits_2(ws, capsys, text, key):
+    # json keeps the last of two equal keys: the first document read as the abelian algebra
+    with open("h.json", "w") as f:
+        f.write(text)
+    assert main(["analyze", "h.json"]) == 2
+    assert capsys.readouterr().err == f"error: key {key!r} given twice in one JSON object\n"
+
+
 def test_zero_values_are_read_as_absent(ws, capsys):
     _write_h1([{"i": 0, "j": 1, "v": {"2": "1", "1": "0"}}, {"i": 0, "j": 2, "v": {"1": "0/3"}},
                {"i": 1, "j": 2, "v": {}}])
@@ -457,6 +471,16 @@ def test_sweep_malformed_range_names_the_option(ws, capsys, option, text):
     # these used to print int()'s message, naming neither the option nor its forms
     assert main(["sweep", "--jobs", "1", option, text]) == 2
     assert capsys.readouterr().err == f"error: {option} {text!r} must look like lo..hi or a comma list of integers\n"
+
+
+@pytest.mark.parametrize("option, field", [("--d", "d_values"), ("--defect", "defects"), ("--t", "t_values")])
+def test_sweep_repeated_grid_value_exits_2(ws, capsys, option, field):
+    # a repeated value used to run its cases twice and double the ledger counts
+    argv = {"--d": "3", "--defect": "1", "--t": "0"}
+    argv[option] += "," + argv[option]
+    assert main(["sweep", "--seeds", "0", "--jobs", "1", *itertools.chain(*argv.items())]) == 2
+    value = int(argv[option][0])
+    assert capsys.readouterr().err == f"error: {field} repeats a value: [{value}, {value}]\n"
 
 
 def test_sweep_empty_grid_exits_2(ws, capsys):

@@ -1,5 +1,6 @@
 import copy
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,18 +9,24 @@ from hypothesis import strategies as st
 from ghlie.exactla import (
     Matrix,
     Subspace,
+    _cross_eliminate,
+    _eliminate,
+    _integer_row,
+    _primitive,
+    _ratio,
     _rref_rows,
     invert,
     kernel_basis,
     rank,
-    subspace_intersect,
-    subspace_sum,
     vec,
     vec_axpy,
-    vec_from_list,
 )
 
 F = Fraction
+
+
+def vec_from_list(xs):
+    return vec(dict(enumerate(xs)))
 
 
 def canonical(x):
@@ -82,6 +89,29 @@ def test_kernel_single_row():
 
 
 # --- subspace lattice --------------------------------------------------------
+# The lattice operations have no caller in the engine; they live here to check
+# the kernel against the modular law and the dimension formula.
+
+def subspace_sum(a, b):
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    return Subspace.from_vectors(a.ambient_dim, a.vectors() + b.vectors())
+
+
+def subspace_intersect(a, b):
+    """Intersection via the Zassenhaus double-block trick."""
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    n = a.ambient_dim
+    rows = []
+    for v in a.vectors():
+        r = dict(v)
+        r.update({c + n: x for c, x in v.items()})
+        rows.append(r)
+    rows.extend(b.vectors())
+    inter = [{c - n: x for c, x in r.items()} for r in _rref_rows(rows) if min(r) >= n]
+    return Subspace.from_vectors(n, inter)
+
 
 def span(ambient, *vectors):
     return Subspace.from_vectors(ambient, [vec_from_list(v) for v in vectors])
@@ -396,3 +426,113 @@ def test_reduce_matches_reference(case, split, mix):
             assert sub.contains_vec(v) == (not want)
     assert vectors == before
     assert sub.vectors() == sub_rows
+
+
+# --- the elimination schedule against the one it replaced ----------------------
+
+def _per_pivot_eliminate(rows):
+    """The kernel that cleared each new pivot from every finished row as it went."""
+    buckets = {}
+    for r in rows:
+        if r:
+            buckets.setdefault(min(r), []).append(_primitive(_integer_row(r)[1]))
+    heap = list(buckets)
+    heapify(heap)
+    done = []
+    while heap:
+        lead = heappop(heap)
+        bucket = buckets.pop(lead)
+        pivot = bucket.pop(0)
+        p = pivot[lead]
+        if p < 0:
+            for c, x in pivot.items():
+                pivot[c] = -x
+            p = -p
+        for r in bucket:
+            _cross_eliminate(r, r[lead], pivot, p)
+            if r:
+                l = min(r)
+                if l not in buckets:
+                    buckets[l] = []
+                    heappush(heap, l)
+                buckets[l].append(r)
+        for _, r in done:
+            a = r.get(lead)
+            if a is not None:
+                _cross_eliminate(r, a, pivot, p)
+        done.append((lead, pivot))
+    return done
+
+
+def _per_pivot_rref_rows(rows):
+    out = []
+    for l, r in _per_pivot_eliminate(rows):
+        p, items = r[l], sorted(r.items())
+        out.append(dict(items) if p == 1 else {c: _ratio(x, p) for c, x in items})
+    return out
+
+
+def _per_pivot_rank(m):
+    return len(_per_pivot_eliminate(m.rows))
+
+
+def _reversed_kernel_basis(m):
+    """The kernel_basis that reduced every shape with its columns reversed."""
+    last = m.cols - 1
+    reduced = _per_pivot_rref_rows([{last - c: x for c, x in r.items()} for r in m.rows])
+    pivots = {last - min(r) for r in reduced}
+    gens = {f: {f: 1} for f in range(m.cols) if f not in pivots}
+    for r in reversed(reduced):
+        p = last - min(r)
+        for c, x in r.items():
+            if last - c != p:
+                gens[last - c][p] = -x
+    return Subspace(m.cols, gens.values())
+
+
+def typed(rows):
+    """Rows as (column, value, type) lists: key order and the int/Fraction choice count."""
+    return [[(c, x, type(x)) for c, x in r.items()] for r in rows]
+
+
+@st.composite
+def shaped_rows(draw, max_cols=6):
+    """Wide, square and tall shapes (up to 4x as many rows as columns, empty rows
+    included), full rank or spanned by a few random rows, so tall ones have null
+    vectors; int, Fraction and large entries."""
+    ints, fracs = draw(st.sampled_from((small_scalars, large_scalars)))
+    scalars = st.one_of(ints, fracs)
+    cols = draw(st.integers(0, max_cols))
+    n = draw(st.integers(0, 4 * cols + 1))
+    if not cols:
+        return 0, [{}] * n
+    sparse = st.dictionaries(st.integers(0, cols - 1), scalars.filter(bool))
+    if draw(st.booleans()):
+        return cols, draw(st.lists(sparse, min_size=n, max_size=n))
+    basis = draw(st.lists(sparse, min_size=1, max_size=cols))
+    rows = []
+    for _ in range(n):
+        r = {}
+        for b, k in zip(basis, draw(st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis)))):
+            vec_axpy(r, k, b)
+        rows.append(r)
+    return cols, rows
+
+
+@given(shaped_rows())
+@example((0, [{}, {}]))
+@example((2, [{0: 1, 1: -1}] * 5 + [{}]))  # tall, one null vector, empty row included
+@example((1, [{0: 2**80}, {0: F(1, 3)}, {0: F(-7, 2**40)}]))
+@settings(max_examples=300, deadline=None)
+def test_schedule_matches_per_pivot_kernel(case):
+    cols, rows = case
+    before = copy.deepcopy(rows)
+    assert _eliminate(rows) == _per_pivot_eliminate(rows)
+    assert typed(_rref_rows(rows)) == typed(_per_pivot_rref_rows(rows))
+    m = Matrix(cols, rows)
+    assert rank(m) == _per_pivot_rank(m)
+    got = kernel_basis(m)
+    want = _reversed_kernel_basis(m)
+    assert got == want and got.pivots == want.pivots
+    assert typed(got.vectors()) == typed(want.vectors())
+    assert rows == before
