@@ -121,7 +121,8 @@ def _build_gh(args) -> tuple[LieAlgebra, dict]:
     else:
         raise docio.DocumentError("need --rank or --defect")
     defect = max_rank - rank
-    if args.variant == "deficient" and not args.canonical:
+    variant, seed = args.variant or "generic", args.seed or 0
+    if variant == "deficient" and not args.canonical:
         raise docio.DocumentError("--variant deficient needs --canonical")
     if args.kill and args.canonical:
         raise docio.DocumentError("--kill cannot be combined with --canonical")
@@ -131,17 +132,33 @@ def _build_gh(args) -> tuple[LieAlgebra, dict]:
         a = gh_construct(GhSpec(d=d, rank=rank, relation_subspace=rel))
         meta["relations"] = args.kill
     elif args.canonical:
-        a = canonical_gh(d, defect, args.variant)
-        meta["variant"] = args.variant
+        a = canonical_gh(d, defect, variant)
+        meta["variant"] = variant
         meta["canonical"] = True
     else:
-        a = gh_construct(GhSpec(d=d, rank=rank, seed=args.seed))
-        meta["seed"] = args.seed
+        a = gh_construct(GhSpec(d=d, rank=rank, seed=seed))
+        meta["seed"] = seed
     meta["gh"] = is_generalized_heisenberg(a)
     return a, meta
 
 
+# The families that read each gen option; given to any other family, it exits 2.
+# Every option here defaults to None, so one that was given shows.
+_FAMILY_OPTIONS = {
+    "t": ("sum",),
+    "n": ("abelian",),
+    "m": ("heisenberg",),
+    **dict.fromkeys(("d", "rank", "defect", "kill", "canonical", "seed", "variant"), ("gh", "sum")),
+}
+
+
 def cmd_gen(args) -> int:
+    stray = [
+        f"--{option}" for option, families in _FAMILY_OPTIONS.items()
+        if args.family not in families and getattr(args, option) is not None
+    ]
+    if stray:
+        raise docio.DocumentError(f"{', '.join(stray)} cannot be used with --family {args.family}")
     if args.family == "abelian":
         if args.n is None:
             raise docio.DocumentError("--n is required for the abelian family")
@@ -299,9 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, help="dimension for --family abelian")
     gen.add_argument("--m", type=int, help="index for --family heisenberg")
     gen.add_argument("--t", type=int, help="abelian summand dimension for --family sum")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--canonical", action="store_true")
-    gen.add_argument("--variant", choices=["generic", "deficient"], default="generic")
+    gen.add_argument("--seed", type=int, help="seed of a drawn gh algebra (default 0)")
+    gen.add_argument("--canonical", action="store_true", default=None)
+    gen.add_argument("--variant", choices=["generic", "deficient"], help="canonical gh variant (default generic)")
     gen.add_argument("--kill", help="explicit relations, e.g. '1,2;3,4' (1-based pairs)")
     gen.add_argument("--out")
     gen.add_argument("--json", action="store_true")

@@ -4,11 +4,11 @@ Everything downstream (bracket tables, Hall-basis rewriting, the dimension
 formulas) reduces to row reduction over the rationals, so this module keeps a
 single normal form: a sparse row (Vec) maps a column to a nonzero exact
 rational, a matrix is a width plus a list of such rows, and a subspace is its
-unique reduced row-echelon basis held as such rows.  An exact rational is an
-``int`` when integral, else a ``Fraction``, never a float or a bool: ``vec``
-coerces external input to it, and the kernel and ``Subspace.reduce`` return
-it (equal ints and Fractions compare, hash and print alike).  All comparisons
-are exact equalities; there are no tolerances anywhere.
+unique reduced row-echelon basis.  An exact rational is an ``int`` when
+integral, else a ``Fraction``, never a float or a bool: ``vec`` coerces
+external input to it, and the kernel and ``Subspace.reduce`` return it (equal
+ints and Fractions compare, hash and print alike).  All comparisons are exact
+equalities; there are no tolerances anywhere.
 
 The one elimination kernel works on primitive integer rows: denominators are
 cleared by their lcm, the content gcd is divided out, and rows are eliminated
@@ -16,8 +16,12 @@ by fraction-free cross-multiplication (Bareiss 1968).  Each answer pays only
 for what it reads: ``rank`` counts the pivots of the forward pass; an RREF
 adds one back-substitution, from the last pivot up, and divides only on
 return; ``kernel_basis`` eliminates the short side of m (mᵀ beside an
-identity block when m is tall).  ``Subspace.reduce`` is fraction-free too: it
-eliminates against integer copies of the basis rows, made once per subspace.
+identity block when m is tall).  A ``Subspace`` stores the kernel's rows as
+they come out, each the primitive integer multiple of its unit-pivot RREF row,
+and ``reduce`` (membership, quotient coordinates) eliminates against them
+fraction-free.  The unit-pivot rational rows are built once, on the first
+call of ``vectors()``; a caller that needs only the span reads
+``integer_rows()``.
 """
 
 from __future__ import annotations
@@ -193,27 +197,29 @@ def rank(m: Matrix) -> int:
 
 
 class Subspace:
-    """A subspace of Q^ambient_dim held as its canonical RREF basis.
+    """A subspace of Q^ambient_dim held as its canonical integer RREF basis.
 
-    The basis rows have strictly increasing unit pivots and zeros elsewhere in
-    pivot columns, so equality of subspaces is literal equality of rows.  The
-    rows are shared with every caller of ``vectors()`` and never mutated; a
-    caller that edits one copies it first.
+    The stored rows are ``_eliminate``'s, keys ascending: each is primitive,
+    with a positive pivot and zeros at the other pivots, so it is the unique
+    such multiple of its unit-pivot RREF row and equal subspaces have equal
+    rows.  Everything but ``vectors()`` reads them as they are; the unit-pivot
+    rows are built on its first call and kept.  Rows of either kind are shared
+    with callers and never mutated; a caller that edits one copies it first.
     """
 
-    __slots__ = ("ambient_dim", "_rows", "pivots", "_comp_pos", "_int_rows")
+    __slots__ = ("ambient_dim", "_rows", "pivots", "_vectors", "_comp_pos")
 
-    def __init__(self, ambient_dim: int, rows: Iterable[Vec]):
-        """rows must already be the canonical RREF basis (see from_vectors)."""
+    def __init__(self, ambient_dim: int, rows: Iterable[dict]):
+        """rows must already be the stored form, by ascending pivot (see from_vectors)."""
         self.ambient_dim = ambient_dim
-        self._rows = tuple(rows)
-        self.pivots = tuple(min(r) for r in self._rows)
+        self._rows = {next(iter(r)): r for r in rows}
+        self.pivots = tuple(self._rows)
+        self._vectors = None
         self._comp_pos = None
-        self._int_rows = None
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Vec]) -> "Subspace":
-        return cls(ambient_dim, _rref_rows(vectors))
+        return cls(ambient_dim, [dict(sorted(r.items())) for _, r in _eliminate(vectors)])
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -229,22 +235,30 @@ class Subspace:
 
     def complement_coords(self) -> tuple[int, ...]:
         """Ambient coordinates not used as pivots; they index the quotient."""
-        piv = set(self.pivots)
+        piv = self._rows
         return tuple(c for c in range(self.ambient_dim) if c not in piv)
 
+    def integer_rows(self) -> list[dict]:
+        """The stored rows: the basis of ``vectors()`` scaled to integers."""
+        return list(self._rows.values())
+
     def vectors(self) -> list[Vec]:
-        return list(self._rows)
+        """The RREF basis: unit pivots, each stored row divided by its pivot."""
+        if self._vectors is None:
+            self._vectors = [
+                r if r[p] == 1 else {c: _ratio(x, r[p]) for c, x in r.items()}
+                for p, r in self._rows.items()
+            ]
+        return list(self._vectors)
 
     def reduce(self, v: Vec) -> Vec:
         """Residual of v after eliminating all pivot coordinates.
 
         v = u/scale with u an integer row, eliminated by cross-multiplication
-        against the primitive integer basis rows.  A basis row is zero at the
-        other pivots, so the pivots to eliminate are those v holds.
+        against the stored rows.  A stored row is zero at the other pivots,
+        so the pivots to eliminate are those v holds.
         """
-        if self._int_rows is None:  # unit pivot rows scaled by their lcm are primitive
-            self._int_rows = {p: _integer_row(r)[1] for p, r in zip(self.pivots, self._rows)}
-        rows = self._int_rows
+        rows = self._rows
         hits = sorted(c for c in v if c in rows)
         if not hits:
             return dict(v)
@@ -270,13 +284,6 @@ class Subspace:
     def contains_vec(self, v: Vec) -> bool:
         return not self.reduce(v)
 
-    def coords(self, v: Vec) -> Vec | None:
-        """Coefficients of v in the basis rows, or None if v is outside."""
-        if not self.contains_vec(v):
-            return None
-        # RREF: the pivot coordinates of v are exactly its basis coefficients.
-        return {t: v[p] for t, p in enumerate(self.pivots) if p in v}
-
     def quotient_coords(self, v: Vec) -> Vec:
         """Coordinates of v + self in the complement-coordinate basis."""
         if self._comp_pos is None:
@@ -299,11 +306,13 @@ def kernel_basis(m: Matrix) -> Subspace:
     """Right null space {x : m x = 0} in canonical form, from m's short side.
 
     Tall m (more nonzero rows than columns): in a forward pass over [mᵀ | I],
-    the rows that lead inside I span the null space; one small RREF of them
-    is the canonical basis.  Wide m is reduced with its columns reversed
-    (c -> cols-1-c): a free column f gives the null vector with a 1 at f and
-    other entries only at pivot columns beyond f, so, sorted by f, these are
-    the canonical basis already.
+    the rows that lead inside I span the null space; one small elimination of
+    them is the canonical basis.  Wide m is reduced with its columns reversed
+    (c -> cols-1-c): a free column f gives the null vector with den_f at f and
+    -x·den_f/q at the pivot column of each row holding x at f, where q is that
+    row's pivot entry and den_f the lcm of those q.  Its other entries sit at
+    pivot columns beyond f, so, made primitive and sorted by f, these vectors
+    are the canonical basis already.
     """
     rows = [r for r in m.rows if r]
     n = len(rows)
@@ -315,16 +324,24 @@ def kernel_basis(m: Matrix) -> Subspace:
         null = [{c - n: x for c, x in r.items()} for lead, r in _forward(transposed) if lead >= n]
         return Subspace.from_vectors(m.cols, null)
     last = m.cols - 1
-    reduced = _rref_rows([{last - c: x for c, x in r.items()} for r in rows])
-    pivots = {last - min(r) for r in reduced}
-    gens = {f: {f: 1} for f in range(m.cols) if f not in pivots}
+    reduced = _eliminate([{last - c: x for c, x in r.items()} for r in rows])
+    pivots = {last - l for l, _ in reduced}
+    den = {f: 1 for f in range(m.cols) if f not in pivots}
+    for l, r in reduced:
+        q = r[l]
+        if q != 1:
+            for c in r:
+                if c != l:
+                    den[last - c] = lcm(den[last - c], q)
+    gens = {f: {f: x} for f, x in den.items()}
     # Rows by ascending pivot in m's columns, so each vector's keys ascend.
-    for r in reversed(reduced):
-        p = last - min(r)
+    for l, r in reversed(reduced):
+        p, q = last - l, r[l]
         for c, x in r.items():
-            if last - c != p:
-                gens[last - c][p] = -x
-    return Subspace(m.cols, gens.values())
+            if c != l:
+                f = last - c
+                gens[f][p] = -x * (den[f] // q)
+    return Subspace(m.cols, [v if den[f] == 1 else _primitive(v) for f, v in gens.items()])
 
 
 def invert(m: Matrix) -> Matrix:

@@ -125,7 +125,7 @@ def presentation_from_class2(a: LieAlgebra, rel2: Subspace | None = None) -> Fre
     lifts: list[Vec] = [{c: 1} for c in rel2.complement_coords()]
     h = hall_basis(a.dim - len(lifts))
     bracket_gens = []
-    for s_vec in rel2.vectors():
+    for s_vec in rel2.integer_rows():  # the span of [rel2, F] is all that is kept
         for k in range(h.d):
             w3 = wedge_gen_bracket(h, s_vec, k)
             if w3:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .exactla import Subspace, Vec, vec_axpy
+from .exactla import Subspace, Vec
 from .liealg import LieAlgebra, rebase_class2
 
 
@@ -59,8 +59,9 @@ def psi2_image(a: LieAlgebra, rel2: Subspace | None = None) -> Psi2Data:
     gens = []
     for g1, g2, g3 in itertools.combinations(range(n), 3):
         v: Vec = {}
+        # the three terms sit at distinct generator indices, so they never meet
         for (i, j), g in (((g1, g2), g3), ((g3, g1), g2), ((g2, g3), g1)):
-            vec_axpy(v, 1, {(c - n) * n + g: x for c, x in a.pair(i, j).items()})
+            v.update({(c - n) * n + g: x for c, x in a.pair(i, j).items()})
         if v:
             gens.append(v)
     return Psi2Data(n, r, Subspace.from_vectors(r * n, gens))

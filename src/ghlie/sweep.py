@@ -69,6 +69,8 @@ def run_sweep(cfg: SweepConfig) -> dict:
         values = getattr(cfg, field)
         if len(set(values)) != len(values):
             raise ValueError(f"{field} repeats a value: {list(values)}")
+    if any(t < 0 for t in cfg.t_values):
+        raise ValueError(f"t_values must be nonnegative, got {list(cfg.t_values)}")
     cases = grid_cases(cfg.d_values, cfg.defects, cfg.t_values, cfg.seeds)
     if not cases:
         raise ValueError("the sweep grid has no cases")

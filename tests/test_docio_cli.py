@@ -172,6 +172,34 @@ def test_gen_kill_with_canonical_exits_2(ws, capsys):
     assert not Path("k.json").exists()
 
 
+@pytest.mark.parametrize("family, argv, stray", [
+    # --t is read by sum only
+    ("gh", ["--d", "4", "--defect", "1", "--t", "2"], "--t"),
+    ("gh", ["--d", "4", "--defect", "1", "--t", "0"], "--t"),
+    ("abelian", ["--n", "3", "--t", "1"], "--t"),
+    ("heisenberg", ["--m", "2", "--t", "3"], "--t"),
+    # --n by abelian only
+    ("heisenberg", ["--m", "2", "--n", "5"], "--n"),
+    ("gh", ["--d", "3", "--defect", "1", "--n", "2"], "--n"),
+    ("sum", ["--d", "3", "--defect", "1", "--t", "1", "--n", "2"], "--n"),
+    # --m by heisenberg only
+    ("abelian", ["--n", "3", "--m", "1"], "--m"),
+    ("gh", ["--d", "3", "--defect", "1", "--m", "1"], "--m"),
+    ("sum", ["--d", "3", "--defect", "1", "--t", "1", "--m", "1"], "--m"),
+    # the gh options by gh and sum only
+    *((family, [first, "1", *opt], opt[0])
+      for family, first in (("abelian", "--n"), ("heisenberg", "--m"))
+      for opt in (["--d", "4"], ["--rank", "2"], ["--defect", "1"], ["--kill", "1,2"], ["--canonical"],
+                  ["--seed", "0"], ["--variant", "generic"])),
+    ("heisenberg", ["--m", "2", "--n", "5", "--t", "3"], "--t, --n"),
+])
+def test_gen_option_its_family_does_not_read_exits_2(ws, capsys, family, argv, stray):
+    # these used to be dropped silently: exit 0, and nothing in the meta
+    assert main(["gen", "--family", family, *argv, "--out", "x.json"]) == 2
+    assert capsys.readouterr().err == f"error: {stray} cannot be used with --family {family}\n"
+    assert not Path("x.json").exists()
+
+
 def test_gen_center_violation_exits_3(ws):
     assert main(["gen", "--family", "gh", "--d", "3", "--rank", "1", "--seed", "2"]) == 3
 
@@ -388,9 +416,9 @@ def test_canonical_grid_documents_analyze_as_their_sweep_rows(ws, capsys):
     cases = grid_cases(cfg.d_values, cfg.defects, cfg.t_values, 0)
     assert len(cases) == 42
     for case in cases:
-        argv = ["gen", "--family", "sum" if case.t else "gh", "--d", str(case.d),
-                "--defect", str(case.defect), "--t", str(case.t), "--canonical",
-                "--variant", case.variant, "--out", "g.json"]
+        family = ["sum", "--t", str(case.t)] if case.t else ["gh"]  # gh does not take --t
+        argv = ["gen", "--family", *family, "--d", str(case.d), "--defect", str(case.defect),
+                "--canonical", "--variant", case.variant, "--out", "g.json"]
         assert main(argv) == 0, case.name
         capsys.readouterr()
         assert main(["analyze", "g.json", "--oracle"]) == 0, case.name
@@ -538,6 +566,11 @@ def test_negative_counts_exit_2(ws, capsys):
         capability_by_quotients(heisenberg(2), random_lines=-1)
     assert main(["sweep", "--d", "3", "--defect", "1", "--t", "0", "--seeds", "-1", "--jobs", "1"]) == 2
     assert capsys.readouterr().err == "error: the number of seeds must be nonnegative, got -1\n"
+    # a negative t used to fail inside abelian(), with a message naming no option
+    with pytest.raises(ValueError, match="t_values must be nonnegative"):
+        run_sweep(SweepConfig(d_values=(3,), defects=(1,), t_values=(0, -1), seeds=0, jobs=1))
+    assert main(["sweep", "--d", "3", "--defect", "1", "--t", "-1", "--seeds", "0"]) == 2
+    assert capsys.readouterr().err == "error: t_values must be nonnegative, got [-1]\n"
     docio.write_document("h2.json", heisenberg(2))
     assert main(["capable", "h2.json", "--random-lines", "-1"]) == 2
     assert capsys.readouterr().err == "error: the number of random lines must be nonnegative, got -1\n"

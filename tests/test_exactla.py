@@ -1,6 +1,7 @@
 import copy
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +12,7 @@ from ghlie.exactla import (
     Subspace,
     _cross_eliminate,
     _eliminate,
+    _forward,
     _integer_row,
     _primitive,
     _ratio,
@@ -115,6 +117,14 @@ def subspace_intersect(a, b):
 
 def span(ambient, *vectors):
     return Subspace.from_vectors(ambient, [vec_from_list(v) for v in vectors])
+
+
+def coords(sub, v):
+    """Coefficients of v in sub's RREF basis rows, or None if v is outside."""
+    if not sub.contains_vec(v):
+        return None
+    # RREF: the pivot coordinates of v are exactly its basis coefficients.
+    return {t: v[p] for t, p in enumerate(sub.pivots) if p in v}
 
 
 def test_sum_with_zero_is_identity():
@@ -358,7 +368,7 @@ def test_operations_leave_subspace_rows_unchanged():
     for v in (vec_from_list([3, 1, 4, 1]), *sub.vectors(), *other.vectors()):
         for w in (sub, other):
             w.reduce(v)
-            w.coords(v)
+            coords(w, v)
             w.quotient_coords(v)
             w.contains_vec(v)
     for a, b in ((sub, other), (other, sub), (sub, sub)):
@@ -422,7 +432,7 @@ def test_reduce_matches_reference(case, split, mix):
             # a vector in the contract (as vec makes it) reduces to one in it
             assert all(canonical(x) for x in sub.reduce(vec(v)).values())
             assert sub.quotient_coords(v) == _reference_quotient_coords(sub, v)
-            assert sub.coords(v) == _reference_coords(sub, v)
+            assert coords(sub, v) == _reference_coords(sub, v)
             assert sub.contains_vec(v) == (not want)
     assert vectors == before
     assert sub.vectors() == sub_rows
@@ -487,7 +497,7 @@ def _reversed_kernel_basis(m):
         for c, x in r.items():
             if last - c != p:
                 gens[last - c][p] = -x
-    return Subspace(m.cols, gens.values())
+    return _ReferenceSubspace(m.cols, gens.values())
 
 
 def typed(rows):
@@ -531,8 +541,168 @@ def test_schedule_matches_per_pivot_kernel(case):
     assert typed(_rref_rows(rows)) == typed(_per_pivot_rref_rows(rows))
     m = Matrix(cols, rows)
     assert rank(m) == _per_pivot_rank(m)
-    got = kernel_basis(m)
-    want = _reversed_kernel_basis(m)
-    assert got == want and got.pivots == want.pivots
-    assert typed(got.vectors()) == typed(want.vectors())
+    assert_same(kernel_basis(m), _reversed_kernel_basis(m))
     assert rows == before
+
+
+# --- the integer store against the rational one it replaced ----------------------
+
+class _ReferenceSubspace:
+    """The Subspace that stored unit-pivot rational rows and built integer copies
+    of them for reduce, kept as the reference of the integer store."""
+
+    def __init__(self, ambient_dim, rows):
+        self.ambient_dim = ambient_dim
+        self._rows = tuple(rows)
+        self.pivots = tuple(min(r) for r in self._rows)
+        self._int_rows = None
+
+    @classmethod
+    def from_vectors(cls, ambient_dim, vectors):
+        return cls(ambient_dim, _rref_rows(vectors))
+
+    @classmethod
+    def zero(cls, ambient_dim):
+        return cls(ambient_dim, ())
+
+    @classmethod
+    def full(cls, ambient_dim):
+        return cls(ambient_dim, [{i: 1} for i in range(ambient_dim)])
+
+    @property
+    def dim(self):
+        return len(self._rows)
+
+    def complement_coords(self):
+        piv = set(self.pivots)
+        return tuple(c for c in range(self.ambient_dim) if c not in piv)
+
+    def vectors(self):
+        return list(self._rows)
+
+    def reduce(self, v):
+        if self._int_rows is None:
+            self._int_rows = {p: _integer_row(r)[1] for p, r in zip(self.pivots, self._rows)}
+        rows = self._int_rows
+        hits = sorted(c for c in v if c in rows)
+        if not hits:
+            return dict(v)
+        scale, u = _integer_row(v)
+        for p in hits:
+            row = rows[p]
+            a, q = u[p], row[p]
+            g = gcd(a, q)
+            if q != g:
+                s = q // g
+                scale *= s
+                for c, x in u.items():
+                    u[c] = s * x
+            t = a // g
+            for c, x in row.items():
+                y = u.get(c, 0) - t * x
+                if y:
+                    u[c] = y
+                else:
+                    del u[c]
+        return u if scale == 1 else {c: _ratio(x, scale) for c, x in u.items()}
+
+    def contains_vec(self, v):
+        return not self.reduce(v)
+
+    def quotient_coords(self, v):
+        pos = {c: k for k, c in enumerate(self.complement_coords())}
+        return {pos[c]: x for c, x in self.reduce(v).items()}
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, _ReferenceSubspace)
+            and self.ambient_dim == other.ambient_dim
+            and self._rows == other._rows
+        )
+
+
+def _reference_kernel_basis_rational(m):
+    """kernel_basis as it was: the tall path as now, and the wide path read off
+    the unit-pivot rows of one reversed-column RREF."""
+    rows = [r for r in m.rows if r]
+    n = len(rows)
+    if n > m.cols:
+        transposed = [{n + c: 1} for c in range(m.cols)]
+        for i, r in enumerate(rows):
+            for c, x in r.items():
+                transposed[c][i] = x
+        null = [{c - n: x for c, x in r.items()} for lead, r in _forward(transposed) if lead >= n]
+        return _ReferenceSubspace.from_vectors(m.cols, null)
+    last = m.cols - 1
+    reduced = _rref_rows([{last - c: x for c, x in r.items()} for r in rows])
+    pivots = {last - min(r) for r in reduced}
+    gens = {f: {f: 1} for f in range(m.cols) if f not in pivots}
+    for r in reversed(reduced):
+        p = last - min(r)
+        for c, x in r.items():
+            if last - c != p:
+                gens[last - c][p] = -x
+    return _ReferenceSubspace(m.cols, gens.values())
+
+
+def assert_same(got, want):
+    """A Subspace against its reference: shape, and the rows vectors() returns
+    with their values, key order and int/Fraction types."""
+    assert (got.ambient_dim, got.dim, got.pivots) == (want.ambient_dim, want.dim, want.pivots)
+    assert got.complement_coords() == want.complement_coords()
+    assert typed(got.vectors()) == typed(want.vectors())
+
+
+def assert_stored_form(sub):
+    """integer_rows() is the stored form: primitive int rows with a positive pivot,
+    zero at the other pivots, keys ascending, spanning what vectors() spans."""
+    rows = sub.integer_rows()
+    assert tuple(next(iter(r)) for r in rows) == sub.pivots
+    for r, v in zip(rows, sub.vectors()):
+        assert list(r) == sorted(r) and all(type(x) is int for x in r.values())
+        assert r[min(r)] > 0 and gcd(*r.values()) == 1
+        assert not any(p in r for p in sub.pivots if p != min(r))
+        assert {c: F(x, r[min(r)]) for c, x in r.items()} == v
+
+
+@given(row_lists(min_cols=0), st.integers(0, 12), st.lists(st.integers(-3, 3), max_size=6))
+# equal pivots, different subspaces: span{(1, 1)} against ker (1 1) = span{(1, -1)}
+@example((2, [{0: 1, 1: 1}]), 1, [])
+# wide, and the null vector of free column 0 has content 6 before it is made primitive
+@example((4, [{0: 2, 1: 1, 2: 2}, {0: 3, 1: 1, 3: 3}]), 1, [1, 1])
+@example((3, [{0: F(1, 2), 2: F(-3, 4)}, {}, {1: F(5, 3)}, {0: 1, 1: 1, 2: 1}] + [{0: 1}] * 3), 2, [2, -1])
+@settings(max_examples=200, deadline=None)
+def test_subspace_matches_rational_reference(case, split, mix):
+    cols, rows = case
+    before = copy.deepcopy(rows)
+    m = Matrix(cols, rows)
+    t = transpose(m)  # its null space is wide where m's is tall, in Q^len(rows)
+    pairs = [
+        (Subspace.from_vectors(cols, rows[:split]), _ReferenceSubspace.from_vectors(cols, rows[:split])),
+        (Subspace.from_vectors(cols, rows), _ReferenceSubspace.from_vectors(cols, rows)),
+        (kernel_basis(m), _reference_kernel_basis_rational(m)),
+        (Subspace.zero(cols), _ReferenceSubspace.zero(cols)),
+        (Subspace.full(cols), _ReferenceSubspace.full(cols)),
+        (kernel_basis(t), _reference_kernel_basis_rational(t)),
+    ]
+    combo = {}
+    for k, v in zip(mix, rows):
+        vec_axpy(combo, F(k), v)
+    probes = list(rows) + [combo] + [v for got, _ in pairs for v in got.vectors() + got.integer_rows()]
+    probes_before = copy.deepcopy(probes)
+    for got, want in pairs:
+        assert_same(got, want)
+        assert_stored_form(got)
+        # one stored form: the same subspace from its own rows, rational or integer
+        n = got.ambient_dim
+        assert got == Subspace.from_vectors(n, got.vectors()) == Subspace.from_vectors(n, got.integer_rows())
+        for v in (v for v in probes if all(c < got.ambient_dim for c in v)):
+            assert typed([got.reduce(v)]) == typed([want.reduce(v)])
+            assert typed([got.quotient_coords(v)]) == typed([want.quotient_coords(v)])
+            assert got.contains_vec(v) == want.contains_vec(v)
+            assert coords(got, v) == _reference_coords(want, v)
+    # equality across constructors agrees with the references'
+    for got1, want1 in pairs:
+        for got2, want2 in pairs:
+            assert (got1 == got2) == (want1 == want2)
+    assert rows == before and probes == probes_before

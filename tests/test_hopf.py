@@ -638,7 +638,7 @@ def _reference_rebase_read_off(a):
             cols[last - c][n + s] = x
     labels = [a.labels[g] for g in gens] + [a.labels[p] for p in der.pivots]
     b = LieAlgebra(a.dim, labels, {pairs[w]: v for w, v in enumerate(cols) if v})
-    return b, Subspace(a.dim, [{c: ONE} for c in range(n, a.dim)]), z
+    return b, Subspace.from_vectors(a.dim, [{c: ONE} for c in range(n, a.dim)]), z
 
 
 def _reference_phi_presentation(a, der):
@@ -704,16 +704,24 @@ def _reference_subalgebra_closure(a, seed_vectors):
         sub = grown
 
 
+def coords(sub, v):
+    """Coefficients of v in sub's RREF basis rows, or None if v is outside."""
+    if not sub.contains_vec(v):
+        return None
+    # RREF: the pivot coordinates of v are exactly its basis coefficients.
+    return {t: v[p] for t, p in enumerate(sub.pivots) if p in v}
+
+
 def _reference_restrict(a, sub):
     """The algebra structure induced on a bracket-closed subspace."""
     basis = sub.vectors()
     table = {}
     for s, t in itertools.combinations(range(len(basis)), 2):
-        coords = sub.coords(bracket_vectors(a, basis[s], basis[t]))
-        if coords is None:
+        c = coords(sub, bracket_vectors(a, basis[s], basis[t]))
+        if c is None:
             raise ValueError("subspace is not closed under the bracket")
-        if coords:
-            table[(s, t)] = coords
+        if c:
+            table[(s, t)] = c
     return LieAlgebra(len(basis), [f"u{k+1}" for k in range(len(basis))], table)
 
 

@@ -341,7 +341,7 @@ def _reference_rebase_class2(a):
     if der.pivots != tuple(range(n, a.dim)):
         rows = [{c: ONE} for c in der.complement_coords()] + der.vectors()
         a = change_of_basis(a, Matrix(a.dim, rows))
-    return a, Subspace(a.dim, [{c: ONE} for c in range(n, a.dim)])
+    return a, Subspace.from_vectors(a.dim, [{c: ONE} for c in range(n, a.dim)])
 
 
 def _sl2():

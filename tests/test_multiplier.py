@@ -81,6 +81,14 @@ def test_psi2_rejects_class_three():
         Analysis.of(cover.algebra)
 
 
+def coords(sub, v):
+    """Coefficients of v in sub's RREF basis rows, or None if v is outside."""
+    if not sub.contains_vec(v):
+        return None
+    # RREF: the pivot coordinates of v are exactly its basis coefficients.
+    return {t: v[p] for t, p in enumerate(sub.pivots) if p in v}
+
+
 def full_enumeration_span(a):
     """Span of the Jacobi cycle over *all* index triples, repeats included."""
     der = derived_subalgebra(a)
@@ -94,7 +102,7 @@ def full_enumeration_span(a):
             ((comp[g3], comp[g1]), g2),
             ((comp[g2], comp[g3]), g1),
         ):
-            for s, x in der.coords(a.pair(ci, cj)).items():
+            for s, x in coords(der, a.pair(ci, cj)).items():
                 key = s * n + g
                 t = v.get(key, 0) + x
                 if t:
@@ -140,7 +148,7 @@ def _reference_psi2_span(a, der):
             ((comp[g3], comp[g1]), g2),
             ((comp[g2], comp[g3]), g1),
         ):
-            vec_axpy(v, 1, {s * n + g: x for s, x in der.coords(a.pair(ci, cj)).items()})
+            vec_axpy(v, 1, {s * n + g: x for s, x in coords(der, a.pair(ci, cj)).items()})
         if v:
             gens.append(v)
     return n, r, Subspace.from_vectors(r * n, gens)
