@@ -124,8 +124,9 @@ def _build_gh(args) -> tuple[LieAlgebra, dict]:
     variant, seed = args.variant or "generic", args.seed or 0
     if variant == "deficient" and not args.canonical:
         raise docio.DocumentError("--variant deficient needs --canonical")
-    if args.kill and args.canonical:
-        raise docio.DocumentError("--kill cannot be combined with --canonical")
+    for first, second in (("kill", "canonical"), ("kill", "seed"), ("canonical", "seed")):
+        if getattr(args, first) and getattr(args, second) is not None:
+            raise docio.DocumentError(f"--{first} cannot be combined with --{second}")
     meta = {"family": "gh", "d": d, "rank": rank, "defect": defect}
     if args.kill:
         rel = relations_from_pairs(d, _parse_kill(args.kill, d))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterator
 
 from .exactla import (
@@ -39,6 +40,10 @@ class NotAnIdealError(ValueError):
 
 class ClassTwoRequired(ValueError):
     """Operation defined only for nilpotent algebras of class at most two."""
+
+
+class NotCentral(ValueError):
+    """A subspace claimed central brackets nontrivially with the algebra."""
 
 
 class LieAlgebra:
@@ -96,10 +101,10 @@ def bracket_vectors(a: LieAlgebra, u: Vec, v: Vec) -> Vec:
     return out
 
 
-def _adjoint(a: LieAlgebra) -> list[dict[int, Vec]]:
-    """adj[i][j] = [e_i, e_j] for the stored brackets, in both orders."""
-    adj: list[dict[int, Vec]] = [{} for _ in range(a.dim)]
-    for (i, j), w in a.bracket.items():
+def _adjoint(dim: int, bracket: dict[tuple[int, int], Vec]) -> list[dict[int, Vec]]:
+    """adj[i][j] = [e_i, e_j] for the brackets {(i, j): [e_i, e_j]} given, in both orders."""
+    adj: list[dict[int, Vec]] = [{} for _ in range(dim)]
+    for (i, j), w in bracket.items():
         adj[i][j], adj[j][i] = w, {k: -x for k, x in w.items()}
     return adj
 
@@ -117,7 +122,7 @@ def _ad_basis(adj: list[dict[int, Vec]], vectors) -> Iterator[Vec]:
 def jacobi_check(a: LieAlgebra) -> list[tuple[int, int, int]]:
     """Triples i<j<k violating the Jacobi identity (empty list = valid table)."""
     bad = []
-    adj = _adjoint(a)
+    adj = _adjoint(a.dim, a.bracket)
     for i, j, k in itertools.combinations(range(a.dim), 3):
         acc: Vec = {}
         for p, q, r in ((i, j, k), (k, i, j), (j, k, i)):
@@ -132,29 +137,45 @@ def derived_subalgebra(a: LieAlgebra) -> Subspace:
     return Subspace.from_vectors(a.dim, list(a.bracket.values()))
 
 
-def center(a: LieAlgebra, der: Subspace | None = None) -> Subspace:
-    """Kernel of v -> ([v, b_j])_j, assembled from the stacked adjoint maps; der is L² if known.
+def center(a: LieAlgebra, der: Subspace | None = None, central: Subspace | None = None) -> Subspace:
+    """Z(L); der is L² if known, central a subspace claimed central (NotCentral if it is not).
 
-    Each [v, b_j] lies in L², the span of the table's values, and a vector of L² is fixed
-    by its entries at the pivots of L²'s RREF: only those rows (j, k) are kept, for any table.
+    [v, b_j] lies in L², where a vector is fixed by its entries at L²'s pivots: only those are
+    read.  The claim is checked in integers (the table scaled by its denominators' lcm); then
+    Z(L) = central + {v : [v, b_c] = 0 for all c}, v and c over central's complement coordinates.
     """
     n = a.dim
     piv = set((derived_subalgebra(a) if der is None else der).pivots)
+    central = Subspace.zero(n) if central is None else central
+    held = {i for u in central.integer_rows() for i in u}
+    touching = {(i, j): w for (i, j), w in a.bracket.items() if i in held or j in held}
+    den = lcm(*(x.denominator for w in touching.values() for x in w.values()))
+    scaled = {p: {k: x.numerator * (den // x.denominator) for k, x in w.items() if k in piv}
+              for p, w in touching.items()}
+    if any(_ad_basis(_adjoint(n, scaled), central.integer_rows())):
+        raise NotCentral("the subspace claimed central is not central")
+    comp = central.complement_coords()
+    pos = {c: s for s, c in enumerate(comp)}
     rows: dict[int, Vec] = {}
     for (i, j), w in a.bracket.items():
-        for k, x in w.items():
-            # [e_i, e_j] = w puts x in row (j, k) col i and -x in row (i, k) col j;
-            # no other bracket writes either entry.  Rows no bracket writes are zero.
-            if k in piv:
-                rows.setdefault(j * n + k, {})[i] = x
-                rows.setdefault(i * n + k, {})[j] = -x
-    return kernel_basis(Matrix(n, rows.values()))
+        if i in pos and j in pos:
+            for k, x in w.items():
+                # [e_i, e_j] = w puts x in row (j, k) col i and -x in row (i, k) col j;
+                # no other bracket writes either entry.  Rows no bracket writes are zero.
+                if k in piv:
+                    rows.setdefault(j * n + k, {})[pos[i]] = x
+                    rows.setdefault(i * n + k, {})[pos[j]] = -x
+    ker = kernel_basis(Matrix(len(comp), rows.values()))
+    if not (central.dim and ker.dim):  # with central 0, comp is every coordinate
+        return central if central.dim else ker
+    lifted = [{comp[s]: x for s, x in r.items()} for r in ker.integer_rows()]
+    return Subspace.from_vectors(n, central.integer_rows() + lifted)
 
 
 def lower_central_series(a: LieAlgebra, der: Subspace | None = None) -> list[Subspace]:
     """[L, L², L³, ...] down to stabilization (last term zero iff nilpotent); der is L² if known."""
     series = [Subspace.full(a.dim), derived_subalgebra(a) if der is None else der]
-    adj = _adjoint(a)
+    adj = _adjoint(a.dim, a.bracket)
     while series[-1].dim:
         nxt = Subspace.from_vectors(a.dim, list(_ad_basis(adj, series[-1].vectors())))
         if nxt == series[-1]:
@@ -176,7 +197,7 @@ def quotient(a: LieAlgebra, ideal: Subspace) -> LieAlgebra:
     """Quotient algebra L/ideal on the complement coordinates of the ideal."""
     if ideal.ambient_dim != a.dim:
         raise ValueError("ideal lives in the wrong ambient space")
-    if not all(ideal.contains_vec(w) for w in _ad_basis(_adjoint(a), ideal.vectors())):
+    if not all(ideal.contains_vec(w) for w in _ad_basis(_adjoint(a.dim, a.bracket), ideal.vectors())):
         raise NotAnIdealError("subspace is not an ideal")
     comp = ideal.complement_coords()
     table = {
@@ -292,19 +313,17 @@ def gh_construct(spec: GhSpec) -> LieAlgebra:
     seed the constructor retries with fresh randomness up to a fixed budget.
     """
     spec.validate()
-    if spec.relation_subspace is not None:
-        a = class2_from_relations(spec.d, spec.relation_subspace)
-        if not is_generalized_heisenberg(a):
-            raise CenterViolation(
-                f"relations leave extra central elements for d={spec.d}, rank={spec.rank}"
-            )
-        return a
+    # L² of a class2_from_relations table is its y block, the unit rows past the generators.
+    der = Subspace(spec.d + spec.rank, [{k: 1} for k in range(spec.d, spec.d + spec.rank)])
     rng = random.Random(spec.seed)
-    for _ in range(_RETRY_BUDGET):
-        sub = random_relation_subspace(spec.d, spec.rank, rng)
+    explicit = spec.relation_subspace is not None
+    for _ in range(1 if explicit else _RETRY_BUDGET):
+        sub = spec.relation_subspace if explicit else random_relation_subspace(spec.d, spec.rank, rng)
         a = class2_from_relations(spec.d, sub)
-        if is_generalized_heisenberg(a):
+        if center(a, der, der) == der:
             return a
+    if explicit:
+        raise CenterViolation(f"relations leave extra central elements for d={spec.d}, rank={spec.rank}")
     raise CenterViolation(
         f"no generalized Heisenberg instance found for d={spec.d}, rank={spec.rank} "
         f"within {_RETRY_BUDGET} draws"
@@ -337,23 +356,23 @@ def change_of_basis(a: LieAlgebra, new_basis: Matrix) -> LieAlgebra:
 def rebase_class2(a: LieAlgebra) -> tuple[LieAlgebra, Subspace, Subspace]:
     """Certify class <= 2 and rewrite a in the basis contract (generators, then L²).
 
-    The certificate is L² ⊆ Z(L): it is the class check, and since it makes
-    every [[e_i, e_j], e_k] zero it also proves the Jacobi identity, so a
-    table that fails Jacobi always fails it.  ClassTwoRequired otherwise.
+    The certificate is [L², L] = 0 read in integers (center's claim that L² is central):
+    the class check, and, as it makes every [[e_i, e_j], e_k] zero, a proof of the Jacobi
+    identity, so a table that fails Jacobi always fails it.  ClassTwoRequired otherwise.
 
-    Returns the rebased algebra, its grade-2 relation subspace rel2 and Z(L)
-    in a's own coordinates.  The generators are the complement coordinates of
-    L², and rel2 is the kernel of the map sending generator pair w to its
+    Returns the rebased algebra, its grade-2 relation subspace rel2 and Z(L) in a's own
+    coordinates: L² plus a kernel over the generator coordinates, the complement
+    coordinates of L².  rel2 is the kernel of the map sending generator pair w to its
     bracket, read at the pivot coordinates of L².  The rebased algebra is
-    class2_from_relations(n, rel2), so its derived basis vector y_s is the
-    bracket of rel2's s-th complement coordinate and the rebase is idempotent.
-    a's labels are permuted with the coordinates: generators, then the pivots
-    of L².
+    class2_from_relations(n, rel2), so its derived basis vector y_s is the bracket of
+    rel2's s-th complement coordinate and the rebase is idempotent.  a's labels are
+    permuted with the coordinates: generators, then the pivots of L².
     """
     der = derived_subalgebra(a)
-    z = center(a, der)
-    if not all(z.contains_vec(v) for v in der.vectors()):
-        raise ClassTwoRequired("input must be nilpotent of class at most 2")
+    try:
+        z = center(a, der, der)
+    except NotCentral:
+        raise ClassTwoRequired("input must be nilpotent of class at most 2") from None
     gens = der.complement_coords()
     pairs = wedge_pairs(len(gens))
     # A vector of L² is fixed by its entries at the pivots of L²'s RREF basis.

@@ -172,6 +172,17 @@ def test_gen_kill_with_canonical_exits_2(ws, capsys):
     assert not Path("k.json").exists()
 
 
+@pytest.mark.parametrize("family, construction", [
+    ("gh", ["--canonical"]), ("gh", ["--kill", "1,2"]), ("sum", ["--canonical", "--t", "1"]),
+])
+def test_gen_seed_with_a_construction_that_does_not_draw_exits_2(ws, capsys, family, construction):
+    # the seed used to be dropped: exit 0, and no seed in the meta
+    assert main(["gen", "--family", family, "--d", "4", "--defect", "1", *construction,
+                 "--seed", "5", "--out", "k.json"]) == 2
+    assert capsys.readouterr().err == f"error: {construction[0]} cannot be combined with --seed\n"
+    assert not Path("k.json").exists()
+
+
 @pytest.mark.parametrize("family, argv, stray", [
     # --t is read by sum only
     ("gh", ["--d", "4", "--defect", "1", "--t", "2"], "--t"),
@@ -683,10 +694,11 @@ def _cover_documents():
         "H(2)": (heisenberg(2), "heisenberg"),
         "H(1)+A(1)": (direct_sum(heisenberg(1), abelian(1)), "sum"),
         "rational-d4-defect1": (_in_rational_basis(seeded_gh(4, 1, 0), random.Random(4)), "gh"),
+        "rational-d5-defect1": (_in_rational_basis(seeded_gh(5, 1, 0), random.Random(5)), "gh"),
     }
 
 
-# sha256 of json.dumps([exit code, stdout, stderr, --out document]); the last two
+# sha256 of json.dumps([exit code, stdout, stderr, --out document]); the last three
 # inputs are off the basis contract, and their cover labels follow the rebase
 _COVER_SHA256 = {
     "canonical-d3-defect1": "da241951a86b1e71048b93941b3b74e8d0d7165cdb5df90560a2805d148c6bbb",
@@ -699,6 +711,7 @@ _COVER_SHA256 = {
     "H(2)": "a78e98f801052c3b5d61ab3c90be396ab28dbcb0e96994a036331d0fb23749cc",
     "H(1)+A(1)": "31d57f898889c3fb275c657681da25d6a19ff456d6f685b6af46a173cbe9861c",
     "rational-d4-defect1": "9d73dc3e8ff61ba8d346f5eaf76b25b0b6b9b83abb453721a40edbfd0fb2201f",
+    "rational-d5-defect1": "8159188a51b8af84ca9249fd31c904720de1a119981e755be9df6ca50ff62eea",
 }
 
 

@@ -508,6 +508,8 @@ def test_rebase_returns_class2_from_relations_tables(d, seed):
     a = class2_from_relations(d, rel)
     # the table read off the RREF rows is the one the reductions built, key order and types too
     assert _typed(a.bracket) == _typed(_reference_class2_from_relations_table(d, rel))
+    # L² is the y block, the unit rows past the generators, as gh_construct builds it
+    assert derived_subalgebra(a) == Subspace.from_vectors(a.dim, [{k: 1} for k in range(d, a.dim)])
     # the rebase hands back the relations it was built from, and the same table
     b, rel2, z = rebase_class2(a)
     assert (b, b.labels, rel2, z) == (a, a.labels, rel, center(a))
@@ -622,11 +624,22 @@ def _candidate_ideals(a, rng):
     ]
 
 
+def _check_center_modulo(a, der, z, central):
+    """center(a, der, central) is Z(L) when central ⊆ Z(L), and raises NotCentral otherwise."""
+    if all(z.contains_vec(v) for v in central.vectors()):
+        assert center(a, der, central) == z
+    else:
+        with pytest.raises(NotCentral):
+            center(a, der, central)
+
+
 def _check_brackets_against_reference(a, ideals=()):
     der = derived_subalgebra(a)
     z = _reference_center(a)
     assert center(a) == z
     assert center(a, der) == z
+    for central in (der, z, *ideals):
+        _check_center_modulo(a, der, z, central)
     series = _reference_lower_central_series(a)
     assert lower_central_series(a) == series
     assert lower_central_series(a, der) == series
@@ -722,3 +735,55 @@ def test_jacobi_check_matches_reference_on_failing_tables(tmp_path, capsys):
     write_document(path, a)
     assert main(["analyze", path]) == 4
     assert capsys.readouterr().err == f"error: Jacobi identity fails on triples {want[:5]}\n"
+
+
+# --- the center modulo a subspace claimed central (differential) ---------------------
+#
+# rebase_class2 reads Z(L) as L² plus a kernel over the generator coordinates, after
+# checking in integers that L² is central; _check_brackets_against_reference compares
+# center(a, der, central) with the full kernel _reference_center on the zoo, for
+# central = L², Z(L) and the candidate ideals.
+
+from ghlie import liealg  # noqa: E402
+from ghlie.liealg import NotCentral  # noqa: E402
+
+
+def test_center_modulo_a_noncentral_subspace_raises():
+    h = heisenberg(1)  # x1, x2, z with [x1, x2] = z
+    for vectors in ([{0: ONE}], [{1: ONE}], [{2: ONE}, {0: F(1, 2), 1: F(-3)}]):
+        with pytest.raises(NotCentral):
+            center(h, None, Subspace.from_vectors(3, vectors))
+    assert center(h, None, Subspace.from_vectors(3, [{2: F(-2, 3)}])) == _reference_center(h)
+    # a1 of H(1) + A(1) is central and not in L²: Z = span(z, a1) from either half
+    a = direct_sum(heisenberg(1), abelian(1))
+    for central in ([{2: ONE}], [{3: ONE}], [{2: ONE}, {3: ONE}], []):
+        assert center(a, None, Subspace.from_vectors(4, central)) == _reference_center(a)
+
+
+def test_class3_and_non_nilpotent_tables_fail_the_certificate():
+    for make in _REJECTED_ZOO[:3]:  # the cover of H(1), and two non-nilpotent tables
+        for a in (make(0), _in_rational_basis(make(0), 1), _in_rational_basis(make(0), 2)):
+            der = derived_subalgebra(a)
+            with pytest.raises(NotCentral):
+                center(a, der, der)
+            with pytest.raises(ClassTwoRequired):
+                rebase_class2(a)
+            assert is_generalized_heisenberg(a) is False
+
+
+def test_rebase_center_kernel_has_only_the_generator_columns(monkeypatch):
+    # seeded_gh(5, 1, s) has dim 14 with 5 generators; the full kernel had 14 columns
+    cols = []
+
+    def counted(m):
+        cols.append(m.cols)
+        return kernel_basis(m)
+
+    monkeypatch.setattr(liealg, "kernel_basis", counted)
+    for seed in range(3):
+        a = _in_rational_basis(seeded_gh(5, 1, seed), seed)
+        cols.clear()
+        z = rebase_class2(a)[2]
+        # the center's kernel over the 5 generator columns, then rel2's over the 10 pairs
+        assert (a.dim, cols) == (14, [5, 10])
+        assert z == derived_subalgebra(a)
