@@ -17,7 +17,6 @@ from .liealg import (
     direct_sum,
     gh_construct,
     heisenberg,
-    is_generalized_heisenberg,
     jacobi_check,
     lower_central_series,
     quotient,

@@ -1,12 +1,13 @@
 """Command-line surface.
 
 Subcommands: gen, analyze, cover, capable, sweep, oracle-compare.
-Exit codes: 0 ok; 2 usage/parse error (including an empty sweep grid,
-capable on an abelian input, and meta that contradicts the algebra: analyze
-reads meta d and checks meta defect, t and variant against the values it
-derives); 3 construction failure; 4 Jacobi violation; 5 unexpected mismatch.
-GHA_THREADS overrides the sweep worker count; it and --jobs must be
-positive integers (exit 2 otherwise).
+Exit codes: 0 ok; 2 usage, parse or I/O error (including an empty sweep grid,
+a nonpositive --jobs, capable on an abelian input, class > 2 input, and meta
+that contradicts the algebra: analyze reads meta d and checks meta defect, t
+and variant against the values it derives); 3 construction failure; 4 Jacobi
+violation; 5 unexpected mismatch.  Exit codes 2-4 come from the exception
+types the library raises; liealg.rebase_class2 tells a Jacobi violation from
+class > 2.
 """
 
 from __future__ import annotations
@@ -15,23 +16,19 @@ import argparse
 import dataclasses
 import json
 import sys
-from contextlib import contextmanager
 
 from . import docio, hopf
 from .fixtures import canonical_gh, relations_from_pairs
 from .liealg import (
     CenterViolation,
-    ClassTwoRequired,
     GhSpec,
+    JacobiViolation,
     LieAlgebra,
     abelian,
-    derived_subalgebra,
     direct_sum,
     gh_construct,
     heisenberg,
-    is_generalized_heisenberg,
-    jacobi_check,
-    nilpotency_class,
+    rebase_class2,
 )
 from .report import ContextError, analyze, capability_by_quotients
 from .sweep import SweepConfig, run_sweep, sweep_exit_code
@@ -57,39 +54,6 @@ def _emit(doc: dict, path: str | None) -> None:
             f.write(payload)
     else:
         sys.stdout.write(payload)
-
-
-def _status(a: LieAlgebra) -> dict:
-    der = derived_subalgebra(a)
-    return {
-        "dim": a.dim,
-        "class": nilpotency_class(a),
-        "dim_derived": der.dim,
-        "center_equals_derived": is_generalized_heisenberg(a),
-    }
-
-
-@contextmanager
-def _require_jacobi(a: LieAlgebra):
-    """Tell a Jacobi violation from class > 2 when the class-2 certificate fails.
-
-    rebase_class2's certificate L² ⊆ Z(L) proves the Jacobi identity, so the
-    O(dim³) scan runs only on input it rejected: a violation raises
-    _JacobiViolation (exit 4), otherwise ClassTwoRequired stands (exit 2).
-    """
-    try:
-        yield
-    except ClassTwoRequired:
-        bad = jacobi_check(a)
-        if bad:
-            raise _JacobiViolation(bad) from None
-        raise
-
-
-class _JacobiViolation(Exception):
-    def __init__(self, triples):
-        super().__init__(f"Jacobi identity fails on triples {triples[:5]}")
-        self.triples = triples
 
 
 def _parse_kill(text: str, d: int) -> list[tuple[int, int]]:
@@ -139,7 +103,6 @@ def _build_gh(args) -> tuple[LieAlgebra, dict]:
     else:
         a = gh_construct(GhSpec(d=d, rank=rank, seed=seed))
         meta["seed"] = seed
-    meta["gh"] = is_generalized_heisenberg(a)
     return a, meta
 
 
@@ -168,17 +131,26 @@ def cmd_gen(args) -> int:
         if args.m is None:
             raise docio.DocumentError("--m is required for the heisenberg family")
         a, meta = heisenberg(args.m), {"family": "heisenberg", "m": args.m}
-    elif args.family == "gh":
+    else:  # gh or sum, as argparse restricts the choices; only sum takes --t
         a, meta = _build_gh(args)
-    elif args.family == "sum":
-        core, meta = _build_gh(args)
         t = args.t or 0
-        a = direct_sum(core, abelian(t))
+        a = direct_sum(a, abelian(t))
+    # Every reported invariant comes from the one class-2 certificate, which proves
+    # L² ⊆ Z(L): Z(L) = L² iff their dimensions agree.
+    _, rel2, z = rebase_class2(a)
+    r = rel2.ambient_dim - rel2.dim
+    if args.family in ("gh", "sum"):
+        # Z(H ⊕ A(t)) = Z(H) ⊕ A(t), so H is generalized Heisenberg iff dim Z(L) = r + t.
+        meta["gh"] = z.dim == r + t
+    if args.family == "sum":
         meta = dict(meta, family="sum", t=t)
-    else:  # pragma: no cover - argparse restricts choices
-        raise docio.DocumentError(f"unknown family {args.family}")
     _emit(docio.algebra_to_document(a, meta), args.out)
-    status = _status(a)
+    status = {
+        "dim": a.dim,
+        "class": 2 if r else min(a.dim, 1),
+        "dim_derived": r,
+        "center_equals_derived": z.dim == r,
+    }
     out = sys.stdout if args.out else sys.stderr
     if args.json:
         print(json.dumps(status), file=out)
@@ -193,17 +165,16 @@ def cmd_gen(args) -> int:
 
 def cmd_analyze(args) -> int:
     a, meta = docio.read_document(args.path)
-    with _require_jacobi(a):
-        try:
-            rep = analyze(
-                a,
-                d=meta.get("d"),
-                with_oracle=args.oracle,
-                include_suspect=not args.skip_suspect_forms,
-                provenance=meta.get("family", ""),
-            )
-        except ContextError as e:
-            raise docio.DocumentError(f"meta {e}") from None
+    try:
+        rep = analyze(
+            a,
+            d=meta.get("d"),
+            with_oracle=args.oracle,
+            include_suspect=not args.skip_suspect_forms,
+            provenance=meta.get("family", ""),
+        )
+    except ContextError as e:
+        raise docio.DocumentError(f"meta {e}") from None
     for key in ("defect", "t", "variant"):
         if key in meta and meta[key] != getattr(rep, key):
             raise docio.DocumentError(
@@ -215,10 +186,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_cover(args) -> int:
     a, meta = docio.read_document(args.path)
-    with _require_jacobi(a):
-        pres = hopf.presentation_from_class2(a)
-        cov = hopf.cover_construct(pres)
-        rep = hopf.verify_cover(pres.target, cov.algebra, cov.central_ideal)
+    pres = hopf.presentation_from_class2(a)
+    cov = hopf.cover_construct(pres)
+    rep = hopf.verify_cover(pres.target, cov.algebra, cov.central_ideal)
     b_rows = [
         {str(c): docio.rational_str(x) for c, x in sorted(v.items())}
         for v in cov.central_ideal.vectors()
@@ -238,8 +208,7 @@ def cmd_cover(args) -> int:
 
 def cmd_capable(args) -> int:
     a, _ = docio.read_document(args.path)
-    with _require_jacobi(a):
-        rep = capability_by_quotients(a, random_lines=args.random_lines, seed=args.seed or 0)
+    rep = capability_by_quotients(a, random_lines=args.random_lines, seed=args.seed or 0)
     print(json.dumps({
         "capable": rep.capable,
         "exterior_center_dim": rep.exterior_center_dim,
@@ -287,8 +256,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle_compare(args) -> int:
     a, _ = docio.read_document(args.path)
-    with _require_jacobi(a):
-        rep = analyze(a, with_oracle=True)
+    rep = analyze(a, with_oracle=True)
     formula = {k: rep.dims[k] for k in ("m_L", "wedge")}
     oracle = {k: rep.oracle[k] for k in ("m_L", "wedge")}
     agree = formula == oracle and rep.oracle.get("ker_beta_matches", True)
@@ -370,18 +338,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as e:
+    except (OSError, ValueError) as e:  # ValueError includes DocumentError and ClassTwoRequired
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except CenterViolation as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except _JacobiViolation as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except ValueError as e:  # includes DocumentError and ClassTwoRequired
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(e, CenterViolation) else 4 if isinstance(e, JacobiViolation) else 2
 
 
 if __name__ == "__main__":

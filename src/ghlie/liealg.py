@@ -42,6 +42,14 @@ class ClassTwoRequired(ValueError):
     """Operation defined only for nilpotent algebras of class at most two."""
 
 
+class JacobiViolation(ClassTwoRequired):
+    """The bracket table is not a Lie algebra: the Jacobi identity fails."""
+
+    def __init__(self, triples):
+        super().__init__(f"Jacobi identity fails on triples {triples[:5]}")
+        self.triples = triples
+
+
 class NotCentral(ValueError):
     """A subspace claimed central brackets nontrivially with the algebra."""
 
@@ -184,15 +192,6 @@ def lower_central_series(a: LieAlgebra, der: Subspace | None = None) -> list[Sub
     return series
 
 
-def nilpotency_class(a: LieAlgebra) -> int:
-    if a.dim == 0:
-        return 0
-    series = lower_central_series(a)
-    if series[-1].dim != 0:
-        raise ValueError("algebra is not nilpotent")
-    return len(series) - 1
-
-
 def quotient(a: LieAlgebra, ideal: Subspace) -> LieAlgebra:
     """Quotient algebra L/ideal on the complement coordinates of the ideal."""
     if ideal.ambient_dim != a.dim:
@@ -330,12 +329,6 @@ def gh_construct(spec: GhSpec) -> LieAlgebra:
     )
 
 
-def is_generalized_heisenberg(a: LieAlgebra) -> bool:
-    """True iff the derived subalgebra equals the center (as subspaces)."""
-    der = derived_subalgebra(a)
-    return center(a, der) == der
-
-
 def change_of_basis(a: LieAlgebra, new_basis: Matrix) -> LieAlgebra:
     """Structure constants in the basis b'_i = row i of new_basis (invertible)."""
     rows = new_basis.rows
@@ -358,7 +351,8 @@ def rebase_class2(a: LieAlgebra) -> tuple[LieAlgebra, Subspace, Subspace]:
 
     The certificate is [L², L] = 0 read in integers (center's claim that L² is central):
     the class check, and, as it makes every [[e_i, e_j], e_k] zero, a proof of the Jacobi
-    identity, so a table that fails Jacobi always fails it.  ClassTwoRequired otherwise.
+    identity, so a table that fails Jacobi always fails it.  Only then does the O(dim³)
+    Jacobi scan run: JacobiViolation if it finds a triple, ClassTwoRequired otherwise.
 
     Returns the rebased algebra, its grade-2 relation subspace rel2 and Z(L) in a's own
     coordinates: L² plus a kernel over the generator coordinates, the complement
@@ -372,6 +366,9 @@ def rebase_class2(a: LieAlgebra) -> tuple[LieAlgebra, Subspace, Subspace]:
     try:
         z = center(a, der, der)
     except NotCentral:
+        bad = jacobi_check(a)
+        if bad:
+            raise JacobiViolation(bad) from None
         raise ClassTwoRequired("input must be nilpotent of class at most 2") from None
     gens = der.complement_coords()
     pairs = wedge_pairs(len(gens))

@@ -6,7 +6,7 @@ failing) from the ledgered expected mismatches (the printed displays the
 computation refutes).  Identical configuration and seeds produce
 byte-identical report files, whatever the worker count; rows run in a
 process pool of at most min(jobs, cases, cores) workers, where jobs
-defaults to GHA_THREADS and then to the core count.
+defaults to the core count.
 """
 
 from __future__ import annotations
@@ -30,19 +30,6 @@ class SweepConfig:
     with_oracle: bool = True
     max_cases: int = 5000
     jobs: int | None = None
-
-
-def default_jobs() -> int:
-    """GHA_THREADS, or the core count when it is unset or empty.
-
-    Raises ValueError unless GHA_THREADS is a positive integer.
-    """
-    env = os.environ.get("GHA_THREADS")
-    if not env:
-        return os.cpu_count() or 1
-    if not env.isdecimal() or int(env) < 1:
-        raise ValueError(f"GHA_THREADS must be a positive integer, got {env!r}")
-    return int(env)
 
 
 def run_case(case: FixtureCase, include_suspect: bool = True, with_oracle: bool = True) -> dict:
@@ -76,7 +63,7 @@ def run_sweep(cfg: SweepConfig) -> dict:
         raise ValueError("the sweep grid has no cases")
     if len(cases) > cfg.max_cases:
         raise ValueError(f"{len(cases)} cases exceed the configured cap {cfg.max_cases}")
-    jobs = cfg.jobs if cfg.jobs is not None else default_jobs()
+    jobs = cfg.jobs if cfg.jobs is not None else os.cpu_count() or 1
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs}")
     # The pool starts all its workers at once; more than there are cases or

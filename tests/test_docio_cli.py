@@ -6,7 +6,6 @@ import random
 import shlex
 import subprocess
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -546,19 +545,6 @@ def test_gen_json_status(ws, capsys):
                       "center_equals_derived": True}
 
 
-def test_gha_threads_env(ws, monkeypatch, capsys):
-    monkeypatch.setenv("GHA_THREADS", "1")
-    from ghlie.sweep import default_jobs
-
-    assert default_jobs() == 1
-    for bad in ("0", "-2", "two", "1.5"):
-        monkeypatch.setenv("GHA_THREADS", bad)
-        with pytest.raises(ValueError):
-            default_jobs()
-        assert main(["sweep", "--d", "3", "--defect", "1", "--t", "0", "--seeds", "0"]) == 2
-    assert "GHA_THREADS must be a positive integer" in capsys.readouterr().err
-
-
 def test_sweep_nonpositive_jobs_exits_2(ws, capsys):
     for jobs in ("0", "-1"):
         assert main(["sweep", "--d", "3", "--defect", "1", "--t", "0", "--seeds", "0",
@@ -626,15 +612,6 @@ def test_sweep_pool_size_is_capped(monkeypatch, jobs, cores, workers):
 
 # --- Jacobi scan only on input the class-2 certificate rejects ------------------------
 
-@contextmanager
-def _reference_require_jacobi(a):
-    """cli._require_jacobi as it was: the full Jacobi scan before the command runs."""
-    bad = jacobi_check(a)
-    if bad:
-        raise cli._JacobiViolation(bad)
-    yield
-
-
 def _cli_table(seed):
     """Valid class 2, class 3, a random table (Jacobi almost always fails) or A(0)."""
     rng = random.Random(seed)
@@ -664,15 +641,18 @@ def _in_rational_basis(a, rng):
             return change_of_basis(a, m)
 
 
-def test_jacobi_scan_only_on_rejected_input_matches_full_scan(ws, capsys, monkeypatch):
-    # exit code, stdout and stderr equal those of the full scan before each command
+def test_jacobi_scan_only_on_rejected_input_matches_full_scan(ws, capsys):
+    # exit code, stdout and stderr equal those of a full Jacobi scan of the document
+    # before each command: exit 4 if it finds a triple, else the command's own result
     codes = set()
     for seed in range(24):
         docio.write_document("t.json", _cli_table(seed))
+        bad = jacobi_check(docio.read_document("t.json")[0])
         for argv in (["analyze", "--oracle"], ["cover"], ["capable"], ["oracle-compare"]):
             got = main(argv + ["t.json"]), *capsys.readouterr()
-            with monkeypatch.context() as mp:
-                mp.setattr(cli, "_require_jacobi", _reference_require_jacobi)
+            if bad:
+                want = 4, "", f"error: Jacobi identity fails on triples {bad[:5]}\n"
+            else:
                 want = main(argv + ["t.json"]), *capsys.readouterr()
             assert got == want, (seed, argv)
             codes.add(got[0])
@@ -724,6 +704,68 @@ def test_cover_output_matches_pinned_digests(ws, capsys):
         text = Path("c.json").read_text(encoding="utf-8")
         got[name] = hashlib.sha256(json.dumps([code, out, err, text]).encode("utf-8")).hexdigest()
     assert got == _COVER_SHA256
+
+
+# sha256 of json.dumps([exit code, stdout, stderr, --out document]) of `gen ARGS --out g.json`
+_GEN_SHA256 = {
+    "--family abelian --n 0": "f4c448a37473e5ee58abd1aebe29a732c4ec4290a9e1cdc80856a2106babcbd8",
+    "--family abelian --n 3 --json": "b0004f5b2a30a9f80b8c8ffc086c7faa39c2e237fa4dc782bcb7801becdfbbc6",
+    "--family heisenberg --m 2": "8132a7d0bf6123ce68e1ce3b8e77f1ad0f727bf993aaa92d83e8b1be11f54fa6",
+    # meta gh: false, Z=L2: False
+    "--family gh --d 3 --defect 2 --canonical":
+        "7feb98d67f99d4823713f8d4c35411b5f549244b89d47e2188dca5b71e2557bb",
+    "--family gh --d 4 --defect 3 --canonical --variant deficient --json":
+        "442cdcf69eb097f1737377691df7e0d2e8fa23c27c8e231f56cfae58e6860aa9",
+    "--family gh --d 5 --rank 7 --seed 3": "be7e1462fc787d5f53d97a2cbb8cfc36ddecb36e1308465c4055ba65de2527a9",
+    "--family gh --d 4 --rank 5 --kill 1,2": "60319f8a621517cf890a4a933691facdd15f7238d4f58f829a8d75d3ad66b739",
+    "--family gh --d 5 --defect 1": "3700b5a0767e327066238a29f3e92641eebc94436618282b08707b795907557f",
+    # meta gh: true, Z=L2: False
+    "--family sum --d 4 --defect 2 --t 1 --canonical":
+        "769ef1d579d6a7f699adba4cb1605ad04b4f4a0fccb8884c6a689746e527c1b6",
+    # meta gh: false
+    "--family sum --d 3 --defect 2 --t 2 --canonical --json":
+        "0eb13f13f6eea318e152b93345685ea79f7c19944cd3963634669fd6107f72e7",
+    "--family sum --d 3 --defect 1": "5be31aaaf593d9d4f0bb0b77258470ef672c97bde233da11f730703bf70a0cec",
+}
+
+
+def test_gen_output_matches_pinned_digests(ws, capsys):
+    got = {}
+    for args in _GEN_SHA256:
+        code = main(["gen", *args.split(), "--out", "g.json"])
+        out, err = capsys.readouterr()
+        text = Path("g.json").read_text(encoding="utf-8")
+        got[args] = hashlib.sha256(json.dumps([code, out, err, text]).encode("utf-8")).hexdigest()
+    assert got == _GEN_SHA256
+
+
+def test_gen_certifies_once(ws, capsys, monkeypatch):
+    from ghlie import liealg
+
+    calls = {"derived_subalgebra": 0, "center": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(liealg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in (liealg, cli):
+            monkeypatch.setattr(module, name, counted, raising=False)
+    assert main(["gen", "--family", "gh", "--d", "5", "--defect", "1"]) == 0
+    # the gh_construct certificate, then the one rebase that every status field reads
+    assert calls == {"derived_subalgebra": 1, "center": 2}
+
+
+def test_os_errors_exit_2(ws, capsys):
+    # a directory where a file is read or written is an error line, not a traceback
+    docio.write_document("h.json", heisenberg(1))
+    os.mkdir("d")
+    for argv in (["analyze", "d"], ["cover", "d"], ["capable", "d"], ["oracle-compare", "d"],
+                 ["gen", "--family", "heisenberg", "--m", "1", "--out", "d"],
+                 ["cover", "h.json", "--out", "d"],
+                 ["sweep", "--d", "3", "--defect", "1", "--t", "0", "--seeds", "0", "--out", "d"]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1, argv
 
 
 def test_cover_labels_follow_the_rebased_generators(ws, capsys):

@@ -20,10 +20,8 @@ from ghlie.liealg import (
     direct_sum,
     gh_construct,
     heisenberg,
-    is_generalized_heisenberg,
     jacobi_check,
     lower_central_series,
-    nilpotency_class,
     quotient,
     rebase_class2,
 )
@@ -34,6 +32,22 @@ ONE = F(1)
 
 def gh(d, rank, **kw):
     return gh_construct(GhSpec(d=d, rank=rank, **kw))
+
+
+def nilpotency_class(a):
+    """Length of the lower central series of a nilpotent a (0 for the zero algebra)."""
+    if a.dim == 0:
+        return 0
+    series = lower_central_series(a)
+    if series[-1].dim != 0:
+        raise ValueError("algebra is not nilpotent")
+    return len(series) - 1
+
+
+def is_generalized_heisenberg(a):
+    """True iff the derived subalgebra equals the full center."""
+    der = derived_subalgebra(a)
+    return center(a, der) == der
 
 
 # --- brackets -----------------------------------------------------------------
@@ -233,10 +247,13 @@ def test_gh_invariants():
 
 
 def test_is_generalized_heisenberg():
-    assert is_generalized_heisenberg(heisenberg(1))
-    assert is_generalized_heisenberg(heisenberg(3))
-    assert not is_generalized_heisenberg(abelian(2))
-    assert is_generalized_heisenberg(gh(4, 5, seed=0))
+    # the rebase's Z(L) contains L², so Z(L) = L² iff their dimensions agree (gen's status)
+    for a, want in ((heisenberg(1), True), (heisenberg(3), True), (abelian(2), False),
+                    (gh(4, 5, seed=0), True), (canonical_gh(3, 2), False),
+                    (direct_sum(heisenberg(1), abelian(1)), False)):
+        _, rel2, z = rebase_class2(a)
+        assert is_generalized_heisenberg(a) is want
+        assert (z.dim == rel2.ambient_dim - rel2.dim) is want
 
 
 # --- basis changes ------------------------------------------------------------------
@@ -326,8 +343,9 @@ from ghlie.exactla import kernel_basis  # noqa: E402
 from ghlie.exactla import rank as mat_rank  # noqa: E402
 from ghlie.fixtures import random_class2, seeded_gh  # noqa: E402
 from ghlie.hopf import cover_construct, presentation_from_class2  # noqa: E402
-from ghlie.liealg import ClassTwoRequired, class2_from_relations, wedge_pairs  # noqa: E402
+from ghlie.liealg import ClassTwoRequired, JacobiViolation, class2_from_relations, wedge_pairs  # noqa: E402
 from ghlie.multiplier import dimensions, psi2_image  # noqa: E402
+from ghlie.report import analyze  # noqa: E402
 
 
 def _reference_rebase_class2(a):
@@ -465,9 +483,26 @@ def test_rebase_rejects_jacobi_violations():
     # L² ⊆ Z(L) makes every Jacobi term zero, so a violation always fails the certificate
     for seed in range(200):
         a = _random_table(seed)
-        if jacobi_check(a):
-            with pytest.raises(ClassTwoRequired):
+        bad = jacobi_check(a)
+        if bad:
+            with pytest.raises(JacobiViolation) as exc:
                 rebase_class2(a)
+            assert exc.value.triples == bad
+            assert str(exc.value) == f"Jacobi identity fails on triples {bad[:5]}"
+
+
+def test_rebase_tells_jacobi_violations_from_class3():
+    # every class-2 entry point rebases first, so each gives the rebase's verdict
+    jacobi_fails, class3 = _REJECTED_ZOO[3](0), _REJECTED_ZOO[0](0)
+    for entry in (rebase_class2, analyze, presentation_from_class2):
+        for a in (jacobi_fails, _in_rational_basis(jacobi_fails, 1)):
+            with pytest.raises(JacobiViolation) as exc:
+                entry(a)
+            assert isinstance(exc.value, ClassTwoRequired)
+        for a in (class3, _in_rational_basis(class3, 1)):
+            with pytest.raises(ClassTwoRequired) as exc:
+                entry(a)
+            assert not isinstance(exc.value, JacobiViolation)
 
 
 # --- the rebase's one normal form: the basis class2_from_relations builds -----------
