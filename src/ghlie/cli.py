@@ -1,13 +1,15 @@
 """Command-line surface.
 
-Subcommands: gen, analyze, cover, capable, sweep, oracle-compare.
-Exit codes: 0 ok; 2 usage, parse or I/O error (including an empty sweep grid,
-a nonpositive --jobs, capable on an abelian input, class > 2 input, and meta
-that contradicts the algebra: analyze reads meta d and checks meta defect, t
-and variant against the values it derives); 3 construction failure; 4 Jacobi
-violation; 5 unexpected mismatch.  Exit codes 2-4 come from the exception
-types the library raises; liealg.rebase_class2 tells a Jacobi violation from
-class > 2.
+Subcommands: gen, analyze, cover, capable, sweep, oracle-compare.  gen reads
+one table of the options each family takes; a gh algebra comes from at most
+one of --kill, --canonical and --seed (seed 0 if none).
+Exit codes: 0 ok; 2 usage, parse or I/O error (including an empty sweep grid
+or a negative grid value, a nonpositive --jobs, capable on an abelian input,
+class > 2 input, and meta that contradicts the algebra: analyze reads meta d
+and checks meta defect, t and variant against the values it derives);
+3 construction failure; 4 Jacobi violation; 5 unexpected mismatch.  Exit codes
+2-4 come from the exception types the library raises; liealg.rebase_class2
+tells a Jacobi violation from class > 2.
 """
 
 from __future__ import annotations
@@ -73,10 +75,15 @@ def _parse_kill(text: str, d: int) -> list[tuple[int, int]]:
     return pairs
 
 
+# gen's options, in the order an error names them.  Each defaults to None, so
+# one that was given shows, and each family reads only its own, required first.
+_GEN_OPTIONS = ("t", "n", "m", "d", "rank", "defect", "kill", "canonical", "seed", "variant")
+_GH_OPTIONS = ("d", "rank", "defect", "kill", "canonical", "seed", "variant")
+_FAMILIES = {"abelian": ("n",), "heisenberg": ("m",), "gh": _GH_OPTIONS, "sum": (*_GH_OPTIONS, "t")}
+
+
 def _build_gh(args) -> tuple[LieAlgebra, dict]:
     d = args.d
-    if d is None:
-        raise docio.DocumentError("--d is required for the gh family")
     max_rank = d * (d - 1) // 2
     if args.rank is not None:
         rank = args.rank
@@ -85,51 +92,38 @@ def _build_gh(args) -> tuple[LieAlgebra, dict]:
     else:
         raise docio.DocumentError("need --rank or --defect")
     defect = max_rank - rank
-    variant, seed = args.variant or "generic", args.seed or 0
-    if variant == "deficient" and not args.canonical:
-        raise docio.DocumentError("--variant deficient needs --canonical")
-    for first, second in (("kill", "canonical"), ("kill", "seed"), ("canonical", "seed")):
-        if getattr(args, first) and getattr(args, second) is not None:
-            raise docio.DocumentError(f"--{first} cannot be combined with --{second}")
+    if args.variant is not None and args.canonical is None:
+        raise docio.DocumentError(f"--variant {args.variant} needs --canonical")
+    # One construction at most; none draws with seed 0.
+    given = [option for option in ("kill", "canonical", "seed") if getattr(args, option) is not None]
+    if len(given) > 1:
+        raise docio.DocumentError(f"--{given[0]} cannot be combined with --{given[1]}")
     meta = {"family": "gh", "d": d, "rank": rank, "defect": defect}
-    if args.kill:
+    if args.kill is not None:
         rel = relations_from_pairs(d, _parse_kill(args.kill, d))
         a = gh_construct(GhSpec(d=d, rank=rank, relation_subspace=rel))
         meta["relations"] = args.kill
     elif args.canonical:
+        variant = args.variant or "generic"
         a = canonical_gh(d, defect, variant)
-        meta["variant"] = variant
-        meta["canonical"] = True
+        meta.update(variant=variant, canonical=True)
     else:
+        seed = args.seed or 0
         a = gh_construct(GhSpec(d=d, rank=rank, seed=seed))
         meta["seed"] = seed
     return a, meta
 
 
-# The families that read each gen option; given to any other family, it exits 2.
-# Every option here defaults to None, so one that was given shows.
-_FAMILY_OPTIONS = {
-    "t": ("sum",),
-    "n": ("abelian",),
-    "m": ("heisenberg",),
-    **dict.fromkeys(("d", "rank", "defect", "kill", "canonical", "seed", "variant"), ("gh", "sum")),
-}
-
-
 def cmd_gen(args) -> int:
-    stray = [
-        f"--{option}" for option, families in _FAMILY_OPTIONS.items()
-        if args.family not in families and getattr(args, option) is not None
-    ]
+    reads = _FAMILIES[args.family]
+    stray = [f"--{option}" for option in _GEN_OPTIONS if option not in reads and getattr(args, option) is not None]
     if stray:
         raise docio.DocumentError(f"{', '.join(stray)} cannot be used with --family {args.family}")
+    if getattr(args, reads[0]) is None:
+        raise docio.DocumentError(f"--{reads[0]} is required for the {args.family} family")
     if args.family == "abelian":
-        if args.n is None:
-            raise docio.DocumentError("--n is required for the abelian family")
         a, meta = abelian(args.n), {"family": "abelian", "n": args.n}
     elif args.family == "heisenberg":
-        if args.m is None:
-            raise docio.DocumentError("--m is required for the heisenberg family")
         a, meta = heisenberg(args.m), {"family": "heisenberg", "m": args.m}
     else:  # gh or sum, as argparse restricts the choices; only sum takes --t
         a, meta = _build_gh(args)
@@ -189,10 +183,7 @@ def cmd_cover(args) -> int:
     pres = hopf.presentation_from_class2(a)
     cov = hopf.cover_construct(pres)
     rep = hopf.verify_cover(pres.target, cov.algebra, cov.central_ideal)
-    b_rows = [
-        {str(c): docio.rational_str(x) for c, x in sorted(v.items())}
-        for v in cov.central_ideal.vectors()
-    ]
+    b_rows = [docio.vector_to_json(v) for v in cov.central_ideal.vectors()]
     out_meta = dict(meta, B=b_rows, cover_of=meta.get("family", ""))
     _emit(docio.algebra_to_document(cov.algebra, out_meta), args.out)
     report = {
@@ -208,21 +199,12 @@ def cmd_cover(args) -> int:
 
 def cmd_capable(args) -> int:
     a, _ = docio.read_document(args.path)
-    rep = capability_by_quotients(a, random_lines=args.random_lines, seed=args.seed or 0)
-    print(json.dumps({
-        "capable": rep.capable,
-        "exterior_center_dim": rep.exterior_center_dim,
-        "multiplier": rep.multiplier,
-        "evidence": [
-            {
-                "line": {str(c): docio.rational_str(x) for c, x in sorted(e.line.items())},
-                "quotient_multiplier": e.quotient_multiplier,
-                "strict_drop": e.strict_drop,
-            }
-            for e in rep.evidence
-        ],
-        "all_quotients_drop": rep.all_quotients_drop,
-    }, indent=2))
+    rep = capability_by_quotients(a, random_lines=args.random_lines, seed=args.seed)
+    doc = dataclasses.asdict(rep)
+    for e in doc["evidence"]:
+        e["line"] = docio.vector_to_json(e["line"])
+    doc["all_quotients_drop"] = rep.all_quotients_drop
+    print(json.dumps(doc, indent=2))
     return 0
 
 

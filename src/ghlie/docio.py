@@ -39,13 +39,13 @@ def parse_rational(s) -> Fraction:
     return Fraction(s)
 
 
+def vector_to_json(v: dict) -> dict:
+    """A sparse vector as JSON: string keys in ascending order, rational values."""
+    return {str(k): rational_str(v[k]) for k in sorted(v)}
+
+
 def algebra_to_document(a: LieAlgebra, meta: dict | None = None) -> dict:
-    brackets = []
-    for (i, j) in sorted(a.bracket):
-        v = a.bracket[(i, j)]
-        brackets.append(
-            {"i": i, "j": j, "v": {str(k): rational_str(v[k]) for k in sorted(v)}}
-        )
+    brackets = [{"i": i, "j": j, "v": vector_to_json(a.bracket[(i, j)])} for (i, j) in sorted(a.bracket)]
     doc = {"dim": a.dim, "labels": list(a.labels), "brackets": brackets}
     if meta is not None:
         doc["meta"] = meta

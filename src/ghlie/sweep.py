@@ -53,11 +53,11 @@ def run_sweep(cfg: SweepConfig) -> dict:
     if cfg.seeds < 0:
         raise ValueError(f"the number of seeds must be nonnegative, got {cfg.seeds}")
     for field in ("d_values", "defects", "t_values"):
-        values = getattr(cfg, field)
+        values = list(getattr(cfg, field))
         if len(set(values)) != len(values):
-            raise ValueError(f"{field} repeats a value: {list(values)}")
-    if any(t < 0 for t in cfg.t_values):
-        raise ValueError(f"t_values must be nonnegative, got {list(cfg.t_values)}")
+            raise ValueError(f"{field} repeats a value: {values}")
+        if any(v < 0 for v in values):
+            raise ValueError(f"{field} must be nonnegative, got {values}")
     cases = grid_cases(cfg.d_values, cfg.defects, cfg.t_values, cfg.seeds)
     if not cases:
         raise ValueError("the sweep grid has no cases")

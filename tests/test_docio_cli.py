@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -45,6 +46,12 @@ def test_rational_formats():
         docio.parse_rational("1.5e3")
     with pytest.raises(docio.DocumentError):
         docio.parse_rational(2.5)
+
+
+def test_vector_to_json_sorts_keys_numerically():
+    v = {10: Fraction(1, 2), 2: -3, 0: Fraction(4, 2)}
+    assert list(docio.vector_to_json(v).items()) == [("0", "2"), ("2", "-3"), ("10", "1/2")]
+    assert docio.vector_to_json({}) == {}
 
 
 def test_document_validation():
@@ -137,13 +144,14 @@ def test_gen_deficient_variant_needs_defect_3(ws, capsys):
 
 
 @pytest.mark.parametrize("family, extra", [
-    ("gh", []), ("gh", ["--seed", "3"]), ("gh", ["--kill", "1,2;3,4;1,3"]), ("sum", ["--t", "1"]),
+    (family, ["--variant", variant, *more])
+    for variant in ("deficient", "generic")
+    for family, more in (("gh", []), ("gh", ["--seed", "3"]), ("gh", ["--kill", "1,2;3,4;1,3"]), ("sum", ["--t", "1"]))
 ])
 def test_gen_deficient_variant_needs_canonical(ws, capsys, family, extra):
     # without --canonical the variant used to be dropped: a seeded generic algebra was written
-    assert main(["gen", "--family", family, "--d", "4", "--defect", "3", "--variant", "deficient",
-                 *extra, "--out", "x.json"]) == 2
-    assert capsys.readouterr().err == "error: --variant deficient needs --canonical\n"
+    assert main(["gen", "--family", family, "--d", "4", "--defect", "3", *extra, "--out", "x.json"]) == 2
+    assert capsys.readouterr().err == f"error: --variant {extra[1]} needs --canonical\n"
     assert not Path("x.json").exists()
 
 
@@ -208,6 +216,45 @@ def test_gen_option_its_family_does_not_read_exits_2(ws, capsys, family, argv, s
     assert main(["gen", "--family", family, *argv, "--out", "x.json"]) == 2
     assert capsys.readouterr().err == f"error: {stray} cannot be used with --family {family}\n"
     assert not Path("x.json").exists()
+
+
+@pytest.mark.parametrize("family, argv, required", [
+    ("abelian", [], "--n"),
+    ("heisenberg", [], "--m"),
+    ("gh", ["--defect", "1"], "--d"),
+    # this used to name the gh family
+    ("sum", ["--defect", "1", "--t", "1"], "--d"),
+])
+def test_gen_required_option_names_the_family(ws, capsys, family, argv, required):
+    assert main(["gen", "--family", family, *argv, "--out", "x.json"]) == 2
+    assert capsys.readouterr().err == f"error: {required} is required for the {family} family\n"
+    assert not Path("x.json").exists()
+
+
+def test_gen_option_table_names_every_gen_option():
+    # an option missing from the table would be dropped silently, as an empty --kill once was
+    args = cli.build_parser().parse_args(["gen", "--family", "gh"])
+    assert set(vars(args)) - {"command", "family", "out", "json", "func"} == set(cli._GEN_OPTIONS)
+    assert all(set(reads) <= set(cli._GEN_OPTIONS) for reads in cli._FAMILIES.values())
+
+
+@pytest.mark.parametrize("extra, err", [
+    # an empty --kill used to be read as no --kill: a seed-0 algebra was written
+    ([], "error: relation subspace dimension does not match rank\n"),
+    (["--canonical"], "error: --kill cannot be combined with --canonical\n"),
+], ids=["rank-5", "canonical"])
+def test_gen_empty_kill_is_a_construction(ws, capsys, extra, err):
+    assert main(["gen", "--family", "gh", "--d", "4", "--rank", "5", "--kill", "", *extra,
+                 "--out", "k.json"]) == 2
+    assert capsys.readouterr().err == err
+    assert not Path("k.json").exists()
+
+
+def test_gen_empty_kill_at_defect_0_kills_no_pair(ws, capsys):
+    assert main(["gen", "--family", "gh", "--d", "4", "--defect", "0", "--kill", "", "--out", "k.json"]) == 0
+    assert capsys.readouterr().out == "dim=10 class=2 dimL2=6 Z=L2: True\n"
+    meta = json.loads(Path("k.json").read_text(encoding="utf-8"))["meta"]
+    assert meta == {"family": "gh", "d": 4, "rank": 6, "defect": 0, "relations": "", "gh": True}
 
 
 def test_gen_center_violation_exits_3(ws):
@@ -521,6 +568,22 @@ def test_sweep_repeated_grid_value_exits_2(ws, capsys, option, field):
     assert capsys.readouterr().err == f"error: {field} repeats a value: [{value}, {value}]\n"
 
 
+@pytest.mark.parametrize("option, field, text", [("--d", "d_values", "-3"), ("--defect", "defects", "-1"),
+                                                 ("--d", "d_values", "3,-1")])
+def test_sweep_negative_grid_value_exits_2(ws, capsys, option, field, text):
+    # a negative d used to raise KeyError inside relations_from_pairs (exit 1, a traceback)
+    from ghlie.sweep import run_sweep
+
+    values = tuple(int(x) for x in text.split(","))
+    argv = {"--d": "3", "--defect": "1", "--t": "0", option: text}
+    assert main(["sweep", "--seeds", "0", "--jobs", "1", *itertools.chain(*argv.items())]) == 2
+    message = f"{field} must be nonnegative, got {list(values)}"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    grid = {"d_values": (3,), "defects": (1,), "t_values": (0,), field: values}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_sweep(SweepConfig(**grid, seeds=0, jobs=1))
+
+
 def test_sweep_empty_grid_exits_2(ws, capsys):
     assert main(["sweep", "--d", "3", "--defect", "5", "--jobs", "1"]) == 2
     assert "no cases" in capsys.readouterr().err
@@ -704,6 +767,64 @@ def test_cover_output_matches_pinned_digests(ws, capsys):
         text = Path("c.json").read_text(encoding="utf-8")
         got[name] = hashlib.sha256(json.dumps([code, out, err, text]).encode("utf-8")).hexdigest()
     assert got == _COVER_SHA256
+
+
+# sha256 of json.dumps([exit code, stdout, stderr]) of each report command on each
+# _cover_documents() entry; capable on A(0) and A(3) exits 2 (abelian input)
+_REPORT_SHA256 = {
+    "analyze --oracle canonical-d3-defect1":
+        "a749766715ccd23dc6b09f571fce5d681302dda52c4515a43c47fcb4555f3877",
+    "capable canonical-d3-defect1": "94c74b8b7079f2fa357654bb10c2f393b83ee141b132d798bc1886380408daf9",
+    "oracle-compare canonical-d3-defect1": "11fa8e14481e7dd651ad59bcb046c2559ead124c82cea7cabf586822e0b528a0",
+    "analyze --oracle canonical-d4-defect2":
+        "de0b5688dda032eb2734578f54536e898a69fb3e640f9c40b93b35486e5ee495",
+    "capable canonical-d4-defect2": "1d191375b40952cbb46fc632a183bb5d142b419a2fe39ccd07e14ecd35a62da6",
+    "oracle-compare canonical-d4-defect2": "e12f9066e8f46ff7086d6f6eece8153c010720b4b503aa8100e8071a89fe3ffe",
+    "analyze --oracle canonical-d4-defect3-deficient":
+        "7db7d0d7965f91eb963bfc0c1ddfb9051874c866cbc6c4e9fe4b9ce5fa3942fe",
+    "capable canonical-d4-defect3-deficient":
+        "f05fe61d2e84cc9ea6988d3c95a02091485d50e560ad79fe74ae1bc6493ab566",
+    "oracle-compare canonical-d4-defect3-deficient":
+        "6abcea224ba9cfa33ddcc419c40d0a4032b023dd975c9cbe56f94e9b48bc3cee",
+    "analyze --oracle canonical-d5-defect3":
+        "329d245147ed2fdcc2a7229d02453a24467c051f7468cac2fbf72f2586b8516e",
+    "capable canonical-d5-defect3": "fd8cbccf5a3f3df53770671b9ee08c77d52f5eb5b8c1d3d2f451c0140026a793",
+    "oracle-compare canonical-d5-defect3": "1e67c61b04aaa8398133965cac9356f8f60a801a985c5e327c756be2673657c8",
+    "analyze --oracle seeded-d6-defect1": "5a5fee7f0aad95553cd2adfc14169005f37e64ab23ade176b359c7777a6bd026",
+    "capable seeded-d6-defect1": "764206b9cd671f11d688d64dc0b4bc00724cc8556e0a8292474f55dfa1b9429c",
+    "oracle-compare seeded-d6-defect1": "de8e013b083428bc4482c73f218dea0a4a067c0fade62eae731ddeb09852f8de",
+    "analyze --oracle A(0)": "2c4dd8c1b2b221433f95c56e2da134fde15badfdaf372c8f0b0ac0343d555351",
+    "capable A(0)": "58badccabd367aac124df6da7deb0fddebc8d5997ab6b538b8037285f4dd810d",
+    "oracle-compare A(0)": "35d0f295544683fcc73a48581fa584bcd151ee571eac92471ddd91b0a6e29aa8",
+    "analyze --oracle A(3)": "899a71f39d69d338a4eae0dd34859472e223d6f3ac15eea263b7e4aaadd53bb1",
+    "capable A(3)": "58badccabd367aac124df6da7deb0fddebc8d5997ab6b538b8037285f4dd810d",
+    "oracle-compare A(3)": "db46c8f87c7a462886ba4aa7d946d5a63d55de9be63eab6f6fe49fc0f5396ac3",
+    "analyze --oracle H(2)": "1e6299a2bf60ace406f18a76852acf17f543bc40cad8de45b999fdf5d48169a5",
+    "capable H(2)": "681aac45d8d9c0103b68725164155b552302a19d50240df6df1e4f7da6fb2a31",
+    "oracle-compare H(2)": "6bf5ce6c1eb9feddebf04f02f23453f4bd41d718e9083b239165c6ae08027a76",
+    "analyze --oracle H(1)+A(1)": "4fbed341a3f5940bbb20fb989d0226120cb17d9e2b6e94477aa53703d97a8dca",
+    "capable H(1)+A(1)": "b64b4f84c122f1354f83e4f0cc8012abe537f5d35e9d07d27ffbb683b5422aa8",
+    "oracle-compare H(1)+A(1)": "b762f5686c10dc7df2f881f73335f8697f3ef1cc7ca7ab18d9dd5757cec2960c",
+    "analyze --oracle rational-d4-defect1":
+        "e6f5af165d65c1a26cb6eaf102de3b2d2640120664df9b2a034a71a7eccefba6",
+    "capable rational-d4-defect1": "1aa042956cd1cd5aa70f63b5a5205095055f6569ca950eca7cd701ea503b355c",
+    "oracle-compare rational-d4-defect1": "0429f46fd7bc45eeff7e4b8d313c7b862d74a5ab76d4a9d8e8da386c8b02b26b",
+    "analyze --oracle rational-d5-defect1":
+        "05e0aceb160fbfa66fafe9f3d743b1077b8251269eda79ced252710bd9147baa",
+    "capable rational-d5-defect1": "b2fc918698635cae8beb7a435276ce7d7cda74ad72808ca704b1bb45c4c85968",
+    "oracle-compare rational-d5-defect1": "5dc24bfd090faa8e8d8e8853d1a5c877c021c680443dcd5f70208fcdc30266cd",
+}
+
+
+def test_report_output_matches_pinned_digests(ws, capsys):
+    got = {}
+    for name, (a, family) in _cover_documents().items():
+        docio.write_document("l.json", a, {"family": family})
+        for command in ("analyze --oracle", "capable", "oracle-compare"):
+            code = main([*command.split(), "l.json"])
+            out, err = capsys.readouterr()
+            got[f"{command} {name}"] = hashlib.sha256(json.dumps([code, out, err]).encode("utf-8")).hexdigest()
+    assert got == _REPORT_SHA256
 
 
 # sha256 of json.dumps([exit code, stdout, stderr, --out document]) of `gen ARGS --out g.json`
