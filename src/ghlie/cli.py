@@ -88,6 +88,9 @@ def _build_gh(args) -> tuple[LieAlgebra, dict]:
     if args.rank is not None:
         rank = args.rank
     elif args.defect is not None:
+        # Below 3 generators the construction's own message names --d.
+        if d >= 3 and not 0 <= args.defect < max_rank:
+            raise docio.DocumentError(f"--defect must be in 0..{max_rank - 1} at --d {d}, got {args.defect}")
         rank = max_rank - args.defect
     else:
         raise docio.DocumentError("need --rank or --defect")

@@ -2,11 +2,12 @@
 
 Format: {"dim": n, "labels": [...], "brackets": [{"i": i, "j": j, "v": {...}}],
 "meta": {...}} with 0 <= i < j < dim, v keyed by stringified basis indices and
-valued by rationals rendered "p/q" (or "p" for integers).  Unlisted pairs are
-zero brackets.  meta is free-form, except that d, defect and t must be
-nonnegative integers: ``analyze`` reads meta d as the generator count of the
-Heisenberg part and checks meta defect, t and variant against the values it
-derives from the algebra and d.
+valued by rationals rendered "p/q" (or "p" for integers), parsed to an int
+when integral, else a Fraction.  Unlisted pairs are zero brackets.  meta is
+free-form, except that d, defect and t must be nonnegative integers:
+``analyze`` reads meta d as the generator count of the Heisenberg part and
+checks meta defect, t and variant against the values it derives from the
+algebra and d.
 Serialization is canonical: brackets sorted by (i, j), v keys sorted
 numerically, UTF-8, no floats; parse ∘ serialize is the identity on canonical
 documents.  A key repeated in any JSON object is an error, not the last value.
@@ -19,6 +20,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 
+from .exactla import _ratio
 from .liealg import LieAlgebra
 
 
@@ -33,10 +35,12 @@ def rational_str(x: Fraction) -> str:
     return str(x)
 
 
-def parse_rational(s) -> Fraction:
+def parse_rational(s) -> int | Fraction:
+    """"p" or "p/q" as an exact rational: an int when integral, else a Fraction."""
     if not isinstance(s, str) or not _RATIONAL.match(s):
         raise DocumentError(f"rational must look like 'p' or 'p/q', got {s!r}")
-    return Fraction(s)
+    p, _, q = s.partition("/")
+    return _ratio(int(p), int(q or 1))
 
 
 def vector_to_json(v: dict) -> dict:

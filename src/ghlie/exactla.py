@@ -16,12 +16,14 @@ by fraction-free cross-multiplication (Bareiss 1968).  Each answer pays only
 for what it reads: ``rank`` counts the pivots of the forward pass; an RREF
 adds one back-substitution, from the last pivot up, and divides only on
 return; ``kernel_basis`` eliminates the short side of m (mᵀ beside an
-identity block when m is tall).  A ``Subspace`` stores the kernel's rows as
-they come out, each the primitive integer multiple of its unit-pivot RREF row,
-and ``reduce`` (membership, quotient coordinates) eliminates against them
-fraction-free.  The unit-pivot rational rows are built once, on the first
-call of ``vectors()``; a caller that needs only the span reads
-``integer_rows()``.
+identity block when m is tall).  ``Subspace.from_vectors`` given more than
+twice as many nonzero rows as columns tests each row against the rows found
+so far in one pass instead, as most of them are dependent.  A ``Subspace``
+stores the kernel's rows as they come out, each the primitive integer
+multiple of its unit-pivot RREF row, and ``reduce`` (membership, quotient
+coordinates) eliminates against them fraction-free.  The unit-pivot rational
+rows are built once, on the first call of ``vectors()``; a caller that needs
+only the span reads ``integer_rows()``.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ def vec(items: Mapping[int, object]) -> Vec:
     out = {}
     for i, x in items.items():
         if type(x) is not int:
-            x = Fraction(x)
+            if type(x) is not Fraction:
+                x = Fraction(x)
             if x.denominator == 1:
                 x = x.numerator
         if x:
@@ -126,6 +129,15 @@ def _integer_row(r: Vec) -> tuple[int, dict]:
     return den, {c: x.numerator * (den // x.denominator) for c, x in r.items()}
 
 
+def _primitive_copy(r: Vec) -> dict:
+    """r scaled to a primitive integer row, as a new dict; one pass when r is integer."""
+    try:
+        g = gcd(*r.values())
+    except TypeError:  # a Fraction entry
+        return _primitive(_integer_row(r)[1])
+    return {c: x // g for c, x in r.items()} if g != 1 else dict(r)
+
+
 def _forward(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
     """Integer row echelon form: (pivot column, primitive row) pairs by pivot column.
 
@@ -138,7 +150,7 @@ def _forward(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
     buckets: dict[int, list[dict]] = {}
     for r in rows:
         if r:
-            buckets.setdefault(min(r), []).append(_primitive(_integer_row(r)[1]))
+            buckets.setdefault(min(r), []).append(_primitive_copy(r))
     heap = list(buckets)
     heapify(heap)
     done: list[tuple[int, dict]] = []
@@ -176,6 +188,50 @@ def _eliminate(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
             _cross_eliminate(r, r[c], reduced[c], reduced[c][c])
         reduced[lead] = r
     return done
+
+
+def _eliminate_tall(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
+    """``_eliminate``'s pairs, for many more rows than columns: one pass per row.
+
+    Rows are taken in order against the rows B_p found so far (primitive, pivot
+    q_p > 0 at p, zero at the other pivots).  With L the lcm of the q_p at the
+    pivots u holds, the residual L·u − Σ u_p·(L/q_p)·B_p is empty exactly when
+    u lies in their span; otherwise it is zero at every pivot, and, primitive
+    with a positive lead, it joins them once its lead column is cleared from
+    the others.  The RREF is unique, so the rows are ``_eliminate``'s.
+    """
+    found: dict[int, dict] = {}
+    for r in rows:
+        if not r:
+            continue
+        u = _primitive_copy(r)
+        hits = [(p, x) for p, x in u.items() if p in found]
+        den = lcm(*(found[p][p] for p, _ in hits))
+        if den != 1:
+            for c, x in u.items():
+                u[c] = den * x
+        for p, a in hits:
+            row = found[p]
+            t = a * (den // row[p])
+            for c, x in row.items():
+                y = u.get(c, 0) - t * x
+                if y:
+                    u[c] = y
+                else:
+                    del u[c]
+        if not u:
+            continue
+        lead = min(u)
+        g = gcd(*u.values()) if u[lead] > 0 else -gcd(*u.values())  # primitive, positive lead
+        for c, x in u.items():
+            u[c] = x // g
+        q = u[lead]
+        for row in found.values():
+            a = row.get(lead)
+            if a is not None:
+                _cross_eliminate(row, a, u, q)
+        found[lead] = u
+    return sorted(found.items())
 
 
 def _rref_rows(rows: Iterable[Vec]) -> list[Vec]:
@@ -219,7 +275,11 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Vec]) -> "Subspace":
-        return cls(ambient_dim, [dict(sorted(r.items())) for _, r in _eliminate(vectors)])
+        """The span of vectors; more than 2·ambient_dim nonzero ones (at least half
+        of them dependent) take the one-pass schedule of ``_eliminate_tall``."""
+        rows = [v for v in vectors if v]
+        reduced = _eliminate_tall(rows) if len(rows) > 2 * ambient_dim else _eliminate(rows)
+        return cls(ambient_dim, [dict(sorted(r.items())) for _, r in reduced])
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":

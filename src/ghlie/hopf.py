@@ -290,11 +290,11 @@ def verify_cover(a: LieAlgebra, cover: LieAlgebra, b: Subspace) -> CoverReport:
     # series[2] is (L*)³ when present ([L, L², L³, ...]).
     cube = series[2] if len(series) > 2 else Subspace.zero(cover.dim)
     # Z(cover) is {v : [v, e_j] = 0 for all j}, so B is central iff B ⊆ Z(cover).
-    b_central = all(z.contains_vec(u) for u in b.vectors())
-    b_in_derived = all(der.contains_vec(u) for u in b.vectors())
-    z_in_derived = all(der.contains_vec(u) for u in z.vectors())
+    b_central = all(z.contains_vec(u) for u in b.integer_rows())
+    b_in_derived = all(der.contains_vec(u) for u in b.integer_rows())
+    z_in_derived = all(der.contains_vec(u) for u in z.integer_rows())
     m_dim = dimensions(k)["m_L"]
-    cube_in_b = all(b.contains_vec(u) for u in cube.vectors())
+    cube_in_b = all(b.contains_vec(u) for u in cube.integer_rows())
     s = b.dim - cube.dim
     witness_ok = None
     if k.n == 3:

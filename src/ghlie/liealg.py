@@ -185,7 +185,7 @@ def lower_central_series(a: LieAlgebra, der: Subspace | None = None) -> list[Sub
     series = [Subspace.full(a.dim), derived_subalgebra(a) if der is None else der]
     adj = _adjoint(a.dim, a.bracket)
     while series[-1].dim:
-        nxt = Subspace.from_vectors(a.dim, list(_ad_basis(adj, series[-1].vectors())))
+        nxt = Subspace.from_vectors(a.dim, list(_ad_basis(adj, series[-1].integer_rows())))
         if nxt == series[-1]:
             break
         series.append(nxt)
@@ -196,7 +196,7 @@ def quotient(a: LieAlgebra, ideal: Subspace) -> LieAlgebra:
     """Quotient algebra L/ideal on the complement coordinates of the ideal."""
     if ideal.ambient_dim != a.dim:
         raise ValueError("ideal lives in the wrong ambient space")
-    if not all(ideal.contains_vec(w) for w in _ad_basis(_adjoint(a.dim, a.bracket), ideal.vectors())):
+    if not all(ideal.contains_vec(w) for w in _ad_basis(_adjoint(a.dim, a.bracket), ideal.integer_rows())):
         raise NotAnIdealError("subspace is not an ideal")
     comp = ideal.complement_coords()
     table = {

@@ -11,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghlie import cli, closed_forms, docio, hopf
 from ghlie.cli import main
@@ -46,6 +48,37 @@ def test_rational_formats():
         docio.parse_rational("1.5e3")
     with pytest.raises(docio.DocumentError):
         docio.parse_rational(2.5)
+
+
+@pytest.mark.parametrize("s, want", [("3", 3), ("4/2", 2), ("-0", 0), ("007", 7), ("-12/4", -3), ("0/5", 0)])
+def test_integral_rationals_parse_to_int(s, want):
+    x = docio.parse_rational(s)
+    assert type(x) is int and x == want
+
+
+def test_fractional_rationals_parse_to_lowest_terms():
+    for s, want in (("6/8", Fraction(3, 4)), ("-2/6", Fraction(-1, 3)), ("2/" + "9" * 30, Fraction(2, 10**30 - 1))):
+        x = docio.parse_rational(s)
+        assert type(x) is Fraction and (x.numerator, x.denominator) == (want.numerator, want.denominator)
+
+
+@pytest.mark.parametrize("s", ["", "+3", "3/0", "3/-4", "3/04", " 3", "3 ", "1/", "/2", "1_000", "0x10",
+                               "1.5", "1e3", "--1", "1/2/3", None, 3, Fraction(1, 2), 2.5, ["1"]])
+def test_rational_rejects_keep_their_message(s):
+    with pytest.raises(docio.DocumentError) as e:
+        docio.parse_rational(s)
+    assert str(e.value) == f"rational must look like 'p' or 'p/q', got {s!r}"
+
+
+@given(st.text(alphabet="0123456789-/+ ._e", max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_parse_rational_agrees_with_fraction(s):
+    if not docio._RATIONAL.match(s):
+        with pytest.raises(docio.DocumentError, match="rational must look like"):
+            docio.parse_rational(s)
+        return
+    x, want = docio.parse_rational(s), Fraction(s)
+    assert x == want and type(x) is (int if want.denominator == 1 else Fraction)
 
 
 def test_vector_to_json_sorts_keys_numerically():
@@ -152,6 +185,14 @@ def test_gen_deficient_variant_needs_canonical(ws, capsys, family, extra):
     # without --canonical the variant used to be dropped: a seeded generic algebra was written
     assert main(["gen", "--family", family, "--d", "4", "--defect", "3", *extra, "--out", "x.json"]) == 2
     assert capsys.readouterr().err == f"error: --variant {extra[1]} needs --canonical\n"
+    assert not Path("x.json").exists()
+
+
+@pytest.mark.parametrize("defect", ["-1", "6"])
+def test_gen_defect_out_of_range_names_defect(ws, capsys, defect):
+    # these used to say "rank must be in 1..6", naming an option that was not given
+    assert main(["gen", "--family", "gh", "--d", "4", "--defect", defect, "--out", "x.json"]) == 2
+    assert capsys.readouterr().err == f"error: --defect must be in 0..5 at --d 4, got {defect}\n"
     assert not Path("x.json").exists()
 
 

@@ -12,6 +12,7 @@ from ghlie.exactla import (
     Subspace,
     _cross_eliminate,
     _eliminate,
+    _eliminate_tall,
     _forward,
     _integer_row,
     _primitive,
@@ -50,6 +51,12 @@ def test_matrix_rows_are_coerced_and_bounded():
     assert all(canonical(x) for x in m.rows[0].values())
     with pytest.raises(IndexError):
         Matrix(2, [{0: 1}, {2: 1}])
+
+
+def test_vec_passes_fractions_through():
+    half = F(1, 2)
+    v = vec({0: half, 1: F(4, 2), 2: F(0), 3: 7})
+    assert v == {0: half, 1: 2, 3: 7} and v[0] is half and type(v[1]) is int
 
 
 def test_rref_zero_matrix():
@@ -542,6 +549,66 @@ def test_schedule_matches_per_pivot_kernel(case):
     m = Matrix(cols, rows)
     assert rank(m) == _per_pivot_rank(m)
     assert_same(kernel_basis(m), _reversed_kernel_basis(m))
+    assert rows == before
+
+
+# --- the tall schedule against the forward pass ---------------------------------
+
+@st.composite
+def tall_rows(draw, max_cols=5):
+    """More than 2x as many nonzero rows as columns, each a combination of a few
+    rows of a basis of rank 0..cols (distinct leads, columns then permuted, so
+    no combination is zero): sparse or dense Fraction rows, repeated and zero
+    rows, small or large (2^80) entries."""
+    ints, fracs = draw(st.sampled_from((small_scalars, large_scalars)))
+    scalars = st.one_of(ints, fracs)
+    cols = draw(st.integers(0, max_cols))
+    perm = draw(st.permutations(range(cols)))
+    leads = sorted(draw(st.sets(st.integers(0, cols - 1), max_size=cols))) if cols else []
+    dense = draw(st.booleans())
+    basis = []
+    for l in leads:
+        tail = range(l + 1, cols)
+        if dense:
+            entries = draw(st.lists(fracs.filter(bool), min_size=len(tail), max_size=len(tail)))
+        else:
+            entries = draw(st.lists(st.one_of(st.just(0), scalars), min_size=len(tail), max_size=len(tail)))
+        r = {perm[l]: draw(scalars.filter(bool))}
+        r.update((perm[c], x) for c, x in zip(tail, entries) if x)
+        basis.append(r)
+    # One seeded generator draws the combinations: one draw per coefficient
+    # would spend most of the test in hypothesis.
+    rnd = draw(st.randoms(use_true_random=False))
+    rows = []
+    for _ in range(draw(st.integers(2 * cols + 1, 3 * cols + 2)) if basis else 0):
+        r = {}  # a few basis rows, so sparse rows overlap in part
+        for b in rnd.sample(basis, rnd.randint(1, len(basis))):
+            vec_axpy(r, rnd.choice((-2, -1, 1, 2, F(1, 2), F(-2, 3))), b)
+        rows.append(vec(r))
+    if rows:
+        picks = draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))
+        rows += [rows[i] for i in picks] + [{}] * draw(st.integers(0, 2))
+    return cols, draw(st.permutations(rows))
+
+
+@given(tall_rows())
+@example((0, [{}, {}]))
+@example((1, [{0: 2**80}, {0: F(-1, 3)}, {0: F(7, 2**40)}, {}]))
+@example((1, [{}] * 3))  # rank 0
+@example((2, [{0: -2, 1: 4}, {0: F(1, 2), 1: -1}, {1: -3}, {0: 5}, {0: 1, 1: 1}]))  # full rank, negative leads
+@example((2, [{0: 1, 1: 1}, {0: 1}, {0: 2}, {0: -1}, {0: 3}]))  # the residual fills in outside u's support
+@settings(max_examples=150, deadline=None)
+def test_tall_schedule_matches_forward_pass(case):
+    cols, rows = case
+    before = copy.deepcopy(rows)
+    want = _eliminate(rows)
+    assert _eliminate_tall(rows) == want
+    if sum(map(bool, rows)) > 2 * cols:  # from_vectors takes the tall schedule
+        got = Subspace.from_vectors(cols, rows)
+        ref = Subspace(cols, [dict(sorted(r.items())) for _, r in want])
+        assert got.pivots == ref.pivots == tuple(l for l, _ in want)
+        assert typed(got.integer_rows()) == typed(ref.integer_rows())
+        assert typed(got.vectors()) == typed(ref.vectors())
     assert rows == before
 
 
