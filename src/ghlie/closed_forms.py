@@ -12,6 +12,7 @@ Jacobi-cycle rank C(d,3); deficient: rank C(d,3) - 1).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -162,22 +163,27 @@ def is_expected_mismatch(key: str, defect: int, variant: str, t: int) -> bool:
 
 
 def closed_form_eval(d: int, t: int, defect: int, variant: str = "generic") -> dict[str, Predicted]:
-    """Printed predictions for GH(d, d(d-1)/2 - defect) ⊕ A(t), by theorem."""
+    """Printed predictions for GH(d, d(d-1)/2 - defect) ⊕ A(t), by theorem, marked by the ledger."""
+    out = {}
+    for key, (value, theorem) in _predictions(d, t, defect, variant).items():
+        reason = _suspect_reason(key, defect, variant, t)
+        out[key] = Predicted(value, theorem, reason is not None, reason or "")
+    return out
+
+
+@functools.cache
+def _predictions(d: int, t: int, defect: int, variant: str) -> dict[str, tuple[int, str]]:
+    """The printed values and their theorems, evaluated once per arguments; callers only read it."""
     _validate(d, defect, variant)
     d_, t_ = F(d), F(t)
     displays = _displays_t0(d_, defect, variant) if t == 0 else _displays_t9(d_, t_, defect, variant)
-    out = {}
-    for key, (value, theorem) in displays.items():
-        reason = _suspect_reason(key, defect, variant, t)
-        out[key] = Predicted(_int(value), theorem, reason is not None, reason or "")
+    out = {key: (_int(value), theorem) for key, (value, theorem) in displays.items()}
     if t == 0:
         base = d * (d - 1) * (d - 2) // 6
         if defect in (1, 2):
-            out["psi2_rank"] = Predicted(base, "Prop 2.2(i)")
+            out["psi2_rank"] = (base, "Prop 2.2(i)")
         else:
-            out["psi2_rank"] = Predicted(
-                base if variant == "generic" else base - 1, "Prop 2.2(ii)"
-            )
+            out["psi2_rank"] = (base if variant == "generic" else base - 1, "Prop 2.2(ii)")
     return out
 
 

@@ -15,15 +15,17 @@ cleared by their lcm, the content gcd is divided out, and rows are eliminated
 by fraction-free cross-multiplication (Bareiss 1968).  Each answer pays only
 for what it reads: ``rank`` counts the pivots of the forward pass; an RREF
 adds one back-substitution, from the last pivot up, and divides only on
-return; ``kernel_basis`` eliminates the short side of m (mᵀ beside an
-identity block when m is tall).  ``Subspace.from_vectors`` given more than
-twice as many nonzero rows as columns tests each row against the rows found
-so far in one pass instead, as most of them are dependent.  A ``Subspace``
-stores the kernel's rows as they come out, each the primitive integer
-multiple of its unit-pivot RREF row, and ``reduce`` (membership, quotient
-coordinates) eliminates against them fraction-free.  The unit-pivot rational
-rows are built once, on the first call of ``vectors()``; a caller that needs
-only the span reads ``integer_rows()``.
+return.  Every null space is ``relations``, {c : Σ cᵢ vᵢ = 0} read from
+the vectors vᵢ as the caller holds them, on their short side: the vᵢ beside
+a unit block, or their coordinate rows (``kernel_basis`` passes a matrix's
+columns).  ``Subspace.from_vectors`` given more than twice as many nonzero
+rows as columns tests each row against the rows found so far in one pass
+instead, as most of them are dependent.  A ``Subspace`` stores the kernel's
+rows as they come out, each the primitive integer multiple of its unit-pivot
+RREF row, and ``reduce`` (membership, quotient coordinates) eliminates
+against them fraction-free.  The unit-pivot rational rows are built once, on
+the first call of ``vectors()``; a caller that needs only the span reads
+``integer_rows()``.
 """
 
 from __future__ import annotations
@@ -130,11 +132,12 @@ def _integer_row(r: Vec) -> tuple[int, dict]:
 
 
 def _primitive_copy(r: Vec) -> dict:
-    """r scaled to a primitive integer row, as a new dict; one pass when r is integer."""
+    """r scaled to a primitive integer row, as a new dict."""
     try:
         g = gcd(*r.values())
-    except TypeError:  # a Fraction entry
-        return _primitive(_integer_row(r)[1])
+    except TypeError:  # a Fraction entry: one row scaled by the denominators' lcm
+        den = lcm(*(x.denominator for x in r.values()))
+        return _primitive({c: x.numerator * (den // x.denominator) for c, x in r.items()})
     return {c: x // g for c, x in r.items()} if g != 1 else dict(r)
 
 
@@ -362,31 +365,34 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def kernel_basis(m: Matrix) -> Subspace:
-    """Right null space {x : m x = 0} in canonical form, from m's short side.
+def relations(vectors: Sequence[Vec]) -> Subspace:
+    """The relations {c : Σ cᵢ vᵢ = 0} among vectors, canonical in Q^len(vectors).
 
-    Tall m (more nonzero rows than columns): in a forward pass over [mᵀ | I],
-    the rows that lead inside I span the null space; one small elimination of
-    them is the canonical basis.  Wide m is reduced with its columns reversed
-    (c -> cols-1-c): a free column f gives the null vector with den_f at f and
-    -x·den_f/q at the pivot column of each row holding x at f, where q is that
-    row's pivot entry and den_f the lcm of those q.  Its other entries sit at
-    pivot columns beyond f, so, made primitive and sorted by f, these vectors
-    are the canonical basis already.
+    Tall input (more distinct coordinates than vectors): in a forward pass over
+    the rows [vᵢ | eᵢ], with the unit block past the largest coordinate, the rows
+    that lead inside the block span the relations; one small elimination of them
+    is the canonical basis.  Otherwise the coordinate rows (coordinate c holds
+    vᵢ[c] at column n-1-i) are reduced: a free index f gives the relation with
+    den_f at f and -x·den_f/q at the index p of each row holding x at f, where q
+    is that row's pivot entry at p and den_f the lcm of those q.  Its other
+    entries sit at indices beyond f, so, made primitive and sorted by f, these
+    relations are the canonical basis already.
     """
-    rows = [r for r in m.rows if r]
-    n = len(rows)
-    if n > m.cols:
-        transposed = [{n + c: 1} for c in range(m.cols)]
-        for i, r in enumerate(rows):
-            for c, x in r.items():
-                transposed[c][i] = x
-        null = [{c - n: x for c, x in r.items()} for lead, r in _forward(transposed) if lead >= n]
-        return Subspace.from_vectors(m.cols, null)
-    last = m.cols - 1
-    reduced = _eliminate([{last - c: x for c, x in r.items()} for r in rows])
+    n = len(vectors)
+    coords = set().union(*vectors)
+    if len(coords) > n:
+        off = max(coords) + 1
+        done = _forward([{**v, off + i: 1} for i, v in enumerate(vectors)])
+        null = [{c - off: x for c, x in r.items()} for lead, r in done if lead >= off]
+        return Subspace.from_vectors(n, null)
+    last = n - 1
+    rows: dict[int, dict] = {}
+    for i, v in enumerate(vectors):
+        for c, x in v.items():
+            rows.setdefault(c, {})[last - i] = x
+    reduced = _eliminate(rows.values())
     pivots = {last - l for l, _ in reduced}
-    den = {f: 1 for f in range(m.cols) if f not in pivots}
+    den = {f: 1 for f in range(n) if f not in pivots}
     for l, r in reduced:
         q = r[l]
         if q != 1:
@@ -394,14 +400,19 @@ def kernel_basis(m: Matrix) -> Subspace:
                 if c != l:
                     den[last - c] = lcm(den[last - c], q)
     gens = {f: {f: x} for f, x in den.items()}
-    # Rows by ascending pivot in m's columns, so each vector's keys ascend.
+    # Rows by ascending pivot index, so each relation's keys ascend.
     for l, r in reversed(reduced):
         p, q = last - l, r[l]
         for c, x in r.items():
             if c != l:
                 f = last - c
                 gens[f][p] = -x * (den[f] // q)
-    return Subspace(m.cols, [v if den[f] == 1 else _primitive(v) for f, v in gens.items()])
+    return Subspace(n, [v if den[f] == 1 else _primitive(v) for f, v in gens.items()])
+
+
+def kernel_basis(m: Matrix) -> Subspace:
+    """Right null space {x : m x = 0} in canonical form: the relations among m's columns."""
+    return relations([{i: r[c] for i, r in enumerate(m.rows) if c in r} for c in range(m.cols)])
 
 
 def invert(m: Matrix) -> Matrix:

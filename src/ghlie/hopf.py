@@ -32,7 +32,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .exactla import Matrix, Subspace, Vec, kernel_basis
+from .exactla import Subspace, Vec, relations
 from .liealg import (
     LieAlgebra,
     bracket_vectors,
@@ -158,38 +158,31 @@ def _beta_images(p: FreePresentation) -> list[Vec]:
 def ker_beta(p: FreePresentation) -> Subspace:
     """Kernel of β: L² ⊗ L/L² -> F³/[R,F], (s, g) -> [lift(y_s), x_g].
 
-    Returned in the (derived index, generator index) lexicographic coordinates
-    shared with the Jacobi-cycle subspace K, so equality checks are literal.
+    The relations among the β images, in their (derived index, generator
+    index) lexicographic coordinates, shared with the Jacobi-cycle subspace K,
+    so equality checks are literal.
     """
-    rows: list[Vec] = [{} for _ in range(p.hall.grade3_dim - p.rel_bracket_span.dim)]
-    for sg, img in enumerate(_beta_images(p)):
-        for q, x in img.items():
-            rows[q][sg] = x
-    return kernel_basis(Matrix(len(p.lifts) * p.hall.d, rows))
+    return relations(_beta_images(p))
 
 
 def exterior_center(p: FreePresentation) -> Subspace:
     """Elements x of the target with x ∧ L = 0: lifts with [x̃, F] ⊆ [R,F].
 
-    Expressed in target coordinates (d generators, then r derived).  The
-    generator block must already vanish in grade 2, so only derived-direction
-    elements can survive; capability of the target is exactly this being zero.
+    Expressed in target coordinates (d generators, then r derived), as the
+    relations among one vector per basis element.  The generator block must
+    already vanish in grade 2, so only derived-direction elements can survive;
+    capability of the target is exactly this being zero.
     """
     d = p.hall.d
-    r = len(p.lifts)
-    # grade-2 component of [Σ a_i x_i, x_k] is ±a_i on the pair {i, k}, so it
-    # vanishes for every k iff a = 0 (with one generator there is no pair)
-    rows: list[Vec] = [{i: 1} for i in range(d)] if d > 1 else []
-    # grade-3 component of [Σ b_s lift_s, x_k] must lie in [R,F]: one row
-    # per (q, k) over the derived columns
-    by_qk: dict[tuple[int, int], Vec] = {}
-    for sk, img in enumerate(_beta_images(p)):
-        s, k = divmod(sk, d)
-        for q, x in img.items():
-            by_qk.setdefault((q, k), {})[d + s] = x
-    # the kernel depends only on the row space, not on the row order
-    rows.extend(by_qk.values())
-    return kernel_basis(Matrix(d + r, rows))
+    beta = _beta_images(p)
+    # grade-2 component of [Σ a_i x_i, x_k] is ±a_i on the pair {i, k}, so it vanishes
+    # for every k iff a = 0: x_i's vector is the unit at i (zero with one generator, no pair)
+    vectors: list[Vec] = [{i: 1} if d > 1 else {} for i in range(d)]
+    # grade-3 component of [Σ b_s lift_s, x_k] must lie in [R,F]: y_s's vector holds
+    # [lift_s, x_k] mod [R,F] at coordinate d + q·d + k of quotient coordinate q
+    for s in range(len(p.lifts)):
+        vectors.append({d + q * d + k: x for k in range(d) for q, x in beta[s * d + k].items()})
+    return relations(vectors)
 
 
 @dataclass

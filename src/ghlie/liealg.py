@@ -19,15 +19,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterator
 
-from .exactla import (
-    Matrix,
-    Subspace,
-    Vec,
-    invert,
-    kernel_basis,
-    vec,
-    vec_axpy,
-)
+from .exactla import Subspace, Vec, invert, relations, vec, vec_axpy
 
 
 class CenterViolation(ValueError):
@@ -164,16 +156,17 @@ def center(a: LieAlgebra, der: Subspace | None = None, central: Subspace | None 
         raise NotCentral("the subspace claimed central is not central")
     comp = central.complement_coords()
     pos = {c: s for s, c in enumerate(comp)}
-    rows: dict[int, Vec] = {}
+    ads: list[Vec] = [{} for _ in comp]
     for (i, j), w in a.bracket.items():
         if i in pos and j in pos:
+            ad_i, ad_j = ads[pos[i]], ads[pos[j]]
             for k, x in w.items():
-                # [e_i, e_j] = w puts x in row (j, k) col i and -x in row (i, k) col j;
-                # no other bracket writes either entry.  Rows no bracket writes are zero.
+                # [e_i, e_j] = w puts x at (j, k) in e_i's ad vector and -x at (i, k) in
+                # e_j's; no other bracket writes either entry.
                 if k in piv:
-                    rows.setdefault(j * n + k, {})[pos[i]] = x
-                    rows.setdefault(i * n + k, {})[pos[j]] = -x
-    ker = kernel_basis(Matrix(len(comp), rows.values()))
+                    ad_i[j * n + k] = x
+                    ad_j[i * n + k] = -x
+    ker = relations(ads)
     if not (central.dim and ker.dim):  # with central 0, comp is every coordinate
         return central if central.dim else ker
     lifted = [{comp[s]: x for s, x in r.items()} for r in ker.integer_rows()]
@@ -329,8 +322,8 @@ def gh_construct(spec: GhSpec) -> LieAlgebra:
     )
 
 
-def change_of_basis(a: LieAlgebra, new_basis: Matrix) -> LieAlgebra:
-    """Structure constants in the basis b'_i = row i of new_basis (invertible)."""
+def change_of_basis(a: LieAlgebra, new_basis) -> LieAlgebra:
+    """Structure constants in the basis b'_i = row i of new_basis (an invertible exactla.Matrix)."""
     rows = new_basis.rows
     if len(rows) != a.dim or new_basis.cols != a.dim:
         raise ValueError("basis matrix must be square of the algebra dimension")
@@ -356,8 +349,8 @@ def rebase_class2(a: LieAlgebra) -> tuple[LieAlgebra, Subspace, Subspace]:
 
     Returns the rebased algebra, its grade-2 relation subspace rel2 and Z(L) in a's own
     coordinates: L² plus a kernel over the generator coordinates, the complement
-    coordinates of L².  rel2 is the kernel of the map sending generator pair w to its
-    bracket, read at the pivot coordinates of L².  The rebased algebra is
+    coordinates of L².  rel2 is the relations among the generator pairs' brackets,
+    read at the pivot coordinates of L².  The rebased algebra is
     class2_from_relations(n, rel2), so its derived basis vector y_s is the bracket of
     rel2's s-th complement coordinate and the rebase is idempotent.  a's labels are
     permuted with the coordinates: generators, then the pivots of L².
@@ -373,11 +366,7 @@ def rebase_class2(a: LieAlgebra) -> tuple[LieAlgebra, Subspace, Subspace]:
     gens = der.complement_coords()
     pairs = wedge_pairs(len(gens))
     # A vector of L² is fixed by its entries at the pivots of L²'s RREF basis.
-    rows: dict[int, Vec] = {p: {} for p in der.pivots}
-    for w, (i, j) in enumerate(pairs):
-        for p, x in a.pair(gens[i], gens[j]).items():
-            if p in rows:
-                rows[p][w] = x
-    rel2 = kernel_basis(Matrix(len(pairs), rows.values()))
+    piv = set(der.pivots)
+    rel2 = relations([{p: x for p, x in a.pair(gens[i], gens[j]).items() if p in piv} for i, j in pairs])
     labels = [a.labels[g] for g in gens] + [a.labels[p] for p in der.pivots]
     return class2_from_relations(len(gens), rel2, labels), rel2, z

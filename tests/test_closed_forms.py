@@ -1,5 +1,6 @@
 import pytest
 
+from ghlie import closed_forms
 from ghlie.closed_forms import (
     EXPECTED_MISMATCHES,
     closed_form_eval,
@@ -84,3 +85,25 @@ def test_validation():
         closed_form_eval(3, 0, 3)  # rank would be zero
     with pytest.raises(ValueError):
         closed_form_eval(4, 0, 2, "deficient")
+
+
+def test_caller_edits_do_not_reach_the_next_call():
+    first = closed_form_eval(4, 1, 3, "deficient")
+    want = dict(first)
+    first.pop("m_L")
+    first["tensor"] = first["wedge"]
+    first["extra"] = first["j2"]
+    again = closed_form_eval(4, 1, 3, "deficient")
+    assert again == want and again is not first
+    assert closed_form_eval(4, 1, 3, "deficient") is not again
+    # the default variant and an explicit "generic" give the same values
+    assert closed_form_eval(5, 0, 2) == closed_form_eval(5, 0, 2, "generic")
+
+
+def test_ledger_is_read_on_every_call(monkeypatch):
+    # the evaluation is cached; the suspect marks follow the ledger as it is now
+    assert closed_form_eval(3, 0, 1)["j2"].suspect
+    ledger = tuple(e for e in EXPECTED_MISMATCHES if (e["key"], e["defect"], e["t"]) != ("j2", 1, "zero"))
+    monkeypatch.setattr(closed_forms, "EXPECTED_MISMATCHES", ledger)
+    j2 = closed_form_eval(3, 0, 1)["j2"]
+    assert (j2.value, j2.suspect, j2.reason) == (22, False, "")

@@ -1,7 +1,7 @@
 import copy
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,11 +16,13 @@ from ghlie.exactla import (
     _forward,
     _integer_row,
     _primitive,
+    _primitive_copy,
     _ratio,
     _rref_rows,
     invert,
     kernel_basis,
     rank,
+    relations,
     vec,
     vec_axpy,
 )
@@ -773,3 +775,117 @@ def test_subspace_matches_rational_reference(case, split, mix):
         for got2, want2 in pairs:
             assert (got1 == got2) == (want1 == want2)
     assert rows == before and probes == probes_before
+
+
+# --- relations against the matrix kernel_basis it replaced ---------------------------
+
+def _matrix_kernel_basis(m):
+    """kernel_basis as it was before ``relations``: both paths read a Matrix's rows."""
+    rows = [r for r in m.rows if r]
+    n = len(rows)
+    if n > m.cols:
+        transposed = [{n + c: 1} for c in range(m.cols)]
+        for i, r in enumerate(rows):
+            for c, x in r.items():
+                transposed[c][i] = x
+        null = [{c - n: x for c, x in r.items()} for lead, r in _forward(transposed) if lead >= n]
+        return Subspace.from_vectors(m.cols, null)
+    last = m.cols - 1
+    reduced = _eliminate([{last - c: x for c, x in r.items()} for r in rows])
+    pivots = {last - l for l, _ in reduced}
+    den = {f: 1 for f in range(m.cols) if f not in pivots}
+    for l, r in reduced:
+        q = r[l]
+        if q != 1:
+            for c in r:
+                if c != l:
+                    den[last - c] = lcm(den[last - c], q)
+    gens = {f: {f: x} for f, x in den.items()}
+    for l, r in reversed(reduced):
+        p, q = last - l, r[l]
+        for c, x in r.items():
+            if c != l:
+                f = last - c
+                gens[f][p] = -x * (den[f] // q)
+    return Subspace(m.cols, [v if den[f] == 1 else _primitive(v) for f, v in gens.items()])
+
+
+def _columns_matrix(vectors):
+    """The Matrix whose columns are vectors: one row per coordinate any of them uses."""
+    coords = sorted(set().union(*vectors))
+    return Matrix(len(vectors), [{i: v[c] for i, v in enumerate(vectors) if c in v} for c in coords])
+
+
+@st.composite
+def relation_vectors(draw, max_n=7):
+    """Vectors as callers hold them: none to max_n of them, over dense small or sparse
+    far-apart coordinates, so both tall and wide shapes come up; zero vectors,
+    repeated ones and combinations of a few others (so tall shapes have relations);
+    int, Fraction and 2^80 entries."""
+    ints, fracs = draw(st.sampled_from((small_scalars, large_scalars)))
+    scalars = st.one_of(ints, fracs).filter(bool)
+    n = draw(st.integers(0, max_n))
+    width = draw(st.integers(1, 2 * max_n + 2))
+    if draw(st.booleans()):
+        pool = list(range(width))
+    else:
+        pool = sorted(draw(st.sets(st.integers(0, 2**64), min_size=width, max_size=width)))
+    base = draw(st.lists(st.dictionaries(st.sampled_from(pool), scalars), min_size=1, max_size=max(1, n)))
+    # One seeded generator picks each vector's kind, as in tall_rows.
+    rnd = draw(st.randoms(use_true_random=False))
+    vectors = []
+    for _ in range(n):
+        kind = rnd.random()
+        if kind < 0.15:
+            vectors.append({})
+        elif kind < 0.55:
+            vectors.append(rnd.choice(base))
+        else:
+            v = {}
+            for b in rnd.sample(base, rnd.randint(1, len(base))):
+                vec_axpy(v, rnd.choice((-2, -1, 1, 3, F(1, 2), F(-2, 3))), b)
+            vectors.append(v)
+    return vectors
+
+
+@given(relation_vectors())
+@example([])
+@example([{}, {}])  # zero vectors: every coefficient is free
+@example([{7: 1}, {}, {7: -2}])
+# wide: m = [[2, 1, 2, 0], [3, 1, 0, 3]] by columns; the relation of free index 0
+# has content 6 before it is made primitive
+@example([{0: 2, 1: 3}, {0: 1, 1: 1}, {0: 2}, {1: 3}])
+# tall over far-apart coordinates, one relation v0 + v1 - v2 = 0; v0 holds the
+# largest coordinate
+@example([{0: 1, 9: 4, 2**70: 2}, {5: 3, 2**70: -1}, {0: 1, 5: 3, 9: 4, 2**70: 1}])
+@example([{3: F(1, 3), 8: 2**80, 11: 1}, {3: F(-2, 3), 8: -2**81, 11: -2}, {1: F(5, 7)}, {}])
+@settings(max_examples=200, deadline=None)
+def test_relations_match_matrix_kernel_basis(vectors):
+    before = copy.deepcopy(vectors)
+    m = _columns_matrix(vectors)
+    got = relations(vectors)
+    want = _matrix_kernel_basis(m)
+    assert_same(got, want)
+    assert typed(got.integer_rows()) == typed(want.integer_rows())
+    assert_stored_form(got)
+    assert kernel_basis(m) == got
+    for c in got.vectors():
+        total = {}
+        for i, x in c.items():
+            vec_axpy(total, x, vectors[i])
+        assert not total
+    assert vectors == before
+
+
+@given(st.sampled_from((small_scalars, large_scalars)).flatmap(
+    lambda s: st.dictionaries(st.integers(0, 9), st.one_of(*s).filter(bool), min_size=1)))
+@example({0: F(1, 2), 1: 3})
+@example({4: F(-3, 2), 1: F(9, 2), 0: 6})  # content 3 once scaled by 2, keys not ascending
+@example({2: F(4), 5: F(-6)})  # integral Fractions
+@example({0: F(2**80, 3), 1: F(-2**81, 9)})
+@settings(max_examples=200, deadline=None)
+def test_primitive_copy_matches_integer_row_then_primitive(r):
+    before = list(r.items())
+    got = _primitive_copy(r)
+    assert typed([got]) == typed([_primitive(_integer_row(r)[1])])
+    assert list(r.items()) == before and got is not r

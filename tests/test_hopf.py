@@ -369,10 +369,15 @@ def test_shared_beta_matches_per_call_reference():
     inputs = [c.build() for c in grid_cases((3, 4, 5), (1, 2, 3), (0, 1), 1)]
     inputs += [direct_sum(heisenberg(1), abelian(t)) for t in range(3)]
     inputs += [abelian(n) for n in range(5)]
+    inputs += [direct_sum(heisenberg(2), abelian(t)) for t in (1, 2)] + [with_abelian_part(seeded_gh(4, 2, 0), 2)]
     inputs += [
         rational_basis(seeded_gh(4, 1, 0), 1),
         rational_basis(random_class2(4, 3), 2),
         rational_basis(direct_sum(heisenberg(1), abelian(1)), 3),
+        rational_basis(direct_sum(heisenberg(1), abelian(3)), 4),
+        rational_basis(direct_sum(heisenberg(2), abelian(1)), 5),
+        rational_basis(with_abelian_part(seeded_gh(3, 1, 0), 2), 6),
+        rational_basis(abelian(1), 7),
     ]
     for a in inputs:
         p = presentation_from_class2(a)
@@ -384,6 +389,10 @@ def test_shared_beta_matches_per_call_reference():
         assert exterior_center(q) == want_ec
         assert ker_beta(q) == want_kb
         assert exterior_center(q) == want_ec
+    # the exterior center of abelian(1) is all of it: with one generator there
+    # is no pair, so x1 ∧ L = 0
+    for a in (abelian(1), rational_basis(abelian(1), 8)):
+        assert exterior_center(presentation_from_class2(a)) == Subspace.full(1)
 
 
 def _reference_lifts(p):

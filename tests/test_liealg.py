@@ -780,6 +780,7 @@ def test_jacobi_check_matches_reference_on_failing_tables(tmp_path, capsys):
 # central = L², Z(L) and the candidate ideals.
 
 from ghlie import liealg  # noqa: E402
+from ghlie.exactla import relations  # noqa: E402
 from ghlie.liealg import NotCentral  # noqa: E402
 
 
@@ -793,6 +794,20 @@ def test_center_modulo_a_noncentral_subspace_raises():
     a = direct_sum(heisenberg(1), abelian(1))
     for central in ([{2: ONE}], [{3: ONE}], [{2: ONE}, {3: ONE}], []):
         assert center(a, None, Subspace.from_vectors(4, central)) == _reference_center(a)
+
+
+def test_center_matches_reference_with_abelian_summands_and_rational_bases():
+    # Z(H(m) ⊕ A(t)) is z plus the abelian summand; the relations over the
+    # complement coordinates take the wide path for abelian(1) and H(1) + A(t)
+    plain = [(direct_sum(heisenberg(m), abelian(t)), 1 + t) for m in (1, 2) for t in (1, 2, 3)]
+    plain += [(with_abelian_part(seeded_gh(4, 2, 0), 2), 6), (abelian(1), 1)]
+    cases = plain + [(_in_rational_basis(a, s), dim) for s, (a, dim) in enumerate(plain)]
+    for a, dim in cases:
+        z = _reference_center(a)
+        der = derived_subalgebra(a)
+        assert z.dim == dim
+        assert center(a) == center(a, der) == center(a, der, der) == z
+        assert rebase_class2(a)[2] == z
 
 
 def test_class3_and_non_nilpotent_tables_fail_the_certificate():
@@ -810,11 +825,11 @@ def test_rebase_center_kernel_has_only_the_generator_columns(monkeypatch):
     # seeded_gh(5, 1, s) has dim 14 with 5 generators; the full kernel had 14 columns
     cols = []
 
-    def counted(m):
-        cols.append(m.cols)
-        return kernel_basis(m)
+    def counted(vectors):
+        cols.append(len(vectors))
+        return relations(vectors)
 
-    monkeypatch.setattr(liealg, "kernel_basis", counted)
+    monkeypatch.setattr(liealg, "relations", counted)
     for seed in range(3):
         a = _in_rational_basis(seeded_gh(5, 1, seed), seed)
         cols.clear()
