@@ -6,7 +6,7 @@ Hall-basis model of the free class-3 algebra.  See README.md for the CLI and
 the acceptance suite.
 """
 
-from .exactla import Matrix, Subspace, kernel_basis, relations
+from .exactla import Matrix, Subspace, relations
 from .liealg import (
     GhSpec,
     LieAlgebra,

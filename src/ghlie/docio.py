@@ -3,8 +3,9 @@
 Format: {"dim": n, "labels": [...], "brackets": [{"i": i, "j": j, "v": {...}}],
 "meta": {...}} with 0 <= i < j < dim, v keyed by stringified basis indices and
 valued by rationals rendered "p/q" (or "p" for integers), parsed to an int
-when integral, else a Fraction.  Unlisted pairs are zero brackets.  meta is
-free-form, except that d, defect and t must be nonnegative integers:
+when integral, else a Fraction.  Keys and rationals are ASCII decimals, keys
+without sign, space or leading zero.  Unlisted pairs are zero brackets.  meta
+is free-form, except that d, defect and t must be nonnegative integers:
 ``analyze`` reads meta d as the generator count of the Heisenberg part and
 checks meta defect, t and variant against the values it derives from the
 algebra and d.
@@ -28,7 +29,7 @@ class DocumentError(ValueError):
     """Malformed algebra document."""
 
 
-_RATIONAL = re.compile(r"-?\d+(/[1-9]\d*)?\Z")
+_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?\Z")
 
 
 def rational_str(x: Fraction) -> str:
@@ -99,6 +100,11 @@ def document_to_algebra(doc) -> tuple[LieAlgebra, dict]:
             if k in vec:
                 raise DocumentError(f"coordinate {k} given twice in bracket ({i},{j})")
             vec[k] = parse_rational(x_str)
+        # A key is the ASCII decimal of its index; int() also reads "+2", " 2", "1_0" and
+        # non-ASCII digits, so a key that reads as a repeat is reported as one first.
+        for k_str, k in zip(v, vec):
+            if k_str != str(k):
+                raise DocumentError(f"bad coordinate key {k_str!r}")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise DocumentError("meta must be an object")

@@ -12,20 +12,21 @@ equalities; there are no tolerances anywhere.
 
 The one elimination kernel works on primitive integer rows: denominators are
 cleared by their lcm, the content gcd is divided out, and rows are eliminated
-by fraction-free cross-multiplication (Bareiss 1968).  Each answer pays only
-for what it reads: ``rank`` counts the pivots of the forward pass; an RREF
-adds one back-substitution, from the last pivot up, and divides only on
-return.  Every null space is ``relations``, {c : Σ cᵢ vᵢ = 0} read from
-the vectors vᵢ as the caller holds them, on their short side: the vᵢ beside
-a unit block, or their coordinate rows (``kernel_basis`` passes a matrix's
-columns).  ``Subspace.from_vectors`` given more than twice as many nonzero
-rows as columns tests each row against the rows found so far in one pass
-instead, as most of them are dependent.  A ``Subspace`` stores the kernel's
-rows as they come out, each the primitive integer multiple of its unit-pivot
-RREF row, and ``reduce`` (membership, quotient coordinates) eliminates
-against them fraction-free.  The unit-pivot rational rows are built once, on
-the first call of ``vectors()``; a caller that needs only the span reads
-``integer_rows()``.
+by one fraction-free cross-multiplication step (Bareiss 1968),
+``_cross_eliminate``, which every schedule shares.  Each answer pays only for
+what it reads: ``rank`` counts the pivots of the forward pass; an RREF adds
+one back-substitution, from the last pivot up, and divides only on return.
+``Subspace.from_vectors`` given more than twice as many nonzero rows as
+columns tests each row against the rows found so far in one pass instead, as
+most of them are dependent.  Every null space is ``relations``,
+{c : Σ cᵢ vᵢ = 0} read from the vectors vᵢ as the caller holds them, on their
+short side: the vᵢ beside a unit block, or their coordinate rows.  A
+``Subspace`` stores the kernel's rows as they come out, each the primitive
+integer multiple of its unit-pivot RREF row, and ``reduce`` (membership,
+quotient coordinates) runs the same step against them.  The unit-pivot
+rational rows are built once, on the first call of ``vectors()``; a caller
+that needs only the span reads ``integer_rows()``.  ``invert`` reads its
+answer off the span of [m | I].
 """
 
 from __future__ import annotations
@@ -106,11 +107,15 @@ def _primitive(r: dict) -> dict:
     return r
 
 
-def _cross_eliminate(r: dict, a: int, pivot: dict, p: int) -> None:
-    """In place, r := (p/g)·r − (a/g)·pivot with g = gcd(a, p), made primitive."""
+def _cross_eliminate(r: dict, a: int, pivot: dict, p: int) -> int:
+    """In place, r := s·r − (a/g)·pivot with g = gcd(a, p) and s = p/g; returns s.
+
+    The one elimination step: with p > 0, r is scaled by s > 0 and, for a = r[c]
+    and p = pivot[c], comes out zero at c.
+    """
     g = gcd(a, p)
-    if p != g:
-        s = p // g
+    s = p // g
+    if s != 1:
         for c, x in r.items():
             r[c] = s * x
     t = a // g
@@ -120,7 +125,7 @@ def _cross_eliminate(r: dict, a: int, pivot: dict, p: int) -> None:
             r[c] = y
         else:
             del r[c]
-    _primitive(r)
+    return s
 
 
 def _integer_row(r: Vec) -> tuple[int, dict]:
@@ -169,6 +174,7 @@ def _forward(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
         for r in bucket:
             _cross_eliminate(r, r[lead], pivot, p)
             if r:
+                _primitive(r)
                 l = min(r)
                 if l not in buckets:
                     buckets[l] = []
@@ -189,6 +195,7 @@ def _eliminate(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
     for lead, r in reversed(done):
         for c in [c for c in r if c in reduced]:
             _cross_eliminate(r, r[c], reduced[c], reduced[c][c])
+            _primitive(r)
         reduced[lead] = r
     return done
 
@@ -196,32 +203,20 @@ def _eliminate(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
 def _eliminate_tall(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
     """``_eliminate``'s pairs, for many more rows than columns: one pass per row.
 
-    Rows are taken in order against the rows B_p found so far (primitive, pivot
-    q_p > 0 at p, zero at the other pivots).  With L the lcm of the q_p at the
-    pivots u holds, the residual L·u − Σ u_p·(L/q_p)·B_p is empty exactly when
-    u lies in their span; otherwise it is zero at every pivot, and, primitive
-    with a positive lead, it joins them once its lead column is cleared from
-    the others.  The RREF is unique, so the rows are ``_eliminate``'s.
+    Rows are taken in order against the rows found so far (primitive, positive
+    pivot, zero at the other pivots).  The step clears each pivot that u holds,
+    one found row each; the residual is empty exactly when u lies in their
+    span.  Otherwise, primitive with a positive lead, it joins them once its
+    lead column is cleared from the others.  The RREF is unique, so the rows
+    are ``_eliminate``'s.
     """
     found: dict[int, dict] = {}
     for r in rows:
         if not r:
             continue
         u = _primitive_copy(r)
-        hits = [(p, x) for p, x in u.items() if p in found]
-        den = lcm(*(found[p][p] for p, _ in hits))
-        if den != 1:
-            for c, x in u.items():
-                u[c] = den * x
-        for p, a in hits:
-            row = found[p]
-            t = a * (den // row[p])
-            for c, x in row.items():
-                y = u.get(c, 0) - t * x
-                if y:
-                    u[c] = y
-                else:
-                    del u[c]
+        for p in [p for p in u if p in found]:
+            _cross_eliminate(u, u[p], found[p], found[p][p])
         if not u:
             continue
         lead = min(u)
@@ -233,21 +228,9 @@ def _eliminate_tall(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
             a = row.get(lead)
             if a is not None:
                 _cross_eliminate(row, a, u, q)
+                _primitive(row)
         found[lead] = u
     return sorted(found.items())
-
-
-def _rref_rows(rows: Iterable[Vec]) -> list[Vec]:
-    """Reduced row echelon form of a list of sparse rows.
-
-    Returns new nonzero rows ordered by pivot column, each with its keys in
-    ascending column order; input rows are not mutated.
-    """
-    out = []
-    for l, r in _eliminate(rows):
-        p, items = r[l], sorted(r.items())
-        out.append(dict(items) if p == 1 else {c: _ratio(x, p) for c, x in items})
-    return out
 
 
 def rank(m: Matrix) -> int:
@@ -327,21 +310,7 @@ class Subspace:
             return dict(v)
         scale, u = _integer_row(v)
         for p in hits:
-            row = rows[p]
-            a, q = u[p], row[p]
-            g = gcd(a, q)
-            if q != g:
-                s = q // g
-                scale *= s
-                for c, x in u.items():
-                    u[c] = s * x
-            t = a // g
-            for c, x in row.items():
-                y = u.get(c, 0) - t * x
-                if y:
-                    u[c] = y
-                else:
-                    del u[c]
+            scale *= _cross_eliminate(u, u[p], rows[p], rows[p][p])
         return u if scale == 1 else {c: _ratio(x, scale) for c, x in u.items()}
 
     def contains_vec(self, v: Vec) -> bool:
@@ -410,21 +379,12 @@ def relations(vectors: Sequence[Vec]) -> Subspace:
     return Subspace(n, [v if den[f] == 1 else _primitive(v) for f, v in gens.items()])
 
 
-def kernel_basis(m: Matrix) -> Subspace:
-    """Right null space {x : m x = 0} in canonical form: the relations among m's columns."""
-    return relations([{i: r[c] for i, r in enumerate(m.rows) if c in r} for c in range(m.cols)])
-
-
 def invert(m: Matrix) -> Matrix:
-    """Inverse of a square matrix via RREF of the augmented block [m | I]."""
+    """Inverse of a square matrix: the right-hand block of the RREF of [m | I]."""
     n = m.cols
     if len(m.rows) != n:
         raise ValueError("only square matrices are invertible")
-    rows = [dict(r) for r in m.rows]
-    for i, r in enumerate(rows):
-        r[n + i] = 1
-    reduced = _rref_rows(rows)
-    if len(reduced) != n or any(min(r) != i for i, r in enumerate(reduced)):
+    sub = Subspace.from_vectors(2 * n, [{**r, n + i: 1} for i, r in enumerate(m.rows)])
+    if sub.pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix(n, [{c - n: x for c, x in r.items() if c >= n} for r in reduced])
-
+    return Matrix(n, [{c - n: x for c, x in r.items() if c >= n} for r in sub.vectors()])

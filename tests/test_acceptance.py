@@ -19,7 +19,7 @@ from ghlie.closed_forms import (
     is_expected_mismatch,
     reduction_check,
 )
-from ghlie.exactla import Matrix, Subspace, _rref_rows, kernel_basis
+from ghlie.exactla import Matrix, Subspace, relations
 from ghlie.fixtures import (
     canonical_gh,
     defect_variants,
@@ -319,9 +319,10 @@ def test_criterion_10_property_suites():
         m = Matrix.from_dense(
             [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
         )
-        r = _rref_rows(m.rows)
-        assert _rref_rows(r) == r
-        assert kernel_basis(m).dim + len(r) == cols
+        r = Subspace.from_vectors(cols, m.rows).vectors()
+        assert Subspace.from_vectors(cols, r).vectors() == r
+        m_columns = [{i: row[c] for i, row in enumerate(m.rows) if c in row} for c in range(cols)]
+        assert relations(m_columns).dim + len(r) == cols
     _pass(10, "F_{d,3} table (the free class-2 cover) graded and Jacobi through d = 6; "
               "five reported dimensions invariant under 20 random conjugations per "
               "fixture; rref idempotence and rank-nullity on 200 random matrices")

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import itertools
 import json
@@ -63,7 +64,8 @@ def test_fractional_rationals_parse_to_lowest_terms():
 
 
 @pytest.mark.parametrize("s", ["", "+3", "3/0", "3/-4", "3/04", " 3", "3 ", "1/", "/2", "1_000", "0x10",
-                               "1.5", "1e3", "--1", "1/2/3", None, 3, Fraction(1, 2), 2.5, ["1"]])
+                               "1.5", "1e3", "--1", "1/2/3", None, 3, Fraction(1, 2), 2.5, ["1"],
+                               "\u0663", "\uff13", "-\u0663", "1/1\u0663", "\u0661\u0660/3", "3/1\U0001d7d0"])
 def test_rational_rejects_keep_their_message(s):
     with pytest.raises(docio.DocumentError) as e:
         docio.parse_rational(s)
@@ -139,6 +141,24 @@ def test_python_m_ghlie_runs_from_a_checkout(ws, capsys):
                           capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout == want
+
+
+def test_package_imports_only_the_standard_library():
+    # ghlie runs wherever Python does: every absolute import names a standard module
+    # (relative imports stay inside the package)
+    files = sorted((Path(__file__).resolve().parents[1] / "src" / "ghlie").glob("*.py"))
+    assert files
+    outside = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [(path.name, n) for n in names if n.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
 
 
 def test_gen_abelian(ws, capsys):
@@ -338,6 +358,32 @@ def test_analyze_coordinate_given_twice_exits_2(ws, capsys, v):
     _write_h1([{"i": 0, "j": 1, "v": v}])
     assert main(["analyze", "h.json"]) == 2
     assert capsys.readouterr().err == "error: coordinate 2 given twice in bracket (0,1)\n"
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["cover", "--out", "c.json"], ["capable"], ["oracle-compare"]],
+                         ids=lambda c: c[0])
+@pytest.mark.parametrize("v, err", [
+    pytest.param({"2": "1"}, None, id="canonical"),
+    pytest.param({"0_2": "1"}, "bad coordinate key '0_2'", id="key-underscore"),  # int() reads it as 2
+    pytest.param({"+2": "1"}, "bad coordinate key '+2'", id="key-sign"),
+    pytest.param({" 2": "1"}, "bad coordinate key ' 2'", id="key-space"),
+    pytest.param({"02": "1"}, "bad coordinate key '02'", id="key-leading-zero"),
+    pytest.param({"\u0662": "1"}, "bad coordinate key '\u0662'", id="key-arabic-indic"),
+    pytest.param({"\uff12": "1"}, "bad coordinate key '\uff12'", id="key-fullwidth"),
+    pytest.param({"2": "\u0663"}, "rational must look like 'p' or 'p/q', got '\u0663'", id="value-arabic-indic"),
+    pytest.param({"2": "1/1\u0663"}, "rational must look like 'p' or 'p/q', got '1/1\u0663'",
+                 id="denominator-arabic-indic"),
+    pytest.param({"0_2": "\u0663"}, "rational must look like 'p' or 'p/q', got '\u0663'", id="both"),
+])
+def test_documents_need_ascii_decimal_keys_and_rationals(ws, capsys, command, v, err):
+    # int() and \d accept more than the format's decimals: "0_2": "\u0663" was read as {2: 3}
+    _write_h1([{"i": 0, "j": 1, "v": v}])
+    code = main([command[0], "h.json", *command[1:]])
+    if err is None:
+        assert code == 0
+    else:
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
 
 
 @pytest.mark.parametrize("text, key", [

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ghlie.exactla import (
     Matrix,
     Subspace,
-    _cross_eliminate,
     _eliminate,
     _eliminate_tall,
     _forward,
@@ -18,9 +17,7 @@ from ghlie.exactla import (
     _primitive,
     _primitive_copy,
     _ratio,
-    _rref_rows,
     invert,
-    kernel_basis,
     rank,
     relations,
     vec,
@@ -43,6 +40,16 @@ def transpose(m):
     return Matrix(len(m.rows), [{r: row[c] for r, row in enumerate(m.rows) if c in row} for c in range(m.cols)])
 
 
+def columns(m):
+    """m's columns as sparse vectors: their relations are m's right null space."""
+    return [{i: r[c] for i, r in enumerate(m.rows) if c in r} for c in range(m.cols)]
+
+
+def rref_rows(cols, rows):
+    """The reduced row echelon form of rows in Q^cols: new unit-pivot rows by pivot."""
+    return Subspace.from_vectors(cols, rows).vectors()
+
+
 # --- rref -------------------------------------------------------------------
 
 def test_matrix_rows_are_coerced_and_bounded():
@@ -62,21 +69,21 @@ def test_vec_passes_fractions_through():
 
 
 def test_rref_zero_matrix():
-    assert _rref_rows([{}, {}, {}]) == []
+    assert rref_rows(3, [{}, {}, {}]) == []
 
 
 def test_rref_identity():
     rows = [{0: 1}, {1: 1}]
-    assert _rref_rows(rows) == rows
+    assert rref_rows(2, rows) == rows
 
 
 def test_rref_dependent_rows():
-    assert _rref_rows(Matrix.from_dense([[1, 2], [2, 4]]).rows) == [{0: 1, 1: 2}]
+    assert rref_rows(2, Matrix.from_dense([[1, 2], [2, 4]]).rows) == [{0: 1, 1: 2}]
 
 
 def test_rref_preserves_row_space():
     m = Matrix.from_dense([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    r = _rref_rows(m.rows)
+    r = rref_rows(3, m.rows)
     assert len(r) == 2
     assert Subspace.from_vectors(3, m.rows) == Subspace.from_vectors(3, r)
 
@@ -84,16 +91,16 @@ def test_rref_preserves_row_space():
 # --- kernels ----------------------------------------------------------------
 
 def test_kernel_of_identity_is_zero():
-    assert kernel_basis(Matrix(2, [{0: 1}, {1: 1}])).dim == 0
+    assert relations(columns(Matrix(2, [{0: 1}, {1: 1}]))).dim == 0
 
 
 def test_kernel_of_zero_matrix_is_full():
-    k = kernel_basis(Matrix(3, [{}, {}]))
+    k = relations(columns(Matrix(3, [{}, {}])))
     assert k == Subspace.full(3)
 
 
 def test_kernel_single_row():
-    k = kernel_basis(Matrix.from_dense([[1, 1, 0]]))
+    k = relations(columns(Matrix.from_dense([[1, 1, 0]])))
     assert k.dim == 2
     assert k.contains_vec(vec_from_list([1, -1, 0]))
     assert k.contains_vec(vec_from_list([0, 0, 1]))
@@ -120,7 +127,7 @@ def subspace_intersect(a, b):
         r.update({c + n: x for c, x in v.items()})
         rows.append(r)
     rows.extend(b.vectors())
-    inter = [{c - n: x for c, x in r.items()} for r in _rref_rows(rows) if min(r) >= n]
+    inter = [{c - n: x for c, x in r.items()} for r in rref_rows(2 * n, rows) if min(r) >= n]
     return Subspace.from_vectors(n, inter)
 
 
@@ -193,8 +200,8 @@ def matrices(draw, max_dim=6):
 @given(matrices())
 @settings(max_examples=100, deadline=None)
 def test_rref_idempotent(m):
-    r = _rref_rows(m.rows)
-    assert _rref_rows(r) == r
+    r = rref_rows(m.cols, m.rows)
+    assert rref_rows(m.cols, r) == r
 
 
 @given(matrices())
@@ -206,15 +213,15 @@ def test_rank_of_transpose(m):
 @given(matrices())
 @settings(max_examples=100, deadline=None)
 def test_rank_nullity(m):
-    assert kernel_basis(m).dim + rank(m) == m.cols
+    assert relations(columns(m)).dim + rank(m) == m.cols
 
 
 @given(matrices(), st.fractions(min_value=-5, max_value=5).filter(bool))
 @settings(max_examples=60, deadline=None)
 def test_scaling_preserves_pivot_structure(m, c):
     scaled = Matrix(m.cols, [{k: c * v for k, v in row.items()} for row in m.rows])
-    r1 = _rref_rows(m.rows)
-    r2 = _rref_rows(scaled.rows)
+    r1 = rref_rows(m.cols, m.rows)
+    r2 = rref_rows(m.cols, scaled.rows)
     assert r1 == r2  # RREF normalizes the scale away entirely
 
 
@@ -257,7 +264,7 @@ def _reference_row_sub(r, pivot_row, coef):
 
 
 def _reference_rref_rows(row_vecs):
-    """The copy-per-step elimination that _rref_rows replaced, kept as its reference."""
+    """The copy-per-step elimination that the integer kernel replaced, kept as its reference."""
     work = [(min(r), dict(r)) for r in row_vecs if r]
     done = []
     while work:
@@ -323,9 +330,9 @@ def row_lists(draw, max_cols=7, max_rows=7, min_cols=1):
 @given(row_lists())
 @settings(max_examples=200, deadline=None)
 def test_rref_rows_matches_reference_kernel(case):
-    _, rows = case
+    cols, rows = case
     before = copy.deepcopy(rows)
-    got = _rref_rows(rows)
+    got = rref_rows(cols, rows)
     assert rows == before
     want = _reference_rref_rows(rows)
     assert got == want
@@ -337,7 +344,7 @@ def test_rref_rows_matches_reference_kernel(case):
 
 def _reference_kernel_basis(m):
     """The two-elimination kernel_basis that one reversed-column elimination replaced."""
-    reduced = _rref_rows(m.rows)
+    reduced = _unit_rref_rows(m.rows)
     piv = [min(r) for r in reduced]
     piv_set = set(piv)
     free = [c for c in range(m.cols) if c not in piv_set]
@@ -361,7 +368,7 @@ def _reference_kernel_basis(m):
 def test_kernel_basis_matches_reference(case):
     cols, rows = case
     m = Matrix(cols, rows)
-    got = kernel_basis(m)
+    got = relations(columns(m))
     assert got == _reference_kernel_basis(m)
     assert got.dim == cols - rank(m)
     for v in got.vectors():
@@ -383,7 +390,7 @@ def test_operations_leave_subspace_rows_unchanged():
     for a, b in ((sub, other), (other, sub), (sub, sub)):
         subspace_sum(a, b)
         subspace_intersect(a, b)
-    kernel_basis(Matrix(4, sub.vectors()))
+    relations(sub.vectors())
     m = Matrix(4, sub.vectors() + [{2: F(1)}, {3: F(1)}])
     m_before = copy.deepcopy(m.rows)
     inv = invert(m)
@@ -449,12 +456,37 @@ def test_reduce_matches_reference(case, split, mix):
 
 # --- the elimination schedule against the one it replaced ----------------------
 
+def _reference_primitive(r):
+    g = gcd(*r.values())
+    if g > 1:
+        for c, x in r.items():
+            r[c] = x // g
+    return r
+
+
+def _reference_step(r, a, pivot, p):
+    """The step as the per-pivot kernel ran it: r := (p/g)·r − (a/g)·pivot with
+    g = gcd(a, p), made primitive.  The reference keeps its own copy, so that a
+    fault in ``_cross_eliminate`` cannot hide inside it."""
+    g = gcd(a, p)
+    for c, x in r.items():
+        r[c] = (p // g) * x
+    for c, x in pivot.items():
+        y = r.get(c, 0) - (a // g) * x
+        if y:
+            r[c] = y
+        else:
+            del r[c]
+    if r:
+        _reference_primitive(r)
+
+
 def _per_pivot_eliminate(rows):
     """The kernel that cleared each new pivot from every finished row as it went."""
     buckets = {}
     for r in rows:
         if r:
-            buckets.setdefault(min(r), []).append(_primitive(_integer_row(r)[1]))
+            buckets.setdefault(min(r), []).append(_reference_primitive(_integer_row(r)[1]))
     heap = list(buckets)
     heapify(heap)
     done = []
@@ -468,7 +500,7 @@ def _per_pivot_eliminate(rows):
                 pivot[c] = -x
             p = -p
         for r in bucket:
-            _cross_eliminate(r, r[lead], pivot, p)
+            _reference_step(r, r[lead], pivot, p)
             if r:
                 l = min(r)
                 if l not in buckets:
@@ -478,7 +510,7 @@ def _per_pivot_eliminate(rows):
         for _, r in done:
             a = r.get(lead)
             if a is not None:
-                _cross_eliminate(r, a, pivot, p)
+                _reference_step(r, a, pivot, p)
         done.append((lead, pivot))
     return done
 
@@ -547,10 +579,10 @@ def test_schedule_matches_per_pivot_kernel(case):
     cols, rows = case
     before = copy.deepcopy(rows)
     assert _eliminate(rows) == _per_pivot_eliminate(rows)
-    assert typed(_rref_rows(rows)) == typed(_per_pivot_rref_rows(rows))
+    assert typed(rref_rows(cols, rows)) == typed(_per_pivot_rref_rows(rows))
     m = Matrix(cols, rows)
     assert rank(m) == _per_pivot_rank(m)
-    assert_same(kernel_basis(m), _reversed_kernel_basis(m))
+    assert_same(relations(columns(m)), _reversed_kernel_basis(m))
     assert rows == before
 
 
@@ -616,6 +648,16 @@ def test_tall_schedule_matches_forward_pass(case):
 
 # --- the integer store against the rational one it replaced ----------------------
 
+def _unit_rref_rows(rows):
+    """``_eliminate``'s rows divided by their pivots, keys ascending: the RREF reader
+    that ``Subspace.vectors()`` replaced, kept for the reference classes."""
+    out = []
+    for l, r in _eliminate(rows):
+        p, items = r[l], sorted(r.items())
+        out.append(dict(items) if p == 1 else {c: _ratio(x, p) for c, x in items})
+    return out
+
+
 class _ReferenceSubspace:
     """The Subspace that stored unit-pivot rational rows and built integer copies
     of them for reduce, kept as the reference of the integer store."""
@@ -628,7 +670,7 @@ class _ReferenceSubspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim, vectors):
-        return cls(ambient_dim, _rref_rows(vectors))
+        return cls(ambient_dim, _unit_rref_rows(vectors))
 
     @classmethod
     def zero(cls, ambient_dim):
@@ -703,7 +745,7 @@ def _reference_kernel_basis_rational(m):
         null = [{c - n: x for c, x in r.items()} for lead, r in _forward(transposed) if lead >= n]
         return _ReferenceSubspace.from_vectors(m.cols, null)
     last = m.cols - 1
-    reduced = _rref_rows([{last - c: x for c, x in r.items()} for r in rows])
+    reduced = _unit_rref_rows([{last - c: x for c, x in r.items()} for r in rows])
     pivots = {last - min(r) for r in reduced}
     gens = {f: {f: 1} for f in range(m.cols) if f not in pivots}
     for r in reversed(reduced):
@@ -749,10 +791,10 @@ def test_subspace_matches_rational_reference(case, split, mix):
     pairs = [
         (Subspace.from_vectors(cols, rows[:split]), _ReferenceSubspace.from_vectors(cols, rows[:split])),
         (Subspace.from_vectors(cols, rows), _ReferenceSubspace.from_vectors(cols, rows)),
-        (kernel_basis(m), _reference_kernel_basis_rational(m)),
+        (relations(columns(m)), _reference_kernel_basis_rational(m)),
         (Subspace.zero(cols), _ReferenceSubspace.zero(cols)),
         (Subspace.full(cols), _ReferenceSubspace.full(cols)),
-        (kernel_basis(t), _reference_kernel_basis_rational(t)),
+        (relations(columns(t)), _reference_kernel_basis_rational(t)),
     ]
     combo = {}
     for k, v in zip(mix, rows):
@@ -868,7 +910,7 @@ def test_relations_match_matrix_kernel_basis(vectors):
     assert_same(got, want)
     assert typed(got.integer_rows()) == typed(want.integer_rows())
     assert_stored_form(got)
-    assert kernel_basis(m) == got
+    assert relations(columns(m)) == got
     for c in got.vectors():
         total = {}
         for i, x in c.items():
@@ -889,3 +931,71 @@ def test_primitive_copy_matches_integer_row_then_primitive(r):
     got = _primitive_copy(r)
     assert typed([got]) == typed([_primitive(_integer_row(r)[1])])
     assert list(r.items()) == before and got is not r
+
+
+# --- invert against the RREF reader it replaced ----------------------------------
+
+def _reference_invert(m):
+    """invert as it was: the unit-pivot rows of [m | I] read off ``_eliminate``."""
+    n = m.cols
+    if len(m.rows) != n:
+        raise ValueError("only square matrices are invertible")
+    rows = [dict(r) for r in m.rows]
+    for i, r in enumerate(rows):
+        r[n + i] = 1
+    reduced = _unit_rref_rows(rows)
+    if len(reduced) != n or any(min(r) != i for i, r in enumerate(reduced)):
+        raise ValueError("matrix is singular")
+    return Matrix(n, [{c - n: x for c, x in r.items() if c >= n} for r in reduced])
+
+
+@st.composite
+def square_matrices(draw, max_n=7):
+    """n×n matrices, n = 0..max_n, of int, Fraction or 2^80 entries with zeros; in
+    about half of them one row is replaced by a combination of the others, so
+    they are singular."""
+    ints, fracs = draw(st.sampled_from((small_scalars, large_scalars)))
+    scalars = st.one_of(st.just(0), ints, fracs)
+    n = draw(st.integers(0, max_n))
+    rows = draw(st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        ks = draw(st.lists(st.sampled_from((-1, 0, 1, 2, F(1, 2))), min_size=n, max_size=n))
+        rows[i] = [sum(k * r[c] for j, (k, r) in enumerate(zip(ks, rows)) if j != i) for c in range(n)]
+    return Matrix.from_dense(rows, n)
+
+
+@given(square_matrices())
+@example(Matrix(0, []))
+@example(Matrix.from_dense([[0, 1], [1, 0]]))  # the first pivot is in row 1
+@example(Matrix.from_dense([[2, 4], [1, 2]]))  # singular, rank 1
+@example(Matrix.from_dense([[0, 0], [0, 0]]))
+@example(Matrix.from_dense([[F(1, 2), 2**80], [3, F(-7, 2**40)]]))
+@settings(max_examples=300, deadline=None)
+def test_invert_matches_reference(m):
+    before = copy.deepcopy(m.rows)
+    n = m.cols
+    try:
+        want = _reference_invert(m)
+    except ValueError as e:
+        assert rank(m) < n
+        with pytest.raises(ValueError) as got:
+            invert(m)
+        assert str(got.value) == str(e)
+        assert m.rows == before
+        return
+    got = invert(m)
+    assert got.cols == want.cols == n and typed(got.rows) == typed(want.rows)
+    for i, row in enumerate(m.rows):  # m · invert(m) = I
+        product = {}
+        for c, x in row.items():
+            vec_axpy(product, x, got.rows[c])
+        assert product == {i: 1}
+    assert m.rows == before
+
+
+@pytest.mark.parametrize("m", [Matrix(2, [{0: 1}]), Matrix(1, [{0: 1}, {0: 2}]), Matrix(0, [{}])])
+def test_invert_rejects_non_square(m):
+    for inverse in (invert, _reference_invert):
+        with pytest.raises(ValueError, match="only square matrices are invertible"):
+            inverse(m)

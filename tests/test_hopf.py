@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ghlie import hopf
-from ghlie.exactla import Matrix, Subspace, _rref_rows, kernel_basis, rank, vec_axpy
+from ghlie.exactla import Matrix, Subspace, rank, relations, vec_axpy
 from ghlie.fixtures import canonical_gh, grid_cases, random_class2, seeded_gh, with_abelian_part
 from ghlie.liealg import (
     ClassTwoRequired,
@@ -323,6 +323,11 @@ def test_wedge_gen_bracket_matches_reference():
                 assert bracket_vectors(f, {g: ONE}, emb) == {off + m: -x for m, x in want.items()}
 
 
+def columns(m):
+    """m's columns as sparse vectors: their relations are m's right null space."""
+    return [{i: r[c] for i, r in enumerate(m.rows) if c in r} for c in range(m.cols)]
+
+
 def _reference_ker_beta(p):
     """ker_beta as it was before the β map was shared: every image built per call."""
     h = p.hall
@@ -335,7 +340,7 @@ def _reference_ker_beta(p):
             w3 = _reference_wedge_gen_bracket(h, p.lifts[s], g)
             for q, x in rf.quotient_coords(w3).items():
                 rows[q][s * d + g] = x
-    return kernel_basis(Matrix(r * d, rows))
+    return relations(columns(Matrix(r * d, rows)))
 
 
 def _reference_exterior_center(p):
@@ -353,7 +358,7 @@ def _reference_exterior_center(p):
             for q, x in rf.quotient_coords(w3).items():
                 by_q.setdefault(q, {})[d + s] = x
         rows.extend(by_q.values())
-    return kernel_basis(Matrix(d + r, rows))
+    return relations(columns(Matrix(d + r, rows)))
 
 
 def rational_basis(a, seed):
@@ -406,7 +411,7 @@ def _reference_lifts(p):
         for k, x in t.pair(i, j).items():
             phi_rows[k - h.d][w] = x
     lifts = [{} for _ in range(r)]
-    for row in _rref_rows([{**row, g2 + s: ONE} for s, row in enumerate(phi_rows)]):
+    for row in Subspace.from_vectors(g2 + r, [{**row, g2 + s: ONE} for s, row in enumerate(phi_rows)]).vectors():
         piv = min(row)
         assert piv < g2, "derived basis vector is not in the bracket image"
         for c, x in row.items():
@@ -660,7 +665,7 @@ def _reference_phi_presentation(a, der):
     for w, (i, j) in enumerate(h.pairs):
         for k, x in a.pair(i, j).items():
             phi_rows[k - d][w] = x
-    rel2 = kernel_basis(Matrix(h.grade2_dim, phi_rows))
+    rel2 = relations(columns(Matrix(h.grade2_dim, phi_rows)))
     gens = [w3 for v in rel2.vectors() for k in range(d) if (w3 := wedge_gen_bracket(h, v, k))]
     rf = Subspace.from_vectors(h.grade3_dim, gens)
     return rel2, [{max(row): ONE} for row in phi_rows], rf

@@ -339,13 +339,18 @@ def test_bracket_bilinear_property(u, v, w, a, b):
 
 # --- class-2 certificate and pivot-bracket rebase (differential) ---------------------
 
-from ghlie.exactla import kernel_basis  # noqa: E402
+from ghlie.exactla import relations  # noqa: E402
 from ghlie.exactla import rank as mat_rank  # noqa: E402
 from ghlie.fixtures import random_class2, seeded_gh  # noqa: E402
 from ghlie.hopf import cover_construct, presentation_from_class2  # noqa: E402
 from ghlie.liealg import ClassTwoRequired, JacobiViolation, class2_from_relations, wedge_pairs  # noqa: E402
 from ghlie.multiplier import dimensions, psi2_image  # noqa: E402
 from ghlie.report import analyze  # noqa: E402
+
+
+def columns(m):
+    """m's columns as sparse vectors: their relations are m's right null space."""
+    return [{i: r[c] for i, r in enumerate(m.rows) if c in r} for c in range(m.cols)]
 
 
 def _reference_rebase_class2(a):
@@ -444,7 +449,7 @@ def _check_rebase_against_reference(a):
             for s in range(r)]
     assert phi == flip(reversed(Subspace.from_vectors(len(pairs), flip(phi0)).vectors()))
     # rel2 is the kernel of the reference's pair map, whatever its derived basis
-    assert rel2 == kernel_basis(Matrix(len(pairs), phi0))
+    assert rel2 == relations(columns(Matrix(len(pairs), phi0)))
     # each derived basis vector is the bracket of its pivot pair, the last pair
     # whose bracket has a term in it (a unit entry), and
     # generator i -> unit complement coordinate gens[i] of L² embeds b in a
@@ -577,7 +582,7 @@ def test_rebase_returns_canonical_heisenberg_and_abelian_tables():
 # the stored brackets.  The scans they replace are kept here as references.
 
 from ghlie.docio import write_document  # noqa: E402
-from ghlie.exactla import kernel_basis, vec  # noqa: E402
+from ghlie.exactla import vec  # noqa: E402
 from ghlie.fixtures import with_abelian_part  # noqa: E402
 
 
@@ -589,7 +594,7 @@ def _reference_center(a):
         for k, x in w.items():
             rows.setdefault(j * n + k, {})[i] = x
             rows.setdefault(i * n + k, {})[j] = -x
-    return kernel_basis(Matrix(n, rows.values()))
+    return relations(columns(Matrix(n, rows.values())))
 
 
 def _reference_lower_central_series(a):
@@ -780,7 +785,6 @@ def test_jacobi_check_matches_reference_on_failing_tables(tmp_path, capsys):
 # central = L², Z(L) and the candidate ideals.
 
 from ghlie import liealg  # noqa: E402
-from ghlie.exactla import relations  # noqa: E402
 from ghlie.liealg import NotCentral  # noqa: E402
 
 
