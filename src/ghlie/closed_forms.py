@@ -158,10 +158,6 @@ def _suspect_reason(key: str, defect: int, variant: str, t: int) -> str | None:
     return None
 
 
-def is_expected_mismatch(key: str, defect: int, variant: str, t: int) -> bool:
-    return _suspect_reason(key, defect, variant, t) is not None
-
-
 def closed_form_eval(d: int, t: int, defect: int, variant: str = "generic") -> dict[str, Predicted]:
     """Printed predictions for GH(d, d(d-1)/2 - defect) ⊕ A(t), by theorem, marked by the ledger."""
     out = {}

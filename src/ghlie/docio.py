@@ -4,8 +4,10 @@ Format: {"dim": n, "labels": [...], "brackets": [{"i": i, "j": j, "v": {...}}],
 "meta": {...}} with 0 <= i < j < dim, v keyed by stringified basis indices and
 valued by rationals rendered "p/q" (or "p" for integers), parsed to an int
 when integral, else a Fraction.  Keys and rationals are ASCII decimals, keys
-without sign, space or leading zero.  Unlisted pairs are zero brackets.  meta
-is free-form, except that d, defect and t must be nonnegative integers:
+without sign, space or leading zero.  Unlisted pairs are zero brackets.  Any
+other key, of the document or of a bracket entry, is an error, so a misspelt
+one is not read as absent.  meta is free-form, except that d, defect and t
+must be nonnegative integers:
 ``analyze`` reads meta d as the generator count of the Heisenberg part and
 checks meta defect, t and variant against the values it derives from the
 algebra and d.
@@ -62,9 +64,16 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _reject_unknown_keys(obj: dict, known: tuple, what: str) -> None:
+    for key in obj:
+        if key not in known:
+            raise DocumentError(f"unknown {what} key {key!r}")
+
+
 def document_to_algebra(doc) -> tuple[LieAlgebra, dict]:
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
+    _reject_unknown_keys(doc, ("dim", "labels", "brackets", "meta"), "document")
     dim = doc.get("dim")
     if not _is_int(dim) or dim < 0:
         raise DocumentError("dim must be a nonnegative integer")
@@ -82,6 +91,7 @@ def document_to_algebra(doc) -> tuple[LieAlgebra, dict]:
     for entry in brackets:
         if not isinstance(entry, dict) or not {"i", "j", "v"} <= set(entry):
             raise DocumentError("each bracket needs i, j and v")
+        _reject_unknown_keys(entry, ("i", "j", "v"), "bracket")
         i, j, v = entry["i"], entry["j"], entry["v"]
         if not (_is_int(i) and _is_int(j) and 0 <= i < j < dim):
             raise DocumentError(f"bracket pair ({i},{j}) violates 0 <= i < j < dim")

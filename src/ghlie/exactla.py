@@ -13,9 +13,13 @@ equalities; there are no tolerances anywhere.
 The one elimination kernel works on primitive integer rows: denominators are
 cleared by their lcm, the content gcd is divided out, and rows are eliminated
 by one fraction-free cross-multiplication step (Bareiss 1968),
-``_cross_eliminate``, which every schedule shares.  Each answer pays only for
-what it reads: ``rank`` counts the pivots of the forward pass; an RREF adds
-one back-substitution, from the last pivot up, and divides only on return.
+``_cross_eliminate``, which every schedule shares.  The forward pass takes
+as each pivot the sparsest of the rows that lead at its column, the first on
+ties (Markowitz 1957, in its cheapest form): every other such row takes in
+the pivot's entries, so a sparse pivot fills in less.  The RREF is unique, so
+the rule changes the work, never the answer.  Each answer pays only for what
+it reads: ``rank`` counts the pivots of the forward pass; an RREF adds one
+back-substitution, from the last pivot up, and divides only on return.
 ``Subspace.from_vectors`` given more than twice as many nonzero rows as
 columns tests each row against the rows found so far in one pass instead, as
 most of them are dependent.  Every null space is ``relations``,
@@ -154,7 +158,10 @@ def _forward(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
     # Working rows (primitive integer rows) bucketed by leading column, with a
     # heap of the occupied columns.  Only the rows that lead at the smallest
     # column hold it, so each step touches one bucket; a reduced row leads
-    # further right, so a processed column never comes back.
+    # further right, so a processed column never comes back.  The pivot is the
+    # bucket's sparsest row, the first on ties (Markowitz's rule with the
+    # column fixed): each other row of the bucket takes in the pivot's
+    # entries, so the fewer it has, the less the bucket fills in.
     buckets: dict[int, list[dict]] = {}
     for r in rows:
         if r:
@@ -165,7 +172,14 @@ def _forward(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
     while heap:
         lead = heappop(heap)
         bucket = buckets.pop(lead)
-        pivot = bucket.pop(0)
+        if len(bucket) == 1:
+            pivot = bucket.pop()
+        else:
+            k, n = 0, len(bucket[0])
+            for i in range(1, len(bucket)):
+                if len(bucket[i]) < n:
+                    k, n = i, len(bucket[i])
+            pivot = bucket.pop(k)
         p = pivot[lead]
         if p < 0:  # with p > 0, a unit pivot never rescales the rows it meets
             for c, x in pivot.items():

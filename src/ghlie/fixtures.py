@@ -74,17 +74,6 @@ def seeded_gh(d: int, defect: int, seed: int) -> LieAlgebra:
     return gh_construct(GhSpec(d=d, rank=rank, seed=seed))
 
 
-def random_class2(d: int, seed: int) -> LieAlgebra:
-    """Seeded class-2 nilpotent algebra on d generators, any derived rank >= 1.
-
-    No center condition: these exercise the Z(L) ⊋ L² regime of the oracle
-    concordance checks.  dim L² = rank holds by construction.
-    """
-    rng = random.Random(seed)
-    rank = rng.randint(1, d * (d - 1) // 2)
-    return class2_from_relations(d, random_relation_subspace(d, rank, rng))
-
-
 def with_abelian_part(a: LieAlgebra, t: int) -> LieAlgebra:
     return direct_sum(a, abelian(t)) if t else a
 

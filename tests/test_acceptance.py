@@ -16,14 +16,12 @@ from ghlie import hopf
 from ghlie.closed_forms import (
     EXPECTED_MISMATCHES,
     closed_form_eval,
-    is_expected_mismatch,
     reduction_check,
 )
 from ghlie.exactla import Matrix, Subspace, relations
 from ghlie.fixtures import (
     canonical_gh,
     defect_variants,
-    random_class2,
     seeded_gh,
 )
 from ghlie.liealg import (
@@ -38,6 +36,8 @@ from ghlie.liealg import (
 )
 from ghlie.multiplier import dimensions, psi2_image, square_dim
 from ghlie.sweep import SweepConfig, run_sweep, sweep_exit_code
+
+from _reference import is_expected_mismatch, random_class2
 
 D_RANGE = (3, 4, 5, 6)
 SEEDS = range(5)

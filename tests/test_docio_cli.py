@@ -19,9 +19,11 @@ from ghlie import cli, closed_forms, docio, hopf
 from ghlie.cli import main
 from ghlie.exactla import Matrix
 from ghlie.exactla import rank as mat_rank
-from ghlie.fixtures import canonical_gh, grid_cases, random_class2, seeded_gh
+from ghlie.fixtures import canonical_gh, grid_cases, seeded_gh
 from ghlie.liealg import LieAlgebra, abelian, change_of_basis, direct_sum, heisenberg, jacobi_check
 from ghlie.sweep import SweepConfig, run_case
+
+from _reference import random_class2
 
 
 # --- document round trips -------------------------------------------------------
@@ -378,6 +380,28 @@ def test_analyze_coordinate_given_twice_exits_2(ws, capsys, v):
 def test_documents_need_ascii_decimal_keys_and_rationals(ws, capsys, command, v, err):
     # int() and \d accept more than the format's decimals: "0_2": "\u0663" was read as {2: 3}
     _write_h1([{"i": 0, "j": 1, "v": v}])
+    code = main([command[0], "h.json", *command[1:]])
+    if err is None:
+        assert code == 0
+    else:
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["cover", "--out", "c.json"], ["capable"], ["oracle-compare"]],
+                         ids=lambda c: c[0])
+@pytest.mark.parametrize("doc, err", [
+    # "brackets" misspelt: the document used to be read as the abelian A(3)
+    pytest.param({"dim": 3, "labels": ["x", "y", "z"], "bracket": [{"i": 0, "j": 1, "v": {"2": "1"}}]},
+                 "unknown document key 'bracket'", id="document"),
+    pytest.param({"dim": 3, "labels": ["x", "y", "z"], "brackets": [{"i": 0, "j": 1, "v": {"2": "1"}, "w": 5}]},
+                 "unknown bracket key 'w'", id="bracket-entry"),
+    pytest.param({"dim": 3, "labels": ["x", "y", "z"], "brackets": [{"i": 0, "j": 1, "v": {"2": "1"}}],
+                  "meta": {"note": "free-form", "origin": {"by": "hand"}}}, None, id="meta-free-form"),
+])
+def test_documents_reject_unknown_keys(ws, capsys, command, doc, err):
+    with open("h.json", "w") as f:
+        json.dump(doc, f)
     code = main([command[0], "h.json", *command[1:]])
     if err is None:
         assert code == 0

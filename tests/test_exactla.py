@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ghlie.exactla as exactla
 from ghlie.exactla import (
     Matrix,
     Subspace,
@@ -23,6 +24,9 @@ from ghlie.exactla import (
     vec,
     vec_axpy,
 )
+from ghlie.fixtures import seeded_gh
+from ghlie.liealg import rebase_class2
+from ghlie.multiplier import psi2_image
 
 F = Fraction
 
@@ -584,6 +588,112 @@ def test_schedule_matches_per_pivot_kernel(case):
     assert rank(m) == _per_pivot_rank(m)
     assert_same(relations(columns(m)), _reversed_kernel_basis(m))
     assert rows == before
+
+
+# --- the sparsest-row pivot against the first-row schedule it replaced ----------
+
+def _first_row(bucket):
+    return 0
+
+
+def _sparsest_row(bucket):
+    """The rule restated: fewest nonzeros, the first on ties (min keeps the first)."""
+    return min(range(len(bucket)), key=lambda i: len(bucket[i]))
+
+
+def _reference_forward(rows, choose=_first_row):
+    """``_forward`` as it was, taking the first row of each bucket as the pivot;
+    ``choose`` picks another.  The step is looked up on the module, so a patch
+    that counts it sees this pass's steps too."""
+    buckets = {}
+    for r in rows:
+        if r:
+            buckets.setdefault(min(r), []).append(_primitive_copy(r))
+    heap = list(buckets)
+    heapify(heap)
+    done = []
+    while heap:
+        lead = heappop(heap)
+        bucket = buckets.pop(lead)
+        pivot = bucket.pop(choose(bucket))
+        p = pivot[lead]
+        if p < 0:
+            for c, x in pivot.items():
+                pivot[c] = -x
+            p = -p
+        for r in bucket:
+            exactla._cross_eliminate(r, r[lead], pivot, p)
+            if r:
+                _primitive(r)
+                l = min(r)
+                if l not in buckets:
+                    buckets[l] = []
+                    heappush(heap, l)
+                buckets[l].append(r)
+        done.append((lead, pivot))
+    return done
+
+
+def _reference_eliminate(rows):
+    """``_eliminate``'s back-substitution over the first-row forward pass."""
+    done = _reference_forward(rows)
+    reduced = {}
+    for lead, r in reversed(done):
+        for c in [c for c in r if c in reduced]:
+            exactla._cross_eliminate(r, r[c], reduced[c], reduced[c][c])
+            _primitive(r)
+        reduced[lead] = r
+    return done
+
+
+def typed_pairs(pairs):
+    """(pivot column, typed row) pairs: the row's key order and value types count."""
+    return [(l, typed([r])[0]) for l, r in pairs]
+
+
+def sorted_pairs(pairs):
+    return [(l, dict(sorted(r.items()))) for l, r in pairs]
+
+
+@given(shaped_rows())
+@example((3, [{0: 1, 1: 1, 2: 1}, {0: -2, 2: 1}]))  # the sparsest row is second, with a negative lead
+@example((3, [{0: 1, 1: 2, 2: 3}, {0: 2, 2: 1}, {0: -1, 1: 1}]))  # a tie: the first of the sparsest
+@example((2, [{0: 1, 1: 1}, {0: 3}, {1: 2}]))  # a one-entry pivot
+@example((1, [{0: F(-1, 3)}]))  # a one-row bucket with a negative lead
+@settings(max_examples=300, deadline=None)
+def test_sparsest_pivot_matches_first_row_schedule(case):
+    cols, rows = case
+    before = copy.deepcopy(rows)
+    # The forward pass is the one its rule gives, row for row and key for key.
+    assert typed_pairs(_forward(rows)) == typed_pairs(_reference_forward(rows, _sparsest_row))
+    # Any pivot gives the same RREF: pairs, rows and types agree, and so does
+    # the key order callers see (a Subspace sorts its rows' keys).
+    want = sorted_pairs(_reference_eliminate(rows))
+    assert typed_pairs(sorted_pairs(_eliminate(rows))) == typed_pairs(want)
+    assert typed(Subspace.from_vectors(cols, rows).integer_rows()) == typed(r for _, r in want)
+    assert rank(Matrix(cols, rows)) == len(want)
+    assert rows == before
+
+
+def test_sparsest_pivot_does_less_work_on_a_seeded_k(monkeypatch):
+    """K of a seeded d = 12 defect-3 algebra takes fewer elimination steps, to the same K."""
+    a, rel2, _ = rebase_class2(seeded_gh(12, 3, 0))
+    steps = [0]
+    step = exactla._cross_eliminate
+
+    def counted(*args):
+        steps[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(exactla, "_cross_eliminate", counted)
+    got = psi2_image(a, rel2)
+    sparsest = steps[0]
+    steps[0] = 0
+    monkeypatch.setattr(exactla, "_forward", _reference_forward)
+    want = psi2_image(a, rel2)
+    first_row = steps[0]
+    assert got == want and typed(got.image.integer_rows()) == typed(want.image.integer_rows())
+    assert 0 < sparsest < first_row
 
 
 # --- the tall schedule against the forward pass ---------------------------------

@@ -31,10 +31,12 @@ from ghlie import docio, hopf
 from ghlie.cli import main
 from ghlie.exactla import Matrix, Subspace
 from ghlie.exactla import rank as mat_rank
-from ghlie.fixtures import canonical_gh, random_class2, seeded_gh, with_abelian_part
+from ghlie.fixtures import canonical_gh, seeded_gh, with_abelian_part
 from ghlie.liealg import LieAlgebra, change_of_basis, jacobi_check
 from ghlie.multiplier import dimensions
 from ghlie.report import Analysis
+
+from _reference import random_class2
 
 F = Fraction
 

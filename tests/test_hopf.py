@@ -7,7 +7,7 @@ import pytest
 
 from ghlie import hopf
 from ghlie.exactla import Matrix, Subspace, rank, relations, vec_axpy
-from ghlie.fixtures import canonical_gh, grid_cases, random_class2, seeded_gh, with_abelian_part
+from ghlie.fixtures import canonical_gh, grid_cases, seeded_gh, with_abelian_part
 from ghlie.liealg import (
     ClassTwoRequired,
     GhSpec,
@@ -41,6 +41,8 @@ from ghlie.hopf import (
     wedge_gen_bracket,
 )
 from ghlie.multiplier import dimensions, psi2_image
+
+from _reference import random_class2
 
 F = Fraction
 ONE = F(1)

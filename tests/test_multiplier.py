@@ -9,7 +9,7 @@ import pytest
 from ghlie import hopf, liealg, multiplier, report
 from ghlie.exactla import Matrix, Subspace, vec_axpy
 from ghlie.exactla import rank as mat_rank
-from ghlie.fixtures import canonical_gh, random_class2, seeded_gh
+from ghlie.fixtures import canonical_gh, seeded_gh
 from ghlie.liealg import (
     ClassTwoRequired,
     GhSpec,
@@ -30,6 +30,8 @@ from ghlie.report import (
     capability_by_quotients,
     classify_by_multiplier,
 )
+
+from _reference import random_class2
 
 F = Fraction
 ONE = F(1)
