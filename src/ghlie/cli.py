@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 
 from . import docio, hopf
@@ -36,14 +37,23 @@ from .report import ContextError, analyze, capability_by_quotients
 from .sweep import SweepConfig, run_sweep, sweep_exit_code
 
 
+def _decimal(text: str) -> int:
+    """An integer written -?[0-9]+ in ASCII; int() alone also reads '1_0', ' 3', '+3' and '٤'."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an ASCII decimal integer")
+    return int(text)
+
+
 def _parse_range(text: str, option: str) -> list[int]:
-    """'lo..hi' or a comma list of integers -> the list of values."""
+    """'lo..hi' (lo <= hi) or a comma list of integers -> the list of values."""
     try:
         if ".." in text:
-            lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(x) for x in text.split(",") if x]
-    except ValueError:
+            lo, hi = (_decimal(x) for x in text.split("..", 1))
+            if lo > hi:
+                raise docio.DocumentError(f"{option} {text!r} is a descending range; write {hi}..{lo}")
+            return list(range(lo, hi + 1))
+        return [_decimal(x) for x in text.split(",") if x]
+    except argparse.ArgumentTypeError:
         raise docio.DocumentError(
             f"{option} {text!r} must look like lo..hi or a comma list of integers"
         ) from None
@@ -66,8 +76,8 @@ def _parse_kill(text: str, d: int) -> list[tuple[int, int]]:
         if not chunk:
             continue
         try:
-            i, j = (int(x) for x in chunk.split(","))
-        except ValueError:
+            i, j = (_decimal(x) for x in chunk.split(","))
+        except (ValueError, argparse.ArgumentTypeError):  # ValueError: not two items
             raise docio.DocumentError(f"--kill pair {chunk!r} must look like i,j") from None
         if i == j or not (1 <= i <= d and 1 <= j <= d):
             raise docio.DocumentError(f"--kill pair {chunk!r} needs two distinct generators in 1..{d}")
@@ -264,13 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="construct an algebra and write its document")
     gen.add_argument("--family", required=True, choices=["gh", "abelian", "heisenberg", "sum"])
-    gen.add_argument("--d", type=int)
-    gen.add_argument("--rank", type=int)
-    gen.add_argument("--defect", type=int)
-    gen.add_argument("--n", type=int, help="dimension for --family abelian")
-    gen.add_argument("--m", type=int, help="index for --family heisenberg")
-    gen.add_argument("--t", type=int, help="abelian summand dimension for --family sum")
-    gen.add_argument("--seed", type=int, help="seed of a drawn gh algebra (default 0)")
+    gen.add_argument("--d", type=_decimal)
+    gen.add_argument("--rank", type=_decimal)
+    gen.add_argument("--defect", type=_decimal)
+    gen.add_argument("--n", type=_decimal, help="dimension for --family abelian")
+    gen.add_argument("--m", type=_decimal, help="index for --family heisenberg")
+    gen.add_argument("--t", type=_decimal, help="abelian summand dimension for --family sum")
+    gen.add_argument("--seed", type=_decimal, help="seed of a drawn gh algebra (default 0)")
     gen.add_argument("--canonical", action="store_true", default=None)
     gen.add_argument("--variant", choices=["generic", "deficient"], help="canonical gh variant (default generic)")
     gen.add_argument("--kill", help="explicit relations, e.g. '1,2;3,4' (1-based pairs)")
@@ -291,18 +301,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     cap = sub.add_parser("capable", help="capability verdict with quotient evidence")
     cap.add_argument("path")
-    cap.add_argument("--random-lines", type=int, default=4)
-    cap.add_argument("--seed", type=int, default=0)
+    cap.add_argument("--random-lines", type=_decimal, default=4)
+    cap.add_argument("--seed", type=_decimal, default=0)
     cap.set_defaults(func=cmd_capable)
 
     sw = sub.add_parser("sweep", help="grid sweep against the printed formulas")
     sw.add_argument("--d", default="3..6")
     sw.add_argument("--defect", default="1..3")
     sw.add_argument("--t", default="0..2")
-    sw.add_argument("--seeds", type=int, default=5)
+    sw.add_argument("--seeds", type=_decimal, default=5)
     sw.add_argument("--out")
-    sw.add_argument("--jobs", type=int, help="worker processes (at most the case and core counts)")
-    sw.add_argument("--max-cases", type=int, default=5000)
+    sw.add_argument("--jobs", type=_decimal, help="worker processes (at most the case and core counts)")
+    sw.add_argument("--max-cases", type=_decimal, default=5000)
     sw.add_argument("--no-oracle", action="store_true")
     sw.add_argument(
         "--skip-suspect-forms", action="store_true",

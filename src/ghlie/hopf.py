@@ -21,9 +21,12 @@ Hall conventions (fixed so signs are reproducible bit for bit):
     counts (d³-d)/3; the one rewrite needed, for k < i < j, is
     [[x_i, x_j], x_k] = [[x_k, x_j], x_i] - [[x_k, x_i], x_j].
 
-``wedge_gen_bracket`` applies that rule; it is the only bracket rewrite here.
-[R,F], the β images and the cover's table are all read from it, since every
-bracket of grade >= 4 vanishes in F_{d,3}.
+``HallBasis.rule`` holds that rule as a table, built once per d: the one or
+two signed triples of [[x_i, x_j], x_g] for each pair and generator.  It is
+the only bracket rewrite here.  [R,F] is spanned through ``wedge_gen_bracket``,
+which reads it; the β images and the cover's table sum the one or two images
+it names, each triple's image mod [R,F] being built once per presentation.
+Every bracket of grade >= 4 vanishes in F_{d,3}.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from math import lcm
 
-from .exactla import Subspace, Vec, relations
+from .exactla import Subspace, Vec, _ratio, relations
 from .liealg import (
     LieAlgebra,
     bracket_vectors,
@@ -49,7 +53,7 @@ from .multiplier import dimensions, psi2_image
 class HallBasis:
     """Graded Hall basis of the free nilpotent class-3 algebra on d generators."""
 
-    __slots__ = ("d", "pairs", "triples", "pair_index", "triple_index")
+    __slots__ = ("d", "pairs", "triples", "pair_index", "triple_index", "rule")
 
     def __init__(self, d: int):
         self.d = d
@@ -58,7 +62,13 @@ class HallBasis:
             (i, j, k) for (i, j) in self.pairs for k in range(i, d)
         ]
         self.pair_index = {p: w for w, p in enumerate(self.pairs)}
-        self.triple_index = {t: m for m, t in enumerate(self.triples)}
+        t = self.triple_index = {t: m for m, t in enumerate(self.triples)}
+        # rule[w][g]: the (triple, sign) terms of [[x_i, x_j], x_g] for pair w = (i, j),
+        # the triple (i, j, g) when g >= i, else (g, j, i) - (g, i, j)
+        self.rule = [
+            [((t[(i, j, g)], 1),) if g >= i else ((t[(g, j, i)], 1), (t[(g, i, j)], -1)) for g in range(d)]
+            for (i, j) in self.pairs
+        ]
 
     @property
     def grade2_dim(self) -> int:
@@ -77,18 +87,13 @@ def hall_basis(d: int) -> HallBasis:
 def wedge_gen_bracket(h: HallBasis, w: Vec, g: int) -> Vec:
     """[w, x_g] for w in the grade-2 pair coordinates, in grade-3 triple coordinates.
 
-    The Hall rule directly: [[x_i, x_j], x_g] is the triple (i, j, g) when
-    g >= i, and (g, j, i) - (g, i, j) otherwise.  For a fixed g distinct pairs
-    give distinct triples, so no two terms meet.
+    Read off ``h.rule``.  For a fixed g distinct pairs give distinct triples, so
+    no two terms meet.
     """
     out: Vec = {}
     for c, x in w.items():
-        i, j = h.pairs[c]
-        if g >= i:
-            out[h.triple_index[(i, j, g)]] = x
-        else:
-            out[h.triple_index[(g, j, i)]] = x
-            out[h.triple_index[(g, i, j)]] = -x
+        for m, sign in h.rule[c][g]:
+            out[m] = x if sign > 0 else -x
     return out
 
 
@@ -99,8 +104,9 @@ class FreePresentation:
     rel2 lives in the grade-2 wedge coordinates, rel_bracket_span = [rel2, F]
     in the grade-3 coordinates.  lifts[s] is a grade-2 preimage of the s-th
     derived basis vector of the target: the unit wedge vector at rel2's s-th
-    complement coordinate, whose bracket it is.  The β images are built on
-    first use (see ``_beta_images``) and kept with the presentation.
+    complement coordinate, whose bracket it is.  The triple images mod [R,F]
+    and the β images are built on first use (see ``_triple_images`` and
+    ``_beta_images``) and kept with the presentation.
     """
 
     hall: HallBasis
@@ -108,6 +114,7 @@ class FreePresentation:
     rel_bracket_span: Subspace
     lifts: list[Vec]
     target: LieAlgebra
+    _images: list[tuple[int, Vec]] | None = field(default=None, init=False, compare=False, repr=False)
     _beta: list[Vec] | None = field(default=None, init=False, compare=False, repr=False)
 
 
@@ -144,14 +151,62 @@ def exterior_square_oracle(p: FreePresentation) -> int:
     return p.hall.grade2_dim + p.hall.grade3_dim - p.rel_bracket_span.dim
 
 
+def _triple_images(p: FreePresentation) -> list[tuple[int, Vec]]:
+    """Entry m is (den, u) with u/den triple m mod [R,F] in quotient coordinates.
+
+    Built on first use and kept with the presentation; u is an integer row.  A
+    triple off the pivots of [R,F] is a quotient basis vector, (1, unit).  At a
+    pivot it is m - row/row[m] for the row of [R,F] there, which is zero at the
+    other pivots: (row[m], -row) without m.
+    """
+    if p._images is None:
+        rf = p.rel_bracket_span
+        comp = rf.complement_coords()
+        pos = dict(zip(comp, itertools.count()))
+        images: list = [None] * rf.ambient_dim
+        for q, c in enumerate(comp):
+            images[c] = (1, {q: 1})
+        for m, row in zip(rf.pivots, rf.integer_rows()):
+            images[m] = (row[m], {pos[c]: -x for c, x in row.items() if c != m})
+        p._images = images
+    return p._images
+
+
+def _bracket_image(images: list[tuple[int, Vec]], terms: tuple) -> Vec:
+    """The signed sum of the one or two triple images a ``HallBasis.rule`` entry names.
+
+    Summed in integers over the lcm of the dens, then divided by ``_ratio``, so
+    an integral entry is an int.  A one-term entry has sign +1, and when its
+    den is 1 its image is the triple's own row, shared with ``images``.
+    """
+    if len(terms) == 1:
+        den, u = images[terms[0][0]]
+        return u if den == 1 else {q: _ratio(x, den) for q, x in u.items()}
+    (m1, s1), (m2, s2) = terms
+    d1, u1 = images[m1]
+    d2, u2 = images[m2]
+    den = lcm(d1, d2)
+    f1, f2 = s1 * (den // d1), s2 * (den // d2)
+    out = dict(u1) if f1 == 1 else {q: f1 * x for q, x in u1.items()}
+    for q, x in u2.items():
+        y = out.get(q, 0) + f2 * x
+        if y:
+            out[q] = y
+        else:
+            del out[q]
+    return out if den == 1 else {q: _ratio(x, den) for q, x in out.items()}
+
+
 def _beta_images(p: FreePresentation) -> list[Vec]:
     """β on the basis: entry s·d + g is [lift_s, x_g] mod [R,F] in quotient coordinates.
 
-    Built on first use and kept with the presentation.
+    Built on first use and kept with the presentation; entries may share their
+    dicts with ``_triple_images``, so none is mutated.
     """
     if p._beta is None:
-        h, rf = p.hall, p.rel_bracket_span
-        p._beta = [rf.quotient_coords(wedge_gen_bracket(h, y, g)) for y in p.lifts for g in range(h.d)]
+        images, rule = _triple_images(p), p.hall.rule
+        # each lift is a unit wedge vector, so its row of β is its pair's row of the rule
+        p._beta = [_bracket_image(images, terms) for (c,) in p.lifts for terms in rule[c]]
     return p._beta
 
 
@@ -208,9 +263,10 @@ def cover_construct(p: FreePresentation) -> Cover:
     g2 = h.grade2_dim
     dim = d + g2 + len(comp3)
     table = {ij: {d + w: 1} for w, ij in enumerate(h.pairs)}
+    images = _triple_images(p)
     for g in range(d):
         for w in range(g2):
-            img = rf.quotient_coords(wedge_gen_bracket(h, {w: 1}, g))
+            img = _bracket_image(images, h.rule[w][g])
             if img:
                 table[(g, d + w)] = {d + g2 + q: -x for q, x in img.items()}
     gen_labels = list(p.target.labels[:d])

@@ -56,12 +56,17 @@ def psi2_image(a: LieAlgebra, rel2: Subspace | None = None) -> Psi2Data:
         a, rel2, _ = rebase_class2(a)
     r = rel2.ambient_dim - rel2.dim
     n = a.dim - r
+    # [x_i, x_j] ⊗ x̄_g sits at (c - n)·n + g for each derived entry c: read once per pair
+    terms = {ij: [((c - n) * n, x) for c, x in v.items()] for ij, v in a.bracket.items()}
     gens = []
     for g1, g2, g3 in itertools.combinations(range(n), 3):
-        v: Vec = {}
-        # the three terms sit at distinct generator indices, so they never meet
-        for (i, j), g in (((g1, g2), g3), ((g3, g1), g2), ((g2, g3), g1)):
-            v.update({(c - n) * n + g: x for c, x in a.pair(i, j).items()})
+        # [x1,x2]⊗x̄3 - [x1,x3]⊗x̄2 + [x2,x3]⊗x̄1: the three terms sit at distinct
+        # generator indices, so they never meet
+        v: Vec = {off + g3: x for off, x in terms.get((g1, g2), ())}
+        for off, x in terms.get((g1, g3), ()):
+            v[off + g2] = -x
+        for off, x in terms.get((g2, g3), ()):
+            v[off + g1] = x
         if v:
             gens.append(v)
     return Psi2Data(n, r, Subspace.from_vectors(r * n, gens))

@@ -218,7 +218,7 @@ def test_gen_defect_out_of_range_names_defect(ws, capsys, defect):
     assert not Path("x.json").exists()
 
 
-_MALFORMED_KILL = ("1", "1,2,3", "a,b")
+_MALFORMED_KILL = ("1", "1,2,3", "a,b", "1,\u0662", "1, 2", "+1,2", "1,2_0")
 
 
 @pytest.mark.parametrize("kill", ["1,1", "1,9", "0,2", "1,2;3,3", "5,1", *_MALFORMED_KILL])
@@ -662,6 +662,8 @@ def test_sweep_case_cap(ws):
 @pytest.mark.parametrize("option, text", [
     ("--d", "a"), ("--d", "3.."), ("--d", "..4"), ("--d", "3..a"), ("--defect", "1,x"),
     ("--defect", "1.5"), ("--t", "0..2..3"), ("--t", " "),
+    # int() reads these; the grid takes ASCII decimals only
+    ("--d", "1_0"), ("--d", "\u0664"), ("--d", "3..\u0666"), ("--defect", " 1"), ("--t", "+1"), ("--t", "0,1 "),
 ])
 def test_sweep_malformed_range_names_the_option(ws, capsys, option, text):
     # these used to print int()'s message, naming neither the option nor its forms
@@ -693,6 +695,45 @@ def test_sweep_negative_grid_value_exits_2(ws, capsys, option, field, text):
     grid = {"d_values": (3,), "defects": (1,), "t_values": (0,), field: values}
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_sweep(SweepConfig(**grid, seeds=0, jobs=1))
+
+
+@pytest.mark.parametrize("option", ["--d", "--defect", "--t"])
+def test_sweep_descending_range_names_the_option(ws, capsys, option):
+    # a descending range used to run as an empty grid, reported as "no cases"
+    assert main(["sweep", "--seeds", "0", "--jobs", "1", option, "5..3"]) == 2
+    assert capsys.readouterr().err == f"error: {option} '5..3' is a descending range; write 3..5\n"
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["gen", "--family", "abelian", "--n", "{}"], "--n"),
+    (["gen", "--family", "heisenberg", "--m", "{}"], "--m"),
+    (["gen", "--family", "gh", "--d", "{}", "--defect", "1"], "--d"),
+    (["gen", "--family", "gh", "--d", "4", "--rank", "{}"], "--rank"),
+    (["gen", "--family", "gh", "--d", "4", "--defect", "{}"], "--defect"),
+    (["gen", "--family", "sum", "--d", "4", "--defect", "1", "--t", "{}"], "--t"),
+    (["gen", "--family", "gh", "--d", "4", "--defect", "1", "--seed", "{}"], "--seed"),
+    (["capable", "h.json", "--random-lines", "{}"], "--random-lines"),
+    (["capable", "h.json", "--seed", "{}"], "--seed"),
+    (["sweep", "--d", "3", "--defect", "1", "--t", "0", "--seeds", "{}"], "--seeds"),
+    (["sweep", "--d", "3", "--defect", "1", "--t", "0", "--jobs", "{}"], "--jobs"),
+    (["sweep", "--d", "3", "--defect", "1", "--t", "0", "--max-cases", "{}"], "--max-cases"),
+])
+@pytest.mark.parametrize("text", ["1_0", " 3", "3 ", "+3", "\u0664", "\uff13", "0x3", "3.0", ""])
+def test_integer_options_take_ascii_decimals_only(ws, capsys, argv, option, text):
+    # int() reads the first five: "--n 1_0" used to build A(10), "--d ٤" d = 4
+    docio.write_document("h.json", heisenberg(1))
+    with pytest.raises(SystemExit) as exc:
+        main([x.format(text) for x in argv] + (["--out", "g.json"] if argv[0] == "gen" else []))
+    assert exc.value.code == 2
+    assert f"error: argument {option}: {text!r} is not an ASCII decimal integer\n" in capsys.readouterr().err
+    assert not Path("g.json").exists()
+
+
+def test_integer_options_still_take_signed_decimals(ws, capsys):
+    assert main(["gen", "--family", "abelian", "--n", "007", "--out", "a.json"]) == 0
+    assert docio.read_document("a.json")[0].dim == 7
+    assert main(["gen", "--family", "abelian", "--n", "-1", "--out", "a.json"]) == 2
+    assert capsys.readouterr().err.endswith("error: dimension must be nonnegative\n")
 
 
 def test_sweep_empty_grid_exits_2(ws, capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ghlie import hopf
-from ghlie.exactla import Matrix, Subspace, rank, relations, vec_axpy
+from ghlie.exactla import Matrix, Subspace, rank, relations, vec, vec_axpy
 from ghlie.fixtures import canonical_gh, grid_cases, seeded_gh, with_abelian_part
 from ghlie.liealg import (
     ClassTwoRequired,
@@ -422,25 +422,76 @@ def _reference_lifts(p):
     return lifts
 
 
-def test_beta_images_match_the_solved_lifts_reference():
-    # a unit lift and the solved one differ by an element of rel2, and
-    # [rel2, x_g] lies in [R,F], so the β images mod [R,F] agree
+def _typed(v):
+    """v's items by key, each with its value's type: 2 and Fraction(2, 1) are equal values."""
+    return sorted((c, type(x), x) for c, x in v.items())
+
+
+def _reference_image(p, w, g):
+    """[w, x_g] mod [R,F] as it was built per vector: the rewrite, then quotient_coords.
+    vec() gives the ±1 units int values, as the rewrite's own output had."""
+    return p.rel_bracket_span.quotient_coords(vec(_reference_wedge_gen_bracket(p.hall, w, g)))
+
+
+def _grade3_inputs():
+    """Grid cases with t > 0, harness-style sums and rational_basis inputs."""
     inputs = [c.build() for c in grid_cases((3, 4, 5), (1, 2, 3), (0, 1), 1)]
     inputs += [heisenberg(m) for m in (1, 2)] + [abelian(2), direct_sum(heisenberg(1), abelian(1))]
     dense = [seeded_gh(4, 1, 0), seeded_gh(4, 3, 1), random_class2(4, 3), random_class2(5, 8),
              with_abelian_part(seeded_gh(3, 1, 2), 1), with_abelian_part(canonical_gh(4, 2), 1),
-             heisenberg(2), direct_sum(heisenberg(1), abelian(1))]
-    inputs += [rational_basis(a, s) for s, a in enumerate(dense)]
+             heisenberg(2), direct_sum(heisenberg(1), abelian(1)), seeded_gh(5, 1, 7), seeded_gh(6, 2, 0)]
+    return inputs + [rational_basis(a, s) for s, a in enumerate(dense)]
+
+
+def test_beta_images_match_the_solved_lifts_reference():
+    # a unit lift and the solved one differ by an element of rel2, and
+    # [rel2, x_g] lies in [R,F], so the β images mod [R,F] agree; with the unit
+    # lifts they are the per-vector build's, value types included
+    inputs = _grade3_inputs()
     assert len(inputs) >= 40
-    differ = 0
+    differ = fractions = 0
     for a in inputs:
         p = presentation_from_class2(a)
-        h, rf = p.hall, p.rel_bracket_span
         lifts = _reference_lifts(p)
         differ += lifts != p.lifts
-        want = [rf.quotient_coords(_reference_wedge_gen_bracket(h, y, g)) for y in lifts for g in range(h.d)]
-        assert hopf._beta_images(p) == want
+        got = [_typed(v) for v in hopf._beta_images(p)]
+        for y in (lifts, p.lifts):
+            assert got == [_typed(_reference_image(p, w, g)) for w in y for g in range(p.hall.d)]
+        fractions += any(t is Fraction for v in got for _, t, _ in v)
     assert differ  # the unit lifts are not the solved ones on every input
+    assert fractions  # and some β images hold non-integral entries
+
+
+def test_cover_table_matches_the_per_vector_quotient_build():
+    # every grade-3 entry of cover_construct's table, and the image it is read
+    # from, against the rewrite-then-quotient_coords build of each (w, g)
+    for a in _grade3_inputs():
+        p = presentation_from_class2(a)
+        h = p.hall
+        d, g2 = h.d, h.grade2_dim
+        table = cover_construct(p).algebra.bracket
+        images = hopf._triple_images(p)
+        for g in range(d):
+            for w in range(g2):
+                want = _reference_image(p, {w: 1}, g)
+                assert _typed(hopf._bracket_image(images, h.rule[w][g])) == _typed(want), (w, g)
+                assert _typed(table.get((g, d + w), {})) == _typed({d + g2 + q: -x for q, x in want.items()})
+
+
+def test_hall_rule_table_matches_the_reference_rewrite():
+    for d in range(1, 9):
+        h = hall_basis(d)
+        assert len(h.rule) == h.grade2_dim and all(len(row) == d for row in h.rule)
+        one_term = []
+        for w in range(h.grade2_dim):
+            for g in range(d):
+                terms = h.rule[w][g]
+                assert list(terms) == list(_reference_wedge_gen_bracket(h, {w: ONE}, g).items()), (d, w, g)
+                assert all(type(sign) is int for _, sign in terms)
+                if len(terms) == 1:
+                    one_term.append(terms[0][0])
+        # each triple (i, j, k), k >= i, is the one term of exactly one entry
+        assert sorted(one_term) == list(range(h.grade3_dim))
 
 
 # --- the cover's table against the free-bracket build it replaced -----------------------

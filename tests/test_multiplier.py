@@ -9,7 +9,7 @@ import pytest
 from ghlie import hopf, liealg, multiplier, report
 from ghlie.exactla import Matrix, Subspace, vec_axpy
 from ghlie.exactla import rank as mat_rank
-from ghlie.fixtures import canonical_gh, seeded_gh
+from ghlie.fixtures import canonical_gh, grid_cases, seeded_gh, with_abelian_part
 from ghlie.liealg import (
     ClassTwoRequired,
     GhSpec,
@@ -31,7 +31,7 @@ from ghlie.report import (
     classify_by_multiplier,
 )
 
-from _reference import random_class2
+from _reference import jacobi_cycle_generators, random_class2
 
 F = Fraction
 ONE = F(1)
@@ -173,6 +173,37 @@ def test_psi2_contract_read_matches_coords_reference():
         n, r, image = _reference_psi2_span(b, derived_subalgebra(b))
         for got in (psi2_image(b, rel2), psi2_image(b), psi2_image(rational_basis(a, k))):
             assert (got.n, got.r, got.image) == (n, r, image), k
+
+
+def test_jacobi_cycles_match_the_per_triple_reference(monkeypatch):
+    # psi2_image reads each pair's bracket once; the generators it spans must be
+    # the per-triple loop's, item for item, key order and value types included
+    inputs = [c.build() for c in grid_cases((3, 4, 5, 6), (1, 2, 3), (0, 1, 2), 1)]
+    inputs += [abelian(n) for n in range(4)] + [heisenberg(m) for m in (1, 2)]
+    dense = [seeded_gh(4, 1, 0), seeded_gh(5, 2, 2), random_class2(4, 3), random_class2(5, 8),
+             with_abelian_part(canonical_gh(4, 3, "deficient"), 2), direct_sum(heisenberg(1), abelian(2))]
+    inputs += [rational_basis(a, s) for s, a in enumerate(dense)]
+    seen = []
+
+    class Recording:
+        @staticmethod
+        def from_vectors(ambient_dim, vectors):
+            seen.append(vectors)
+            return Subspace.from_vectors(ambient_dim, vectors)
+
+    monkeypatch.setattr(multiplier, "Subspace", Recording)
+    fractions = 0
+    for a in inputs:
+        b, rel2, _ = rebase_class2(a)
+        seen.clear()
+        got = psi2_image(b, rel2)
+        want = jacobi_cycle_generators(b, rel2)
+        (gens,) = seen
+        assert [list(v.items()) for v in gens] == [list(v.items()) for v in want]
+        assert [[type(x) for x in v.values()] for v in gens] == [[type(x) for x in v.values()] for v in want]
+        assert got.image == Subspace.from_vectors(got.r * got.n, want)
+        fractions += any(type(x) is Fraction for v in gens for x in v.values())
+    assert fractions  # some cycles hold non-integral entries
 
 
 def test_analyze_rebases_and_presents_once(monkeypatch):
