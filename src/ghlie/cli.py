@@ -251,14 +251,15 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle_compare(args) -> int:
     a, _ = docio.read_document(args.path)
-    rep = analyze(a, with_oracle=True)
+    rep = analyze(a, with_oracle=True, check_ker_beta=True)
     formula = {k: rep.dims[k] for k in ("m_L", "wedge")}
     oracle = {k: rep.oracle[k] for k in ("m_L", "wedge")}
-    agree = formula == oracle and rep.oracle.get("ker_beta_matches", True)
+    kb = rep.oracle["ker_beta_matches"]
+    agree = formula == oracle and kb
     print(json.dumps({
         "formula": formula,
         "oracle": oracle,
-        "ker_beta_matches": rep.oracle.get("ker_beta_matches"),
+        "ker_beta_matches": kb,
         "agree": agree,
     }, indent=2))
     return 0 if agree else 5

@@ -13,13 +13,16 @@ equalities; there are no tolerances anywhere.
 The one elimination kernel works on primitive integer rows: denominators are
 cleared by their lcm, the content gcd is divided out, and rows are eliminated
 by one fraction-free cross-multiplication step (Bareiss 1968),
-``_cross_eliminate``, which every schedule shares.  The forward pass takes
-as each pivot the sparsest of the rows that lead at its column, the first on
-ties (Markowitz 1957, in its cheapest form): every other such row takes in
-the pivot's entries, so a sparse pivot fills in less.  The RREF is unique, so
-the rule changes the work, never the answer.  Each answer pays only for what
-it reads: ``rank`` counts the pivots of the forward pass; an RREF adds one
-back-substitution, from the last pivot up, and divides only on return.
+``_cross_eliminate``, which every schedule shares.  The forward pass first
+takes each one-entry row as the unit pivot of its column and strips those
+columns from the other rows (Andersen and Andersen 1995), as most β images
+are units.  Then it takes as each pivot the sparsest of the rows that lead at
+its column, the first on ties (Markowitz 1957, in its cheapest form): every
+other such row takes in the pivot's entries, so a sparse pivot fills in less.
+The RREF is unique, so neither rule changes the answer, only the work.  Each
+answer pays only for what it reads: ``rank`` counts the pivots of the forward
+pass; an RREF adds one back-substitution, from the last pivot up, and divides
+only on return.
 ``Subspace.from_vectors`` given more than twice as many nonzero rows as
 columns tests each row against the rows found so far in one pass instead, as
 most of them are dependent.  Every null space is ``relations``,
@@ -154,7 +157,18 @@ def _forward(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
     """Integer row echelon form: (pivot column, primitive row) pairs by pivot column.
 
     Pivot entries are positive and later pivot columns are not cleared; input rows are not mutated.
+    A pre-pass first takes every one-entry row as the pivot {c: 1} of its column
+    (Andersen and Andersen 1995), the first of them at each column, and strips
+    those columns from every other row: a unit pivot clears its column and
+    nothing else.  A row left empty is dependent and dropped.
     """
+    rows = list(rows)
+    units: dict[int, dict] = {}
+    for r in rows:
+        if len(r) == 1:
+            (c,) = r
+            if c not in units:
+                units[c] = {c: 1}
     # Working rows (primitive integer rows) bucketed by leading column, with a
     # heap of the occupied columns.  Only the rows that lead at the smallest
     # column hold it, so each step touches one bucket; a reduced row leads
@@ -164,7 +178,11 @@ def _forward(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
     # entries, so the fewer it has, the less the bucket fills in.
     buckets: dict[int, list[dict]] = {}
     for r in rows:
-        if r:
+        if len(r) > 1:
+            if not units.keys().isdisjoint(r):
+                r = {c: x for c, x in r.items() if c not in units}
+                if not r:
+                    continue
             buckets.setdefault(min(r), []).append(_primitive_copy(r))
     heap = list(buckets)
     heapify(heap)
@@ -195,6 +213,8 @@ def _forward(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
                     heappush(heap, l)
                 buckets[l].append(r)
         done.append((lead, pivot))
+    if units:
+        done = sorted([*done, *units.items()], key=lambda pair: pair[0])
     return done
 
 
@@ -321,7 +341,7 @@ class Subspace:
         rows = self._rows
         hits = sorted(c for c in v if c in rows)
         if not hits:
-            return dict(v)
+            return vec(v)
         scale, u = _integer_row(v)
         for p in hits:
             scale *= _cross_eliminate(u, u[p], rows[p], rows[p][p])

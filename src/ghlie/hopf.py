@@ -13,6 +13,8 @@ algebra in the graded coordinates.  Truncation at class 3 is sound because
 [R,F] already contains F⁴-terms' sources: for a class-2 target every bracket
 of interest lands in grade <= 3.  The β images [lift_s, x_g] mod [R,F], read
 by both the exterior center and ker β, are built once per presentation.
+``analyze`` asks only whether ker β is K, and ``ker_beta_agrees`` answers by
+certificate: K's rows lie in ker β, and dim ker β = dim K.
 
 Hall conventions (fixed so signs are reproducible bit for bit):
   * generators x_1 < ... < x_d (0-based internally);
@@ -36,7 +38,7 @@ import itertools
 from dataclasses import dataclass, field
 from math import lcm
 
-from .exactla import Subspace, Vec, _ratio, relations
+from .exactla import Subspace, Vec, _forward, _ratio, relations
 from .liealg import (
     LieAlgebra,
     bracket_vectors,
@@ -215,9 +217,36 @@ def ker_beta(p: FreePresentation) -> Subspace:
 
     The relations among the β images, in their (derived index, generator
     index) lexicographic coordinates, shared with the Jacobi-cycle subspace K,
-    so equality checks are literal.
+    so equality checks are literal.  The canonical basis is built for the d = 3
+    extension witness, which reads quotient coordinates mod ker β; ``analyze``
+    asks only whether ker β is K, through ``ker_beta_agrees``.
     """
     return relations(_beta_images(p))
+
+
+def ker_beta_agrees(p: FreePresentation, k: Subspace) -> tuple[int, bool]:
+    """(dim ker β, ker β == k) for k in ker β's coordinates, without building ker β.
+
+    ker β = k exactly when k ⊆ ker β and their dimensions agree.  dim ker β is
+    r·d - rank β, the rank counted off the β images by the forward pass, never
+    off dim F³ - dim [R,F], which holds by construction.  A row of k lies in ker β
+    when its image in F³, read through the Hall rule in integers, reduces to
+    zero mod [R,F].
+    """
+    beta = _beta_images(p)
+    dim = len(beta) - len(_forward(beta))
+    if dim != k.dim:
+        return dim, False
+    rule = p.hall.rule
+    terms = [t for (c,) in p.lifts for t in rule[c]]  # entry s·d + g: [lift_s, x_g]
+    for row in k.integer_rows():
+        v: Vec = {}
+        for i, x in row.items():
+            for m, sign in terms[i]:
+                v[m] = v.get(m, 0) + sign * x
+        if p.rel_bracket_span.reduce({m: y for m, y in v.items() if y}):
+            return dim, False
+    return dim, True
 
 
 def exterior_center(p: FreePresentation) -> Subspace:

@@ -513,6 +513,15 @@ def test_oracle_compare_cli(ws, capsys):
     assert rep["agree"] and rep["formula"] == rep["oracle"]
 
 
+def test_oracle_compare_checks_ker_beta_beyond_six_generators(ws, capsys):
+    # d + t = 7, past analyze's default cut for ker β: oracle-compare still runs it
+    docio.write_document("g7.json", seeded_gh(7, 1, 0))
+    assert main(["oracle-compare", "g7.json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["ker_beta_matches"] is True and rep["agree"] is True
+    assert rep["formula"] == rep["oracle"] == {"m_L": 106, "wedge": 126}
+
+
 def test_sweep_cli_and_determinism(ws, capsys):
     args = ["sweep", "--d", "3..4", "--defect", "1", "--t", "0", "--seeds", "2", "--out"]
     assert main(args + ["r1.json", "--jobs", "1"]) == 0

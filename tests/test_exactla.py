@@ -417,6 +417,18 @@ def _reference_reduce(sub, v):
     return out
 
 
+def test_reduce_types_integral_values_as_ints_on_both_paths():
+    # pivot 0, complement (1, 2): ``miss`` holds no pivot and is only copied;
+    # ``hit`` is eliminated at 0 and comes out equal to it
+    sub = Subspace.from_vectors(3, [{0: 1, 1: 2}])
+    miss = {1: F(2, 1), 2: F(-3, 2)}
+    hit = {0: F(1, 1), 1: F(4, 1), 2: F(-3, 2)}
+    for v in (miss, hit):
+        assert typed([sub.reduce(v)]) == [[(1, 2, int), (2, F(-3, 2), F)]]
+        assert typed([sub.quotient_coords(v)]) == [[(0, 2, int), (1, F(-3, 2), F)]]
+    assert miss == {1: F(2, 1), 2: F(-3, 2)} and type(miss[1]) is F  # inputs untouched
+
+
 def _reference_coords(sub, v):
     if _reference_reduce(sub, v):
         return None
@@ -449,7 +461,8 @@ def test_reduce_matches_reference(case, split, mix):
             want = _reference_reduce(sub, v)
             got = sub.reduce(v)
             assert list(got.items()) == list(want.items())
-            # a vector in the contract (as vec makes it) reduces to one in it
+            # any vector, in the contract (as vec makes it) or not, reduces to one in it
+            assert all(canonical(x) for x in got.values())
             assert all(canonical(x) for x in sub.reduce(vec(v)).values())
             assert sub.quotient_coords(v) == _reference_quotient_coords(sub, v)
             assert coords(sub, v) == _reference_coords(sub, v)
@@ -634,6 +647,20 @@ def _reference_forward(rows, choose=_first_row):
     return done
 
 
+def _unit_prepass_forward(rows):
+    """``_forward``'s rule restated: each one-entry row is the pivot {c: 1} of
+    its column, the first at each column; the other rows lose those columns, an
+    emptied row is dropped, and the rest run the sparsest-row pass; the pairs
+    come back by pivot column."""
+    units = {}
+    for r in rows:
+        if len(r) == 1:
+            [c] = r
+            units.setdefault(c, {c: 1})
+    rest = [{c: x for c, x in r.items() if c not in units} for r in rows if len(r) > 1]
+    return sorted(list(units.items()) + _reference_forward(rest, _sparsest_row), key=lambda pair: pair[0])
+
+
 def _reference_eliminate(rows):
     """``_eliminate``'s back-substitution over the first-row forward pass."""
     done = _reference_forward(rows)
@@ -659,13 +686,16 @@ def sorted_pairs(pairs):
 @example((3, [{0: 1, 1: 1, 2: 1}, {0: -2, 2: 1}]))  # the sparsest row is second, with a negative lead
 @example((3, [{0: 1, 1: 2, 2: 3}, {0: 2, 2: 1}, {0: -1, 1: 1}]))  # a tie: the first of the sparsest
 @example((2, [{0: 1, 1: 1}, {0: 3}, {1: 2}]))  # a one-entry pivot
-@example((1, [{0: F(-1, 3)}]))  # a one-row bucket with a negative lead
+@example((1, [{0: F(-1, 3)}]))  # a one-entry row with a negative Fraction lead
+@example((3, [{1: 2}, {0: 1, 1: 1}, {1: -1}, {1: F(1, 3)}, {0: 2, 2: 1}]))  # three units at one column
+@example((3, [{0: -4}, {2: F(-2, 5)}, {0: 3, 2: 6}, {0: 1, 1: 2, 2: 1}]))  # a row all of unit columns
+@example((4, [{3: 7}, {0: 2, 1: 4, 3: 1}, {1: 3, 2: 6, 3: F(1, 2)}]))  # rows left with one entry, made primitive
 @settings(max_examples=300, deadline=None)
 def test_sparsest_pivot_matches_first_row_schedule(case):
     cols, rows = case
     before = copy.deepcopy(rows)
     # The forward pass is the one its rule gives, row for row and key for key.
-    assert typed_pairs(_forward(rows)) == typed_pairs(_reference_forward(rows, _sparsest_row))
+    assert typed_pairs(_forward(rows)) == typed_pairs(_unit_prepass_forward(rows))
     # Any pivot gives the same RREF: pairs, rows and types agree, and so does
     # the key order callers see (a Subspace sorts its rows' keys).
     want = sorted_pairs(_reference_eliminate(rows))
@@ -807,7 +837,7 @@ class _ReferenceSubspace:
         rows = self._int_rows
         hits = sorted(c for c in v if c in rows)
         if not hits:
-            return dict(v)
+            return vec(v)
         scale, u = _integer_row(v)
         for p in hits:
             row = rows[p]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ghlie import hopf
-from ghlie.exactla import Matrix, Subspace, rank, relations, vec, vec_axpy
+from ghlie.exactla import Matrix, Subspace, rank, relations, vec_axpy
 from ghlie.fixtures import canonical_gh, grid_cases, seeded_gh, with_abelian_part
 from ghlie.liealg import (
     ClassTwoRequired,
@@ -402,6 +402,65 @@ def test_shared_beta_matches_per_call_reference():
         assert exterior_center(presentation_from_class2(a)) == Subspace.full(1)
 
 
+# --- the ker β certificate against the canonical basis it replaced ---------------
+
+def _ker_beta_inputs():
+    """The default grid, seeded GH algebras at d = 3..12, t > 0 sums,
+    rational_basis inputs, A(0), A(3) and H(1)⊕A(1)."""
+    inputs = [c.build() for c in grid_cases((3, 4, 5, 6), (1, 2, 3), (0, 1, 2), 5)]
+    inputs += [seeded_gh(d, k, s) for d in range(3, 13) for k in range(4) if k < d * (d - 1) // 2
+               for s in range(3 if d <= 8 else 1)]
+    inputs += [heisenberg(1), abelian(0), abelian(3), direct_sum(heisenberg(1), abelian(1)),
+               direct_sum(heisenberg(2), abelian(2)), with_abelian_part(seeded_gh(5, 2, 1), 2)]
+    dense = [seeded_gh(4, 1, 0), seeded_gh(5, 3, 1), random_class2(5, 8), direct_sum(heisenberg(1), abelian(1))]
+    return inputs + [rational_basis(a, s) for s, a in enumerate(dense)]
+
+
+def _k_mutants(k):
+    """K without its first row, with one more independent row, and with the last
+    entry of its first row of two or more entries changed (an entry off the
+    pivots, so the rows stay reduced): all unequal to K."""
+    n, rows = k.ambient_dim, k.integer_rows()
+    if rows:
+        yield Subspace.from_vectors(n, rows[1:])
+    for i, r in enumerate(rows):
+        if len(r) > 1:
+            changed = dict(r)
+            changed[max(r)] += 1
+            yield Subspace.from_vectors(n, rows[:i] + [changed] + rows[i + 1:])
+            break
+    free = k.complement_coords()
+    if free:
+        yield Subspace.from_vectors(n, rows + [{free[-1]: 1}])
+
+
+def test_ker_beta_certificate_matches_the_canonical_basis():
+    # (dim, verdict) as ker_beta's basis gives them, on K, on K's mutants and on
+    # a presentation whose β images are all zero
+    inputs = _ker_beta_inputs()
+    verdicts = {}
+    for a in inputs:
+        b, rel2, _ = rebase_class2(a)
+        k = psi2_image(b, rel2).image
+        p = presentation_from_class2(b, rel2)
+        kb = ker_beta(p)
+        assert kb == k and hopf.ker_beta_agrees(p, k) == (kb.dim, True)
+        for m in _k_mutants(k):
+            assert m != k
+            got = hopf.ker_beta_agrees(p, m)
+            assert got == (kb.dim, kb == m)
+            verdicts[m.dim == kb.dim] = verdicts.get(m.dim == kb.dim, 0) + 1
+        zero = presentation_from_class2(b, rel2)
+        zero._beta = [{} for _ in hopf._beta_images(zero)]
+        kz = ker_beta(zero)
+        assert kz == Subspace.full(len(zero._beta))
+        assert hopf.ker_beta_agrees(zero, k) == (kz.dim, kz == k)
+    assert len(inputs) >= 300
+    # ker β is K on every input, and some mutants have K's dimension, so both
+    # halves of the certificate decide some verdict
+    assert verdicts[True] >= 100 and verdicts[False] >= 100
+
+
 def _reference_lifts(p):
     """The lifts as presentation_from_class2 solved for them before they were read
     off the rebased table: all from one RREF of [φ | I_r], x_s = Σ_i E[i][s] e_(pivot i)
@@ -428,9 +487,8 @@ def _typed(v):
 
 
 def _reference_image(p, w, g):
-    """[w, x_g] mod [R,F] as it was built per vector: the rewrite, then quotient_coords.
-    vec() gives the ±1 units int values, as the rewrite's own output had."""
-    return p.rel_bracket_span.quotient_coords(vec(_reference_wedge_gen_bracket(p.hall, w, g)))
+    """[w, x_g] mod [R,F] as it was built per vector: the rewrite, then quotient_coords."""
+    return p.rel_bracket_span.quotient_coords(_reference_wedge_gen_bracket(p.hall, w, g))
 
 
 def _grade3_inputs():
