@@ -181,21 +181,3 @@ def _predictions(d: int, t: int, defect: int, variant: str) -> dict[str, tuple[i
         else:
             out["psi2_rank"] = (base if variant == "generic" else base - 1, "Prop 2.2(ii)")
     return out
-
-
-def reduction_check(d: int, defect: int, variant: str = "generic") -> dict[str, bool]:
-    """Do the Thm 2.9 displays reduce at t = 0 to their Thm 2.3/2.7 twins?
-
-    False entries identify the displays carrying the double-count / off-by-one
-    defects; printed-vs-printed, no computed values involved.
-    """
-    _validate(d, defect, variant)
-    zero = _displays_t0(F(d), defect, variant)
-    nine = _displays_t9(F(d), F(0), defect, variant)
-    return {k: _int(nine[k][0]) == _int(zero[k][0]) for k in zero}
-
-
-def thm29_display_at(d: int, t: int, defect: int, variant: str = "generic") -> dict[str, int]:
-    """The Thm 2.9 display family evaluated verbatim at any t, including 0."""
-    _validate(d, defect, variant)
-    return {k: _int(v) for k, (v, _) in _displays_t9(F(d), F(t), defect, variant).items()}

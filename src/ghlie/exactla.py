@@ -20,9 +20,10 @@ are units.  Then it takes as each pivot the sparsest of the rows that lead at
 its column, the first on ties (Markowitz 1957, in its cheapest form): every
 other such row takes in the pivot's entries, so a sparse pivot fills in less.
 The RREF is unique, so neither rule changes the answer, only the work.  Each
-answer pays only for what it reads: ``rank`` counts the pivots of the forward
-pass; an RREF adds one back-substitution, from the last pivot up, and divides
-only on return.
+answer pays only for what it reads: ``rank``, the rank of the Jacobi-cycle
+image K, rank β and the exterior center's full-rank test count the pivots of
+the forward pass, whose rows are a basis; an RREF adds one back-substitution,
+from the last pivot up, and divides only on return.
 ``Subspace.from_vectors`` given more than twice as many nonzero rows as
 columns tests each row against the rows found so far in one pass instead, as
 most of them are dependent.  Every null space is ``relations``,

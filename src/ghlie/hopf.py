@@ -14,7 +14,9 @@ algebra in the graded coordinates.  Truncation at class 3 is sound because
 of interest lands in grade <= 3.  The β images [lift_s, x_g] mod [R,F], read
 by both the exterior center and ker β, are built once per presentation.
 ``analyze`` asks only whether ker β is K, and ``ker_beta_agrees`` answers by
-certificate: K's rows lie in ker β, and dim ker β = dim K.
+certificate from any basis of K: its rows lie in ker β, and dim ker β = dim K.
+It reads only the exterior center's dimension, and ``exterior_center`` builds
+the relations only when a rank test finds some: full rank is the capable case.
 
 Hall conventions (fixed so signs are reproducible bit for bit):
   * generators x_1 < ... < x_d (0-based internally);
@@ -224,22 +226,23 @@ def ker_beta(p: FreePresentation) -> Subspace:
     return relations(_beta_images(p))
 
 
-def ker_beta_agrees(p: FreePresentation, k: Subspace) -> tuple[int, bool]:
-    """(dim ker β, ker β == k) for k in ker β's coordinates, without building ker β.
+def ker_beta_agrees(p: FreePresentation, basis: list[Vec]) -> tuple[int, bool]:
+    """(dim ker β, ker β == span(basis)) without building ker β.
 
-    ker β = k exactly when k ⊆ ker β and their dimensions agree.  dim ker β is
+    basis is any list of independent rows in ker β's coordinates, such as K's
+    forward rows, so its span has dimension len(basis).  ker β is that span
+    exactly when the span lies in ker β and the dimensions agree.  dim ker β is
     r·d - rank β, the rank counted off the β images by the forward pass, never
-    off dim F³ - dim [R,F], which holds by construction.  A row of k lies in ker β
-    when its image in F³, read through the Hall rule in integers, reduces to
-    zero mod [R,F].
+    off dim F³ - dim [R,F], which holds by construction.  A row lies in ker β
+    when its image in F³, read through the Hall rule, reduces to zero mod [R,F].
     """
     beta = _beta_images(p)
     dim = len(beta) - len(_forward(beta))
-    if dim != k.dim:
+    if dim != len(basis):
         return dim, False
     rule = p.hall.rule
     terms = [t for (c,) in p.lifts for t in rule[c]]  # entry s·d + g: [lift_s, x_g]
-    for row in k.integer_rows():
+    for row in basis:
         v: Vec = {}
         for i, x in row.items():
             for m, sign in terms[i]:
@@ -255,7 +258,9 @@ def exterior_center(p: FreePresentation) -> Subspace:
     Expressed in target coordinates (d generators, then r derived), as the
     relations among one vector per basis element.  The generator block must
     already vanish in grade 2, so only derived-direction elements can survive;
-    capability of the target is exactly this being zero.
+    capability of the target is exactly this being zero.  The forward pass
+    counts the vectors' rank first: at full rank there is no relation, and
+    ``relations`` builds the canonical basis only otherwise.
     """
     d = p.hall.d
     beta = _beta_images(p)
@@ -266,6 +271,8 @@ def exterior_center(p: FreePresentation) -> Subspace:
     # [lift_s, x_k] mod [R,F] at coordinate d + q·d + k of quotient coordinate q
     for s in range(len(p.lifts)):
         vectors.append({d + q * d + k: x for k in range(d) for q, x in beta[s * d + k].items()})
+    if len(_forward(vectors)) == len(vectors):
+        return Subspace.zero(len(vectors))
     return relations(vectors)
 
 

@@ -13,6 +13,8 @@ The spanning set is alternating and kills repeated arguments, hence triples of
 distinct abelianization basis vectors suffice.  Coordinates of L² ⊗ L/L² are
 lexicographic (derived-basis index, generator index); the Hopf-formula oracle
 returns ker b in the same convention so subspace comparisons are literal.
+Every dimension reads only rank K, so ``psi2_image`` keeps the forward pass's
+rows, a basis of K, and builds K's canonical basis only when ``image`` is read.
 ``dimensions`` is the one home of this formula and of the four dimensions
 derived from it.
 """
@@ -20,9 +22,10 @@ derived from it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
-from .exactla import Subspace, Vec
+from .exactla import Subspace, Vec, _forward
 from .liealg import LieAlgebra, rebase_class2
 
 
@@ -31,15 +34,26 @@ class Psi2Data:
     """Image K of the trilinear Jacobi-cycle map on the abelianization.
 
     n = dim L/L² and r = dim L²; the image lives in L² ⊗ L/L² of dimension r·n.
+    rows are ``_forward``'s primitive integer rows of the Jacobi cycles, a basis
+    of K that depends on the pivot schedule, so two Psi2Data are equal when n, r
+    and the canonical ``image`` are.
     """
 
     n: int
     r: int
-    image: Subspace
+    rows: list[dict] = field(repr=False, compare=False)
 
     @property
     def rank(self) -> int:
-        return self.image.dim
+        return len(self.rows)
+
+    @cached_property
+    def image(self) -> Subspace:
+        """K's canonical basis, built on first read and kept."""
+        return Subspace.from_vectors(self.r * self.n, self.rows)
+
+    def __eq__(self, other):
+        return isinstance(other, Psi2Data) and (self.n, self.r, self.image) == (other.n, other.r, other.image)
 
 
 def psi2_image(a: LieAlgebra, rel2: Subspace | None = None) -> Psi2Data:
@@ -69,7 +83,7 @@ def psi2_image(a: LieAlgebra, rel2: Subspace | None = None) -> Psi2Data:
             v[off + g1] = x
         if v:
             gens.append(v)
-    return Psi2Data(n, r, Subspace.from_vectors(r * n, gens))
+    return Psi2Data(n, r, [row for _, row in _forward(gens)])
 
 
 def square_dim(n: int) -> int:

@@ -22,7 +22,8 @@ class Analysis:
     returns, which K and the presentation both take; center is Z(L) in the
     input's own coordinates, the one rebase_class2 computed for its class-2
     certificate, so capability evidence reads in those coordinates.  r and
-    n are read off K.  Built afresh per call and passed down; never cached
+    n are read off K, which holds K's forward rows; its canonical basis is
+    built only if read.  Built afresh per call and passed down; never cached
     on the algebra.
     """
 
@@ -210,7 +211,7 @@ def analyze(
         if check_ker_beta is None:
             check_ker_beta = pres.hall.d <= 6
         if check_ker_beta:
-            kb_dim, agree = hopf.ker_beta_agrees(pres, ctx.k.image)
+            kb_dim, agree = hopf.ker_beta_agrees(pres, ctx.k.rows)
             report.oracle["ker_beta_matches"] = agree
             if not agree:
                 report.unexpected_mismatches.append({

@@ -3,13 +3,15 @@
 ``random_class2`` draws the Z(L) ⊋ L² algebras of the oracle concordance checks;
 ``is_expected_mismatch`` reads the closed-form ledger by (key, defect, variant, t);
 ``jacobi_cycle_generators`` is psi2_image's generator loop as it was before each
-pair's bracket was read once.
+pair's bracket was read once; ``reduction_check`` and ``thm29_display_at`` read
+the printed Thm 2.9 displays against their Thm 2.3/2.7 twins.
 """
 
 import itertools
 import random
+from fractions import Fraction as F
 
-from ghlie.closed_forms import _suspect_reason
+from ghlie.closed_forms import _displays_t0, _displays_t9, _int, _suspect_reason, _validate
 from ghlie.liealg import LieAlgebra, class2_from_relations, random_relation_subspace
 
 
@@ -43,3 +45,21 @@ def jacobi_cycle_generators(a: LieAlgebra, rel2) -> list[dict]:
         if v:
             gens.append(v)
     return gens
+
+
+def reduction_check(d: int, defect: int, variant: str = "generic") -> dict[str, bool]:
+    """Do the Thm 2.9 displays reduce at t = 0 to their Thm 2.3/2.7 twins?
+
+    False entries identify the displays carrying the double-count / off-by-one
+    defects; printed-vs-printed, no computed values involved.
+    """
+    _validate(d, defect, variant)
+    zero = _displays_t0(F(d), defect, variant)
+    nine = _displays_t9(F(d), F(0), defect, variant)
+    return {k: _int(nine[k][0]) == _int(zero[k][0]) for k in zero}
+
+
+def thm29_display_at(d: int, t: int, defect: int, variant: str = "generic") -> dict[str, int]:
+    """The Thm 2.9 display family evaluated verbatim at any t, including 0."""
+    _validate(d, defect, variant)
+    return {k: _int(v) for k, (v, _) in _displays_t9(F(d), F(t), defect, variant).items()}

@@ -13,11 +13,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from ghlie import hopf
-from ghlie.closed_forms import (
-    EXPECTED_MISMATCHES,
-    closed_form_eval,
-    reduction_check,
-)
+from ghlie.closed_forms import EXPECTED_MISMATCHES, closed_form_eval
 from ghlie.exactla import Matrix, Subspace, relations
 from ghlie.fixtures import (
     canonical_gh,
@@ -37,7 +33,7 @@ from ghlie.liealg import (
 from ghlie.multiplier import dimensions, psi2_image, square_dim
 from ghlie.sweep import SweepConfig, run_sweep, sweep_exit_code
 
-from _reference import is_expected_mismatch, random_class2
+from _reference import is_expected_mismatch, random_class2, reduction_check
 
 D_RANGE = (3, 4, 5, 6)
 SEEDS = range(5)

@@ -1,14 +1,9 @@
 import pytest
 
 from ghlie import closed_forms
-from ghlie.closed_forms import (
-    EXPECTED_MISMATCHES,
-    closed_form_eval,
-    reduction_check,
-    thm29_display_at,
-)
+from ghlie.closed_forms import EXPECTED_MISMATCHES, closed_form_eval
 
-from _reference import is_expected_mismatch
+from _reference import is_expected_mismatch, reduction_check, thm29_display_at
 
 
 def values(d, t, defect, variant="generic"):

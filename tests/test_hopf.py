@@ -434,31 +434,104 @@ def _k_mutants(k):
         yield Subspace.from_vectors(n, rows + [{free[-1]: 1}])
 
 
+def _row_mutants(rows, ambient):
+    """Forward rows without their first row, with the last entry of the last row of
+    two or more entries doubled (``_k_mutants`` changes the first), and with a
+    unit row at a column no row leads: each keeps distinct leads, so it stays
+    independent."""
+    if rows:
+        yield rows[1:]
+    for i in reversed(range(len(rows))):
+        if len(rows[i]) > 1:
+            changed = dict(rows[i])
+            changed[max(changed)] *= 2
+            yield rows[:i] + [changed] + rows[i + 1:]
+            break
+    free = sorted(set(range(ambient)).difference(min(r) for r in rows))
+    if free:
+        yield rows + [{free[-1]: 1}]
+
+
+def _sheared(rows):
+    """rows[i] + rows[i+1] for each row but the last, then the last: another basis of their span."""
+    out = []
+    for u, v in zip(rows, rows[1:]):
+        w = dict(u)
+        vec_axpy(w, 1, v)
+        out.append(w)
+    return out + rows[-1:]
+
+
 def test_ker_beta_certificate_matches_the_canonical_basis():
-    # (dim, verdict) as ker_beta's basis gives them, on K, on K's mutants and on
-    # a presentation whose β images are all zero
+    # (dim, verdict) as ker_beta's basis gives them, on K's forward rows, on
+    # K's mutants and on a presentation whose β images are all zero; on the
+    # forward rows and their mutants, whichever basis of the span it is
+    # handed: the rows, their canonical rows or a shear of them
     inputs = _ker_beta_inputs()
     verdicts = {}
     for a in inputs:
         b, rel2, _ = rebase_class2(a)
-        k = psi2_image(b, rel2).image
+        kd = psi2_image(b, rel2)
+        k = kd.image
         p = presentation_from_class2(b, rel2)
         kb = ker_beta(p)
-        assert kb == k and hopf.ker_beta_agrees(p, k) == (kb.dim, True)
+        assert kb == k and hopf.ker_beta_agrees(p, kd.rows) == (kb.dim, True)
         for m in _k_mutants(k):
             assert m != k
-            got = hopf.ker_beta_agrees(p, m)
+            got = hopf.ker_beta_agrees(p, m.integer_rows())
             assert got == (kb.dim, kb == m)
             verdicts[m.dim == kb.dim] = verdicts.get(m.dim == kb.dim, 0) + 1
+        for rows in (kd.rows, *_row_mutants(kd.rows, k.ambient_dim)):
+            span = Subspace.from_vectors(k.ambient_dim, rows)
+            assert span.dim == len(rows)
+            for basis in (rows, span.integer_rows(), _sheared(rows)):
+                assert hopf.ker_beta_agrees(p, basis) == (kb.dim, kb == span)
         zero = presentation_from_class2(b, rel2)
         zero._beta = [{} for _ in hopf._beta_images(zero)]
         kz = ker_beta(zero)
         assert kz == Subspace.full(len(zero._beta))
-        assert hopf.ker_beta_agrees(zero, k) == (kz.dim, kz == k)
+        assert hopf.ker_beta_agrees(zero, kd.rows) == (kz.dim, kz == k)
     assert len(inputs) >= 300
     # ker β is K on every input, and some mutants have K's dimension, so both
     # halves of the certificate decide some verdict
     assert verdicts[True] >= 100 and verdicts[False] >= 100
+
+
+def test_exterior_center_rank_test_matches_relations(monkeypatch):
+    # at full rank exterior_center answers 0 without building relations; the
+    # answer is relations' on the same vectors (the rank test switched off) and
+    # the per-call reference's, on capable inputs such as H(1)⊕A(1) and on the
+    # non-capable H(2), H(3), H(2)⊕A(1) and A(1)
+    ec_dims = {"H(2)": (heisenberg(2), 1), "H(3)": (heisenberg(3), 1),
+               "H(2)+A(1)": (direct_sum(heisenberg(2), abelian(1)), 1), "A(1)": (abelian(1), 1),
+               "H(1)+A(1)": (direct_sum(heisenberg(1), abelian(1)), 0), "H(1)": (heisenberg(1), 0),
+               "A(0)": (abelian(0), 0), "A(3)": (abelian(3), 0)}
+    inputs = [c.build() for c in grid_cases((3, 4, 5, 6), (1, 2, 3), (0, 1, 2), 5)]
+    inputs += [a for a, _ in ec_dims.values()]
+    dense = [heisenberg(2), abelian(1), direct_sum(heisenberg(1), abelian(1)), seeded_gh(4, 1, 0),
+             with_abelian_part(seeded_gh(3, 1, 0), 2)]
+    inputs += [rational_basis(a, s) for s, a in enumerate(dense)]
+    built = []
+    real = hopf.relations
+
+    def spy(vectors):
+        built.append(len(vectors))
+        return real(vectors)
+
+    monkeypatch.setattr(hopf, "relations", spy)
+    paths = {True: 0, False: 0}
+    for a in inputs:
+        p = presentation_from_class2(a)
+        built.clear()
+        got = exterior_center(p)
+        assert bool(built) == (got.dim > 0)  # relations runs exactly when there is one
+        paths[got.dim == 0] += 1
+        with monkeypatch.context() as m:
+            m.setattr(hopf, "_forward", lambda rows: [])
+            assert got == exterior_center(p) == _reference_exterior_center(p)
+    for name, (a, dim) in ec_dims.items():
+        assert exterior_center(presentation_from_class2(a)).dim == dim, name
+    assert paths[True] >= 100 and paths[False] >= 6
 
 
 def _reference_lifts(p):

@@ -176,22 +176,27 @@ def test_psi2_contract_read_matches_coords_reference():
 
 
 def test_jacobi_cycles_match_the_per_triple_reference(monkeypatch):
-    # psi2_image reads each pair's bracket once; the generators it spans must be
-    # the per-triple loop's, item for item, key order and value types included
-    inputs = [c.build() for c in grid_cases((3, 4, 5, 6), (1, 2, 3), (0, 1, 2), 1)]
+    # psi2_image reads each pair's bracket once; the generators its forward pass
+    # takes must be the per-triple loop's, item for item, key order and value
+    # types included.  It keeps the forward rows: their count is the rank, and
+    # their span is K as Subspace.from_vectors builds it from the cycles
+    inputs = [c.build() for c in grid_cases((3, 4, 5, 6), (1, 2, 3), (0, 1, 2), 5)]
+    inputs += [seeded_gh(d, k, s) for d in range(3, 13) for k in range(4) if k < d * (d - 1) // 2
+               for s in range(3 if d <= 8 else 1)]
     inputs += [abelian(n) for n in range(4)] + [heisenberg(m) for m in (1, 2)]
     dense = [seeded_gh(4, 1, 0), seeded_gh(5, 2, 2), random_class2(4, 3), random_class2(5, 8),
-             with_abelian_part(canonical_gh(4, 3, "deficient"), 2), direct_sum(heisenberg(1), abelian(2))]
+             with_abelian_part(canonical_gh(4, 3, "deficient"), 2), direct_sum(heisenberg(1), abelian(2)),
+             seeded_gh(6, 1, 0)]
     inputs += [rational_basis(a, s) for s, a in enumerate(dense)]
+    assert len(inputs) >= 300
     seen = []
+    forward = multiplier._forward
 
-    class Recording:
-        @staticmethod
-        def from_vectors(ambient_dim, vectors):
-            seen.append(vectors)
-            return Subspace.from_vectors(ambient_dim, vectors)
+    def recording(rows):
+        seen.append(rows)
+        return forward(rows)
 
-    monkeypatch.setattr(multiplier, "Subspace", Recording)
+    monkeypatch.setattr(multiplier, "_forward", recording)
     fractions = 0
     for a in inputs:
         b, rel2, _ = rebase_class2(a)
@@ -201,7 +206,14 @@ def test_jacobi_cycles_match_the_per_triple_reference(monkeypatch):
         (gens,) = seen
         assert [list(v.items()) for v in gens] == [list(v.items()) for v in want]
         assert [[type(x) for x in v.values()] for v in gens] == [[type(x) for x in v.values()] for v in want]
-        assert got.image == Subspace.from_vectors(got.r * got.n, want)
+        k = Subspace.from_vectors(got.r * got.n, want)
+        assert got.image == k
+        assert got.rank == k.dim == dimensions(got)["psi2_rank"]
+        # an echelon basis of K: distinct leads, primitive integer rows, each in K
+        leads = [min(r) for r in got.rows]
+        assert len(set(leads)) == len(leads)
+        assert all(type(x) is int for r in got.rows for x in r.values())
+        assert all(k.contains_vec(r) for r in got.rows)
         fractions += any(type(x) is Fraction for v in gens for x in v.values())
     assert fractions  # some cycles hold non-integral entries
 
