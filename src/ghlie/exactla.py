@@ -20,27 +20,34 @@ are units.  Then it takes as each pivot the sparsest of the rows that lead at
 its column, the first on ties (Markowitz 1957, in its cheapest form): every
 other such row takes in the pivot's entries, so a sparse pivot fills in less.
 The RREF is unique, so neither rule changes the answer, only the work.  Each
-answer pays only for what it reads: ``rank``, the rank of the Jacobi-cycle
-image K, rank β and the exterior center's full-rank test count the pivots of
-the forward pass, whose rows are a basis; an RREF adds one back-substitution,
-from the last pivot up, and divides only on return.
+answer pays only for what it reads: ``rank`` and rank β count the pivots of
+the forward pass, whose rows are a basis; the Jacobi-cycle image K, the
+exterior center's full-rank test and ``relations`` first run ``_singletons``,
+an arithmetic-free pre-pass that takes out each row holding a column no other
+row holds (Dumas and Villard 2002), such a row being independent of the rest,
+and hand the forward pass only what is left (most Jacobi cycles and
+exterior-center vectors are taken; β's images, mostly repeated unit rows,
+are not, so rank β skips it); an RREF adds one back-substitution, from the
+last pivot up, and divides only on return.
 ``Subspace.from_vectors`` given more than twice as many nonzero rows as
 columns tests each row against the rows found so far in one pass instead, as
 most of them are dependent.  Every null space is ``relations``,
-{c : Σ cᵢ vᵢ = 0} read from the vectors vᵢ as the caller holds them, on their
-short side: the vᵢ beside a unit block, or their coordinate rows.  A
-``Subspace`` stores the kernel's rows as they come out, each the primitive
-integer multiple of its unit-pivot RREF row, and ``reduce`` (membership,
-quotient coordinates) runs the same step against them.  The unit-pivot
-rational rows are built once, on the first call of ``vectors()``; a caller
-that needs only the span reads ``integer_rows()``.  ``invert`` reads its
-answer off the span of [m | I].
+{c : Σ cᵢ vᵢ = 0} read from the vectors vᵢ as the caller holds them, those the
+pre-pass leaves, on their short side: the vᵢ beside a unit block, or their
+coordinate rows.  A ``Subspace`` stores the kernel's rows as they come out,
+each the primitive integer multiple of its unit-pivot RREF row, and
+``reduce`` (membership, quotient coordinates) runs the same step against
+them.  The unit-pivot rational rows are built once, on the first call of
+``vectors()``; a caller that needs only the span reads ``integer_rows()``.
+``invert`` reads its answer off the span of [m | I].
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -154,6 +161,30 @@ def _primitive_copy(r: Vec) -> dict:
     return {c: x // g for c, x in r.items()} if g != 1 else dict(r)
 
 
+def _singletons(rows: Sequence[Vec]) -> tuple[list[int], list[int]]:
+    """(taken, rest): the positions a column-singleton pre-pass takes out, and the others.
+
+    No arithmetic (Dumas and Villard 2002): each round counts the holders of
+    each column among the remaining nonzero rows and takes out every row that
+    holds a column no other remaining row holds, until a round takes none.
+    Such a row is independent of the rows still in, so the taken rows and any
+    basis of the rest are a basis of the span, and every relation Σ cᵢvᵢ = 0
+    has cᵢ = 0 at a taken row.  Rows are told apart by position, not identity;
+    zero rows stay in rest, which keeps the input's order.
+    """
+    taken: list[int] = []
+    rest = list(range(len(rows)))
+    while True:
+        count = Counter(chain.from_iterable(map(rows.__getitem__, rest)))
+        single = {c for c, k in count.items() if k == 1}
+        if not single:
+            return taken, rest
+        keep = []
+        for i in rest:
+            (keep if single.isdisjoint(rows[i]) else taken).append(i)
+        rest = keep
+
+
 def _forward(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
     """Integer row echelon form: (pivot column, primitive row) pairs by pivot column.
 
@@ -161,7 +192,9 @@ def _forward(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
     A pre-pass first takes every one-entry row as the pivot {c: 1} of its column
     (Andersen and Andersen 1995), the first of them at each column, and strips
     those columns from every other row: a unit pivot clears its column and
-    nothing else.  A row left empty is dependent and dropped.
+    nothing else.  A row left empty is dependent and dropped.  K's basis, the
+    exterior center's rank test and ``relations`` pass it only the rows that
+    ``_singletons`` leaves.
     """
     rows = list(rows)
     units: dict[int, dict] = {}
@@ -371,6 +404,21 @@ class Subspace:
 
 def relations(vectors: Sequence[Vec]) -> Subspace:
     """The relations {c : Σ cᵢ vᵢ = 0} among vectors, canonical in Q^len(vectors).
+
+    A relation is zero at every row ``_singletons`` takes out, so the relations
+    of the rest, zero vectors included, are re-indexed by position: the map is
+    increasing, so their canonical basis stays canonical.
+    """
+    n = len(vectors)
+    taken, rest = _singletons(vectors)
+    if not taken:
+        return _relations(vectors)
+    null = _relations([vectors[i] for i in rest])
+    return Subspace(n, [{rest[j]: x for j, x in r.items()} for r in null.integer_rows()])
+
+
+def _relations(vectors: Sequence[Vec]) -> Subspace:
+    """``relations`` by the kernel alone.
 
     Tall input (more distinct coordinates than vectors): in a forward pass over
     the rows [vᵢ | eᵢ], with the unit block past the largest coordinate, the rows

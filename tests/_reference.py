@@ -3,15 +3,21 @@
 ``random_class2`` draws the Z(L) ⊋ L² algebras of the oracle concordance checks;
 ``is_expected_mismatch`` reads the closed-form ledger by (key, defect, variant, t);
 ``jacobi_cycle_generators`` is psi2_image's generator loop as it was before each
-pair's bracket was read once; ``reduction_check`` and ``thm29_display_at`` read
-the printed Thm 2.9 displays against their Thm 2.3/2.7 twins.
+pair's bracket was read once; ``kernel_rank``, ``kernel_basis`` and
+``kernel_relations`` are the rank, basis and null space by the elimination
+kernel alone, as they were read before the column-singleton pre-pass, and
+``assert_prepass_agrees`` checks the pre-pass against them; ``reduction_check`` and ``thm29_display_at`` read the printed Thm 2.9 displays
+against their Thm 2.3/2.7 twins.
 """
 
+import copy
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 from ghlie.closed_forms import _displays_t0, _displays_t9, _int, _suspect_reason, _validate
+from ghlie.exactla import Subspace, _forward, _primitive_copy, _relations, _singletons, relations
 from ghlie.liealg import LieAlgebra, class2_from_relations, random_relation_subspace
 
 
@@ -45,6 +51,48 @@ def jacobi_cycle_generators(a: LieAlgebra, rel2) -> list[dict]:
         if v:
             gens.append(v)
     return gens
+
+
+def kernel_rank(rows: list[dict]) -> int:
+    """The number of pivots of one forward pass over every row."""
+    return len(_forward(rows))
+
+
+def kernel_basis(rows: list[dict]) -> list[dict]:
+    """The forward pass's primitive integer rows: a basis of the span."""
+    return [r for _, r in _forward(rows)]
+
+
+def kernel_relations(vectors: list[dict]) -> Subspace:
+    """{c : Σ cᵢ vᵢ = 0}, canonical, from one forward pass over [vᵢ | eᵢ] on any shape:
+    the rows that lead inside the unit block span the relations."""
+    off = max(set().union(*vectors), default=-1) + 1
+    done = _forward([{**v, off + i: 1} for i, v in enumerate(vectors)])
+    return Subspace.from_vectors(len(vectors), [{c - off: x for c, x in r.items()} for lead, r in done if lead >= off])
+
+
+def assert_prepass_agrees(rows: list[dict]) -> tuple[list[int], list[int]]:
+    """The column-singleton pre-pass against the kernel alone on rows; returns its (taken, rest).
+
+    The positions split into taken nonzero rows and the rest, in order, where no
+    column is held by exactly one nonzero row.  The taken rows, made primitive,
+    and the forward rows of the rest are independent and span the rows, and
+    ``relations`` is the kernel's, row for row and key for key.  rows are not mutated.
+    """
+    before = copy.deepcopy(rows)
+    taken, rest = _singletons(rows)
+    assert sorted(taken + rest) == list(range(len(rows))) and rest == sorted(rest)
+    assert all(rows[i] for i in taken)
+    assert 1 not in Counter(itertools.chain.from_iterable(rows[i] for i in rest)).values()
+    cols = max(set().union(*rows), default=-1) + 1
+    basis = [_primitive_copy(rows[i]) for i in taken] + kernel_basis([rows[i] for i in rest])
+    assert len(basis) == kernel_rank(rows) == kernel_rank(basis)
+    assert Subspace.from_vectors(cols, basis) == Subspace.from_vectors(cols, rows)
+    got, want = relations(rows), kernel_relations(rows)
+    assert got == want == _relations(rows)
+    assert [list(r.items()) for r in got.integer_rows()] == [list(r.items()) for r in want.integer_rows()]
+    assert rows == before
+    return taken, rest
 
 
 def reduction_check(d: int, defect: int, variant: str = "generic") -> dict[str, bool]:

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ghlie.exactla as exactla
-import ghlie.multiplier as multiplier
 from ghlie.exactla import (
     Matrix,
     Subspace,
@@ -19,6 +18,7 @@ from ghlie.exactla import (
     _primitive,
     _primitive_copy,
     _ratio,
+    _singletons,
     invert,
     rank,
     relations,
@@ -28,6 +28,8 @@ from ghlie.exactla import (
 from ghlie.fixtures import seeded_gh
 from ghlie.liealg import rebase_class2
 from ghlie.multiplier import psi2_image
+
+from _reference import assert_prepass_agrees, jacobi_cycle_generators
 
 F = Fraction
 
@@ -707,9 +709,12 @@ def test_sparsest_pivot_matches_first_row_schedule(case):
 
 
 def test_sparsest_pivot_does_less_work_on_a_seeded_k(monkeypatch):
-    """K's forward pass on a seeded d = 12 defect-3 algebra takes fewer elimination
-    steps, to the same K."""
+    """The forward pass over a seeded d = 12 defect-3 algebra's Jacobi cycles takes
+    fewer elimination steps than the first-row schedule, to the same K.  Both
+    passes run on the same generators directly: psi2_image hands the kernel
+    only what the column-singleton pre-pass leaves, which here is nothing."""
     a, rel2, _ = rebase_class2(seeded_gh(12, 3, 0))
+    gens = jacobi_cycle_generators(a, rel2)
     steps = [0]
     step = exactla._cross_eliminate
 
@@ -718,13 +723,14 @@ def test_sparsest_pivot_does_less_work_on_a_seeded_k(monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(exactla, "_cross_eliminate", counted)
-    got = psi2_image(a, rel2)
+    got = _forward(gens)
     sparsest = steps[0]
     steps[0] = 0
-    monkeypatch.setattr(multiplier, "_forward", _reference_forward)
-    want = psi2_image(a, rel2)
+    want = _reference_forward(gens)
     first_row = steps[0]
-    assert got == want and typed(got.image.integer_rows()) == typed(want.image.integer_rows())
+    k = psi2_image(a, rel2)
+    got, want = (Subspace.from_vectors(k.r * k.n, [r for _, r in pairs]) for pairs in (got, want))
+    assert got == want == k.image and typed(got.integer_rows()) == typed(want.integer_rows())
     assert 0 < sparsest < first_row
 
 
@@ -1141,3 +1147,51 @@ def test_invert_rejects_non_square(m):
     for inverse in (invert, _reference_invert):
         with pytest.raises(ValueError, match="only square matrices are invertible"):
             inverse(m)
+
+
+# --- the column-singleton pre-pass against the kernel alone -----------------------
+
+@st.composite
+def prepass_rows(draw, max_cols=8):
+    """Sparse int or Fraction rows over a few columns, so some columns have one
+    holder: random rows, a chain {c, c+1} (taken from both ends, a round each),
+    repeated rows that are the same dict object, and zero rows, in any order."""
+    ints, fracs = draw(st.sampled_from((small_scalars, large_scalars)))
+    scalars = st.one_of(ints, fracs).filter(bool)
+    cols = draw(st.integers(1, max_cols))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, cols - 1), scalars, max_size=3), max_size=8))
+    if draw(st.booleans()):  # a chain past the random columns
+        rows += [{cols + c: draw(scalars), cols + c + 1: draw(scalars)} for c in range(draw(st.integers(1, 5)))]
+    if rows:
+        rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
+    zero = {}
+    rows += [zero] * draw(st.integers(0, 2))
+    return draw(st.permutations(rows))
+
+
+_v = {1: 1, 2: F(1, 2)}
+
+
+@given(prepass_rows())
+@example([])
+@example([{0: 1}, {1: -2}, {2: F(1, 3), 3: 2**80}])  # every row taken
+@example([_v, _v, {}, {}])  # none: the same dict object twice, zero rows
+@example([{0: 1}, _v, _v])  # one taken; the same dict twice in the rest, one relation between them
+@example([{0: 1, 1: 1}, {1: 2, 2: 1}, {2: 1, 3: F(1, 2)}, {3: -1, 4: 1}, {4: 1, 5: 3}])  # three rounds
+@example([{0: 1, 1: 1}, {1: 1}, {0: 2}, {}, {2: 1}])  # a unit column and a zero vector beside a taken row
+@settings(max_examples=300, deadline=None)
+def test_column_singleton_prepass_matches_the_kernel(rows):
+    assert_prepass_agrees(rows)
+
+
+def test_column_singleton_prepass_rounds_and_positions():
+    v, zero = dict(_v), {}
+    assert _singletons([{0: 1}, {1: -2}, {2: F(1, 3), 3: 2}]) == ([0, 1, 2], [])
+    assert _singletons([v, v, zero, zero]) == ([], [0, 1, 2, 3])
+    assert _singletons([{0: 1}, v, v]) == ([0], [1, 2])
+    chain = [{c: 1, c + 1: 1} for c in range(5)]
+    cycle = [{6: 1, 7: 1}, {7: 1, 8: 1}, {8: 1, 6: 1}]
+    # the chain's ends go first, then the next pair in, then its middle; the cycle stays
+    assert _singletons(chain + cycle) == ([0, 4, 1, 3, 2], [5, 6, 7])
+    assert relations([{0: 1}, v, v]).integer_rows() == [{1: 1, 2: -1}]
+    assert relations([zero, {0: 1}, zero]).integer_rows() == [{0: 1}, {2: 1}]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ghlie import hopf
+from ghlie import exactla, hopf, multiplier
 from ghlie.exactla import Matrix, Subspace, rank, relations, vec_axpy
 from ghlie.fixtures import canonical_gh, grid_cases, seeded_gh, with_abelian_part
 from ghlie.liealg import (
@@ -41,8 +41,9 @@ from ghlie.hopf import (
     wedge_gen_bracket,
 )
 from ghlie.multiplier import dimensions, psi2_image
+from ghlie.report import analyze
 
-from _reference import random_class2
+from _reference import assert_prepass_agrees, random_class2
 
 F = Fraction
 ONE = F(1)
@@ -526,12 +527,42 @@ def test_exterior_center_rank_test_matches_relations(monkeypatch):
         got = exterior_center(p)
         assert bool(built) == (got.dim > 0)  # relations runs exactly when there is one
         paths[got.dim == 0] += 1
-        with monkeypatch.context() as m:
+        with monkeypatch.context() as m:  # the rank test switched off: no row taken, no pivot
+            m.setattr(hopf, "_singletons", lambda rows: ([], list(range(len(rows)))))
             m.setattr(hopf, "_forward", lambda rows: [])
             assert got == exterior_center(p) == _reference_exterior_center(p)
     for name, (a, dim) in ec_dims.items():
         assert exterior_center(presentation_from_class2(a)).dim == dim, name
     assert paths[True] >= 100 and paths[False] >= 6
+
+
+def test_column_singleton_prepass_matches_the_kernel_on_the_engine_inputs(monkeypatch):
+    # every list the pre-pass reads in an analysis with the oracle, recorded as
+    # its callers hold it: the Jacobi cycles (psi2_image), the exterior-center
+    # vectors (its rank test) and the inputs of relations (the center's
+    # ad-vectors and rel2 in the rebase), each checked against the kernel alone
+    inputs = [c.build() for c in grid_cases((3, 4, 5, 6), (1, 2, 3), (0, 1, 2), 5)]
+    inputs += [seeded_gh(d, k, s) for d in range(3, 13) for k in range(4) if k < d * (d - 1) // 2
+               for s in range(2 if d <= 8 else 1)]
+    inputs += [heisenberg(2), abelian(1), direct_sum(heisenberg(1), abelian(1))]
+    dense = [seeded_gh(4, 1, 0), seeded_gh(5, 2, 2), random_class2(4, 3), heisenberg(2),
+             with_abelian_part(seeded_gh(3, 1, 0), 2)]
+    inputs += [rational_basis(a, s) for s, a in enumerate(dense)]
+    seen = {"multiplier": [], "hopf": [], "exactla": []}
+    for name, module in (("multiplier", multiplier), ("hopf", hopf), ("exactla", exactla)):
+        def recording(rows, real=module._singletons, into=seen[name]):
+            into.append(rows)
+            return real(rows)
+        monkeypatch.setattr(module, "_singletons", recording)
+    for a in inputs:
+        analyze(a, with_oracle=True)
+    monkeypatch.undo()
+    assert len(seen["multiplier"]) == len(seen["hopf"]) == len(inputs) >= 250
+    partial = 0
+    for rows in itertools.chain(*seen.values()):
+        taken, rest = assert_prepass_agrees(rows)
+        partial += bool(taken) and any(rows[i] for i in rest)
+    assert partial  # some lists leave rows for the kernel beside the taken ones
 
 
 def _reference_lifts(p):

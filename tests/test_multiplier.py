@@ -2,6 +2,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
@@ -176,10 +177,11 @@ def test_psi2_contract_read_matches_coords_reference():
 
 
 def test_jacobi_cycles_match_the_per_triple_reference(monkeypatch):
-    # psi2_image reads each pair's bracket once; the generators its forward pass
-    # takes must be the per-triple loop's, item for item, key order and value
-    # types included.  It keeps the forward rows: their count is the rank, and
-    # their span is K as Subspace.from_vectors builds it from the cycles
+    # psi2_image reads each pair's bracket once; the generators its
+    # column-singleton pre-pass takes must be the per-triple loop's, item for
+    # item, key order and value types included.  It keeps the taken generators,
+    # made primitive, and the forward rows of the rest: their count is the rank,
+    # and their span is K as Subspace.from_vectors builds it from the cycles
     inputs = [c.build() for c in grid_cases((3, 4, 5, 6), (1, 2, 3), (0, 1, 2), 5)]
     inputs += [seeded_gh(d, k, s) for d in range(3, 13) for k in range(4) if k < d * (d - 1) // 2
                for s in range(3 if d <= 8 else 1)]
@@ -190,13 +192,13 @@ def test_jacobi_cycles_match_the_per_triple_reference(monkeypatch):
     inputs += [rational_basis(a, s) for s, a in enumerate(dense)]
     assert len(inputs) >= 300
     seen = []
-    forward = multiplier._forward
+    singletons = multiplier._singletons
 
     def recording(rows):
         seen.append(rows)
-        return forward(rows)
+        return singletons(rows)
 
-    monkeypatch.setattr(multiplier, "_forward", recording)
+    monkeypatch.setattr(multiplier, "_singletons", recording)
     fractions = 0
     for a in inputs:
         b, rel2, _ = rebase_class2(a)
@@ -209,9 +211,9 @@ def test_jacobi_cycles_match_the_per_triple_reference(monkeypatch):
         k = Subspace.from_vectors(got.r * got.n, want)
         assert got.image == k
         assert got.rank == k.dim == dimensions(got)["psi2_rank"]
-        # an echelon basis of K: distinct leads, primitive integer rows, each in K
-        leads = [min(r) for r in got.rows]
-        assert len(set(leads)) == len(leads)
+        # a basis of K: independent primitive integer rows, each in K
+        assert mat_rank(Matrix(got.r * got.n, got.rows)) == len(got.rows)
+        assert all(gcd(*r.values()) == 1 for r in got.rows)
         assert all(type(x) is int for r in got.rows for x in r.values())
         assert all(k.contains_vec(r) for r in got.rows)
         fractions += any(type(x) is Fraction for v in gens for x in v.values())
