@@ -13,33 +13,35 @@ equalities; there are no tolerances anywhere.
 The one elimination kernel works on primitive integer rows: denominators are
 cleared by their lcm, the content gcd is divided out, and rows are eliminated
 by one fraction-free cross-multiplication step (Bareiss 1968),
-``_cross_eliminate``, which every schedule shares.  The forward pass first
-takes each one-entry row as the unit pivot of its column and strips those
-columns from the other rows (Andersen and Andersen 1995), as most β images
-are units.  Then it takes as each pivot the sparsest of the rows that lead at
-its column, the first on ties (Markowitz 1957, in its cheapest form): every
-other such row takes in the pivot's entries, so a sparse pivot fills in less.
-The RREF is unique, so neither rule changes the answer, only the work.  Each
-answer pays only for what it reads: ``rank`` and rank β count the pivots of
-the forward pass, whose rows are a basis; the Jacobi-cycle image K, the
-exterior center's full-rank test and ``relations`` first run ``_singletons``,
-an arithmetic-free pre-pass that takes out each row holding a column no other
-row holds (Dumas and Villard 2002), such a row being independent of the rest,
-and hand the forward pass only what is left (most Jacobi cycles and
-exterior-center vectors are taken; β's images, mostly repeated unit rows,
-are not, so rank β skips it); an RREF adds one back-substitution, from the
-last pivot up, and divides only on return.
-``Subspace.from_vectors`` given more than twice as many nonzero rows as
-columns tests each row against the rows found so far in one pass instead, as
-most of them are dependent.  Every null space is ``relations``,
-{c : Σ cᵢ vᵢ = 0} read from the vectors vᵢ as the caller holds them, those the
-pre-pass leaves, on their short side: the vᵢ beside a unit block, or their
-coordinate rows.  A ``Subspace`` stores the kernel's rows as they come out,
-each the primitive integer multiple of its unit-pivot RREF row, and
-``reduce`` (membership, quotient coordinates) runs the same step against
-them.  The unit-pivot rational rows are built once, on the first call of
-``vectors()``; a caller that needs only the span reads ``integer_rows()``.
-``invert`` reads its answer off the span of [m | I].
+``_cross_eliminate``, which every schedule shares.  The forward pass,
+``_forward``, first takes each one-entry row as the unit pivot of its column
+and strips those columns from the other rows (Andersen and Andersen 1995), as
+most β images are units.  Then it takes as each pivot the sparsest of the rows
+that lead at its column, the first on ties (Markowitz 1957, in its cheapest
+form): every other such row takes in the pivot's entries, so a sparse pivot
+fills in less.  The RREF is unique, so neither rule changes the answer, only
+the work.  Each answer pays only for what it reads:
+
+* ``rank`` (and rank β) counts the forward pass's pivots.
+* ``basis`` (K's basis) and ``relations`` (every null space) first run
+  ``_singletons``, an arithmetic-free pre-pass that takes out each row holding
+  a column no other row holds (Dumas and Villard 2002): such a row is
+  independent of the rest, and zero in every relation.  ``basis`` is the taken
+  rows, made primitive, then the forward pass's rows of the rest;
+  ``relations`` reads the relations of the rest off the RREF of their
+  coordinate rows.
+* An RREF (``_rref``, for ``Subspace.from_vectors`` and ``relations``) is the
+  forward pass and one back-substitution from the last pivot up, dividing only
+  on return; given more than twice as many nonzero rows as columns, at least
+  half of them dependent, it tests each row against the rows found so far in
+  one pass instead.
+
+A ``Subspace`` stores the kernel's rows as they come out, each the primitive
+integer multiple of its unit-pivot RREF row, and ``reduce`` (membership,
+quotient coordinates) runs the same step against them.  The unit-pivot
+rational rows are built once, on the first call of ``vectors()``; a caller
+that needs only the span reads ``integer_rows()``.  ``invert`` reads its
+answer off the span of [m | I].
 """
 
 from __future__ import annotations
@@ -192,9 +194,7 @@ def _forward(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
     A pre-pass first takes every one-entry row as the pivot {c: 1} of its column
     (Andersen and Andersen 1995), the first of them at each column, and strips
     those columns from every other row: a unit pivot clears its column and
-    nothing else.  A row left empty is dependent and dropped.  K's basis, the
-    exterior center's rank test and ``relations`` pass it only the rows that
-    ``_singletons`` leaves.
+    nothing else.  A row left empty is dependent and dropped.
     """
     rows = list(rows)
     units: dict[int, dict] = {}
@@ -301,9 +301,22 @@ def _eliminate_tall(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
     return sorted(found.items())
 
 
+def _rref(rows: list[Vec], width: int) -> list[tuple[int, dict]]:
+    """The integer RREF of nonzero rows of the given width: more than 2·width of
+    them (at least half dependent) take the one-pass schedule of ``_eliminate_tall``."""
+    return _eliminate_tall(rows) if len(rows) > 2 * width else _eliminate(rows)
+
+
 def rank(m: Matrix) -> int:
     """Number of pivots of the forward pass; nothing is back-substituted."""
     return len(_forward(m.rows))
+
+
+def basis(rows: Sequence[Vec]) -> list[dict]:
+    """Independent primitive integer rows spanning rows: the rows ``_singletons``
+    takes, made primitive, then ``_forward``'s rows of the rest."""
+    taken, rest = _singletons(rows)
+    return [_primitive_copy(rows[i]) for i in taken] + [r for _, r in _forward([rows[i] for i in rest])]
 
 
 class Subspace:
@@ -329,10 +342,8 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Vec]) -> "Subspace":
-        """The span of vectors; more than 2·ambient_dim nonzero ones (at least half
-        of them dependent) take the one-pass schedule of ``_eliminate_tall``."""
-        rows = [v for v in vectors if v]
-        reduced = _eliminate_tall(rows) if len(rows) > 2 * ambient_dim else _eliminate(rows)
+        """The span of vectors, from ``_rref`` of the nonzero ones."""
+        reduced = _rref([v for v in vectors if v], ambient_dim)
         return cls(ambient_dim, [dict(sorted(r.items())) for _, r in reduced])
 
     @classmethod
@@ -418,31 +429,21 @@ def relations(vectors: Sequence[Vec]) -> Subspace:
 
 
 def _relations(vectors: Sequence[Vec]) -> Subspace:
-    """``relations`` by the kernel alone.
+    """``relations`` by the kernel alone, read off the RREF of the coordinate rows.
 
-    Tall input (more distinct coordinates than vectors): in a forward pass over
-    the rows [vᵢ | eᵢ], with the unit block past the largest coordinate, the rows
-    that lead inside the block span the relations; one small elimination of them
-    is the canonical basis.  Otherwise the coordinate rows (coordinate c holds
-    vᵢ[c] at column n-1-i) are reduced: a free index f gives the relation with
-    den_f at f and -x·den_f/q at the index p of each row holding x at f, where q
-    is that row's pivot entry at p and den_f the lcm of those q.  Its other
-    entries sit at indices beyond f, so, made primitive and sorted by f, these
-    relations are the canonical basis already.
+    Coordinate c's row holds vᵢ[c] at column n-1-i.  A free index f gives the
+    relation with den_f at f and -x·den_f/q at the index p of each row holding x
+    at f, where q is that row's pivot entry at p and den_f the lcm of those q.
+    Its other entries sit at indices beyond f, so, made primitive and sorted by
+    f, these relations are the canonical basis already.
     """
     n = len(vectors)
-    coords = set().union(*vectors)
-    if len(coords) > n:
-        off = max(coords) + 1
-        done = _forward([{**v, off + i: 1} for i, v in enumerate(vectors)])
-        null = [{c - off: x for c, x in r.items()} for lead, r in done if lead >= off]
-        return Subspace.from_vectors(n, null)
     last = n - 1
     rows: dict[int, dict] = {}
     for i, v in enumerate(vectors):
         for c, x in v.items():
             rows.setdefault(c, {})[last - i] = x
-    reduced = _eliminate(rows.values())
+    reduced = _rref(list(rows.values()), n)
     pivots = {last - l for l, _ in reduced}
     den = {f: 1 for f in range(n) if f not in pivots}
     for l, r in reduced:

@@ -13,9 +13,8 @@ The spanning set is alternating and kills repeated arguments, hence triples of
 distinct abelianization basis vectors suffice.  Coordinates of L² ⊗ L/L² are
 lexicographic (derived-basis index, generator index); the Hopf-formula oracle
 returns ker b in the same convention so subspace comparisons are literal.
-Every dimension reads only rank K, so ``psi2_image`` keeps a basis of K, the
-cycles that alone hold a coordinate and the forward pass's rows of the rest,
-and builds K's canonical basis only when ``image`` is read.
+Every dimension reads only rank K, so ``psi2_image`` keeps a basis of K and
+builds K's canonical basis only when ``image`` is read.
 ``dimensions`` is the one home of this formula and of the four dimensions
 derived from it.
 """
@@ -26,7 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .exactla import Subspace, Vec, _forward, _primitive_copy, _singletons
+from .exactla import Subspace, Vec, basis
 from .liealg import LieAlgebra, rebase_class2
 
 
@@ -35,10 +34,9 @@ class Psi2Data:
     """Image K of the trilinear Jacobi-cycle map on the abelianization.
 
     n = dim L/L² and r = dim L²; the image lives in L² ⊗ L/L² of dimension r·n.
-    rows are primitive integer rows, a basis of K: the Jacobi cycles that
-    ``_singletons`` takes out, then ``_forward``'s rows of the rest.  The basis
-    depends on both passes, so two Psi2Data are equal when n, r and the
-    canonical ``image`` are.
+    rows are independent primitive integer rows spanning K, ``exactla.basis``
+    of the Jacobi cycles.  They depend on the schedule, so two Psi2Data are
+    equal when n, r and the canonical ``image`` are.
     """
 
     n: int
@@ -67,8 +65,6 @@ def psi2_image(a: LieAlgebra, rel2: Subspace | None = None) -> Psi2Data:
     builds, so K's coordinates depend on that choice of basis of L² while its
     dimension does not.  The coordinates are read off the basis contract:
     generator g is coordinate g and derived basis vector s is coordinate n + s.
-    A cycle that alone holds a coordinate is independent of the others, so it
-    joins the basis as it is, made primitive; only the rest are eliminated.
     """
     if rel2 is None:
         a, rel2, _ = rebase_class2(a)
@@ -87,9 +83,7 @@ def psi2_image(a: LieAlgebra, rel2: Subspace | None = None) -> Psi2Data:
             v[off + g1] = x
         if v:
             gens.append(v)
-    taken, rest = _singletons(gens)
-    rows = [_primitive_copy(gens[i]) for i in taken]
-    return Psi2Data(n, r, rows + [row for _, row in _forward([gens[i] for i in rest])])
+    return Psi2Data(n, r, basis(gens))
 
 
 def square_dim(n: int) -> int:

@@ -22,10 +22,9 @@ class Analysis:
     returns, which K and the presentation both take; center is Z(L) in the
     input's own coordinates, the one rebase_class2 computed for its class-2
     certificate, so capability evidence reads in those coordinates.  r and
-    n are read off K, which holds a basis of K (the cycles the pre-pass takes
-    out and the forward rows of the rest); its canonical basis is built only
-    if read.  Built afresh per call and passed down; never cached
-    on the algebra.
+    n are read off K, which holds a basis of K; its canonical basis is built
+    only if read.  Built afresh per call and passed down; never cached on the
+    algebra.
     """
 
     algebra: LieAlgebra

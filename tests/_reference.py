@@ -17,7 +17,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 from ghlie.closed_forms import _displays_t0, _displays_t9, _int, _suspect_reason, _validate
-from ghlie.exactla import Subspace, _forward, _primitive_copy, _relations, _singletons, relations
+from ghlie.exactla import Subspace, _forward, _primitive_copy, _relations, _singletons, basis, relations
 from ghlie.liealg import LieAlgebra, class2_from_relations, random_relation_subspace
 
 
@@ -76,8 +76,9 @@ def assert_prepass_agrees(rows: list[dict]) -> tuple[list[int], list[int]]:
 
     The positions split into taken nonzero rows and the rest, in order, where no
     column is held by exactly one nonzero row.  The taken rows, made primitive,
-    and the forward rows of the rest are independent and span the rows, and
-    ``relations`` is the kernel's, row for row and key for key.  rows are not mutated.
+    and the forward rows of the rest are ``basis``, independent and spanning the
+    rows, and ``relations`` is the kernel's, row for row and key for key.  rows
+    are not mutated.
     """
     before = copy.deepcopy(rows)
     taken, rest = _singletons(rows)
@@ -85,9 +86,10 @@ def assert_prepass_agrees(rows: list[dict]) -> tuple[list[int], list[int]]:
     assert all(rows[i] for i in taken)
     assert 1 not in Counter(itertools.chain.from_iterable(rows[i] for i in rest)).values()
     cols = max(set().union(*rows), default=-1) + 1
-    basis = [_primitive_copy(rows[i]) for i in taken] + kernel_basis([rows[i] for i in rest])
-    assert len(basis) == kernel_rank(rows) == kernel_rank(basis)
-    assert Subspace.from_vectors(cols, basis) == Subspace.from_vectors(cols, rows)
+    spanning = [_primitive_copy(rows[i]) for i in taken] + kernel_basis([rows[i] for i in rest])
+    assert basis(rows) == spanning
+    assert len(spanning) == kernel_rank(rows) == kernel_rank(spanning)
+    assert Subspace.from_vectors(cols, spanning) == Subspace.from_vectors(cols, rows)
     got, want = relations(rows), kernel_relations(rows)
     assert got == want == _relations(rows)
     assert [list(r.items()) for r in got.integer_rows()] == [list(r.items()) for r in want.integer_rows()]

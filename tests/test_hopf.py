@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ghlie import exactla, hopf, multiplier
+from ghlie import exactla, hopf
 from ghlie.exactla import Matrix, Subspace, rank, relations, vec_axpy
 from ghlie.fixtures import canonical_gh, grid_cases, seeded_gh, with_abelian_part
 from ghlie.liealg import (
@@ -498,10 +498,10 @@ def test_ker_beta_certificate_matches_the_canonical_basis():
     assert verdicts[True] >= 100 and verdicts[False] >= 100
 
 
-def test_exterior_center_rank_test_matches_relations(monkeypatch):
-    # at full rank exterior_center answers 0 without building relations; the
-    # answer is relations' on the same vectors (the rank test switched off) and
-    # the per-call reference's, on capable inputs such as H(1)⊕A(1) and on the
+def test_exterior_center_matches_the_kernel_and_the_per_call_reference(monkeypatch):
+    # exterior_center is relations among its vectors; the answer is the same
+    # with the column-singleton pre-pass switched off (no row taken) and is the
+    # per-call reference's, on capable inputs such as H(1)⊕A(1) and on the
     # non-capable H(2), H(3), H(2)⊕A(1) and A(1)
     ec_dims = {"H(2)": (heisenberg(2), 1), "H(3)": (heisenberg(3), 1),
                "H(2)+A(1)": (direct_sum(heisenberg(2), abelian(1)), 1), "A(1)": (abelian(1), 1),
@@ -512,24 +512,13 @@ def test_exterior_center_rank_test_matches_relations(monkeypatch):
     dense = [heisenberg(2), abelian(1), direct_sum(heisenberg(1), abelian(1)), seeded_gh(4, 1, 0),
              with_abelian_part(seeded_gh(3, 1, 0), 2)]
     inputs += [rational_basis(a, s) for s, a in enumerate(dense)]
-    built = []
-    real = hopf.relations
-
-    def spy(vectors):
-        built.append(len(vectors))
-        return real(vectors)
-
-    monkeypatch.setattr(hopf, "relations", spy)
     paths = {True: 0, False: 0}
     for a in inputs:
         p = presentation_from_class2(a)
-        built.clear()
         got = exterior_center(p)
-        assert bool(built) == (got.dim > 0)  # relations runs exactly when there is one
         paths[got.dim == 0] += 1
-        with monkeypatch.context() as m:  # the rank test switched off: no row taken, no pivot
-            m.setattr(hopf, "_singletons", lambda rows: ([], list(range(len(rows)))))
-            m.setattr(hopf, "_forward", lambda rows: [])
+        with monkeypatch.context() as m:  # the pre-pass switched off: no row taken
+            m.setattr(exactla, "_singletons", lambda rows: ([], list(range(len(rows)))))
             assert got == exterior_center(p) == _reference_exterior_center(p)
     for name, (a, dim) in ec_dims.items():
         assert exterior_center(presentation_from_class2(a)).dim == dim, name
@@ -537,10 +526,13 @@ def test_exterior_center_rank_test_matches_relations(monkeypatch):
 
 
 def test_column_singleton_prepass_matches_the_kernel_on_the_engine_inputs(monkeypatch):
-    # every list the pre-pass reads in an analysis with the oracle, recorded as
-    # its callers hold it: the Jacobi cycles (psi2_image), the exterior-center
-    # vectors (its rank test) and the inputs of relations (the center's
-    # ad-vectors and rel2 in the rebase), each checked against the kernel alone
+    # every list the pre-pass reads in an analysis with the oracle and in a
+    # cover's verification, recorded as its callers hold it: the Jacobi cycles
+    # (K's basis) and the inputs of relations (the exterior-center vectors, the
+    # center's ad-vectors and rel2 in the rebase), each checked against the
+    # kernel alone.  A cover's center is a tall input of relations: it has more
+    # than twice as many coordinates as vectors, so its coordinate rows take
+    # the one-pass RREF.
     inputs = [c.build() for c in grid_cases((3, 4, 5, 6), (1, 2, 3), (0, 1, 2), 5)]
     inputs += [seeded_gh(d, k, s) for d in range(3, 13) for k in range(4) if k < d * (d - 1) // 2
                for s in range(2 if d <= 8 else 1)]
@@ -548,18 +540,28 @@ def test_column_singleton_prepass_matches_the_kernel_on_the_engine_inputs(monkey
     dense = [seeded_gh(4, 1, 0), seeded_gh(5, 2, 2), random_class2(4, 3), heisenberg(2),
              with_abelian_part(seeded_gh(3, 1, 0), 2)]
     inputs += [rational_basis(a, s) for s, a in enumerate(dense)]
-    seen = {"multiplier": [], "hopf": [], "exactla": []}
-    for name, module in (("multiplier", multiplier), ("hopf", hopf), ("exactla", exactla)):
-        def recording(rows, real=module._singletons, into=seen[name]):
-            into.append(rows)
-            return real(rows)
-        monkeypatch.setattr(module, "_singletons", recording)
+    covered = [seeded_gh(d, 1, 0) for d in range(4, 8)]
+    covered += [rational_basis(seeded_gh(4, 1, 0), 0), rational_basis(seeded_gh(5, 2, 2), 1)]
+    seen = []
+
+    def recording(rows, real=exactla._singletons):
+        seen.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(exactla, "_singletons", recording)
     for a in inputs:
         analyze(a, with_oracle=True)
+    analyses = len(seen)
+    for a in covered:
+        cover = cover_construct(presentation_from_class2(a))
+        assert verify_cover(a, cover.algebra, cover.central_ideal).ok
     monkeypatch.undo()
-    assert len(seen["multiplier"]) == len(seen["hopf"]) == len(inputs) >= 250
+    # each analysis reads K's basis, the exterior center, rel2 and the center
+    assert analyses >= 4 * len(inputs) and len(inputs) >= 250
+    tall = sum(len(set().union(*rows)) > 2 * len(rows) >= 50 for rows in seen[analyses:])
+    assert tall >= len(covered)
     partial = 0
-    for rows in itertools.chain(*seen.values()):
+    for rows in seen:
         taken, rest = assert_prepass_agrees(rows)
         partial += bool(taken) and any(rows[i] for i in rest)
     assert partial  # some lists leave rows for the kernel beside the taken ones

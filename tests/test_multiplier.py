@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ghlie import hopf, liealg, multiplier, report
+from ghlie import exactla, hopf, liealg, multiplier, report
 from ghlie.exactla import Matrix, Subspace, vec_axpy
 from ghlie.exactla import rank as mat_rank
 from ghlie.fixtures import canonical_gh, grid_cases, seeded_gh, with_abelian_part
@@ -192,13 +192,13 @@ def test_jacobi_cycles_match_the_per_triple_reference(monkeypatch):
     inputs += [rational_basis(a, s) for s, a in enumerate(dense)]
     assert len(inputs) >= 300
     seen = []
-    singletons = multiplier._singletons
+    singletons = exactla._singletons
 
     def recording(rows):
         seen.append(rows)
         return singletons(rows)
 
-    monkeypatch.setattr(multiplier, "_singletons", recording)
+    monkeypatch.setattr(exactla, "_singletons", recording)
     fractions = 0
     for a in inputs:
         b, rel2, _ = rebase_class2(a)
