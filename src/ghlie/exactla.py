@@ -224,7 +224,7 @@ def _forward(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
     while heap:
         lead = heappop(heap)
         bucket = buckets.pop(lead)
-        if len(bucket) == 1:
+        if len(bucket) == 1:  # most buckets hold one row; skipping the scan pays
             pivot = bucket.pop()
         else:
             k, n = 0, len(bucket[0])
@@ -280,8 +280,6 @@ def _eliminate_tall(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
     """
     found: dict[int, dict] = {}
     for r in rows:
-        if not r:
-            continue
         u = _primitive_copy(r)
         for p in [p for p in u if p in found]:
             _cross_eliminate(u, u[p], found[p], found[p][p])

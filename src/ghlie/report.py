@@ -118,6 +118,13 @@ def analyze(
     beyond class 2.  With the oracle, ker β = K (Thm 1.3) is checked by
     ``hopf.ker_beta_agrees`` when check_ker_beta is set, by default when the
     presentation has at most 6 generators.
+
+    Every refuted verdict is appended to unexpected_mismatches by one helper,
+    as a record {key, theorem, printed, computed}: the dimension or check
+    (m_L, wedge, tensor, j2, psi2_rank, capable, ker_beta), the statement
+    refuted ("Hopf oracle" for the oracle's m_L and wedge), the value the
+    statement or the oracle gives, and the multiplier route's value.  Prop
+    2.2(ii)'s record alone puts computed before printed.
     """
     ctx = Analysis.of(a)
     dims = dimensions(ctx.k)
@@ -130,6 +137,9 @@ def analyze(
     defect = d * (d - 1) // 2 - r
     report = DimReport(d=d, rank=r, defect=defect, t=t, provenance=provenance, dims=dims)
 
+    def refute(key, theorem, **values):
+        report.unexpected_mismatches.append({"key": key, "theorem": theorem, **values})
+
     # The printed displays cover GH(d, d(d-1)/2 - defect) ⊕ A(t), defect 1..3.
     # Prop 2.2 pins the Heisenberg part's Jacobi-cycle rank (an abelian
     # summand adds exactly r·t): C(d,3), or C(d,3) - 1 on the deficient
@@ -140,19 +150,9 @@ def analyze(
         if defect == 3 and psi2_core == full - 1:
             report.variant = "deficient"
         elif defect == 3 and psi2_core != full:
-            report.unexpected_mismatches.append({
-                "key": "psi2_rank",
-                "theorem": "Prop 2.2(ii)",
-                "computed": psi2_core,
-                "printed": f"{full} or {full - 1}",
-            })
+            refute("psi2_rank", "Prop 2.2(ii)", computed=psi2_core, printed=f"{full} or {full - 1}")
         elif t > 0 and psi2_core != full:
-            report.unexpected_mismatches.append({
-                "key": "psi2_rank",
-                "theorem": "Prop 2.2(i)",
-                "printed": full,
-                "computed": psi2_core,
-            })
+            refute("psi2_rank", "Prop 2.2(i)", printed=full, computed=psi2_core)
         predicted = closed_form_eval(d, t, defect, report.variant)
         report.predicted = {
             k: p for k, p in predicted.items() if include_suspect or not p.suspect
@@ -162,64 +162,40 @@ def analyze(
         p = report.predicted.get(key)
         if p is None:
             report.flags[key] = "no_prediction"
-            continue
-        if value == p.value:
+        elif value == p.value:
             report.flags[key] = "match"
-        else:
-            record = {
+        elif p.suspect:
+            report.flags[key] = "expected_mismatch"
+            report.expected_mismatches.append({
                 "key": key, "theorem": p.theorem,
-                "printed": p.value, "computed": value,
-            }
-            if p.suspect:
-                record["reason"] = p.reason
-                report.flags[key] = "expected_mismatch"
-                report.expected_mismatches.append(record)
-            else:
-                report.flags[key] = "mismatch"
-                report.unexpected_mismatches.append(record)
+                "printed": p.value, "computed": value, "reason": p.reason,
+            })
+        else:
+            report.flags[key] = "mismatch"
+            refute(key, p.theorem, printed=p.value, computed=value)
 
     pres = ctx.presentation
     ec = hopf.exterior_center(pres)
     report.capable = ec.dim == 0
     if r and defect in (1, 2) and not report.capable:
-        report.unexpected_mismatches.append({
-            "key": "capable",
-            "theorem": "Thm 2.4" if t == 0 else "Cor 2.5",
-            "printed": True,
-            "computed": False,
-        })
+        refute("capable", "Thm 2.4" if t == 0 else "Cor 2.5", printed=True, computed=False)
 
     if with_oracle:
-        oracle_m = hopf.hopf_multiplier_dim(pres)
-        oracle_wedge = hopf.exterior_square_oracle(pres)
         report.oracle = {
-            "m_L": oracle_m,
-            "wedge": oracle_wedge,
+            "m_L": hopf.hopf_multiplier_dim(pres),
+            "wedge": hopf.exterior_square_oracle(pres),
             "exterior_center_dim": ec.dim,
         }
-        for key, ours, theirs in (
-            ("m_L", dims["m_L"], oracle_m),
-            ("wedge", dims["wedge"], oracle_wedge),
-        ):
-            if ours != theirs:
-                report.unexpected_mismatches.append({
-                    "key": key,
-                    "theorem": "Hopf oracle",
-                    "printed": theirs,
-                    "computed": ours,
-                })
+        for key in ("m_L", "wedge"):
+            if dims[key] != report.oracle[key]:
+                refute(key, "Hopf oracle", printed=report.oracle[key], computed=dims[key])
         if check_ker_beta is None:
             check_ker_beta = pres.hall.d <= 6
         if check_ker_beta:
             kb_dim, agree = hopf.ker_beta_agrees(pres, ctx.k.rows)
             report.oracle["ker_beta_matches"] = agree
             if not agree:
-                report.unexpected_mismatches.append({
-                    "key": "ker_beta",
-                    "theorem": "Thm 1.3",
-                    "printed": kb_dim,
-                    "computed": ctx.k.rank,
-                })
+                refute("ker_beta", "Thm 1.3", printed=kb_dim, computed=ctx.k.rank)
     return report
 
 

@@ -15,12 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghlie import cli, closed_forms, docio, hopf
+from ghlie import cli, closed_forms, docio, hopf, report
 from ghlie.cli import main
-from ghlie.exactla import Matrix
+from ghlie.exactla import Matrix, Subspace
 from ghlie.exactla import rank as mat_rank
 from ghlie.fixtures import canonical_gh, grid_cases, seeded_gh
 from ghlie.liealg import LieAlgebra, abelian, change_of_basis, direct_sum, heisenberg, jacobi_check
+from ghlie.multiplier import Psi2Data
+from ghlie.report import analyze
 from ghlie.sweep import SweepConfig, run_case
 
 from _reference import random_class2
@@ -566,6 +568,80 @@ def test_analyze_unexpected_mismatch_exits_5(ws, capsys, monkeypatch):
     rep = json.loads(capsys.readouterr().out)
     assert [m["key"] for m in rep["unexpected_mismatches"]] == ["j2"]
     assert rep["match"] is False
+
+
+def _drop_k_rows(count):
+    # K's basis rows less the last count: a wrong Jacobi-cycle rank
+    def wrap(psi2_image):
+        def dropped(*args):
+            k = psi2_image(*args)
+            return Psi2Data(k.n, k.r, k.rows[:-count])
+        return dropped
+    return wrap
+
+
+_NONZERO_EXTERIOR_CENTER = (hopf, "exterior_center", lambda f: lambda p: Subspace(1, [{0: 1}]))
+_GH41_T1 = direct_sum(canonical_gh(4, 1), abelian(1))
+
+
+def _rec(key, theorem, printed, computed):
+    return {"key": key, "theorem": theorem, "printed": printed, "computed": computed}
+
+
+@pytest.mark.parametrize("a, patches, records, mismatched, agree", [
+    pytest.param(  # Prop 2.2(i): t = 1, one row of K dropped
+        _GH41_T1, [(report, "psi2_image", _drop_k_rows(1))],
+        [_rec("psi2_rank", "Prop 2.2(i)", 4, 3),
+         _rec("m_L", "Thm 2.9(i)", 21, 22), _rec("wedge", "Thm 2.9(i)", 26, 27),
+         _rec("m_L", "Hopf oracle", 21, 22), _rec("wedge", "Hopf oracle", 26, 27),
+         _rec("ker_beta", "Thm 1.3", 9, 8)],
+        ("m_L", "wedge"), False, id="prop-2.2-i"),
+    pytest.param(  # Prop 2.2(ii): defect 3, t = 0, two rows of K dropped; its record
+        # puts computed before printed, and the psi2_rank display refutes the
+        # same wrong rank a second time
+        canonical_gh(4, 3), [(report, "psi2_image", _drop_k_rows(2))],
+        [{"key": "psi2_rank", "theorem": "Prop 2.2(ii)", "computed": 2, "printed": "4 or 3"},
+         _rec("m_L", "Thm 2.3(iii)", 11, 13), _rec("wedge", "Thm 2.7(iii)", 14, 16),
+         _rec("tensor", "Thm 2.7(iii)", 24, 26), _rec("j2", "Thm 2.7(iii)", 21, 23),
+         _rec("psi2_rank", "Prop 2.2(ii)", 4, 2),
+         _rec("m_L", "Hopf oracle", 11, 13), _rec("wedge", "Hopf oracle", 14, 16),
+         _rec("ker_beta", "Thm 1.3", 4, 2)],
+        ("m_L", "wedge", "tensor", "j2", "psi2_rank"), False, id="prop-2.2-ii"),
+    pytest.param(
+        canonical_gh(4, 1), [_NONZERO_EXTERIOR_CENTER],
+        [_rec("capable", "Thm 2.4", True, False)], (), True, id="thm-2.4"),
+    pytest.param(
+        _GH41_T1, [_NONZERO_EXTERIOR_CENTER],
+        [_rec("capable", "Cor 2.5", True, False)], (), True, id="cor-2.5"),
+    pytest.param(
+        canonical_gh(4, 1),
+        [(hopf, "hopf_multiplier_dim", lambda f: lambda p: f(p) + 1),
+         (hopf, "exterior_square_oracle", lambda f: lambda p: f(p) - 1)],
+        [_rec("m_L", "Hopf oracle", 18, 17), _rec("wedge", "Hopf oracle", 21, 22)],
+        (), False, id="hopf-oracle"),
+    pytest.param(
+        canonical_gh(4, 1),
+        [(hopf, "ker_beta_agrees", lambda f: lambda *args: (f(*args)[0], False))],
+        [_rec("ker_beta", "Thm 1.3", 4, 4)], (), False, id="ker-beta"),
+])
+def test_every_unexpected_mismatch_verdict(ws, capsys, monkeypatch, a, patches, records, mismatched, agree):
+    # each verdict branch of analyze, forced on a small input: the exact
+    # records (key order included), the flags of the honest run with only the
+    # refuted displays flipped, and the CLI's exit codes on a document
+    honest = analyze(a, with_oracle=True)
+    assert honest.match
+    for module, name, wrap in patches:
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    rep = analyze(a, with_oracle=True)
+    assert [list(r.items()) for r in rep.unexpected_mismatches] == [list(r.items()) for r in records]
+    assert rep.match is False
+    assert rep.flags == {**honest.flags, **{key: "mismatch" for key in mismatched}}
+    docio.write_document("lie.json", a)
+    assert main(["analyze", "lie.json", "--oracle"]) == 5
+    out = json.loads(capsys.readouterr().out)
+    assert [list(r.items()) for r in out["unexpected_mismatches"]] == [list(r.items()) for r in records]
+    assert main(["oracle-compare", "lie.json"]) == (0 if agree else 5)
+    assert json.loads(capsys.readouterr().out)["agree"] is agree
 
 
 @pytest.mark.parametrize("a, meta, key", [
