@@ -12,10 +12,12 @@ and the exterior center, ker β and the cover F/[R,F] are all finite linear
 algebra in the graded coordinates.  Truncation at class 3 is sound because
 [R,F] already contains F⁴-terms' sources: for a class-2 target every bracket
 of interest lands in grade <= 3.  The β images [lift_s, x_g] mod [R,F], read
-by both the exterior center and ker β, are built once per presentation.
-``analyze`` asks only whether ker β is K, and ``ker_beta_agrees`` answers by
-certificate from any basis of K: its rows lie in ker β, and dim ker β = dim K.
-It reads only the exterior center's dimension.
+by both the exterior center and ker β, are built once per presentation as
+integer rows, each D times its image for one D, the lcm of [R,F]'s pivot
+entries: a common scale changes no rank and no relation, so only the cover's
+table divides by D.  ``analyze`` asks only whether ker β is K, and
+``ker_beta_agrees`` answers by certificate from any basis of K: its rows lie
+in ker β, and dim ker β = dim K.  It reads only the exterior center's dimension.
 
 Hall conventions (fixed so signs are reproducible bit for bit):
   * generators x_1 < ... < x_d (0-based internally);
@@ -39,7 +41,7 @@ import itertools
 from dataclasses import dataclass, field
 from math import lcm
 
-from .exactla import Subspace, Vec, _forward, _ratio, relations
+from .exactla import Subspace, Vec, _forward, _ratio, relations, vec_axpy
 from .liealg import (
     LieAlgebra,
     bracket_vectors,
@@ -109,7 +111,8 @@ class FreePresentation:
     derived basis vector of the target: the unit wedge vector at rel2's s-th
     complement coordinate, whose bracket it is.  The triple images mod [R,F]
     and the β images are built on first use (see ``_triple_images`` and
-    ``_beta_images``) and kept with the presentation.
+    ``_beta_images``) and kept with the presentation, as integer rows over
+    the one D of ``_triple_images``.
     """
 
     hall: HallBasis
@@ -117,7 +120,7 @@ class FreePresentation:
     rel_bracket_span: Subspace
     lifts: list[Vec]
     target: LieAlgebra
-    _images: list[tuple[int, Vec]] | None = field(default=None, init=False, compare=False, repr=False)
+    _images: tuple[int, list[Vec]] | None = field(default=None, init=False, compare=False, repr=False)
     _beta: list[Vec] | None = field(default=None, init=False, compare=False, repr=False)
 
 
@@ -154,60 +157,51 @@ def exterior_square_oracle(p: FreePresentation) -> int:
     return p.hall.grade2_dim + p.hall.grade3_dim - p.rel_bracket_span.dim
 
 
-def _triple_images(p: FreePresentation) -> list[tuple[int, Vec]]:
-    """Entry m is (den, u) with u/den triple m mod [R,F] in quotient coordinates.
+def _triple_images(p: FreePresentation) -> tuple[int, list[Vec]]:
+    """(D, images): images[m] is D times triple m mod [R,F] in quotient coordinates.
 
-    Built on first use and kept with the presentation; u is an integer row.  A
-    triple off the pivots of [R,F] is a quotient basis vector, (1, unit).  At a
-    pivot it is m - row/row[m] for the row of [R,F] there, which is zero at the
-    other pivots: (row[m], -row) without m.
+    Built on first use and kept with the presentation.  D is the lcm of the
+    pivot entries of [R,F], so every image is an integer row.  A triple off
+    the pivots is a quotient basis vector, {q: D}.  At a pivot it is
+    m - row/row[m] for the row of [R,F] there, which is zero at the other
+    pivots: -row without m, times D/row[m].
     """
     if p._images is None:
         rf = p.rel_bracket_span
+        rows = rf.integer_rows()
+        den = lcm(*(row[m] for m, row in zip(rf.pivots, rows)))
         comp = rf.complement_coords()
         pos = dict(zip(comp, itertools.count()))
         images: list = [None] * rf.ambient_dim
         for q, c in enumerate(comp):
-            images[c] = (1, {q: 1})
-        for m, row in zip(rf.pivots, rf.integer_rows()):
-            images[m] = (row[m], {pos[c]: -x for c, x in row.items() if c != m})
-        p._images = images
+            images[c] = {q: den}
+        for m, row in zip(rf.pivots, rows):
+            f = -den // row[m]
+            images[m] = {pos[c]: f * x for c, x in row.items() if c != m}
+        p._images = den, images
     return p._images
 
 
-def _bracket_image(images: list[tuple[int, Vec]], terms: tuple) -> Vec:
-    """The signed sum of the one or two triple images a ``HallBasis.rule`` entry names.
-
-    Summed in integers over the lcm of the dens, then divided by ``_ratio``, so
-    an integral entry is an int.  A one-term entry has sign +1, and when its
-    den is 1 its image is the triple's own row, shared with ``images``.
+def _bracket_image(images: list[Vec], terms: tuple) -> Vec:
+    """D times the signed sum of the one or two triple images a ``HallBasis.rule``
+    entry names, an integer row.  The first term's sign is +1, so a one-term
+    entry's image is the triple's own row, shared with ``images``.
     """
-    if len(terms) == 1:
-        den, u = images[terms[0][0]]
-        return u if den == 1 else {q: _ratio(x, den) for q, x in u.items()}
-    (m1, s1), (m2, s2) = terms
-    d1, u1 = images[m1]
-    d2, u2 = images[m2]
-    den = lcm(d1, d2)
-    f1, f2 = s1 * (den // d1), s2 * (den // d2)
-    out = dict(u1) if f1 == 1 else {q: f1 * x for q, x in u1.items()}
-    for q, x in u2.items():
-        y = out.get(q, 0) + f2 * x
-        if y:
-            out[q] = y
-        else:
-            del out[q]
-    return out if den == 1 else {q: _ratio(x, den) for q, x in out.items()}
+    out = images[terms[0][0]]
+    if len(terms) == 2:
+        out = dict(out)
+        vec_axpy(out, terms[1][1], images[terms[1][0]])
+    return out
 
 
 def _beta_images(p: FreePresentation) -> list[Vec]:
-    """β on the basis: entry s·d + g is [lift_s, x_g] mod [R,F] in quotient coordinates.
+    """β on the basis: entry s·d + g is D times [lift_s, x_g] mod [R,F] in quotient coordinates.
 
-    Built on first use and kept with the presentation; entries may share their
-    dicts with ``_triple_images``, so none is mutated.
+    Built on first use and kept with the presentation; entries are integer
+    rows and may share their dicts with ``_triple_images``, so none is mutated.
     """
     if p._beta is None:
-        images, rule = _triple_images(p), p.hall.rule
+        images, rule = _triple_images(p)[1], p.hall.rule
         # each lift is a unit wedge vector, so its row of β is its pair's row of the rule
         p._beta = [_bracket_image(images, terms) for (c,) in p.lifts for terms in rule[c]]
     return p._beta
@@ -235,22 +229,19 @@ def ker_beta_agrees(p: FreePresentation, basis: list[Vec]) -> tuple[int, bool]:
     never off dim F³ - dim [R,F], which holds by construction.  The images are
     mostly repeated unit rows, which the column-singleton pre-pass seldom
     takes: of the 22,572 images of seeded_gh(36, 3, 0) it takes 35, and
-    running it first would double rank β's time (23 to 52 ms).  A row lies in
-    ker β when its image in F³, read through the Hall rule, reduces to zero
-    mod [R,F].
+    running it first would double rank β's time (23 to 52 ms).  A row x lies
+    in ker β when Σ xᵢ·βᵢ, summed in integers over the β rows, is zero.
     """
     beta = _beta_images(p)
     dim = len(beta) - len(_forward(beta))
     if dim != len(basis):
         return dim, False
-    rule = p.hall.rule
-    terms = [t for (c,) in p.lifts for t in rule[c]]  # entry s·d + g: [lift_s, x_g]
     for row in basis:
         v: Vec = {}
         for i, x in row.items():
-            for m, sign in terms[i]:
-                v[m] = v.get(m, 0) + sign * x
-        if p.rel_bracket_span.reduce({m: y for m, y in v.items() if y}):
+            for q, y in beta[i].items():
+                v[q] = v.get(q, 0) + x * y
+        if any(v.values()):
             return dim, False
     return dim, True
 
@@ -298,12 +289,12 @@ def cover_construct(p: FreePresentation) -> Cover:
     g2 = h.grade2_dim
     dim = d + g2 + len(comp3)
     table = {ij: {d + w: 1} for w, ij in enumerate(h.pairs)}
-    images = _triple_images(p)
+    den, images = _triple_images(p)
     for g in range(d):
         for w in range(g2):
             img = _bracket_image(images, h.rule[w][g])
             if img:
-                table[(g, d + w)] = {d + g2 + q: -x for q, x in img.items()}
+                table[(g, d + w)] = {d + g2 + q: _ratio(-x, den) for q, x in img.items()}
     gen_labels = list(p.target.labels[:d])
     pair_labels = [f"[{gen_labels[i]},{gen_labels[j]}]" for i, j in h.pairs]
     triple_labels = [

@@ -186,15 +186,19 @@ def lower_central_series(a: LieAlgebra, der: Subspace | None = None) -> list[Sub
 
 
 def quotient(a: LieAlgebra, ideal: Subspace) -> LieAlgebra:
-    """Quotient algebra L/ideal on the complement coordinates of the ideal."""
+    """Quotient algebra L/ideal on the complement coordinates of the ideal.
+
+    The table reads only the stored brackets of two complement coordinates.
+    """
     if ideal.ambient_dim != a.dim:
         raise ValueError("ideal lives in the wrong ambient space")
     if not all(ideal.contains_vec(w) for w in _ad_basis(_adjoint(a.dim, a.bracket), ideal.integer_rows())):
         raise NotAnIdealError("subspace is not an ideal")
     comp = ideal.complement_coords()
+    pos = dict(zip(comp, itertools.count()))
     table = {
-        (s, t): ideal.quotient_coords(a.pair(comp[s], comp[t]))
-        for s, t in itertools.combinations(range(len(comp)), 2)
+        (pos[i], pos[j]): ideal.quotient_coords(v)
+        for (i, j), v in sorted(a.bracket.items()) if i in pos and j in pos
     }
     return LieAlgebra(len(comp), [a.labels[c] for c in comp], table)
 

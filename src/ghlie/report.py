@@ -124,7 +124,9 @@ def analyze(
     (m_L, wedge, tensor, j2, psi2_rank, capable, ker_beta), the statement
     refuted ("Hopf oracle" for the oracle's m_L and wedge), the value the
     statement or the oracle gives, and the multiplier route's value.  Prop
-    2.2(ii)'s record alone puts computed before printed.
+    2.2(ii)'s record alone puts computed before printed.  A (key, theorem)
+    pair is recorded once: the defect-3 psi2_rank display restates Prop
+    2.2(ii), so its refutation adds no second record.
     """
     ctx = Analysis.of(a)
     dims = dimensions(ctx.k)
@@ -138,7 +140,8 @@ def analyze(
     report = DimReport(d=d, rank=r, defect=defect, t=t, provenance=provenance, dims=dims)
 
     def refute(key, theorem, **values):
-        report.unexpected_mismatches.append({"key": key, "theorem": theorem, **values})
+        if all((rec["key"], rec["theorem"]) != (key, theorem) for rec in report.unexpected_mismatches):
+            report.unexpected_mismatches.append({"key": key, "theorem": theorem, **values})
 
     # The printed displays cover GH(d, d(d-1)/2 - defect) ⊕ A(t), defect 1..3.
     # Prop 2.2 pins the Heisenberg part's Jacobi-cycle rank (an abelian

@@ -6,8 +6,13 @@
 pair's bracket was read once; ``kernel_rank``, ``kernel_basis`` and
 ``kernel_relations`` are the rank, basis and null space by the elimination
 kernel alone, as they were read before the column-singleton pre-pass, and
-``assert_prepass_agrees`` checks the pre-pass against them; ``reduction_check`` and ``thm29_display_at`` read the printed Thm 2.9 displays
-against their Thm 2.3/2.7 twins.
+``assert_prepass_agrees`` checks the pre-pass against them;
+``reference_triple_images``, ``reference_bracket_image``,
+``reference_beta_images`` and ``reference_ker_beta_agrees`` are the β map and
+the ker β certificate as they were before the β rows shared one denominator
+(each image divided into Fractions, each row of K mapped into F³ through the
+Hall rule and reduced mod [R,F]); ``reduction_check`` and ``thm29_display_at``
+read the printed Thm 2.9 displays against their Thm 2.3/2.7 twins.
 """
 
 import copy
@@ -15,9 +20,10 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction as F
+from math import lcm
 
 from ghlie.closed_forms import _displays_t0, _displays_t9, _int, _suspect_reason, _validate
-from ghlie.exactla import Subspace, _forward, _primitive_copy, _relations, _singletons, basis, relations
+from ghlie.exactla import Subspace, _forward, _primitive_copy, _ratio, _relations, _singletons, basis, relations
 from ghlie.liealg import LieAlgebra, class2_from_relations, random_relation_subspace
 
 
@@ -95,6 +101,66 @@ def assert_prepass_agrees(rows: list[dict]) -> tuple[list[int], list[int]]:
     assert [list(r.items()) for r in got.integer_rows()] == [list(r.items()) for r in want.integer_rows()]
     assert rows == before
     return taken, rest
+
+
+def reference_triple_images(p) -> list[tuple[int, dict]]:
+    """Entry m is (den, u) with u/den triple m mod [R,F] in quotient coordinates:
+    (1, unit) off the pivots of [R,F], (row[m], -row without m) at a pivot."""
+    rf = p.rel_bracket_span
+    comp = rf.complement_coords()
+    pos = dict(zip(comp, itertools.count()))
+    images: list = [None] * rf.ambient_dim
+    for q, c in enumerate(comp):
+        images[c] = (1, {q: 1})
+    for m, row in zip(rf.pivots, rf.integer_rows()):
+        images[m] = (row[m], {pos[c]: -x for c, x in row.items() if c != m})
+    return images
+
+
+def reference_bracket_image(images: list[tuple[int, dict]], terms: tuple) -> dict:
+    """The signed sum of the one or two triple images a Hall rule entry names,
+    summed over the lcm of their dens and divided by ``_ratio``."""
+    if len(terms) == 1:
+        den, u = images[terms[0][0]]
+        return u if den == 1 else {q: _ratio(x, den) for q, x in u.items()}
+    (m1, s1), (m2, s2) = terms
+    d1, u1 = images[m1]
+    d2, u2 = images[m2]
+    den = lcm(d1, d2)
+    f1, f2 = s1 * (den // d1), s2 * (den // d2)
+    out = dict(u1) if f1 == 1 else {q: f1 * x for q, x in u1.items()}
+    for q, x in u2.items():
+        y = out.get(q, 0) + f2 * x
+        if y:
+            out[q] = y
+        else:
+            del out[q]
+    return out if den == 1 else {q: _ratio(x, den) for q, x in out.items()}
+
+
+def reference_beta_images(p) -> list[dict]:
+    """Entry s·d + g is [lift_s, x_g] mod [R,F] in quotient coordinates, ints or Fractions."""
+    images, rule = reference_triple_images(p), p.hall.rule
+    return [reference_bracket_image(images, terms) for (c,) in p.lifts for terms in rule[c]]
+
+
+def reference_ker_beta_agrees(p, basis: list[dict]) -> tuple[int, bool]:
+    """(dim ker β, ker β == span(basis)): rank β off the Fraction β images, and
+    each row of basis mapped into F³ through the Hall rule, then reduced mod [R,F]."""
+    beta = reference_beta_images(p)
+    dim = len(beta) - len(_forward(beta))
+    if dim != len(basis):
+        return dim, False
+    rule = p.hall.rule
+    terms = [t for (c,) in p.lifts for t in rule[c]]  # entry s·d + g: [lift_s, x_g]
+    for row in basis:
+        v = {}
+        for i, x in row.items():
+            for m, sign in terms[i]:
+                v[m] = v.get(m, 0) + sign * x
+        if p.rel_bracket_span.reduce({m: y for m, y in v.items() if y}):
+            return dim, False
+    return dim, True
 
 
 def reduction_check(d: int, defect: int, variant: str = "generic") -> dict[str, bool]:

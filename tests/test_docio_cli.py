@@ -597,13 +597,12 @@ def _rec(key, theorem, printed, computed):
          _rec("ker_beta", "Thm 1.3", 9, 8)],
         ("m_L", "wedge"), False, id="prop-2.2-i"),
     pytest.param(  # Prop 2.2(ii): defect 3, t = 0, two rows of K dropped; its record
-        # puts computed before printed, and the psi2_rank display refutes the
-        # same wrong rank a second time
+        # puts computed before printed, and the psi2_rank display, which
+        # restates Prop 2.2(ii), is flagged but adds no second record
         canonical_gh(4, 3), [(report, "psi2_image", _drop_k_rows(2))],
         [{"key": "psi2_rank", "theorem": "Prop 2.2(ii)", "computed": 2, "printed": "4 or 3"},
          _rec("m_L", "Thm 2.3(iii)", 11, 13), _rec("wedge", "Thm 2.7(iii)", 14, 16),
          _rec("tensor", "Thm 2.7(iii)", 24, 26), _rec("j2", "Thm 2.7(iii)", 21, 23),
-         _rec("psi2_rank", "Prop 2.2(ii)", 4, 2),
          _rec("m_L", "Hopf oracle", 11, 13), _rec("wedge", "Hopf oracle", 14, 16),
          _rec("ker_beta", "Thm 1.3", 4, 2)],
         ("m_L", "wedge", "tensor", "j2", "psi2_rank"), False, id="prop-2.2-ii"),

@@ -43,7 +43,14 @@ from ghlie.hopf import (
 from ghlie.multiplier import dimensions, psi2_image
 from ghlie.report import analyze
 
-from _reference import assert_prepass_agrees, random_class2
+from _reference import (
+    assert_prepass_agrees,
+    random_class2,
+    reference_beta_images,
+    reference_bracket_image,
+    reference_ker_beta_agrees,
+    reference_triple_images,
+)
 
 F = Fraction
 ONE = F(1)
@@ -607,39 +614,86 @@ def _grade3_inputs():
     return inputs + [rational_basis(a, s) for s, a in enumerate(dense)]
 
 
+def _ints(v):
+    """v's entries are all ints."""
+    return all(type(x) is int for x in v.values())
+
+
 def test_beta_images_match_the_solved_lifts_reference():
     # a unit lift and the solved one differ by an element of rel2, and
     # [rel2, x_g] lies in [R,F], so the β images mod [R,F] agree; with the unit
-    # lifts they are the per-vector build's, value types included
+    # lifts each β row is D times the per-vector build's image, in ints
     inputs = _grade3_inputs()
     assert len(inputs) >= 40
     differ = fractions = 0
     for a in inputs:
         p = presentation_from_class2(a)
+        den = hopf._triple_images(p)[0]
         lifts = _reference_lifts(p)
         differ += lifts != p.lifts
-        got = [_typed(v) for v in hopf._beta_images(p)]
+        got = hopf._beta_images(p)
+        assert all(_ints(v) for v in got)
         for y in (lifts, p.lifts):
-            assert got == [_typed(_reference_image(p, w, g)) for w in y for g in range(p.hall.d)]
-        fractions += any(t is Fraction for v in got for _, t, _ in v)
+            want = [_reference_image(p, w, g) for w in y for g in range(p.hall.d)]
+            assert got == [{q: den * x for q, x in v.items()} for v in want]
+        fractions += any(type(x) is Fraction for v in want for x in v.values())
     assert differ  # the unit lifts are not the solved ones on every input
     assert fractions  # and some β images hold non-integral entries
 
 
 def test_cover_table_matches_the_per_vector_quotient_build():
-    # every grade-3 entry of cover_construct's table, and the image it is read
-    # from, against the rewrite-then-quotient_coords build of each (w, g)
+    # every grade-3 entry of cover_construct's table, and the D-scaled image it
+    # is read from, against the rewrite-then-quotient_coords build of each (w, g)
     for a in _grade3_inputs():
         p = presentation_from_class2(a)
         h = p.hall
         d, g2 = h.d, h.grade2_dim
         table = cover_construct(p).algebra.bracket
-        images = hopf._triple_images(p)
+        den, images = hopf._triple_images(p)
         for g in range(d):
             for w in range(g2):
                 want = _reference_image(p, {w: 1}, g)
-                assert _typed(hopf._bracket_image(images, h.rule[w][g])) == _typed(want), (w, g)
+                got = hopf._bracket_image(images, h.rule[w][g])
+                assert _ints(got) and got == {q: den * x for q, x in want.items()}, (w, g)
                 assert _typed(table.get((g, d + w), {})) == _typed({d + g2 + q: -x for q, x in want.items()})
+
+
+def test_integer_beta_rows_match_the_fraction_reference():
+    # on the grade-3 inputs, the default grid, seeded GH algebras at d <= 12
+    # with defect <= 3 and rational_basis inputs: each triple image and β row
+    # is D times the Fraction build's, in ints, the cover's table is the one
+    # written from the Fraction images, and the summed certificate gives the
+    # Hall-rule-and-reduce verdict on K's rows and on every K mutant
+    inputs = _grade3_inputs() + _ker_beta_inputs()
+    dens, summed = [], 0
+    for a in inputs:
+        b, rel2, _ = rebase_class2(a)
+        kd = psi2_image(b, rel2)
+        p = presentation_from_class2(b, rel2)
+        den, images = hopf._triple_images(p)
+        dens.append(den)
+        ref = reference_triple_images(p)
+        assert all(_ints(u) for u in images)
+        assert images == [{q: x * (den // e) for q, x in u.items()} for e, u in ref]
+        beta = hopf._beta_images(p)
+        assert all(_ints(v) for v in beta)
+        assert beta == [{q: den * x for q, x in v.items()} for v in reference_beta_images(p)]
+        h, d = p.hall, p.hall.d
+        off = d + h.grade2_dim
+        want = {ij: {d + w: 1} for w, ij in enumerate(h.pairs)}
+        for g in range(d):
+            for w in range(h.grade2_dim):
+                img = reference_bracket_image(ref, h.rule[w][g])
+                if img:
+                    want[(g, d + w)] = {off + q: -x for q, x in img.items()}
+        table = cover_construct(p).algebra.bracket
+        assert {k: _typed(v) for k, v in table.items()} == {k: _typed(v) for k, v in want.items()}
+        for basis in (kd.rows, *(m.integer_rows() for m in _k_mutants(kd.image))):
+            got = hopf.ker_beta_agrees(p, basis)
+            assert got == reference_ker_beta_agrees(p, basis)
+            summed += got == (len(basis), False)  # decided by the sum, not the dimension
+    assert len(inputs) >= 340 and max(dens) > 1 and dens.count(1) >= 100
+    assert summed >= 100
 
 
 def test_hall_rule_table_matches_the_reference_rewrite():

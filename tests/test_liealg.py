@@ -626,6 +626,11 @@ def _reference_quotient(a, ideal):
         for j in range(a.dim):
             if not ideal.contains_vec(bracket_vectors(a, u, {j: ONE})):
                 raise NotAnIdealError("subspace is not an ideal")
+    return _all_pairs_quotient(a, ideal)
+
+
+def _all_pairs_quotient(a, ideal):
+    """quotient's table as it was built: quotient_coords of every pair of complement coordinates."""
     comp = ideal.complement_coords()
     table = {}
     for s, t in itertools.combinations(range(len(comp)), 2):
@@ -844,3 +849,26 @@ def test_rebase_center_kernel_has_only_the_generator_columns(monkeypatch):
         # the center's kernel over the 5 generator columns, then rel2's over the 10 pairs
         assert (a.dim, cols) == (14, [5, 10])
         assert z == derived_subalgebra(a)
+
+
+from ghlie.fixtures import grid_cases  # noqa: E402
+from ghlie.sweep import SweepConfig  # noqa: E402
+
+
+def test_quotient_table_matches_the_all_pairs_build():
+    # quotient reads only the stored brackets of two complement coordinates;
+    # its table is the all-pairs build's, key order and value types too, on
+    # each unit central line of the default grid (the lines ghlie capable
+    # takes), also with each table stored in reverse order as a document may
+    # list it, and on cover/B for the cover of every grid case
+    cfg = SweepConfig()
+    grid = [c.build() for c in grid_cases(cfg.d_values, cfg.defects, cfg.t_values, cfg.seeds)]
+    cases = grid + [LieAlgebra(a.dim, a.labels, dict(reversed(a.bracket.items()))) for a in grid]
+    pairs = [(a, Subspace.from_vectors(a.dim, [{c: 1}])) for a in cases for z in [center(a)]
+             for c in range(a.dim) if z.contains_vec({c: 1})]
+    covers = [cover_construct(presentation_from_class2(a)) for a in grid]
+    pairs += [(cov.algebra, cov.central_ideal) for cov in covers]
+    for a, ideal in pairs:
+        got, want = quotient(a, ideal), _all_pairs_quotient(a, ideal)
+        assert _typed(got.bracket) == _typed(want.bracket) and got.labels == want.labels
+    assert len(grid) == 207 and len(pairs) >= 3000
