@@ -33,6 +33,6 @@ from .hopf import (
     verify_cover,
 )
 from .closed_forms import EXPECTED_MISMATCHES, closed_form_eval
-from .report import Analysis, DimReport, analyze, capability_by_quotients, classify_by_multiplier
+from .report import Analysis, DimReport, analyze, capability_by_quotients
 
 __version__ = "0.1.0"

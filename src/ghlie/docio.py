@@ -149,8 +149,3 @@ def loads(text: str) -> dict:
 def read_document(path: str) -> tuple[LieAlgebra, dict]:
     with open(path, encoding="utf-8") as f:
         return document_to_algebra(loads(f.read()))
-
-
-def write_document(path: str, a: LieAlgebra, meta: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(dumps(algebra_to_document(a, meta)))

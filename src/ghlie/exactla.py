@@ -268,34 +268,34 @@ def _eliminate(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
     return done
 
 
-def _eliminate_tall(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
-    """``_eliminate``'s pairs, for many more rows than columns: one pass per row.
+def _insert(found: dict[int, dict], r: Vec) -> None:
+    """Take row r into found, integer RREF rows by pivot (primitive, positive pivot, zero at
+    the other pivots).  r's residual against them is empty exactly when r lies in their span;
+    otherwise, primitive with a positive lead, it joins them once its lead is cleared from them."""
+    u = _primitive_copy(r)
+    for p in [p for p in u if p in found]:
+        _cross_eliminate(u, u[p], found[p], found[p][p])
+    if not u:
+        return
+    lead = min(u)
+    g = gcd(*u.values()) if u[lead] > 0 else -gcd(*u.values())  # primitive, positive lead
+    for c, x in u.items():
+        u[c] = x // g
+    q = u[lead]
+    for row in found.values():
+        a = row.get(lead)
+        if a is not None:
+            _cross_eliminate(row, a, u, q)
+            _primitive(row)
+    found[lead] = u
 
-    Rows are taken in order against the rows found so far (primitive, positive
-    pivot, zero at the other pivots).  The step clears each pivot that u holds,
-    one found row each; the residual is empty exactly when u lies in their
-    span.  Otherwise, primitive with a positive lead, it joins them once its
-    lead column is cleared from the others.  The RREF is unique, so the rows
-    are ``_eliminate``'s.
-    """
+
+def _eliminate_tall(rows: Iterable[Vec]) -> list[tuple[int, dict]]:
+    """``_eliminate``'s pairs, for many more rows than columns: each row ``_insert``-ed in
+    turn, one pass per row.  The RREF is unique, so the rows are ``_eliminate``'s."""
     found: dict[int, dict] = {}
     for r in rows:
-        u = _primitive_copy(r)
-        for p in [p for p in u if p in found]:
-            _cross_eliminate(u, u[p], found[p], found[p][p])
-        if not u:
-            continue
-        lead = min(u)
-        g = gcd(*u.values()) if u[lead] > 0 else -gcd(*u.values())  # primitive, positive lead
-        for c, x in u.items():
-            u[c] = x // g
-        q = u[lead]
-        for row in found.values():
-            a = row.get(lead)
-            if a is not None:
-                _cross_eliminate(row, a, u, q)
-                _primitive(row)
-        found[lead] = u
+        _insert(found, r)
     return sorted(found.items())
 
 

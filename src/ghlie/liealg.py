@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterator
 
-from .exactla import Subspace, Vec, invert, relations, vec, vec_axpy
+from .exactla import Subspace, Vec, _insert, _rref, invert, relations, vec, vec_axpy
 
 
 class CenterViolation(ValueError):
@@ -140,20 +140,33 @@ def derived_subalgebra(a: LieAlgebra) -> Subspace:
 def center(a: LieAlgebra, der: Subspace | None = None, central: Subspace | None = None) -> Subspace:
     """Z(L); der is L² if known, central a subspace claimed central (NotCentral if it is not).
 
-    [v, b_j] lies in L², where a vector is fixed by its entries at L²'s pivots: only those are
-    read.  The claim is checked in integers (the table scaled by its denominators' lcm); then
-    Z(L) = central + {v : [v, b_c] = 0 for all c}, v and c over central's complement coordinates.
+    The claim is checked in integers (the brackets it touches scaled by their denominators'
+    lcm) on full vectors, as central need not lie in L², and on half its pivot block: for its
+    RREF rows u_p, [u_p, e_c] for every non-pivot c and [u_p, e_q] for pivots q > p, as
+    [u_p, u_p] = 0 gives [u_p, e_p] = 0 and [u_q, u_p] = -[u_p, u_q] gives [u_q, e_p] = 0.
+    Then Z(L) = central + {v : [v, b_c] = 0 for all c}, v and c over central's complement
+    coordinates; [v, b_c] lies in L², fixed by its entries at L²'s pivots: only those are read.
     """
     n = a.dim
     piv = set((derived_subalgebra(a) if der is None else der).pivots)
     central = Subspace.zero(n) if central is None else central
-    held = {i for u in central.integer_rows() for i in u}
+    rows = central.integer_rows()
+    held = {i for u in rows for i in u}
     touching = {(i, j): w for (i, j), w in a.bracket.items() if i in held or j in held}
-    den = lcm(*(x.denominator for w in touching.values() for x in w.values()))
-    scaled = {p: {k: x.numerator * (den // x.denominator) for k, x in w.items() if k in piv}
-              for p, w in touching.items()}
-    if any(_ad_basis(_adjoint(n, scaled), central.integer_rows())):
-        raise NotCentral("the subspace claimed central is not central")
+    den = lcm(*{x.denominator for w in touching.values() for x in w.values()})
+    if den != 1:
+        touching = {p: {k: x.numerator * (den // x.denominator) for k, x in w.items()}
+                    for p, w in touching.items()}
+    if touching:  # else every [u, e_j] is zero
+        adj, claimed = _adjoint(n, touching), set(central.pivots)
+        for p, u in zip(central.pivots, rows):
+            out: dict[int, Vec] = {}
+            for i, x in u.items():
+                for j, w in adj[i].items():
+                    if j > p or j not in claimed:
+                        vec_axpy(out.setdefault(j, {}), x, w)
+            if any(out.values()):
+                raise NotCentral("the subspace claimed central is not central")
     comp = central.complement_coords()
     pos = {c: s for s, c in enumerate(comp)}
     ads: list[Vec] = [{} for _ in comp]
@@ -346,10 +359,18 @@ def change_of_basis(a: LieAlgebra, new_basis) -> LieAlgebra:
 def rebase_class2(a: LieAlgebra) -> tuple[LieAlgebra, Subspace, Subspace]:
     """Certify class <= 2 and rewrite a in the basis contract (generators, then L²).
 
-    The certificate is [L², L] = 0 read in integers (center's claim that L² is central):
-    the class check, and, as it makes every [[e_i, e_j], e_k] zero, a proof of the Jacobi
-    identity, so a table that fails Jacobi always fails it.  Only then does the O(dim³)
-    Jacobi scan run: JacobiViolation if it finds a triple, ClassTwoRequired otherwise.
+    It reads a's table scaled by the lcm of its denominators, which changes no span,
+    relation, zero test or Jacobi triple.  S is the span of the brackets [e_c, e_c'] of the
+    coordinates taken: first those no bracket value holds (never pivots of L²; on a table in
+    the normal form they give every bracket, as one RREF), then the others from the last
+    down, until every non-pivot coordinate of S is taken.  An RREF's pivots are its leftmost
+    independent columns, so in a dense basis the last n coordinates give S: C(n, 2) brackets,
+    not C(dim, 2).  Central S (center's check) is L², and class <= 2: with C the non-pivots
+    of S, L = span(e_C) ⊕ S and every [e_c, e_c'] lies in S, so [e_i, e_j] = [g_i, g_j] ∈ S
+    for g_i the span(e_C) part of e_i.  A class-2 table always passes.  Central L² makes
+    every [[e_i, e_j], e_k] zero, so a table failing Jacobi fails the check, and only a
+    rejected table gets the O(dim³) Jacobi scan, on the integer table: JacobiViolation if
+    it finds a triple, ClassTwoRequired otherwise.
 
     Returns the rebased algebra, its grade-2 relation subspace rel2 and Z(L) in a's own
     coordinates: L² plus a kernel over the generator coordinates, the complement
@@ -359,7 +380,24 @@ def rebase_class2(a: LieAlgebra) -> tuple[LieAlgebra, Subspace, Subspace]:
     rel2's s-th complement coordinate and the rebase is idempotent.  a's labels are
     permuted with the coordinates: generators, then the pivots of L².
     """
-    der = derived_subalgebra(a)
+    n = a.dim
+    den = lcm(*{x.denominator for w in a.bracket.values() for x in w.values()})
+    if den != 1:
+        a = LieAlgebra(n, a.labels, {p: {k: x.numerator * (den // x.denominator) for k, x in w.items()}
+                                     for p, w in a.bracket.items()})
+    held = set().union(*a.bracket.values())
+    taken = [c for c in range(n) if c not in held]
+    is_taken = set(taken)
+    found = dict(_rref([w for (i, j), w in a.bracket.items() if i in is_taken and j in is_taken], n))
+    for c in sorted(held, reverse=True):
+        if len(is_taken | found.keys()) == n:  # every non-pivot of S is taken
+            break
+        for b in taken:
+            if w := a.bracket.get((c, b) if c < b else (b, c)):
+                _insert(found, w)
+        taken.append(c)
+        is_taken.add(c)
+    der = Subspace(n, [dict(sorted(r.items())) for _, r in sorted(found.items())])
     try:
         z = center(a, der, der)
     except NotCentral:

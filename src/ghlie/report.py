@@ -202,28 +202,6 @@ def analyze(
     return report
 
 
-class NotGeneralizedHeisenberg(ValueError):
-    pass
-
-
-def classify_by_multiplier(a: LieAlgebra):
-    """Defect certified by (d, dim M(L)): 0, 1, 2, or "other"."""
-    ctx = Analysis.of(a)
-    # L² ⊆ Z(L) at class 2, so Z(L) = L² iff the dimensions agree.
-    if ctx.center.dim != ctx.r:
-        raise NotGeneralizedHeisenberg("input is not a generalized Heisenberg algebra")
-    d = ctx.n
-    m = dimensions(ctx.k)["m_L"]
-    base = d * (d - 1) * (d + 1) // 3
-    if m == (d ** 3 - d) // 3:
-        return 0
-    if m == base - d + 1:
-        return 1
-    if m == base - 2 * d + 2:
-        return 2
-    return "other"
-
-
 @dataclass
 class QuotientEvidence:
     line: Vec

@@ -12,7 +12,12 @@ kernel alone, as they were read before the column-singleton pre-pass, and
 the ker β certificate as they were before the β rows shared one denominator
 (each image divided into Fractions, each row of K mapped into F³ through the
 Hall rule and reduced mod [R,F]); ``reduction_check`` and ``thm29_display_at``
-read the printed Thm 2.9 displays against their Thm 2.3/2.7 twins.
+read the printed Thm 2.9 displays against their Thm 2.3/2.7 twins;
+``reference_center`` and ``reference_rebase_class2`` are center and the rebase
+as they were before L² came from the generators' brackets (L² from all
+C(dim, 2) brackets, the claim that it is central read at its pivots only, the
+Jacobi scan on the table as given); ``classify_by_multiplier`` reads the defect
+off (d, dim M(L)), and ``write_document`` writes an algebra as a JSON document.
 """
 
 import copy
@@ -23,8 +28,23 @@ from fractions import Fraction as F
 from math import lcm
 
 from ghlie.closed_forms import _displays_t0, _displays_t9, _int, _suspect_reason, _validate
+from ghlie.docio import algebra_to_document, dumps
 from ghlie.exactla import Subspace, _forward, _primitive_copy, _ratio, _relations, _singletons, basis, relations
-from ghlie.liealg import LieAlgebra, class2_from_relations, random_relation_subspace
+from ghlie.liealg import (
+    ClassTwoRequired,
+    JacobiViolation,
+    LieAlgebra,
+    NotCentral,
+    _ad_basis,
+    _adjoint,
+    class2_from_relations,
+    derived_subalgebra,
+    jacobi_check,
+    random_relation_subspace,
+    wedge_pairs,
+)
+from ghlie.multiplier import dimensions
+from ghlie.report import Analysis
 
 
 def random_class2(d: int, seed: int) -> LieAlgebra:
@@ -179,3 +199,79 @@ def thm29_display_at(d: int, t: int, defect: int, variant: str = "generic") -> d
     """The Thm 2.9 display family evaluated verbatim at any t, including 0."""
     _validate(d, defect, variant)
     return {k: _int(v) for k, (v, _) in _displays_t9(F(d), F(t), defect, variant).items()}
+
+
+def reference_center(a: LieAlgebra, der: Subspace | None = None, central: Subspace | None = None) -> Subspace:
+    """center as it was: the claim that central is central read only at L²'s pivots
+    (sound only when central lies in L²), every row against every coordinate."""
+    n = a.dim
+    piv = set((derived_subalgebra(a) if der is None else der).pivots)
+    central = Subspace.zero(n) if central is None else central
+    held = {i for u in central.integer_rows() for i in u}
+    touching = {(i, j): w for (i, j), w in a.bracket.items() if i in held or j in held}
+    den = lcm(*(x.denominator for w in touching.values() for x in w.values()))
+    scaled = {p: {k: x.numerator * (den // x.denominator) for k, x in w.items() if k in piv}
+              for p, w in touching.items()}
+    if any(_ad_basis(_adjoint(n, scaled), central.integer_rows())):
+        raise NotCentral("the subspace claimed central is not central")
+    comp = central.complement_coords()
+    pos = {c: s for s, c in enumerate(comp)}
+    ads: list[dict] = [{} for _ in comp]
+    for (i, j), w in a.bracket.items():
+        if i in pos and j in pos:
+            ad_i, ad_j = ads[pos[i]], ads[pos[j]]
+            for k, x in w.items():
+                if k in piv:
+                    ad_i[j * n + k] = x
+                    ad_j[i * n + k] = -x
+    ker = relations(ads)
+    if not (central.dim and ker.dim):
+        return central if central.dim else ker
+    lifted = [{comp[s]: x for s, x in r.items()} for r in ker.integer_rows()]
+    return Subspace.from_vectors(n, central.integer_rows() + lifted)
+
+
+def reference_rebase_class2(a: LieAlgebra):
+    """rebase_class2 as it was: L² = derived_subalgebra(a), the span of all C(dim, 2)
+    brackets, certified central by reference_center, the Jacobi scan on a's own table."""
+    der = derived_subalgebra(a)
+    try:
+        z = reference_center(a, der, der)
+    except NotCentral:
+        bad = jacobi_check(a)
+        if bad:
+            raise JacobiViolation(bad) from None
+        raise ClassTwoRequired("input must be nilpotent of class at most 2") from None
+    gens = der.complement_coords()
+    pairs = wedge_pairs(len(gens))
+    piv = set(der.pivots)
+    rel2 = relations([{p: x for p, x in a.pair(gens[i], gens[j]).items() if p in piv} for i, j in pairs])
+    labels = [a.labels[g] for g in gens] + [a.labels[p] for p in der.pivots]
+    return class2_from_relations(len(gens), rel2, labels), rel2, z
+
+
+class NotGeneralizedHeisenberg(ValueError):
+    pass
+
+
+def classify_by_multiplier(a: LieAlgebra):
+    """Defect certified by (d, dim M(L)): 0, 1, 2, or "other"."""
+    ctx = Analysis.of(a)
+    # L² ⊆ Z(L) at class 2, so Z(L) = L² iff the dimensions agree.
+    if ctx.center.dim != ctx.r:
+        raise NotGeneralizedHeisenberg("input is not a generalized Heisenberg algebra")
+    d = ctx.n
+    m = dimensions(ctx.k)["m_L"]
+    base = d * (d - 1) * (d + 1) // 3
+    if m == (d ** 3 - d) // 3:
+        return 0
+    if m == base - d + 1:
+        return 1
+    if m == base - 2 * d + 2:
+        return 2
+    return "other"
+
+
+def write_document(path: str, a: LieAlgebra, meta: dict | None = None) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(dumps(algebra_to_document(a, meta)))

@@ -25,7 +25,7 @@ from ghlie.multiplier import Psi2Data
 from ghlie.report import analyze
 from ghlie.sweep import SweepConfig, run_case
 
-from _reference import random_class2
+from _reference import random_class2, write_document
 
 
 # --- document round trips -------------------------------------------------------
@@ -478,7 +478,7 @@ def test_cover_of_heisenberg1(ws, capsys):
 ])
 def test_cover_of_abelian_and_sums_exits_0(ws, capsys, a, m_l, cls):
     # the cover of A(n) is free of class min(n, 2), not of class 3
-    docio.write_document("l.json", a)
+    write_document("l.json", a)
     assert main(["cover", "l.json", "--out", "c.json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] and report["class"] == cls and report["multiplier"] == m_l
@@ -487,7 +487,7 @@ def test_cover_of_abelian_and_sums_exits_0(ws, capsys, a, m_l, cls):
 
 
 def test_zero_algebra(ws, capsys):
-    docio.write_document("z.json", abelian(0))
+    write_document("z.json", abelian(0))
     assert main(["analyze", "z.json", "--oracle"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert set(rep["dims"].values()) == {0} and rep["oracle"]["m_L"] == 0
@@ -517,7 +517,7 @@ def test_oracle_compare_cli(ws, capsys):
 
 def test_oracle_compare_checks_ker_beta_beyond_six_generators(ws, capsys):
     # d + t = 7, past analyze's default cut for ker β: oracle-compare still runs it
-    docio.write_document("g7.json", seeded_gh(7, 1, 0))
+    write_document("g7.json", seeded_gh(7, 1, 0))
     assert main(["oracle-compare", "g7.json"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["ker_beta_matches"] is True and rep["agree"] is True
@@ -635,7 +635,7 @@ def test_every_unexpected_mismatch_verdict(ws, capsys, monkeypatch, a, patches, 
     assert [list(r.items()) for r in rep.unexpected_mismatches] == [list(r.items()) for r in records]
     assert rep.match is False
     assert rep.flags == {**honest.flags, **{key: "mismatch" for key in mismatched}}
-    docio.write_document("lie.json", a)
+    write_document("lie.json", a)
     assert main(["analyze", "lie.json", "--oracle"]) == 5
     out = json.loads(capsys.readouterr().out)
     assert [list(r.items()) for r in out["unexpected_mismatches"]] == [list(r.items()) for r in records]
@@ -653,7 +653,7 @@ def test_every_unexpected_mismatch_verdict(ws, capsys, monkeypatch, a, patches, 
 def test_analyze_meta_contradicting_the_algebra_exits_2(ws, capsys, a, meta, key):
     # meta pins only d; a defect, t or variant that disagrees with the values
     # derived from the algebra is an input error, raised before any output
-    docio.write_document("lie.json", a, meta)
+    write_document("lie.json", a, meta)
     assert main(["analyze", "lie.json", "--oracle"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: meta {key}"), err
@@ -718,10 +718,9 @@ def test_gen_with_explicit_kill_relations(ws, capsys):
 
 
 def test_analyze_without_meta_uses_intrinsic_context(ws, capsys):
-    from ghlie import docio
     from ghlie.fixtures import canonical_gh
 
-    docio.write_document("plain.json", canonical_gh(4, 2))
+    write_document("plain.json", canonical_gh(4, 2))
     assert main(["analyze", "plain.json"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["d"] == 4 and rep["defect"] == 2 and rep["t"] == 0
@@ -805,7 +804,7 @@ def test_sweep_descending_range_names_the_option(ws, capsys, option):
 @pytest.mark.parametrize("text", ["1_0", " 3", "3 ", "+3", "\u0664", "\uff13", "0x3", "3.0", ""])
 def test_integer_options_take_ascii_decimals_only(ws, capsys, argv, option, text):
     # int() reads the first five: "--n 1_0" used to build A(10), "--d ٤" d = 4
-    docio.write_document("h.json", heisenberg(1))
+    write_document("h.json", heisenberg(1))
     with pytest.raises(SystemExit) as exc:
         main([x.format(text) for x in argv] + (["--out", "g.json"] if argv[0] == "gen" else []))
     assert exc.value.code == 2
@@ -867,7 +866,7 @@ def test_negative_counts_exit_2(ws, capsys):
         run_sweep(SweepConfig(d_values=(3,), defects=(1,), t_values=(0, -1), seeds=0, jobs=1))
     assert main(["sweep", "--d", "3", "--defect", "1", "--t", "-1", "--seeds", "0"]) == 2
     assert capsys.readouterr().err == "error: t_values must be nonnegative, got [-1]\n"
-    docio.write_document("h2.json", heisenberg(2))
+    write_document("h2.json", heisenberg(2))
     assert main(["capable", "h2.json", "--random-lines", "-1"]) == 2
     assert capsys.readouterr().err == "error: the number of random lines must be nonnegative, got -1\n"
     # zero stays a valid count
@@ -945,7 +944,7 @@ def test_jacobi_scan_only_on_rejected_input_matches_full_scan(ws, capsys):
     # before each command: exit 4 if it finds a triple, else the command's own result
     codes = set()
     for seed in range(24):
-        docio.write_document("t.json", _cli_table(seed))
+        write_document("t.json", _cli_table(seed))
         bad = jacobi_check(docio.read_document("t.json")[0])
         for argv in (["analyze", "--oracle"], ["cover"], ["capable"], ["oracle-compare"]):
             got = main(argv + ["t.json"]), *capsys.readouterr()
@@ -997,7 +996,7 @@ _COVER_SHA256 = {
 def test_cover_output_matches_pinned_digests(ws, capsys):
     got = {}
     for name, (a, family) in _cover_documents().items():
-        docio.write_document("l.json", a, {"family": family})
+        write_document("l.json", a, {"family": family})
         code = main(["cover", "l.json", "--out", "c.json"])
         out, err = capsys.readouterr()
         text = Path("c.json").read_text(encoding="utf-8")
@@ -1055,7 +1054,7 @@ _REPORT_SHA256 = {
 def test_report_output_matches_pinned_digests(ws, capsys):
     got = {}
     for name, (a, family) in _cover_documents().items():
-        docio.write_document("l.json", a, {"family": family})
+        write_document("l.json", a, {"family": family})
         for command in ("analyze --oracle", "capable", "oracle-compare"):
             code = main([*command.split(), "l.json"])
             out, err = capsys.readouterr()
@@ -1108,13 +1107,14 @@ def test_gen_certifies_once(ws, capsys, monkeypatch):
         for module in (liealg, cli):
             monkeypatch.setattr(module, name, counted, raising=False)
     assert main(["gen", "--family", "gh", "--d", "5", "--defect", "1"]) == 0
-    # the gh_construct certificate, then the one rebase that every status field reads
-    assert calls == {"derived_subalgebra": 1, "center": 2}
+    # the gh_construct certificate, then the one rebase that every status field reads;
+    # the rebase finds L² from its generators' brackets, not by derived_subalgebra
+    assert calls == {"derived_subalgebra": 0, "center": 2}
 
 
 def test_os_errors_exit_2(ws, capsys):
     # a directory where a file is read or written is an error line, not a traceback
-    docio.write_document("h.json", heisenberg(1))
+    write_document("h.json", heisenberg(1))
     os.mkdir("d")
     for argv in (["analyze", "d"], ["cover", "d"], ["capable", "d"], ["oracle-compare", "d"],
                  ["gen", "--family", "heisenberg", "--m", "1", "--out", "d"],
@@ -1127,7 +1127,7 @@ def test_os_errors_exit_2(ws, capsys):
 
 def test_cover_labels_follow_the_rebased_generators(ws, capsys):
     # H(1)+A(1) is x1, x2, z, a1 with z = [x1, x2]: its generators are x1, x2, a1
-    docio.write_document("l.json", direct_sum(heisenberg(1), abelian(1)))
+    write_document("l.json", direct_sum(heisenberg(1), abelian(1)))
     assert main(["cover", "l.json", "--out", "c.json"]) == 0
     doc = json.loads(Path("c.json").read_text(encoding="utf-8"))
     assert doc["labels"][:6] == ["x1", "x2", "a1", "[x1,x2]", "[x1,a1]", "[x2,a1]"]

@@ -584,7 +584,7 @@ def test_rebase_returns_canonical_heisenberg_and_abelian_tables():
 # quotient's ideal check and jacobi_check bracket through the adjoint index of
 # the stored brackets.  The scans they replace are kept here as references.
 
-from ghlie.docio import write_document  # noqa: E402
+from _reference import write_document  # noqa: E402
 from ghlie.exactla import vec  # noqa: E402
 from ghlie.fixtures import with_abelian_part  # noqa: E402
 
@@ -872,3 +872,130 @@ def test_quotient_table_matches_the_all_pairs_build():
         got, want = quotient(a, ideal), _all_pairs_quotient(a, ideal)
         assert _typed(got.bracket) == _typed(want.bracket) and got.labels == want.labels
     assert len(grid) == 207 and len(pairs) >= 3000
+
+
+# --- L² from the generators' brackets against the rebase it replaced (differential) ---
+#
+# rebase_class2 scales the table to integers, builds L² from the brackets of the
+# coordinates it takes (those no bracket value holds, then the rest from the last
+# down) and certifies it by center's full-vector check, halved by antisymmetry.
+# reference_rebase_class2 is the rebase before: L² from all C(dim, 2) brackets,
+# the claim read at L²'s pivots and the Jacobi scan on the table as given.
+
+from collections import Counter  # noqa: E402
+
+from _reference import reference_rebase_class2  # noqa: E402
+from ghlie.exactla import _insert  # noqa: E402
+
+
+def _rebase_outcome(fn, a):
+    """The table, labels, value types, rel2 and Z(L); or the exception's type, triples and message."""
+    try:
+        b, rel2, z = fn(a)
+    except ClassTwoRequired as e:
+        return type(e), getattr(e, "triples", None), str(e)
+    return b, b.labels, _typed(b.bracket), rel2, z
+
+
+def _permuted(a, seed):
+    """a with its coordinates (and labels) permuted by a seeded permutation."""
+    perm = list(range(a.dim))
+    random.Random(seed).shuffle(perm)
+    table = {}
+    for (i, j), w in a.bracket.items():
+        v = {perm[k]: x for k, x in w.items()}
+        table[(perm[i], perm[j]) if perm[i] < perm[j] else (perm[j], perm[i])] = (
+            v if perm[i] < perm[j] else {k: -x for k, x in v.items()})
+    labels = [None] * a.dim
+    for k, c in enumerate(perm):
+        labels[c] = a.labels[k]
+    return LieAlgebra(a.dim, labels, table)
+
+
+def _sheared(a, seed):
+    """a in the basis e_i + Σ ±e_j over a few seeded j > i: unitriangular, so a basis,
+    and sparse, so L²'s basis vectors hold generator coordinates."""
+    rng = random.Random(seed)
+    rows = [{i: 1, **{j: rng.choice((-1, 1)) for j in rng.sample(range(i + 1, a.dim), min(2, a.dim - i - 1))}}
+            for i in range(a.dim)]
+    return change_of_basis(a, Matrix(a.dim, rows))
+
+
+def _against_reference(monkeypatch, inputs):
+    """Check each input against the reference rebase; return the outcome kinds seen
+    and how many inputs had a row inserted past the first batch."""
+    inserted = []
+    monkeypatch.setattr(liealg, "_insert", lambda found, r: inserted.append(1) or _insert(found, r))
+    kinds, past = Counter(), 0
+    for a in inputs:
+        inserted.clear()
+        got = _rebase_outcome(rebase_class2, a)
+        assert got == _rebase_outcome(reference_rebase_class2, a)
+        kinds[got[0].__name__ if isinstance(got[0], type) else "ok"] += 1
+        past += bool(inserted)
+    return kinds, past
+
+
+def test_generator_span_rebase_matches_reference_on_normal_form_tables(monkeypatch):
+    # the default grid, seeded_gh up to d = 12 and the standard families are in the
+    # normal form: their first batch is every bracket, so no row is inserted after it
+    cfg = SweepConfig()
+    inputs = [c.build() for c in grid_cases(cfg.d_values, cfg.defects, cfg.t_values, cfg.seeds)]
+    inputs += [seeded_gh(d, k, s) for d in range(3, 13) for k in (1, 2, 3) if (d, k) != (3, 3) for s in range(2)]
+    inputs += [heisenberg(m) for m in (1, 2, 3)] + [abelian(n) for n in range(5)]
+    inputs += [direct_sum(heisenberg(m), abelian(t)) for m in (1, 2) for t in (1, 2)]
+    assert len(inputs) >= 260
+    assert _against_reference(monkeypatch, inputs) == (Counter(ok=len(inputs)), 0)
+
+
+def test_generator_span_rebase_matches_reference_off_the_normal_form(monkeypatch):
+    cores = [with_abelian_part(seeded_gh(d, 1 + (d + t) % 3, d + t), t)
+             for d in range(3, 7) for t in range(3) if (d, 1 + (d + t) % 3) != (3, 3)]
+    cores += [heisenberg(1), heisenberg(2), direct_sum(heisenberg(1), abelian(2)), random_class2(4, 3)]
+    dense = [_in_rational_basis(a, s) for s, a in enumerate(cores)]
+    inputs = dense + [_permuted(a, s) for s, a in enumerate(dense)]
+    inputs += [_permuted(a, s) for s, a in enumerate(cores)] + [_sheared(a, s) for s, a in enumerate(cores)]
+    # class 3: integer covers at d = 3, 4 and rational covers at d = 3; non-Jacobi tables
+    covers = [cover_construct(presentation_from_class2(a)).algebra
+              for a in (canonical_gh(3, 1), seeded_gh(3, 2, 0), seeded_gh(4, 1, 0), seeded_gh(4, 3, 1))]
+    inputs += covers + [_in_rational_basis(c, s) for s, c in enumerate(covers) if c.dim <= 11]
+    inputs += [_sheared(c, s) for s, c in enumerate(covers)]
+    tables = [_random_table(s) for s in range(60)]
+    inputs += tables + [_in_rational_basis(t, s) for s, t in enumerate(tables[:20])]
+    inputs += [_sl2(), direct_sum(_sl2(), heisenberg(1))]
+    kinds, past = _against_reference(monkeypatch, inputs)
+    # dense, permuted dense and sheared tables take their generators after the first batch
+    assert past >= len(dense) * 2 + len(cores)
+    assert set(kinds) == {"ok", "ClassTwoRequired", "JacobiViolation"}
+    # the d = 4 covers (dims 26 and 18) in a rational basis get the reference's verdict on
+    # the integer cover, which no basis change alters; the reference scans their Fraction
+    # tables for Jacobi triples for seconds to half a minute, so it is not run on them
+    for s, c in enumerate(covers[2:]):
+        assert _rebase_outcome(rebase_class2, _in_rational_basis(c, s)) == _rebase_outcome(
+            reference_rebase_class2, c) == (ClassTwoRequired, None, "input must be nilpotent of class at most 2")
+
+
+def test_certificate_tables_that_tell_each_mutant_apart(monkeypatch):
+    # A: S = span(e3, e4, e5) from the first batch commutes with every non-pivot
+    # e_c, and only [e3, e4] = e5 in its pivot block is nonzero, so a check that
+    # skips the q > p block passes it; the table fails Jacobi at (0, 1, 4)
+    a = LieAlgebra(6, "abcdef", {(0, 1): {3: 1}, (0, 2): {4: 1}, (1, 2): {5: 1}, (3, 4): {5: 1}})
+    # B: the cover of H(1), x1, x2, y, z1, z2 with [x1, x2] = y and [x_i, y] = z_i.
+    # S = span(y), its non-pivots x1, x2, z1, z2 all taken, and [y, x_i] = -z_i
+    # is zero at S's one pivot, so a check read at S's pivots passes it
+    b = LieAlgebra(5, ["x1", "x2", "y", "z1", "z2"], {(0, 1): {2: 1}, (0, 2): {3: 1}, (1, 2): {4: 1}})
+    claimed = []
+    monkeypatch.setattr(liealg, "center", lambda a, der, central: claimed.append(central) or center(a, der, central))
+    for t in (a, b):
+        with pytest.raises(ClassTwoRequired):
+            rebase_class2(t)
+    assert claimed == [Subspace(6, [{3: 1}, {4: 1}, {5: 1}]), Subspace(5, [{2: 1}])]
+    monkeypatch.undo()
+    with pytest.raises(JacobiViolation) as exc:
+        rebase_class2(a)
+    assert exc.value.triples == jacobi_check(a) and (0, 1, 4) in exc.value.triples
+    with pytest.raises(ClassTwoRequired) as exc:
+        rebase_class2(b)
+    assert type(exc.value) is ClassTwoRequired
+    for t in (a, b, _in_rational_basis(a, 1), _in_rational_basis(b, 1)):
+        assert _rebase_outcome(rebase_class2, t) == _rebase_outcome(reference_rebase_class2, t)

@@ -24,15 +24,9 @@ from ghlie.liealg import (
     rebase_class2,
 )
 from ghlie.multiplier import dimensions, psi2_image, square_dim
-from ghlie.report import (
-    Analysis,
-    NotGeneralizedHeisenberg,
-    analyze,
-    capability_by_quotients,
-    classify_by_multiplier,
-)
+from ghlie.report import Analysis, analyze, capability_by_quotients
 
-from _reference import jacobi_cycle_generators, random_class2
+from _reference import NotGeneralizedHeisenberg, classify_by_multiplier, jacobi_cycle_generators, random_class2
 
 F = Fraction
 ONE = F(1)
