@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Subcommands: gen, analyze, cover, capable, sweep, oracle-compare.  gen reads
-one table of the options each family takes; a gh algebra comes from at most
-one of --kill, --canonical and --seed (seed 0 if none).
+one table of the options each family takes; a gh algebra takes one of --rank
+and --defect, and at most one of --kill, --canonical and --seed (seed 0 if none).
 Exit codes: 0 ok; 2 usage, parse or I/O error (including an empty sweep grid
 or a negative grid value, a nonpositive --jobs, capable on an abelian input,
 class > 2 input, and meta that contradicts the algebra: analyze reads meta d
@@ -95,6 +95,8 @@ _FAMILIES = {"abelian": ("n",), "heisenberg": ("m",), "gh": _GH_OPTIONS, "sum": 
 def _build_gh(args) -> tuple[LieAlgebra, dict]:
     d = args.d
     max_rank = d * (d - 1) // 2
+    if args.rank is not None and args.defect is not None:
+        raise docio.DocumentError("--rank cannot be combined with --defect")
     if args.rank is not None:
         rank = args.rank
     elif args.defect is not None:
@@ -173,13 +175,7 @@ def cmd_gen(args) -> int:
 def cmd_analyze(args) -> int:
     a, meta = docio.read_document(args.path)
     try:
-        rep = analyze(
-            a,
-            d=meta.get("d"),
-            with_oracle=args.oracle,
-            include_suspect=not args.skip_suspect_forms,
-            provenance=meta.get("family", ""),
-        )
+        rep = analyze(a, d=meta.get("d"), with_oracle=args.oracle, provenance=meta.get("family", ""))
     except ContextError as e:
         raise docio.DocumentError(f"meta {e}") from None
     for key in ("defect", "t", "variant"):
@@ -227,8 +223,6 @@ def cmd_sweep(args) -> int:
         defects=tuple(_parse_range(args.defect, "--defect")),
         t_values=tuple(_parse_range(args.t, "--t")),
         seeds=args.seeds,
-        include_suspect=not args.skip_suspect_forms,
-        with_oracle=not args.no_oracle,
         max_cases=args.max_cases,
         jobs=args.jobs,
     )
@@ -292,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     an = sub.add_parser("analyze", help="dimension report for a document")
     an.add_argument("path")
     an.add_argument("--oracle", action="store_true")
-    an.add_argument("--skip-suspect-forms", action="store_true")
     an.set_defaults(func=cmd_analyze)
 
     cov = sub.add_parser("cover", help="construct and verify the cover")
@@ -314,11 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--out")
     sw.add_argument("--jobs", type=_decimal, help="worker processes (at most the case and core counts)")
     sw.add_argument("--max-cases", type=_decimal, default=5000)
-    sw.add_argument("--no-oracle", action="store_true")
-    sw.add_argument(
-        "--skip-suspect-forms", action="store_true",
-        help="drop the ledgered suspect printed forms from comparison",
-    )
     sw.add_argument("--json", action="store_true")
     sw.set_defaults(func=cmd_sweep)
 

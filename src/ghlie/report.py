@@ -17,17 +17,16 @@ from .multiplier import Psi2Data, dimensions, psi2_image
 class Analysis:
     """What both routes need of one class-2 algebra, computed once per entry call.
 
-    algebra is the input rebased to the basis contract, the normal form
-    class2_from_relations builds from the relation subspace rebase_class2
-    returns, which K and the presentation both take; center is Z(L) in the
-    input's own coordinates, the one rebase_class2 computed for its class-2
-    certificate, so capability evidence reads in those coordinates.  r and
-    n are read off K, which holds a basis of K; its canonical basis is built
+    K and the presentation both take the input rebased to the basis contract,
+    the normal form class2_from_relations builds from the relation subspace
+    rebase_class2 returns; it is kept once, as presentation.target.  center is
+    Z(L) in the input's own coordinates, the one rebase_class2 computed for its
+    class-2 certificate, so capability evidence reads in those coordinates.  r
+    and n are read off K, which holds a basis of K; its canonical basis is built
     only if read.  Built afresh per call and passed down; never cached on the
     algebra.
     """
 
-    algebra: LieAlgebra
     center: Subspace
     k: Psi2Data
     presentation: hopf.FreePresentation
@@ -36,7 +35,7 @@ class Analysis:
     def of(cls, a: LieAlgebra) -> "Analysis":
         """Raises ClassTwoRequired beyond class 2."""
         b, rel2, z = rebase_class2(a)
-        return cls(b, z, psi2_image(b, rel2), hopf.presentation_from_class2(b, rel2))
+        return cls(z, psi2_image(b, rel2), hopf.presentation_from_class2(b, rel2))
 
     @property
     def r(self) -> int:
@@ -104,7 +103,6 @@ def analyze(
     a: LieAlgebra,
     d: int | None = None,
     with_oracle: bool = False,
-    include_suspect: bool = True,
     check_ker_beta: bool | None = None,
     provenance: str = "",
 ) -> DimReport:
@@ -156,10 +154,7 @@ def analyze(
             refute("psi2_rank", "Prop 2.2(ii)", computed=psi2_core, printed=f"{full} or {full - 1}")
         elif t > 0 and psi2_core != full:
             refute("psi2_rank", "Prop 2.2(i)", printed=full, computed=psi2_core)
-        predicted = closed_form_eval(d, t, defect, report.variant)
-        report.predicted = {
-            k: p for k, p in predicted.items() if include_suspect or not p.suspect
-        }
+        report.predicted = closed_form_eval(d, t, defect, report.variant)
 
     for key, value in dims.items():
         p = report.predicted.get(key)

@@ -1,6 +1,7 @@
 """Sweeps over the (d, defect, t, seed) grid with oracle cross-checks.
 
-A sweep row is the DimReport of one instance; the gate distinguishes
+A sweep row is the DimReport of one instance, with the oracle run and every
+printed display compared, the ledgered ones included; the gate distinguishes
 unexpected mismatches (formula-vs-oracle disagreement, or a sound printed form
 failing) from the ledgered expected mismatches (the printed displays the
 computation refutes).  Identical configuration and seeds produce
@@ -26,27 +27,21 @@ class SweepConfig:
     defects: tuple = (1, 2, 3)
     t_values: tuple = (0, 1, 2)
     seeds: int = 5
-    include_suspect: bool = True
-    with_oracle: bool = True
     max_cases: int = 5000
     jobs: int | None = None
 
 
-def run_case(case: FixtureCase, include_suspect: bool = True, with_oracle: bool = True) -> dict:
-    a = case.build()
-    rep = analyze(
-        a, d=case.d, with_oracle=with_oracle, include_suspect=include_suspect,
-        provenance=case.name,
-    )
-    row = rep.to_dict()
+def run_case(case: FixtureCase) -> dict:
+    row = analyze(case.build(), d=case.d, with_oracle=True, provenance=case.name).to_dict()
     row["seed"] = case.seed
     row["gh"] = case.is_gh_cell
     return row
 
 
-def _runner(args) -> dict:
-    case, include_suspect, with_oracle = args
-    return run_case(case, include_suspect, with_oracle)
+def _runner(case: FixtureCase) -> dict:
+    # Looks run_case up when called, so a pool pickles this function by name
+    # even where run_case itself has been replaced by a wrapper.
+    return run_case(case)
 
 
 def run_sweep(cfg: SweepConfig) -> dict:
@@ -69,12 +64,11 @@ def run_sweep(cfg: SweepConfig) -> dict:
     # The pool starts all its workers at once; more than there are cases or
     # cores only costs forks.
     workers = min(jobs, len(cases), os.cpu_count() or 1)
-    work = [(c, cfg.include_suspect, cfg.with_oracle) for c in cases]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_runner, work, chunksize=4))
+            rows = list(pool.map(_runner, cases, chunksize=4))
     else:
-        rows = [_runner(w) for w in work]
+        rows = [run_case(c) for c in cases]
     expected = [m for row in rows for m in row["expected_mismatches"]]
     unexpected = [m for row in rows for m in row["unexpected_mismatches"]]
     # The worker count is left out so that it cannot change the report file.

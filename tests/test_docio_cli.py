@@ -23,7 +23,7 @@ from ghlie.fixtures import canonical_gh, grid_cases, seeded_gh
 from ghlie.liealg import LieAlgebra, abelian, change_of_basis, direct_sum, heisenberg, jacobi_check
 from ghlie.multiplier import Psi2Data
 from ghlie.report import analyze
-from ghlie.sweep import SweepConfig, run_case
+from ghlie.sweep import SweepConfig, run_case, run_sweep
 
 from _reference import random_class2, write_document
 
@@ -241,6 +241,16 @@ def test_gen_kill_with_canonical_exits_2(ws, capsys):
     assert main(["gen", "--family", "gh", "--d", "4", "--rank", "5", "--kill", "1,2",
                  "--canonical", "--out", "k.json"]) == 2
     assert capsys.readouterr().err == "error: --kill cannot be combined with --canonical\n"
+    assert not Path("k.json").exists()
+
+
+@pytest.mark.parametrize("family, extra", [
+    ("gh", ["--defect", "3"]), ("gh", ["--defect", "9"]), ("sum", ["--defect", "3", "--t", "1"]),
+])
+def test_gen_rank_with_defect_exits_2(ws, capsys, family, extra):
+    # --defect used to be dropped: exit 0, meta defect 1 from --rank 5, and 9 unchecked
+    assert main(["gen", "--family", family, "--d", "4", "--rank", "5", *extra, "--out", "k.json"]) == 2
+    assert capsys.readouterr().err == "error: --rank cannot be combined with --defect\n"
     assert not Path("k.json").exists()
 
 
@@ -547,12 +557,15 @@ def test_sweep_compares_printed_j2_by_default(ws, capsys):
     assert rows[0]["match"] is True
 
 
-def test_sweep_skip_suspect_forms(ws, capsys):
-    assert main(["sweep", "--d", "3", "--defect", "1", "--t", "0", "--seeds", "0",
-                 "--jobs", "1", "--skip-suspect-forms", "--out", "r.json"]) == 0
-    rep = json.loads(open("r.json").read())
-    assert rep["rows"][0]["expected_mismatches"] == []
-    assert "j2" not in rep["rows"][0]["predicted"]
+def test_sweep_rows_check_everything_and_config_holds_the_grid(ws, capsys):
+    # every row runs the oracle and compares every printed display, the suspect
+    # ones included; no switch turns either off (test_removed_options_are_rejected),
+    # so the config names none
+    report = run_sweep(SweepConfig(d_values=(3,), defects=(1,), t_values=(0,), seeds=0, jobs=1))
+    assert list(report["config"]) == ["d_values", "defects", "t_values", "seeds", "max_cases"]
+    (row,) = report["rows"]
+    assert {"m_L", "wedge"} <= row["oracle"].keys()
+    assert row["predicted"]["j2"]["suspect"] and row["flags"]["j2"] == "expected_mismatch"
 
 
 def test_analyze_unexpected_mismatch_exits_5(ws, capsys, monkeypatch):
@@ -768,8 +781,6 @@ def test_sweep_repeated_grid_value_exits_2(ws, capsys, option, field):
                                                  ("--d", "d_values", "3,-1")])
 def test_sweep_negative_grid_value_exits_2(ws, capsys, option, field, text):
     # a negative d used to raise KeyError inside relations_from_pairs (exit 1, a traceback)
-    from ghlie.sweep import run_sweep
-
     values = tuple(int(x) for x in text.split(","))
     argv = {"--d": "3", "--defect": "1", "--t": "0", option: text}
     assert main(["sweep", "--seeds", "0", "--jobs", "1", *itertools.chain(*argv.items())]) == 2
@@ -827,7 +838,8 @@ def test_sweep_empty_grid_exits_2(ws, capsys):
 @pytest.mark.parametrize("argv", [
     ["analyze", "a.json", "--json"], ["cover", "a.json", "--json"],
     ["capable", "a.json", "--json"], ["oracle-compare", "a.json", "--json"],
-    ["sweep", "--include-printed-j2"],
+    ["sweep", "--include-printed-j2"], ["sweep", "--no-oracle"], ["sweep", "--skip-suspect-forms"],
+    ["analyze", "a.json", "--skip-suspect-forms"],
 ])
 def test_removed_options_are_rejected(ws, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -853,7 +865,6 @@ def test_sweep_nonpositive_jobs_exits_2(ws, capsys):
 def test_negative_counts_exit_2(ws, capsys):
     # a negative count used to run an empty range: canonical cases only, or no random line
     from ghlie.report import capability_by_quotients
-    from ghlie.sweep import run_sweep
 
     with pytest.raises(ValueError, match="seeds must be nonnegative"):
         run_sweep(SweepConfig(d_values=(3,), defects=(1,), t_values=(0,), seeds=-1, jobs=1))
@@ -902,7 +913,7 @@ def test_sweep_pool_size_is_capped(monkeypatch, jobs, cores, workers):
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", StubPool)
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: cores)
     cfg = sweep.SweepConfig(d_values=(3, 4), defects=(1,), t_values=(0,), seeds=1,
-                            with_oracle=False, jobs=jobs)
+                            jobs=jobs)
     report = sweep.run_sweep(cfg)
     assert report["summary"]["cases"] == 4
     assert requested == ([workers] if workers else [])

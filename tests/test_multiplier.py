@@ -127,9 +127,10 @@ def test_k_subspace_equals_psi2_image():
               scrambled(random_class2(3, 5), 1)):
         ctx = Analysis.of(a)
         assert ctx.k.image == psi2_image(a).image
-        r = derived_subalgebra(ctx.algebra).dim
-        assert (ctx.n, ctx.r) == (ctx.algebra.dim - r, r)
-        assert ctx.algebra == class2_from_relations(ctx.n, ctx.presentation.rel2)
+        b = ctx.presentation.target
+        r = derived_subalgebra(b).dim
+        assert (ctx.n, ctx.r) == (b.dim - r, r)
+        assert b == class2_from_relations(ctx.n, ctx.presentation.rel2)
 
 
 def _reference_psi2_span(a, der):
