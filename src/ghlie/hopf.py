@@ -47,6 +47,7 @@ from .liealg import (
     bracket_vectors,
     center,
     derived_subalgebra,
+    integral_table,
     lower_central_series,
     quotient,
     rebase_class2,
@@ -302,9 +303,8 @@ def cover_construct(p: FreePresentation) -> Cover:
         for (i, j, k) in (h.triples[m] for m in comp3)
     ]
     algebra = LieAlgebra(dim, gen_labels + pair_labels + triple_labels, table)
-    b_gens = [
-        {d + w: x for w, x in v.items()} for v in p.rel2.vectors()
-    ] + [{d + g2 + q: 1} for q in range(len(comp3))]
+    b_gens = [{d + w: x for w, x in v.items()} for v in p.rel2.integer_rows()]
+    b_gens += [{d + g2 + q: 1} for q in range(len(comp3))]
     central = Subspace.from_vectors(dim, b_gens)
     return Cover(algebra, central)
 
@@ -354,9 +354,15 @@ def verify_cover(a: LieAlgebra, cover: LieAlgebra, b: Subspace) -> CoverReport:
     route: (L*)³ ≅ (L² ⊗ L/L²)/K has dimension r·n - rank K, and when that
     is 0 the cover has class min(dim L, 2), as for A(n) and for H(m), m >= 2.
     A free presentation is built only for the d = 3 extension witness.
+    The cover is read times c, the lcm of its denominators (``integral_table``):
+    x ↦ c·x is an isomorphism onto the cover, so L², the lower central series,
+    Z and B's containments are unchanged, and cover/B, c times the quotient,
+    is compared with the rebased table times c.
     """
     a, rel2, _ = rebase_class2(a)
     k = psi2_image(a, rel2)
+    c, table = integral_table(cover.bracket)
+    cover = cover if c == 1 else LieAlgebra(cover.dim, cover.labels, table)
     der = derived_subalgebra(cover)
     z = center(cover, der)
     series = lower_central_series(cover, der)
@@ -384,7 +390,8 @@ def verify_cover(a: LieAlgebra, cover: LieAlgebra, b: Subspace) -> CoverReport:
         b_in_derived=b_in_derived,
         b_dim=b.dim,
         multiplier=m_dim,
-        quotient_matches=quotient(cover, b) == a,
+        quotient_matches=quotient(cover, b) == LieAlgebra(
+            a.dim, a.labels, {p: {i: c * x for i, x in w.items()} for p, w in a.bracket.items()}),
         cube_dim=cube.dim,
         s=s,
         defect=rel2.dim,

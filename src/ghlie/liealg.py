@@ -101,6 +101,15 @@ def bracket_vectors(a: LieAlgebra, u: Vec, v: Vec) -> Vec:
     return out
 
 
+def integral_table(bracket: dict[tuple[int, int], Vec]) -> tuple[int, dict[tuple[int, int], Vec]]:
+    """(c, c·bracket) for c the lcm of the entries' denominators, the table itself if c = 1.
+    x ↦ c·x is an isomorphism from the scaled algebra onto the given one."""
+    c = lcm(*{x.denominator for w in bracket.values() for x in w.values()})
+    if c == 1:
+        return 1, bracket
+    return c, {p: {k: x.numerator * (c // x.denominator) for k, x in w.items()} for p, w in bracket.items()}
+
+
 def _adjoint(dim: int, bracket: dict[tuple[int, int], Vec]) -> list[dict[int, Vec]]:
     """adj[i][j] = [e_i, e_j] for the brackets {(i, j): [e_i, e_j]} given, in both orders."""
     adj: list[dict[int, Vec]] = [{} for _ in range(dim)]
@@ -140,8 +149,8 @@ def derived_subalgebra(a: LieAlgebra) -> Subspace:
 def center(a: LieAlgebra, der: Subspace | None = None, central: Subspace | None = None) -> Subspace:
     """Z(L); der is L² if known, central a subspace claimed central (NotCentral if it is not).
 
-    The claim is checked in integers (the brackets it touches scaled by their denominators'
-    lcm) on full vectors, as central need not lie in L², and on half its pivot block: for its
+    The claim is checked in integers (the brackets it touches scaled by ``integral_table``)
+    on full vectors, as central need not lie in L², and on half its pivot block: for its
     RREF rows u_p, [u_p, e_c] for every non-pivot c and [u_p, e_q] for pivots q > p, as
     [u_p, u_p] = 0 gives [u_p, e_p] = 0 and [u_q, u_p] = -[u_p, u_q] gives [u_q, e_p] = 0.
     Then Z(L) = central + {v : [v, b_c] = 0 for all c}, v and c over central's complement
@@ -152,11 +161,7 @@ def center(a: LieAlgebra, der: Subspace | None = None, central: Subspace | None 
     central = Subspace.zero(n) if central is None else central
     rows = central.integer_rows()
     held = {i for u in rows for i in u}
-    touching = {(i, j): w for (i, j), w in a.bracket.items() if i in held or j in held}
-    den = lcm(*{x.denominator for w in touching.values() for x in w.values()})
-    if den != 1:
-        touching = {p: {k: x.numerator * (den // x.denominator) for k, x in w.items()}
-                    for p, w in touching.items()}
+    _, touching = integral_table({(i, j): w for (i, j), w in a.bracket.items() if i in held or j in held})
     if touching:  # else every [u, e_j] is zero
         adj, claimed = _adjoint(n, touching), set(central.pivots)
         for p, u in zip(central.pivots, rows):
@@ -359,7 +364,7 @@ def change_of_basis(a: LieAlgebra, new_basis) -> LieAlgebra:
 def rebase_class2(a: LieAlgebra) -> tuple[LieAlgebra, Subspace, Subspace]:
     """Certify class <= 2 and rewrite a in the basis contract (generators, then L²).
 
-    It reads a's table scaled by the lcm of its denominators, which changes no span,
+    It reads a's table scaled to integers by ``integral_table``, which changes no span,
     relation, zero test or Jacobi triple.  S is the span of the brackets [e_c, e_c'] of the
     coordinates taken: first those no bracket value holds (never pivots of L²; on a table in
     the normal form they give every bracket, as one RREF), then the others from the last
@@ -381,10 +386,8 @@ def rebase_class2(a: LieAlgebra) -> tuple[LieAlgebra, Subspace, Subspace]:
     permuted with the coordinates: generators, then the pivots of L².
     """
     n = a.dim
-    den = lcm(*{x.denominator for w in a.bracket.values() for x in w.values()})
-    if den != 1:
-        a = LieAlgebra(n, a.labels, {p: {k: x.numerator * (den // x.denominator) for k, x in w.items()}
-                                     for p, w in a.bracket.items()})
+    den, table = integral_table(a.bracket)
+    a = a if den == 1 else LieAlgebra(n, a.labels, table)
     held = set().union(*a.bracket.values())
     taken = [c for c in range(n) if c not in held]
     is_taken = set(taken)

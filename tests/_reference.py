@@ -16,8 +16,11 @@ read the printed Thm 2.9 displays against their Thm 2.3/2.7 twins;
 ``reference_center`` and ``reference_rebase_class2`` are center and the rebase
 as they were before L² came from the generators' brackets (L² from all
 C(dim, 2) brackets, the claim that it is central read at its pivots only, the
-Jacobi scan on the table as given); ``classify_by_multiplier`` reads the defect
-off (d, dim M(L)), and ``write_document`` writes an algebra as a JSON document.
+Jacobi scan on the table as given); ``reference_verify_cover`` is verify_cover
+as it was before it read the cover scaled to integers (every check on the
+cover's own table, Fractions included, and cover/B compared with the rebased
+table as it is); ``classify_by_multiplier`` reads the defect off (d, dim M(L)),
+and ``write_document`` writes an algebra as a JSON document.
 """
 
 import copy
@@ -30,6 +33,7 @@ from math import lcm
 from ghlie.closed_forms import _displays_t0, _displays_t9, _int, _suspect_reason, _validate
 from ghlie.docio import algebra_to_document, dumps
 from ghlie.exactla import Subspace, _forward, _primitive_copy, _ratio, _relations, _singletons, basis, relations
+from ghlie.hopf import CoverReport, _extension_witness_agrees, presentation_from_class2
 from ghlie.liealg import (
     ClassTwoRequired,
     JacobiViolation,
@@ -37,13 +41,17 @@ from ghlie.liealg import (
     NotCentral,
     _ad_basis,
     _adjoint,
+    center,
     class2_from_relations,
     derived_subalgebra,
     jacobi_check,
+    lower_central_series,
+    quotient,
     random_relation_subspace,
+    rebase_class2,
     wedge_pairs,
 )
-from ghlie.multiplier import dimensions
+from ghlie.multiplier import dimensions, psi2_image
 from ghlie.report import Analysis
 
 
@@ -248,6 +256,44 @@ def reference_rebase_class2(a: LieAlgebra):
     rel2 = relations([{p: x for p, x in a.pair(gens[i], gens[j]).items() if p in piv} for i, j in pairs])
     labels = [a.labels[g] for g in gens] + [a.labels[p] for p in der.pivots]
     return class2_from_relations(len(gens), rel2, labels), rel2, z
+
+
+def reference_verify_cover(a: LieAlgebra, cover: LieAlgebra, b: Subspace) -> CoverReport:
+    """verify_cover as it was: every check on the cover's table as given, Fraction
+    entries included, and cover/B compared with the rebased table itself."""
+    a, rel2, _ = rebase_class2(a)
+    k = psi2_image(a, rel2)
+    der = derived_subalgebra(cover)
+    z = center(cover, der)
+    series = lower_central_series(cover, der)
+    cls = sum(1 for t in series if t.dim) if series[-1].dim == 0 else -1
+    cube = series[2] if len(series) > 2 else Subspace.zero(cover.dim)
+    b_central = all(z.contains_vec(u) for u in b.integer_rows())
+    b_in_derived = all(der.contains_vec(u) for u in b.integer_rows())
+    z_in_derived = all(der.contains_vec(u) for u in z.integer_rows())
+    m_dim = dimensions(k)["m_L"]
+    cube_in_b = all(b.contains_vec(u) for u in cube.integer_rows())
+    s = b.dim - cube.dim
+    witness_ok = None
+    if k.n == 3:
+        witness_ok = _extension_witness_agrees(presentation_from_class2(a, rel2), cover, series)
+    return CoverReport(
+        cover_dim=cover.dim,
+        expected_dim=a.dim + m_dim,
+        nilpotency_class=cls,
+        expected_class=3 if k.r * k.n > k.rank else min(a.dim, 2),
+        z_in_derived=z_in_derived,
+        b_central=b_central,
+        b_in_derived=b_in_derived,
+        b_dim=b.dim,
+        multiplier=m_dim,
+        quotient_matches=quotient(cover, b) == a,
+        cube_dim=cube.dim,
+        s=s,
+        defect=rel2.dim,
+        branch_ok=cube_in_b and 0 <= s <= rel2.dim,
+        witness_ok=witness_ok,
+    )
 
 
 class NotGeneralizedHeisenberg(ValueError):

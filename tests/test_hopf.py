@@ -22,6 +22,7 @@ from ghlie.liealg import (
     direct_sum,
     gh_construct,
     heisenberg,
+    integral_table,
     jacobi_check,
     lower_central_series,
     quotient,
@@ -50,6 +51,7 @@ from _reference import (
     reference_bracket_image,
     reference_ker_beta_agrees,
     reference_triple_images,
+    reference_verify_cover,
 )
 
 F = Fraction
@@ -896,6 +898,107 @@ def test_verify_cover_matches_the_second_presentation_reference():
     cover, b = _cover_pair(presentation_from_class2(abelian(3)))
     assert _reference_verify_cover(abelian(2), cover, b).quotient_matches
     assert not verify_cover(abelian(2), cover, b).quotient_matches
+
+
+# --- verify_cover on the cover scaled to integers against the check on its own table -----
+
+def _report(check, a, cover, b):
+    """check's report as a dict with its ok verdict, or the ValueError class it raised."""
+    try:
+        rep = check(a, cover, b)
+    except ValueError as e:
+        return type(e)
+    return {**dataclasses.asdict(rep), "ok": rep.ok}
+
+
+def _assert_same_report(a, cover, b):
+    got = _report(verify_cover, a, cover, b)
+    assert got == _report(reference_verify_cover, a, cover, b)
+    return got
+
+
+def _with_table(cover, table):
+    return LieAlgebra(cover.dim, cover.labels, table)
+
+
+def test_verify_cover_on_the_scaled_table_matches_the_fraction_reference():
+    fractional = [seeded_gh(d, k, 0) for d in (3, 4, 5, 6) for k in (1, 2, 3)[:d - 1]]
+    fractional += [rational_basis(a, s) for s, a in enumerate(
+        [seeded_gh(4, 1, 0), seeded_gh(3, 1, 1), random_class2(4, 3), heisenberg(2), canonical_gh(4, 3, "deficient")])]
+    integral = [canonical_gh(d, k) for d, k in ((3, 1), (4, 2), (5, 3))] + [canonical_gh(4, 3, "deficient")]
+    integral += [heisenberg(1), heisenberg(2), abelian(3), direct_sum(heisenberg(1), abelian(1))]
+    scales = []
+    for a in fractional + integral:
+        p = presentation_from_class2(a)
+        cover, b = _cover_pair(p)
+        c = integral_table(cover.bracket)[0]
+        scales.append(c)
+        for x in (a, p.target):
+            assert _assert_same_report(x, cover, b)["ok"]
+        if c == 1:
+            continue
+        d, table = p.hall.d, cover.bracket
+        # one Fraction entry moved by 1/7
+        key, k = next((key, k) for key, w in sorted(table.items()) for k, x in w.items() if type(x) is F)
+        moved = {ij: dict(w) for ij, w in table.items()}
+        moved[key][k] += F(1, 7)
+        _assert_same_report(a, _with_table(cover, moved), b)
+        # twice the table: the same subspaces, but cover/B is twice the target
+        doubled = _with_table(cover, {ij: {i: 2 * x for i, x in w.items()} for ij, w in table.items()})
+        got = _assert_same_report(a, doubled, b)
+        assert not got["quotient_matches"] and not got["ok"]
+        # B plus a wedge pair outside rel2: an ideal in L*², not central
+        wide = Subspace.from_vectors(cover.dim, b.integer_rows() + [{d + p.rel2.complement_coords()[0]: 1}])
+        got = _assert_same_report(a, cover, wide)
+        assert got["b_in_derived"] and not got["b_central"]
+        # L*² plus a generator: an ideal outside L*²
+        outside = Subspace.from_vectors(cover.dim, [{0: 1}] + [{i: 1} for i in range(d, cover.dim)])
+        got = _assert_same_report(a, cover, outside)
+        assert not got["b_in_derived"] and not got["b_central"]
+    assert sum(c > 1 for c in scales) >= 12 and scales.count(1) >= 6
+    # a cover of one algebra checked against another of the same dimension
+    pairs = [(heisenberg(2), direct_sum(heisenberg(1), abelian(2))),
+             (canonical_gh(4, 1), seeded_gh(4, 1, 0)),
+             (seeded_gh(5, 3, 0), rational_basis(seeded_gh(5, 3, 1), 3)),
+             (canonical_gh(3, 1), rational_basis(seeded_gh(3, 1, 1), 5))]
+    mismatched = 0
+    for x, y in pairs:
+        assert x.dim == y.dim
+        for cover_of, a in ((x, y), (y, x)):
+            got = _assert_same_report(a, *_cover_pair(presentation_from_class2(cover_of)))
+            mismatched += not got["quotient_matches"]
+    assert mismatched >= 6
+
+
+def test_verify_cover_eliminates_integer_rows_only(monkeypatch):
+    # every row the kernel receives while the cover is checked; K's Jacobi cycles are
+    # read off the target's rebased table, not the cover's, and are left out, as is the
+    # d = 3 witness (none of these inputs has d = 3)
+    seen, recording = [], [True]
+    forward, psi2 = exactla._forward, hopf.psi2_image
+
+    def forward_recorded(rows):
+        rows = list(rows)
+        if recording[0]:
+            seen.extend(rows)
+        return forward(rows)
+
+    def psi2_unrecorded(*args):
+        recording[0] = False
+        try:
+            return psi2(*args)
+        finally:
+            recording[0] = True
+
+    monkeypatch.setattr(exactla, "_forward", forward_recorded)
+    monkeypatch.setattr(hopf, "psi2_image", psi2_unrecorded)
+    inputs = [seeded_gh(4, 1, 0), seeded_gh(5, 3, 0), seeded_gh(10, 3, 0), rational_basis(seeded_gh(4, 2, 0), 1)]
+    for a in inputs:
+        cover, b = _cover_pair(presentation_from_class2(a))
+        assert integral_table(cover.bracket)[0] > 1
+        seen.clear()
+        assert verify_cover(a, cover, b).ok
+        assert seen and all(type(x) is int for r in seen for x in r.values())
 
 
 # --- the one normal form against the read-off and φ kernel it replaced -------------------
