@@ -1,8 +1,9 @@
 """Command-line surface.
 
-Subcommands: gen, analyze, cover, capable, sweep, oracle-compare.  gen reads
-one table of the options each family takes; a gh algebra takes one of --rank
-and --defect, and at most one of --kill, --canonical and --seed (seed 0 if none).
+Subcommands: gen, analyze, cover, capable, sweep; analyze runs every check, the
+Hopf oracle and ker β = K included.  gen reads one table of the options each
+family takes; a gh algebra takes one of --rank and --defect, and at most one of
+--kill, --canonical and --seed (seed 0 if none).
 Exit codes: 0 ok; 2 usage, parse or I/O error (including an empty sweep grid
 or a negative grid value, a nonpositive --jobs, capable on an abelian input,
 class > 2 input, and meta that contradicts the algebra: analyze reads meta d
@@ -175,7 +176,7 @@ def cmd_gen(args) -> int:
 def cmd_analyze(args) -> int:
     a, meta = docio.read_document(args.path)
     try:
-        rep = analyze(a, d=meta.get("d"), with_oracle=args.oracle, provenance=meta.get("family", ""))
+        rep = analyze(a, d=meta.get("d"), with_oracle=True, provenance=meta.get("family", ""))
     except ContextError as e:
         raise docio.DocumentError(f"meta {e}") from None
     for key in ("defect", "t", "variant"):
@@ -243,22 +244,6 @@ def cmd_sweep(args) -> int:
     return sweep_exit_code(report)
 
 
-def cmd_oracle_compare(args) -> int:
-    a, _ = docio.read_document(args.path)
-    rep = analyze(a, with_oracle=True, check_ker_beta=True)
-    formula = {k: rep.dims[k] for k in ("m_L", "wedge")}
-    oracle = {k: rep.oracle[k] for k in ("m_L", "wedge")}
-    kb = rep.oracle["ker_beta_matches"]
-    agree = formula == oracle and kb
-    print(json.dumps({
-        "formula": formula,
-        "oracle": oracle,
-        "ker_beta_matches": kb,
-        "agree": agree,
-    }, indent=2))
-    return 0 if agree else 5
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ghlie",
@@ -283,9 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--json", action="store_true")
     gen.set_defaults(func=cmd_gen)
 
-    an = sub.add_parser("analyze", help="dimension report for a document")
+    an = sub.add_parser("analyze", help="dimension report and every check, ker β included")
     an.add_argument("path")
-    an.add_argument("--oracle", action="store_true")
     an.set_defaults(func=cmd_analyze)
 
     cov = sub.add_parser("cover", help="construct and verify the cover")
@@ -309,10 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--max-cases", type=_decimal, default=5000)
     sw.add_argument("--json", action="store_true")
     sw.set_defaults(func=cmd_sweep)
-
-    oc = sub.add_parser("oracle-compare", help="formula route vs Hopf oracle")
-    oc.add_argument("path")
-    oc.set_defaults(func=cmd_oracle_compare)
 
     return parser
 

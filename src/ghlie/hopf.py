@@ -379,7 +379,7 @@ def verify_cover(a: LieAlgebra, cover: LieAlgebra, b: Subspace) -> CoverReport:
     s = b.dim - cube.dim
     witness_ok = None
     if k.n == 3:
-        witness_ok = _extension_witness_agrees(presentation_from_class2(a, rel2), cover, series)
+        witness_ok = _extension_witness_agrees(presentation_from_class2(a, rel2), series)
     return CoverReport(
         cover_dim=cover.dim,
         expected_dim=a.dim + m_dim,
@@ -438,7 +438,7 @@ def extension_witness(p: FreePresentation) -> LieAlgebra:
     return LieAlgebra(dim, labels, table)
 
 
-def _extension_witness_agrees(p: FreePresentation, cover: LieAlgebra, series: list[Subspace]) -> bool:
+def _extension_witness_agrees(p: FreePresentation, series: list[Subspace]) -> bool:
     """The subalgebra the generators generate in the witness has the cover's series.
 
     series is the cover's lower central series, as verify_cover built it.  The

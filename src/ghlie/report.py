@@ -103,7 +103,7 @@ def analyze(
     a: LieAlgebra,
     d: int | None = None,
     with_oracle: bool = False,
-    check_ker_beta: bool | None = None,
+    check_ker_beta: bool = True,
     provenance: str = "",
 ) -> DimReport:
     """Compute all reported dimensions of a class <= 2 algebra.
@@ -114,8 +114,7 @@ def analyze(
     is the one the Heisenberg part's Jacobi-cycle rank selects.  Raises
     ContextError unless 0 <= t <= dim Z(L) - dim L², and ClassTwoRequired
     beyond class 2.  With the oracle, ker β = K (Thm 1.3) is checked by
-    ``hopf.ker_beta_agrees`` when check_ker_beta is set, by default when the
-    presentation has at most 6 generators.
+    ``hopf.ker_beta_agrees`` unless check_ker_beta is False.
 
     Every refuted verdict is appended to unexpected_mismatches by one helper,
     as a record {key, theorem, printed, computed}: the dimension or check
@@ -187,8 +186,6 @@ def analyze(
         for key in ("m_L", "wedge"):
             if dims[key] != report.oracle[key]:
                 refute(key, "Hopf oracle", printed=report.oracle[key], computed=dims[key])
-        if check_ker_beta is None:
-            check_ker_beta = pres.hall.d <= 6
         if check_ker_beta:
             kb_dim, agree = hopf.ker_beta_agrees(pres, ctx.k.rows)
             report.oracle["ker_beta_matches"] = agree
@@ -220,7 +217,7 @@ def capability_by_quotients(a: LieAlgebra, random_lines: int = 4, seed: int = 0)
     """Capability verdict with quotient-drop corroboration.
 
     The exterior-center computation (Hopf presentation) is authoritative; the
-    one-dimensional central quotients M(L/K) < M(L) only corroborate, since the
+    one-dimensional central quotients M(L/⟨z⟩) < M(L) only corroborate, since the
     drop criterion is one-directional.  Lines are in the input's coordinates;
     a random line that comes out zero is drawn again, up to _RETRY_BUDGET
     draws per line (ValueError beyond, as for random_lines < 0).

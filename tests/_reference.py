@@ -276,7 +276,7 @@ def reference_verify_cover(a: LieAlgebra, cover: LieAlgebra, b: Subspace) -> Cov
     s = b.dim - cube.dim
     witness_ok = None
     if k.n == 3:
-        witness_ok = _extension_witness_agrees(presentation_from_class2(a, rel2), cover, series)
+        witness_ok = _extension_witness_agrees(presentation_from_class2(a, rel2), series)
     return CoverReport(
         cover_dim=cover.dim,
         expected_dim=a.dim + m_dim,

@@ -127,7 +127,7 @@ def test_gen_and_analyze_roundtrip(ws, capsys):
                  "--canonical", "--out", "a.json"]) == 0
     out = capsys.readouterr().out
     assert "dim=5" in out and "class=2" in out and "Z=L2: True" in out
-    assert main(["analyze", "a.json", "--oracle"]) == 0
+    assert main(["analyze", "a.json"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["dims"] == {"m_L": 6, "wedge": 8, "tensor": 14, "j2": 12, "psi2_rank": 1}
     assert rep["capable"] is True
@@ -184,7 +184,7 @@ def test_gen_sum_family_and_sum_analysis(ws, capsys):
     assert main(["gen", "--family", "sum", "--d", "3", "--defect", "1", "--t", "1",
                  "--canonical", "--out", "s.json"]) == 0
     capsys.readouterr()
-    assert main(["analyze", "s.json", "--oracle"]) == 0
+    assert main(["analyze", "s.json"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["dims"]["m_L"] == 9  # 6 + 3·1 + 0
     assert rep["flags"]["m_L"] == "match"
@@ -374,7 +374,7 @@ def test_analyze_coordinate_given_twice_exits_2(ws, capsys, v):
     assert capsys.readouterr().err == "error: coordinate 2 given twice in bracket (0,1)\n"
 
 
-@pytest.mark.parametrize("command", [["analyze"], ["cover", "--out", "c.json"], ["capable"], ["oracle-compare"]],
+@pytest.mark.parametrize("command", [["analyze"], ["cover", "--out", "c.json"], ["capable"]],
                          ids=lambda c: c[0])
 @pytest.mark.parametrize("v, err", [
     pytest.param({"2": "1"}, None, id="canonical"),
@@ -400,7 +400,7 @@ def test_documents_need_ascii_decimal_keys_and_rationals(ws, capsys, command, v,
         assert capsys.readouterr().err == f"error: {err}\n"
 
 
-@pytest.mark.parametrize("command", [["analyze"], ["cover", "--out", "c.json"], ["capable"], ["oracle-compare"]],
+@pytest.mark.parametrize("command", [["analyze"], ["cover", "--out", "c.json"], ["capable"]],
                          ids=lambda c: c[0])
 @pytest.mark.parametrize("doc, err", [
     # "brackets" misspelt: the document used to be read as the abelian A(3)
@@ -498,11 +498,10 @@ def test_cover_of_abelian_and_sums_exits_0(ws, capsys, a, m_l, cls):
 
 def test_zero_algebra(ws, capsys):
     write_document("z.json", abelian(0))
-    assert main(["analyze", "z.json", "--oracle"]) == 0
+    assert main(["analyze", "z.json"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert set(rep["dims"].values()) == {0} and rep["oracle"]["m_L"] == 0
-    assert main(["oracle-compare", "z.json"]) == 0
-    assert json.loads(capsys.readouterr().out)["agree"] is True
+    assert rep["oracle"]["ker_beta_matches"] is True
     assert main(["cover", "z.json", "--out", "zc.json"]) == 0
     assert json.loads(capsys.readouterr().out)["cover_dim"] == 0
     assert main(["capable", "z.json"]) == 2  # abelian input, as documented
@@ -516,22 +515,31 @@ def test_capable_cli(ws, capsys):
     assert rep["capable"] is False and rep["exterior_center_dim"] == 1
 
 
-def test_oracle_compare_cli(ws, capsys):
+def test_analyze_oracle_agrees_with_the_formula(ws, capsys):
     assert main(["gen", "--family", "gh", "--d", "4", "--rank", "4", "--seed", "1",
                  "--out", "g.json"]) == 0
     capsys.readouterr()
-    assert main(["oracle-compare", "g.json"]) == 0
+    assert main(["analyze", "g.json"]) == 0
     rep = json.loads(capsys.readouterr().out)
-    assert rep["agree"] and rep["formula"] == rep["oracle"]
+    assert rep["oracle"]["ker_beta_matches"] is True
+    assert {k: rep["oracle"][k] for k in ("m_L", "wedge")} == {k: rep["dims"][k] for k in ("m_L", "wedge")}
 
 
-def test_oracle_compare_checks_ker_beta_beyond_six_generators(ws, capsys):
-    # d + t = 7, past analyze's default cut for ker β: oracle-compare still runs it
+def test_analyze_checks_ker_beta_beyond_six_generators(ws, capsys):
+    # d + t = 7, past the sweep's cut for ker β: analyze runs it on every document
     write_document("g7.json", seeded_gh(7, 1, 0))
-    assert main(["oracle-compare", "g7.json"]) == 0
+    assert main(["analyze", "g7.json"]) == 0
     rep = json.loads(capsys.readouterr().out)
-    assert rep["ker_beta_matches"] is True and rep["agree"] is True
-    assert rep["formula"] == rep["oracle"] == {"m_L": 106, "wedge": 126}
+    assert rep["oracle"]["ker_beta_matches"] is True
+    assert {k: rep["oracle"][k] for k in ("m_L", "wedge")} == {"m_L": 106, "wedge": 126}
+
+
+def test_ker_beta_cut_is_the_sweeps_own():
+    # d + t = 7: the library checks ker β when asked for the oracle, run_case does not
+    (case,) = grid_cases((6,), (1,), (1,), 0)
+    assert case.d + case.t == 7
+    assert "ker_beta_matches" in analyze(case.build(), d=case.d, with_oracle=True).oracle
+    assert "ker_beta_matches" not in run_case(case)["oracle"]
 
 
 def test_sweep_cli_and_determinism(ws, capsys):
@@ -601,14 +609,14 @@ def _rec(key, theorem, printed, computed):
     return {"key": key, "theorem": theorem, "printed": printed, "computed": computed}
 
 
-@pytest.mark.parametrize("a, patches, records, mismatched, agree", [
+@pytest.mark.parametrize("a, patches, records, mismatched", [
     pytest.param(  # Prop 2.2(i): t = 1, one row of K dropped
         _GH41_T1, [(report, "psi2_image", _drop_k_rows(1))],
         [_rec("psi2_rank", "Prop 2.2(i)", 4, 3),
          _rec("m_L", "Thm 2.9(i)", 21, 22), _rec("wedge", "Thm 2.9(i)", 26, 27),
          _rec("m_L", "Hopf oracle", 21, 22), _rec("wedge", "Hopf oracle", 26, 27),
          _rec("ker_beta", "Thm 1.3", 9, 8)],
-        ("m_L", "wedge"), False, id="prop-2.2-i"),
+        ("m_L", "wedge"), id="prop-2.2-i"),
     pytest.param(  # Prop 2.2(ii): defect 3, t = 0, two rows of K dropped; its record
         # puts computed before printed, and the psi2_rank display, which
         # restates Prop 2.2(ii), is flagged but adds no second record
@@ -618,25 +626,25 @@ def _rec(key, theorem, printed, computed):
          _rec("tensor", "Thm 2.7(iii)", 24, 26), _rec("j2", "Thm 2.7(iii)", 21, 23),
          _rec("m_L", "Hopf oracle", 11, 13), _rec("wedge", "Hopf oracle", 14, 16),
          _rec("ker_beta", "Thm 1.3", 4, 2)],
-        ("m_L", "wedge", "tensor", "j2", "psi2_rank"), False, id="prop-2.2-ii"),
+        ("m_L", "wedge", "tensor", "j2", "psi2_rank"), id="prop-2.2-ii"),
     pytest.param(
         canonical_gh(4, 1), [_NONZERO_EXTERIOR_CENTER],
-        [_rec("capable", "Thm 2.4", True, False)], (), True, id="thm-2.4"),
+        [_rec("capable", "Thm 2.4", True, False)], (), id="thm-2.4"),
     pytest.param(
         _GH41_T1, [_NONZERO_EXTERIOR_CENTER],
-        [_rec("capable", "Cor 2.5", True, False)], (), True, id="cor-2.5"),
+        [_rec("capable", "Cor 2.5", True, False)], (), id="cor-2.5"),
     pytest.param(
         canonical_gh(4, 1),
         [(hopf, "hopf_multiplier_dim", lambda f: lambda p: f(p) + 1),
          (hopf, "exterior_square_oracle", lambda f: lambda p: f(p) - 1)],
         [_rec("m_L", "Hopf oracle", 18, 17), _rec("wedge", "Hopf oracle", 21, 22)],
-        (), False, id="hopf-oracle"),
+        (), id="hopf-oracle"),
     pytest.param(
         canonical_gh(4, 1),
         [(hopf, "ker_beta_agrees", lambda f: lambda *args: (f(*args)[0], False))],
-        [_rec("ker_beta", "Thm 1.3", 4, 4)], (), False, id="ker-beta"),
+        [_rec("ker_beta", "Thm 1.3", 4, 4)], (), id="ker-beta"),
 ])
-def test_every_unexpected_mismatch_verdict(ws, capsys, monkeypatch, a, patches, records, mismatched, agree):
+def test_every_unexpected_mismatch_verdict(ws, capsys, monkeypatch, a, patches, records, mismatched):
     # each verdict branch of analyze, forced on a small input: the exact
     # records (key order included), the flags of the honest run with only the
     # refuted displays flipped, and the CLI's exit codes on a document
@@ -649,11 +657,9 @@ def test_every_unexpected_mismatch_verdict(ws, capsys, monkeypatch, a, patches, 
     assert rep.match is False
     assert rep.flags == {**honest.flags, **{key: "mismatch" for key in mismatched}}
     write_document("lie.json", a)
-    assert main(["analyze", "lie.json", "--oracle"]) == 5
+    assert main(["analyze", "lie.json"]) == 5
     out = json.loads(capsys.readouterr().out)
     assert [list(r.items()) for r in out["unexpected_mismatches"]] == [list(r.items()) for r in records]
-    assert main(["oracle-compare", "lie.json"]) == (0 if agree else 5)
-    assert json.loads(capsys.readouterr().out)["agree"] is agree
 
 
 @pytest.mark.parametrize("a, meta, key", [
@@ -667,7 +673,7 @@ def test_analyze_meta_contradicting_the_algebra_exits_2(ws, capsys, a, meta, key
     # meta pins only d; a defect, t or variant that disagrees with the values
     # derived from the algebra is an input error, raised before any output
     write_document("lie.json", a, meta)
-    assert main(["analyze", "lie.json", "--oracle"]) == 2
+    assert main(["analyze", "lie.json"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: meta {key}"), err
 
@@ -686,7 +692,7 @@ def test_canonical_grid_documents_analyze_as_their_sweep_rows(ws, capsys):
                 "--canonical", "--variant", case.variant, "--out", "g.json"]
         assert main(argv) == 0, case.name
         capsys.readouterr()
-        assert main(["analyze", "g.json", "--oracle"]) == 0, case.name
+        assert main(["analyze", "g.json"]) == 0, case.name
         rep = json.loads(capsys.readouterr().out)
         row = run_case(case)
         assert {k: rep[k] for k in keys} == {k: row[k] for k in keys}, case.name
@@ -839,7 +845,8 @@ def test_sweep_empty_grid_exits_2(ws, capsys):
     ["analyze", "a.json", "--json"], ["cover", "a.json", "--json"],
     ["capable", "a.json", "--json"], ["oracle-compare", "a.json", "--json"],
     ["sweep", "--include-printed-j2"], ["sweep", "--no-oracle"], ["sweep", "--skip-suspect-forms"],
-    ["analyze", "a.json", "--skip-suspect-forms"],
+    ["analyze", "a.json", "--skip-suspect-forms"], ["analyze", "a.json", "--oracle"],
+    ["oracle-compare", "a.json"],
 ])
 def test_removed_options_are_rejected(ws, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -957,7 +964,7 @@ def test_jacobi_scan_only_on_rejected_input_matches_full_scan(ws, capsys):
     for seed in range(24):
         write_document("t.json", _cli_table(seed))
         bad = jacobi_check(docio.read_document("t.json")[0])
-        for argv in (["analyze", "--oracle"], ["cover"], ["capable"], ["oracle-compare"]):
+        for argv in (["analyze"], ["cover"], ["capable"]):
             got = main(argv + ["t.json"]), *capsys.readouterr()
             if bad:
                 want = 4, "", f"error: Jacobi identity fails on triples {bad[:5]}\n"
@@ -1018,47 +1025,30 @@ def test_cover_output_matches_pinned_digests(ws, capsys):
 # sha256 of json.dumps([exit code, stdout, stderr]) of each report command on each
 # _cover_documents() entry; capable on A(0) and A(3) exits 2 (abelian input)
 _REPORT_SHA256 = {
-    "analyze --oracle canonical-d3-defect1":
-        "a749766715ccd23dc6b09f571fce5d681302dda52c4515a43c47fcb4555f3877",
+    "analyze canonical-d3-defect1": "a749766715ccd23dc6b09f571fce5d681302dda52c4515a43c47fcb4555f3877",
     "capable canonical-d3-defect1": "94c74b8b7079f2fa357654bb10c2f393b83ee141b132d798bc1886380408daf9",
-    "oracle-compare canonical-d3-defect1": "11fa8e14481e7dd651ad59bcb046c2559ead124c82cea7cabf586822e0b528a0",
-    "analyze --oracle canonical-d4-defect2":
-        "de0b5688dda032eb2734578f54536e898a69fb3e640f9c40b93b35486e5ee495",
+    "analyze canonical-d4-defect2": "de0b5688dda032eb2734578f54536e898a69fb3e640f9c40b93b35486e5ee495",
     "capable canonical-d4-defect2": "1d191375b40952cbb46fc632a183bb5d142b419a2fe39ccd07e14ecd35a62da6",
-    "oracle-compare canonical-d4-defect2": "e12f9066e8f46ff7086d6f6eece8153c010720b4b503aa8100e8071a89fe3ffe",
-    "analyze --oracle canonical-d4-defect3-deficient":
+    "analyze canonical-d4-defect3-deficient":
         "7db7d0d7965f91eb963bfc0c1ddfb9051874c866cbc6c4e9fe4b9ce5fa3942fe",
     "capable canonical-d4-defect3-deficient":
         "f05fe61d2e84cc9ea6988d3c95a02091485d50e560ad79fe74ae1bc6493ab566",
-    "oracle-compare canonical-d4-defect3-deficient":
-        "6abcea224ba9cfa33ddcc419c40d0a4032b023dd975c9cbe56f94e9b48bc3cee",
-    "analyze --oracle canonical-d5-defect3":
-        "329d245147ed2fdcc2a7229d02453a24467c051f7468cac2fbf72f2586b8516e",
+    "analyze canonical-d5-defect3": "329d245147ed2fdcc2a7229d02453a24467c051f7468cac2fbf72f2586b8516e",
     "capable canonical-d5-defect3": "fd8cbccf5a3f3df53770671b9ee08c77d52f5eb5b8c1d3d2f451c0140026a793",
-    "oracle-compare canonical-d5-defect3": "1e67c61b04aaa8398133965cac9356f8f60a801a985c5e327c756be2673657c8",
-    "analyze --oracle seeded-d6-defect1": "5a5fee7f0aad95553cd2adfc14169005f37e64ab23ade176b359c7777a6bd026",
+    "analyze seeded-d6-defect1": "5a5fee7f0aad95553cd2adfc14169005f37e64ab23ade176b359c7777a6bd026",
     "capable seeded-d6-defect1": "764206b9cd671f11d688d64dc0b4bc00724cc8556e0a8292474f55dfa1b9429c",
-    "oracle-compare seeded-d6-defect1": "de8e013b083428bc4482c73f218dea0a4a067c0fade62eae731ddeb09852f8de",
-    "analyze --oracle A(0)": "2c4dd8c1b2b221433f95c56e2da134fde15badfdaf372c8f0b0ac0343d555351",
+    "analyze A(0)": "2c4dd8c1b2b221433f95c56e2da134fde15badfdaf372c8f0b0ac0343d555351",
     "capable A(0)": "58badccabd367aac124df6da7deb0fddebc8d5997ab6b538b8037285f4dd810d",
-    "oracle-compare A(0)": "35d0f295544683fcc73a48581fa584bcd151ee571eac92471ddd91b0a6e29aa8",
-    "analyze --oracle A(3)": "899a71f39d69d338a4eae0dd34859472e223d6f3ac15eea263b7e4aaadd53bb1",
+    "analyze A(3)": "899a71f39d69d338a4eae0dd34859472e223d6f3ac15eea263b7e4aaadd53bb1",
     "capable A(3)": "58badccabd367aac124df6da7deb0fddebc8d5997ab6b538b8037285f4dd810d",
-    "oracle-compare A(3)": "db46c8f87c7a462886ba4aa7d946d5a63d55de9be63eab6f6fe49fc0f5396ac3",
-    "analyze --oracle H(2)": "1e6299a2bf60ace406f18a76852acf17f543bc40cad8de45b999fdf5d48169a5",
+    "analyze H(2)": "1e6299a2bf60ace406f18a76852acf17f543bc40cad8de45b999fdf5d48169a5",
     "capable H(2)": "681aac45d8d9c0103b68725164155b552302a19d50240df6df1e4f7da6fb2a31",
-    "oracle-compare H(2)": "6bf5ce6c1eb9feddebf04f02f23453f4bd41d718e9083b239165c6ae08027a76",
-    "analyze --oracle H(1)+A(1)": "4fbed341a3f5940bbb20fb989d0226120cb17d9e2b6e94477aa53703d97a8dca",
+    "analyze H(1)+A(1)": "4fbed341a3f5940bbb20fb989d0226120cb17d9e2b6e94477aa53703d97a8dca",
     "capable H(1)+A(1)": "b64b4f84c122f1354f83e4f0cc8012abe537f5d35e9d07d27ffbb683b5422aa8",
-    "oracle-compare H(1)+A(1)": "b762f5686c10dc7df2f881f73335f8697f3ef1cc7ca7ab18d9dd5757cec2960c",
-    "analyze --oracle rational-d4-defect1":
-        "e6f5af165d65c1a26cb6eaf102de3b2d2640120664df9b2a034a71a7eccefba6",
+    "analyze rational-d4-defect1": "e6f5af165d65c1a26cb6eaf102de3b2d2640120664df9b2a034a71a7eccefba6",
     "capable rational-d4-defect1": "1aa042956cd1cd5aa70f63b5a5205095055f6569ca950eca7cd701ea503b355c",
-    "oracle-compare rational-d4-defect1": "0429f46fd7bc45eeff7e4b8d313c7b862d74a5ab76d4a9d8e8da386c8b02b26b",
-    "analyze --oracle rational-d5-defect1":
-        "05e0aceb160fbfa66fafe9f3d743b1077b8251269eda79ced252710bd9147baa",
+    "analyze rational-d5-defect1": "05e0aceb160fbfa66fafe9f3d743b1077b8251269eda79ced252710bd9147baa",
     "capable rational-d5-defect1": "b2fc918698635cae8beb7a435276ce7d7cda74ad72808ca704b1bb45c4c85968",
-    "oracle-compare rational-d5-defect1": "5dc24bfd090faa8e8d8e8853d1a5c877c021c680443dcd5f70208fcdc30266cd",
 }
 
 
@@ -1066,8 +1056,8 @@ def test_report_output_matches_pinned_digests(ws, capsys):
     got = {}
     for name, (a, family) in _cover_documents().items():
         write_document("l.json", a, {"family": family})
-        for command in ("analyze --oracle", "capable", "oracle-compare"):
-            code = main([*command.split(), "l.json"])
+        for command in ("analyze", "capable"):
+            code = main([command, "l.json"])
             out, err = capsys.readouterr()
             got[f"{command} {name}"] = hashlib.sha256(json.dumps([code, out, err]).encode("utf-8")).hexdigest()
     assert got == _REPORT_SHA256
@@ -1127,7 +1117,7 @@ def test_os_errors_exit_2(ws, capsys):
     # a directory where a file is read or written is an error line, not a traceback
     write_document("h.json", heisenberg(1))
     os.mkdir("d")
-    for argv in (["analyze", "d"], ["cover", "d"], ["capable", "d"], ["oracle-compare", "d"],
+    for argv in (["analyze", "d"], ["cover", "d"], ["capable", "d"],
                  ["gen", "--family", "heisenberg", "--m", "1", "--out", "d"],
                  ["cover", "h.json", "--out", "d"],
                  ["sweep", "--d", "3", "--defect", "1", "--t", "0", "--seeds", "0", "--out", "d"]):

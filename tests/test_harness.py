@@ -184,7 +184,7 @@ def test_the_good_document_is_accepted():
         path = Path(tmp, "doc.json")
         path.write_text(docio.dumps(_GOOD), encoding="utf-8")
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            assert main(["analyze", str(path), "--oracle"]) == 0
+            assert main(["analyze", str(path)]) == 0
 
 
 def _assert_exits_2(text, commands):
@@ -208,7 +208,7 @@ def _assert_exits_2(text, commands):
 @example(json.dumps(dict(_GOOD, meta={"d": "x"})))  # analyze reads meta d as a number
 @settings(max_examples=80, deadline=None)
 def test_malformed_document_exits_2_without_traceback(text):
-    _assert_exits_2(text, ("analyze", "cover", "capable", "oracle-compare"))
+    _assert_exits_2(text, ("analyze", "cover", "capable"))
 
 
 # The good document's algebra allows d = 3 only (dim L/Z = dim L/L² = 3),

@@ -855,7 +855,7 @@ def _reference_verify_cover(a, cover, b):
         s=s,
         defect=p.rel2.dim,
         branch_ok=all(b.contains_vec(u) for u in cube.vectors()) and 0 <= s <= p.rel2.dim,
-        witness_ok=hopf._extension_witness_agrees(p, cover, series) if p.hall.d == 3 else None,
+        witness_ok=hopf._extension_witness_agrees(p, series) if p.hall.d == 3 else None,
     )
 
 
@@ -1137,7 +1137,7 @@ def test_witness_matches_the_closure_and_restrict_reference():
         assert p.hall.d == 3
         for cover in covers:
             series = lower_central_series(cover)
-            got = hopf._extension_witness_agrees(p, cover, series)
+            got = hopf._extension_witness_agrees(p, series)
             assert got == _reference_witness_agrees(p, cover, series)
             verdicts.append(got)
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 100

@@ -236,7 +236,7 @@ def test_analyze_rebases_and_presents_once(monkeypatch):
     monkeypatch.setattr(hopf, "presentation_from_class2", counted("pres", hopf.presentation_from_class2))
     for a in (canonical_gh(4, 1), scrambled(random_class2(3, 5), 1), direct_sum(heisenberg(1), abelian(1))):
         calls.clear()
-        analyze(a, with_oracle=True, check_ker_beta=True)
+        analyze(a, with_oracle=True)
         assert calls == {"rebase": 1, "center": 1, "pres": 1}
 
 
