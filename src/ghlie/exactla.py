@@ -40,8 +40,9 @@ A ``Subspace`` stores the kernel's rows as they come out, each the primitive
 integer multiple of its unit-pivot RREF row, and ``reduce`` (membership,
 quotient coordinates) runs the same step against them.  The unit-pivot
 rational rows are built once, on the first call of ``vectors()``; a caller
-that needs only the span reads ``integer_rows()``.  ``invert`` reads its
-answer off the span of [m | I].
+that needs only the span reads ``integer_rows()``.  ``unit_images()``, every
+unit vector modulo the subspace as integer rows at one scale, is the one such
+read-off.  ``invert`` reads its answer off the span of [m | I].
 """
 
 from __future__ import annotations
@@ -324,11 +325,12 @@ class Subspace:
     with a positive pivot and zeros at the other pivots, so it is the unique
     such multiple of its unit-pivot RREF row and equal subspaces have equal
     rows.  Everything but ``vectors()`` reads them as they are; the unit-pivot
-    rows are built on its first call and kept.  Rows of either kind are shared
-    with callers and never mutated; a caller that edits one copies it first.
+    rows are built on its first call and kept, as are ``unit_images()``.  Rows
+    of every kind are shared with callers and never mutated; a caller that
+    edits one copies it first.
     """
 
-    __slots__ = ("ambient_dim", "_rows", "pivots", "_vectors", "_comp_pos")
+    __slots__ = ("ambient_dim", "_rows", "pivots", "_vectors", "_comp_pos", "_images")
 
     def __init__(self, ambient_dim: int, rows: Iterable[dict]):
         """rows must already be the stored form, by ascending pivot (see from_vectors)."""
@@ -337,6 +339,7 @@ class Subspace:
         self.pivots = tuple(self._rows)
         self._vectors = None
         self._comp_pos = None
+        self._images = None
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Vec]) -> "Subspace":
@@ -373,6 +376,24 @@ class Subspace:
                 for p, r in self._rows.items()
             ]
         return list(self._vectors)
+
+    def unit_images(self) -> tuple[int, list[dict]]:
+        """(D, images): images[c] is D times e_c + self in complement coordinates.
+
+        D is the lcm of the stored rows' pivot entries, so every image is an
+        integer row.  A non-pivot c is quotient basis vector q, {q: D}.  At a
+        pivot m, e_m is m - row/row[m] for the stored row there, zero at the
+        other pivots: -row without m, times D/row[m].  Built once and kept.
+        """
+        if self._images is None:
+            pos = {c: q for q, c in enumerate(self.complement_coords())}
+            den = lcm(*(r[m] for m, r in self._rows.items()))
+            images: list = [{pos[c]: den} if c in pos else None for c in range(self.ambient_dim)]
+            for m, r in self._rows.items():
+                f = -den // r[m]
+                images[m] = {pos[c]: f * x for c, x in r.items() if c != m}
+            self._images = den, images
+        return self._images
 
     def reduce(self, v: Vec) -> Vec:
         """Residual of v after eliminating all pivot coordinates.

@@ -10,14 +10,15 @@ grade-2 relation space S.  Then
 
 and the exterior center, ker β and the cover F/[R,F] are all finite linear
 algebra in the graded coordinates.  Truncation at class 3 is sound because
-[R,F] already contains F⁴-terms' sources: for a class-2 target every bracket
-of interest lands in grade <= 3.  The β images [lift_s, x_g] mod [R,F], read
-by both the exterior center and ker β, are built once per presentation as
-integer rows, each D times its image for one D, the lcm of [R,F]'s pivot
-entries: a common scale changes no rank and no relation, so only the cover's
-table divides by D.  ``analyze`` asks only whether ker β is K, and
-``ker_beta_agrees`` answers by certificate from any basis of K: its rows lie
-in ker β, and dim ker β = dim K.  It reads only the exterior center's dimension.
+L has class 2, so R ⊇ γ₃(F); hence [R,F] ⊇ γ₄(F), and F/[R,F] is a quotient
+of F_{d,3}.  The β images [lift_s, x_g] mod [R,F], read by both the exterior
+center and ker β, are built once per presentation as integer rows from
+[R,F]'s ``unit_images()``, each D times its image for that D, the lcm of
+[R,F]'s pivot entries: a common scale changes no rank and no relation, so
+only the cover's table divides by D.  ``analyze`` asks only whether ker β is
+K, and ``ker_beta_agrees`` answers by certificate from any basis of K: its
+rows lie in ker β, and dim ker β = dim K.  It reads only the exterior
+center's dimension.
 
 Hall conventions (fixed so signs are reproducible bit for bit):
   * generators x_1 < ... < x_d (0-based internally);
@@ -30,7 +31,7 @@ Hall conventions (fixed so signs are reproducible bit for bit):
 two signed triples of [[x_i, x_j], x_g] for each pair and generator.  It is
 the only bracket rewrite here.  [R,F] is spanned through ``wedge_gen_bracket``,
 which reads it; the β images and the cover's table sum the one or two images
-it names, each triple's image mod [R,F] being built once per presentation.
+it names, each triple's image mod [R,F] read off ``unit_images()``.
 Every bracket of grade >= 4 vanishes in F_{d,3}.
 """
 
@@ -39,7 +40,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from math import lcm
 
 from .exactla import Subspace, Vec, _forward, _ratio, relations, vec_axpy
 from .liealg import (
@@ -110,10 +110,10 @@ class FreePresentation:
     rel2 lives in the grade-2 wedge coordinates, rel_bracket_span = [rel2, F]
     in the grade-3 coordinates.  lifts[s] is a grade-2 preimage of the s-th
     derived basis vector of the target: the unit wedge vector at rel2's s-th
-    complement coordinate, whose bracket it is.  The triple images mod [R,F]
-    and the β images are built on first use (see ``_triple_images`` and
-    ``_beta_images``) and kept with the presentation, as integer rows over
-    the one D of ``_triple_images``.
+    complement coordinate, whose bracket it is.  The β images are built on
+    first use (see ``_beta_images``) and kept with the presentation, as
+    integer rows over the D of ``rel_bracket_span.unit_images()``, which
+    holds each triple's image mod [R,F].
     """
 
     hall: HallBasis
@@ -121,7 +121,6 @@ class FreePresentation:
     rel_bracket_span: Subspace
     lifts: list[Vec]
     target: LieAlgebra
-    _images: tuple[int, list[Vec]] | None = field(default=None, init=False, compare=False, repr=False)
     _beta: list[Vec] | None = field(default=None, init=False, compare=False, repr=False)
 
 
@@ -158,35 +157,11 @@ def exterior_square_oracle(p: FreePresentation) -> int:
     return p.hall.grade2_dim + p.hall.grade3_dim - p.rel_bracket_span.dim
 
 
-def _triple_images(p: FreePresentation) -> tuple[int, list[Vec]]:
-    """(D, images): images[m] is D times triple m mod [R,F] in quotient coordinates.
-
-    Built on first use and kept with the presentation.  D is the lcm of the
-    pivot entries of [R,F], so every image is an integer row.  A triple off
-    the pivots is a quotient basis vector, {q: D}.  At a pivot it is
-    m - row/row[m] for the row of [R,F] there, which is zero at the other
-    pivots: -row without m, times D/row[m].
-    """
-    if p._images is None:
-        rf = p.rel_bracket_span
-        rows = rf.integer_rows()
-        den = lcm(*(row[m] for m, row in zip(rf.pivots, rows)))
-        comp = rf.complement_coords()
-        pos = dict(zip(comp, itertools.count()))
-        images: list = [None] * rf.ambient_dim
-        for q, c in enumerate(comp):
-            images[c] = {q: den}
-        for m, row in zip(rf.pivots, rows):
-            f = -den // row[m]
-            images[m] = {pos[c]: f * x for c, x in row.items() if c != m}
-        p._images = den, images
-    return p._images
-
-
 def _bracket_image(images: list[Vec], terms: tuple) -> Vec:
     """D times the signed sum of the one or two triple images a ``HallBasis.rule``
-    entry names, an integer row.  The first term's sign is +1, so a one-term
-    entry's image is the triple's own row, shared with ``images``.
+    entry names, an integer row, for [R,F]'s ``unit_images()`` (D, images).  The
+    first term's sign is +1, so a one-term entry's image is the triple's own row,
+    shared with ``images``.
     """
     out = images[terms[0][0]]
     if len(terms) == 2:
@@ -198,11 +173,12 @@ def _bracket_image(images: list[Vec], terms: tuple) -> Vec:
 def _beta_images(p: FreePresentation) -> list[Vec]:
     """β on the basis: entry s·d + g is D times [lift_s, x_g] mod [R,F] in quotient coordinates.
 
+    D is the lcm of [R,F]'s pivot entries, from ``rel_bracket_span.unit_images()``.
     Built on first use and kept with the presentation; entries are integer
-    rows and may share their dicts with ``_triple_images``, so none is mutated.
+    rows and may share their dicts with those images, so none is mutated.
     """
     if p._beta is None:
-        images, rule = _triple_images(p)[1], p.hall.rule
+        images, rule = p.rel_bracket_span.unit_images()[1], p.hall.rule
         # each lift is a unit wedge vector, so its row of β is its pair's row of the rule
         p._beta = [_bracket_image(images, terms) for (c,) in p.lifts for terms in rule[c]]
     return p._beta
@@ -280,8 +256,8 @@ def cover_construct(p: FreePresentation) -> Cover:
 
     Basis: the generators, the wedge pairs, then the triples of a complement of
     [R,F].  [x_i, x_j] (i < j) is its pair coordinate and [x_g, e_w] is
-    -[e_w, x_g] mod [R,F] by the Hall rule; every other basis bracket has
-    grade >= 4 and is zero.
+    -[e_w, x_g] mod [R,F] by the Hall rule, read off [R,F]'s ``unit_images()``
+    and divided by its D; every other basis bracket has grade >= 4 and is zero.
     """
     h = p.hall
     d = h.d
@@ -290,7 +266,7 @@ def cover_construct(p: FreePresentation) -> Cover:
     g2 = h.grade2_dim
     dim = d + g2 + len(comp3)
     table = {ij: {d + w: 1} for w, ij in enumerate(h.pairs)}
-    den, images = _triple_images(p)
+    den, images = rf.unit_images()
     for g in range(d):
         for w in range(g2):
             img = _bracket_image(images, h.rule[w][g])
@@ -415,9 +391,10 @@ def extension_witness(p: FreePresentation) -> LieAlgebra:
     n_dim = r * d - kb.dim
     g2 = h.grade2_dim
     dim = d + r + g2 + n_dim
+    den, images = kb.unit_images()
 
     def n_image(s: int, i: int) -> Vec:
-        return {d + r + g2 + q: x for q, x in kb.quotient_coords({s * d + i: 1}).items()}
+        return {d + r + g2 + q: _ratio(x, den) for q, x in images[s * d + i].items()}
 
     table: dict[tuple[int, int], Vec] = {}
     for i, j in itertools.combinations(range(d), 2):

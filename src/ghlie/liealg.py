@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterator
 
-from .exactla import Subspace, Vec, _insert, _rref, invert, relations, vec, vec_axpy
+from .exactla import Subspace, Vec, _insert, _ratio, _rref, invert, relations, vec, vec_axpy
 
 
 class CenterViolation(ValueError):
@@ -286,15 +286,13 @@ def class2_from_relations(d: int, relations: Subspace, labels=None) -> LieAlgebr
     pairs = wedge_pairs(d)
     if relations.ambient_dim != len(pairs):
         raise ValueError("relations have wrong ambient dimension")
-    comp = relations.complement_coords()
+    r = relations.ambient_dim - relations.dim
     if labels is None:
-        labels = [f"x{i+1}" for i in range(d)] + [f"y{s+1}" for s in range(len(comp))]
-    # Read off the RREF rows: mod relations, a pivot pair is minus the rest of its row.
-    pos = {c: d + s for s, c in enumerate(comp)}
-    img = {c: {k: 1} for c, k in pos.items()}
-    for p, row in zip(relations.pivots, relations.vectors()):
-        img[p] = {pos[c]: -x for c, x in row.items() if c != p}
-    return LieAlgebra(d + len(comp), labels, {pairs[w]: img[w] for w in range(len(pairs))})
+        labels = [f"x{i+1}" for i in range(d)] + [f"y{s+1}" for s in range(r)]
+    # [x_i, x_j] is its pair's image mod relations, D times which unit_images holds.
+    den, images = relations.unit_images()
+    table = {ij: {d + s: x if den == 1 else _ratio(x, den) for s, x in v.items()} for ij, v in zip(pairs, images)}
+    return LieAlgebra(d + r, labels, table)
 
 
 _RETRY_BUDGET = 64

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .exactla import Subspace, Vec, basis
-from .liealg import LieAlgebra, rebase_class2
+from .liealg import LieAlgebra, rebase_class2, wedge_pairs
 
 
 @dataclass(frozen=True)
@@ -63,23 +63,24 @@ def psi2_image(a: LieAlgebra, rel2: Subspace | None = None) -> Psi2Data:
     without it a is rebased here, which also rejects class > 2.  K lives in
     the rebased algebra's coordinates, the normal form class2_from_relations
     builds, so K's coordinates depend on that choice of basis of L² while its
-    dimension does not.  The coordinates are read off the basis contract:
-    generator g is coordinate g and derived basis vector s is coordinate n + s.
+    dimension does not.  Each bracket is read off rel2's ``unit_images()``, D
+    times [x_i, x_j] in the derived coordinates, so the cycles are integer rows.
     """
     if rel2 is None:
         a, rel2, _ = rebase_class2(a)
     r = rel2.ambient_dim - rel2.dim
     n = a.dim - r
-    # [x_i, x_j] ⊗ x̄_g sits at (c - n)·n + g for each derived entry c: read once per pair
-    terms = {ij: [((c - n) * n, x) for c, x in v.items()] for ij, v in a.bracket.items()}
+    # D·[x_i, x_j] ⊗ x̄_g sits at s·n + g for each entry at y_s of D·[x_i, x_j]: read once per pair
+    images = rel2.unit_images()[1]
+    terms = {ij: [(s * n, x) for s, x in v.items()] for ij, v in zip(wedge_pairs(n), images)}
     gens = []
     for g1, g2, g3 in itertools.combinations(range(n), 3):
         # [x1,x2]⊗x̄3 - [x1,x3]⊗x̄2 + [x2,x3]⊗x̄1: the three terms sit at distinct
         # generator indices, so they never meet
-        v: Vec = {off + g3: x for off, x in terms.get((g1, g2), ())}
-        for off, x in terms.get((g1, g3), ()):
+        v: Vec = {off + g3: x for off, x in terms[(g1, g2)]}
+        for off, x in terms[(g1, g3)]:
             v[off + g2] = -x
-        for off, x in terms.get((g2, g3), ()):
+        for off, x in terms[(g2, g3)]:
             v[off + g1] = x
         if v:
             gens.append(v)

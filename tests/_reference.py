@@ -19,8 +19,13 @@ C(dim, 2) brackets, the claim that it is central read at its pivots only, the
 Jacobi scan on the table as given); ``reference_verify_cover`` is verify_cover
 as it was before it read the cover scaled to integers (every check on the
 cover's own table, Fractions included, and cover/B compared with the rebased
-table as it is); ``classify_by_multiplier`` reads the defect off (d, dim M(L)),
-and ``write_document`` writes an algebra as a JSON document.
+table as it is); ``reference_class2_from_relations`` and
+``reference_extension_witness`` are the rebased table and the d = 3 witness
+as they were before every quotient image came from ``Subspace.unit_images``
+(the table read off the unit-pivot ``vectors()`` rows, the witness off one
+``quotient_coords`` per unit vector); ``classify_by_multiplier`` reads the
+defect off (d, dim M(L)), and ``write_document`` writes an algebra as a JSON
+document.
 """
 
 import copy
@@ -33,7 +38,7 @@ from math import lcm
 from ghlie.closed_forms import _displays_t0, _displays_t9, _int, _suspect_reason, _validate
 from ghlie.docio import algebra_to_document, dumps
 from ghlie.exactla import Subspace, _forward, _primitive_copy, _ratio, _relations, _singletons, basis, relations
-from ghlie.hopf import CoverReport, _extension_witness_agrees, presentation_from_class2
+from ghlie.hopf import CoverReport, _extension_witness_agrees, ker_beta, presentation_from_class2
 from ghlie.liealg import (
     ClassTwoRequired,
     JacobiViolation,
@@ -294,6 +299,43 @@ def reference_verify_cover(a: LieAlgebra, cover: LieAlgebra, b: Subspace) -> Cov
         branch_ok=cube_in_b and 0 <= s <= rel2.dim,
         witness_ok=witness_ok,
     )
+
+
+def reference_class2_from_relations(d: int, relations: Subspace, labels=None) -> LieAlgebra:
+    """class2_from_relations as it was: mod relations, a pivot pair is minus the
+    rest of its unit-pivot RREF row, read off ``vectors()``."""
+    pairs = wedge_pairs(d)
+    comp = relations.complement_coords()
+    if labels is None:
+        labels = [f"x{i+1}" for i in range(d)] + [f"y{s+1}" for s in range(len(comp))]
+    pos = {c: d + s for s, c in enumerate(comp)}
+    img = {c: {k: 1} for c, k in pos.items()}
+    for p, row in zip(relations.pivots, relations.vectors()):
+        img[p] = {pos[c]: -x for c, x in row.items() if c != p}
+    return LieAlgebra(d + len(comp), labels, {pairs[w]: img[w] for w in range(len(pairs))})
+
+
+def reference_extension_witness(p) -> LieAlgebra:
+    """extension_witness as it was: each [y_s, x_i] read off ``quotient_coords``
+    of its unit vector mod ker β."""
+    t, h = p.target, p.hall
+    d = h.d
+    r = t.dim - d
+    kb = ker_beta(p)
+    n_dim = r * d - kb.dim
+    g2 = h.grade2_dim
+    table = {}
+    for i, j in itertools.combinations(range(d), 2):
+        v = dict(t.pair(i, j))
+        v[d + r + h.pair_index[(i, j)]] = 1
+        table[(i, j)] = v
+    for s in range(r):
+        for i in range(d):
+            v = {d + r + g2 + q: x for q, x in kb.quotient_coords({s * d + i: 1}).items()}
+            if v:
+                table[(i, d + s)] = {c: -x for c, x in v.items()}
+    labels = list(t.labels) + [f"e{i+1}{j+1}" for i, j in h.pairs] + [f"n{q+1}" for q in range(n_dim)]
+    return LieAlgebra(d + r + g2 + n_dim, labels, table)
 
 
 class NotGeneralizedHeisenberg(ValueError):

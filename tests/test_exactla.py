@@ -1,4 +1,5 @@
 import copy
+import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -25,9 +26,11 @@ from ghlie.exactla import (
     vec,
     vec_axpy,
 )
-from ghlie.fixtures import seeded_gh
+from ghlie.fixtures import grid_cases, seeded_gh
+from ghlie.hopf import presentation_from_class2
 from ghlie.liealg import rebase_class2
 from ghlie.multiplier import psi2_image
+from ghlie.sweep import SweepConfig
 
 from _reference import assert_prepass_agrees, jacobi_cycle_generators
 
@@ -1195,3 +1198,43 @@ def test_column_singleton_prepass_rounds_and_positions():
     assert _singletons(chain + cycle) == ([0, 4, 1, 3, 2], [5, 6, 7])
     assert relations([{0: 1}, v, v]).integer_rows() == [{1: 1, 2: -1}]
     assert relations([zero, {0: 1}, zero]).integer_rows() == [{0: 1}, {2: 1}]
+
+
+def _unit_image_subspaces():
+    """Zero and full subspaces, Fraction-valued and tall inputs, and the rel2 and
+    [R,F] of every default-grid presentation."""
+    subs = [Subspace.zero(0), Subspace.zero(5), Subspace.full(0), Subspace.full(4)]
+    subs.append(Subspace.from_vectors(6, [{0: F(1, 2), 2: F(3, 4), 5: F(-5, 3)}, {1: F(2, 3), 3: 7}, {2: F(7, 5), 4: 1}]))
+    subs.append(Subspace.from_vectors(5, [{1: F(6, 7), 3: F(-4, 9)}, {0: F(1, 6), 3: F(2, 3), 4: 5}]))
+    rng = random.Random(7)
+    for cols in (3, 4):
+        tall = [{c: F(rng.randint(-4, 4), rng.randint(1, 5)) for c in range(cols) if rng.random() < 0.6}
+                for _ in range(4 * cols)]
+        subs.append(Subspace.from_vectors(cols, tall))
+    cfg = SweepConfig()
+    for case in grid_cases(cfg.d_values, cfg.defects, cfg.t_values, cfg.seeds):
+        p = presentation_from_class2(case.build())
+        subs += [p.rel2, p.rel_bracket_span]
+    return subs
+
+
+def test_unit_images_are_scaled_quotient_coords():
+    # images[c] is D times quotient_coords(e_c), item for item and in key order,
+    # as an integer row, for D the lcm of the stored rows' pivot entries; built
+    # once and kept
+    subs = _unit_image_subspaces()
+    dens = []
+    for sub in subs:
+        got = sub.unit_images()
+        den, images = got
+        assert den == lcm(*(r[m] for m, r in zip(sub.pivots, sub.integer_rows())))
+        assert len(images) == sub.ambient_dim
+        for c in range(sub.ambient_dim):
+            want = [(q, den * x) for q, x in sub.quotient_coords({c: 1}).items()]
+            assert list(images[c].items()) == want, c
+            assert all(type(x) is int for x in images[c].values())
+        assert sub.unit_images() is got
+        dens.append(den)
+    assert len(subs) > 400 and dens.count(1) > 100 and max(dens) > 1
+    assert (Subspace.zero(5).unit_images() == (1, [{c: 1} for c in range(5)])
+            and Subspace.full(4).unit_images() == (1, [{}] * 4))

@@ -49,6 +49,7 @@ from _reference import (
     random_class2,
     reference_beta_images,
     reference_bracket_image,
+    reference_extension_witness,
     reference_ker_beta_agrees,
     reference_triple_images,
     reference_verify_cover,
@@ -630,7 +631,7 @@ def test_beta_images_match_the_solved_lifts_reference():
     differ = fractions = 0
     for a in inputs:
         p = presentation_from_class2(a)
-        den = hopf._triple_images(p)[0]
+        den = p.rel_bracket_span.unit_images()[0]
         lifts = _reference_lifts(p)
         differ += lifts != p.lifts
         got = hopf._beta_images(p)
@@ -651,7 +652,7 @@ def test_cover_table_matches_the_per_vector_quotient_build():
         h = p.hall
         d, g2 = h.d, h.grade2_dim
         table = cover_construct(p).algebra.bracket
-        den, images = hopf._triple_images(p)
+        den, images = p.rel_bracket_span.unit_images()
         for g in range(d):
             for w in range(g2):
                 want = _reference_image(p, {w: 1}, g)
@@ -672,7 +673,7 @@ def test_integer_beta_rows_match_the_fraction_reference():
         b, rel2, _ = rebase_class2(a)
         kd = psi2_image(b, rel2)
         p = presentation_from_class2(b, rel2)
-        den, images = hopf._triple_images(p)
+        den, images = p.rel_bracket_span.unit_images()
         dens.append(den)
         ref = reference_triple_images(p)
         assert all(_ints(u) for u in images)
@@ -971,27 +972,23 @@ def test_verify_cover_on_the_scaled_table_matches_the_fraction_reference():
 
 
 def test_verify_cover_eliminates_integer_rows_only(monkeypatch):
-    # every row the kernel receives while the cover is checked; K's Jacobi cycles are
-    # read off the target's rebased table, not the cover's, and are left out, as is the
-    # d = 3 witness (none of these inputs has d = 3)
-    seen, recording = [], [True]
-    forward, psi2 = exactla._forward, hopf.psi2_image
+    # every row the kernel's forward pass and column-singleton pre-pass receive
+    # while the cover is checked, K's Jacobi cycles included (none of these
+    # inputs has d = 3, so the witness is not built)
+    seen = []
+    forward, singletons = exactla._forward, exactla._singletons
 
     def forward_recorded(rows):
         rows = list(rows)
-        if recording[0]:
-            seen.extend(rows)
+        seen.extend(rows)
         return forward(rows)
 
-    def psi2_unrecorded(*args):
-        recording[0] = False
-        try:
-            return psi2(*args)
-        finally:
-            recording[0] = True
+    def singletons_recorded(rows):
+        seen.extend(rows)
+        return singletons(rows)
 
     monkeypatch.setattr(exactla, "_forward", forward_recorded)
-    monkeypatch.setattr(hopf, "psi2_image", psi2_unrecorded)
+    monkeypatch.setattr(exactla, "_singletons", singletons_recorded)
     inputs = [seeded_gh(4, 1, 0), seeded_gh(5, 3, 0), seeded_gh(10, 3, 0), rational_basis(seeded_gh(4, 2, 0), 1)]
     for a in inputs:
         cover, b = _cover_pair(presentation_from_class2(a))
@@ -1123,12 +1120,31 @@ def _reference_witness_agrees(p, cover, series):
     return [s.dim for s in lower_central_series(sub)] == [s.dim for s in series]
 
 
-def test_witness_matches_the_closure_and_restrict_reference():
+def _d3_inputs():
     d3 = [canonical_gh(3, 1), canonical_gh(3, 2), class2_from_relations(3, Subspace.zero(3)), abelian(3),
           direct_sum(heisenberg(1), abelian(1))]
     d3 += [seeded_gh(3, 1 + s % 2, s) for s in range(3)] + [random_class2(3, s) for s in range(4)]
-    d3 += [rational_basis(a, s) for s, a in enumerate(d3[:6])]
-    presentations = [presentation_from_class2(a) for a in d3]
+    return d3 + [rational_basis(a, s) for s, a in enumerate(d3[:6])]
+
+
+def test_extension_witness_matches_the_quotient_coords_reference():
+    # the witness reads ker β's unit images divided once by their D; its table is
+    # the one read off quotient_coords of each unit vector, key order and value
+    # types too, on the d = 3 inputs and on the grid's d = 3 and d = 4 cases
+    inputs = _d3_inputs() + [c.build() for c in grid_cases((3, 4), (1, 2, 3), (0,), 5)]
+    dens = []
+    for a in inputs:
+        p = presentation_from_class2(a)
+        got, want = extension_witness(p), reference_extension_witness(p)
+        assert (got.dim, got.labels) == (want.dim, want.labels)
+        assert ([(k, [(c, type(x), x) for c, x in v.items()]) for k, v in got.bracket.items()]
+                == [(k, [(c, type(x), x) for c, x in v.items()]) for k, v in want.bracket.items()])
+        dens.append(ker_beta(p).unit_images()[0])
+    assert dens.count(1) >= 5 and max(dens) > 1
+
+
+def test_witness_matches_the_closure_and_restrict_reference():
+    presentations = [presentation_from_class2(a) for a in _d3_inputs()]
     others = [canonical_gh(4, 2), heisenberg(2), abelian(2), direct_sum(heisenberg(1), abelian(2))]
     covers = [cover_construct(p).algebra for p in presentations]
     covers += [cover_construct(presentation_from_class2(a)).algebra for a in others]

@@ -578,6 +578,43 @@ def test_rebase_returns_canonical_heisenberg_and_abelian_tables():
         assert rebase_class2(a)[0] == a
 
 
+from ghlie.fixtures import grid_cases  # noqa: E402
+from ghlie.sweep import SweepConfig  # noqa: E402
+from _reference import reference_class2_from_relations  # noqa: E402
+
+
+def _generators_and_rel2(a):
+    b, rel2, _ = rebase_class2(a)
+    return b.dim - (rel2.ambient_dim - rel2.dim), rel2
+
+
+def test_class2_from_relations_matches_the_vectors_read_off():
+    # the table written from the relations' unit images, divided once by their D,
+    # is the one read off the unit-pivot vectors(), key order and value types
+    # too, with the labels passed through: on the rel2 of every default-grid
+    # case, of seeded GH algebras at d <= 12 and of random rational subspaces
+    cfg = SweepConfig()
+    rels = [_generators_and_rel2(c.build()) for c in grid_cases(cfg.d_values, cfg.defects, cfg.t_values, cfg.seeds)]
+    rels += [_generators_and_rel2(seeded_gh(d, k, s)) for d in range(3, 13) for k in range(4)
+             if k < d * (d - 1) // 2 for s in range(2 if d <= 8 else 1)]
+    rng = random.Random(11)
+    for _ in range(60):
+        d = rng.randint(2, 6)
+        n = d * (d - 1) // 2
+        rows = [{c: Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for c in rng.sample(range(n), rng.randint(0, n))}
+                for _ in range(rng.randint(0, n))]
+        rels.append((d, Subspace.from_vectors(n, [vec(r) for r in rows])))
+    dens = []
+    for d, rel in rels:
+        dens.append(rel.unit_images()[0])
+        labels = [f"g{i}" for i in range(d + rel.ambient_dim - rel.dim)]
+        for lab in (None, labels):
+            got, want = class2_from_relations(d, rel, lab), reference_class2_from_relations(d, rel, lab)
+            assert (got.dim, got.labels) == (want.dim, want.labels)
+            assert _typed(got.bracket) == _typed(want.bracket)
+    assert len(dens) > 300 and dens.count(1) > 50 and max(dens) > 1
+
+
 # --- brackets from the table's nonzeros (differential) -------------------------------
 #
 # center reads only the rows (j, k) at L²'s pivots, and lower_central_series,

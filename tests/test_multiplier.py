@@ -2,7 +2,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from types import SimpleNamespace
 
 import pytest
@@ -25,6 +25,7 @@ from ghlie.liealg import (
 )
 from ghlie.multiplier import dimensions, psi2_image, square_dim
 from ghlie.report import Analysis, analyze, capability_by_quotients
+from ghlie.sweep import SweepConfig
 
 from _reference import NotGeneralizedHeisenberg, classify_by_multiplier, jacobi_cycle_generators, random_class2
 
@@ -172,11 +173,13 @@ def test_psi2_contract_read_matches_coords_reference():
 
 
 def test_jacobi_cycles_match_the_per_triple_reference(monkeypatch):
-    # psi2_image reads each pair's bracket once; the generators its
-    # column-singleton pre-pass takes must be the per-triple loop's, item for
-    # item, key order and value types included.  It keeps the taken generators,
-    # made primitive, and the forward rows of the rest: their count is the rank,
-    # and their span is K as Subspace.from_vectors builds it from the cycles
+    # psi2_image reads each pair's bracket once, off rel2's unit images; the
+    # generators its column-singleton pre-pass takes must be D times the
+    # per-triple loop's, item for item and in key order, all ints, for D the lcm
+    # of rel2's pivot entries, so the pre-pass splits them as it splits the
+    # loop's.  It keeps the taken generators, made primitive, and the forward
+    # rows of the rest: their count is the rank, and their span is K as
+    # Subspace.from_vectors builds it from the cycles
     inputs = [c.build() for c in grid_cases((3, 4, 5, 6), (1, 2, 3), (0, 1, 2), 5)]
     inputs += [seeded_gh(d, k, s) for d in range(3, 13) for k in range(4) if k < d * (d - 1) // 2
                for s in range(3 if d <= 8 else 1)]
@@ -201,8 +204,10 @@ def test_jacobi_cycles_match_the_per_triple_reference(monkeypatch):
         got = psi2_image(b, rel2)
         want = jacobi_cycle_generators(b, rel2)
         (gens,) = seen
-        assert [list(v.items()) for v in gens] == [list(v.items()) for v in want]
-        assert [[type(x) for x in v.values()] for v in gens] == [[type(x) for x in v.values()] for v in want]
+        den = lcm(*(row[m] for m, row in zip(rel2.pivots, rel2.integer_rows())))
+        assert [list(v.items()) for v in gens] == [[(c, den * x) for c, x in v.items()] for v in want]
+        assert all(type(x) is int for v in gens for x in v.values())
+        assert singletons(gens) == singletons(want)
         k = Subspace.from_vectors(got.r * got.n, want)
         assert got.image == k
         assert got.rank == k.dim == dimensions(got)["psi2_rank"]
@@ -211,8 +216,37 @@ def test_jacobi_cycles_match_the_per_triple_reference(monkeypatch):
         assert all(gcd(*r.values()) == 1 for r in got.rows)
         assert all(type(x) is int for r in got.rows for x in r.values())
         assert all(k.contains_vec(r) for r in got.rows)
-        fractions += any(type(x) is Fraction for v in gens for x in v.values())
-    assert fractions  # some cycles hold non-integral entries
+        fractions += any(type(x) is Fraction for v in want for x in v.values())
+    assert fractions  # some per-triple cycles hold non-integral entries
+
+
+def test_analysis_eliminates_integer_rows_only(monkeypatch):
+    # every row Analysis.of hands the kernel's forward pass and column-singleton
+    # pre-pass, K's Jacobi cycles included, holds ints only: the rebase reads the
+    # input scaled to integers and every quotient image is an integer row
+    cfg = SweepConfig()
+    inputs = [seeded_gh(d, k, s) for d in range(3, 11) for k in range(4) if k < d * (d - 1) // 2
+              for s in range(3 if d <= 6 else 1)]
+    inputs += [c.build() for c in grid_cases(cfg.d_values, cfg.defects, cfg.t_values, cfg.seeds)]
+    inputs += [rational_basis(seeded_gh(4, 2, 0), 1), rational_basis(with_abelian_part(seeded_gh(5, 1, 1), 1), 2)]
+    seen = []
+    forward, singletons = exactla._forward, exactla._singletons
+
+    def forward_recorded(rows):
+        rows = list(rows)
+        seen.extend(rows)
+        return forward(rows)
+
+    def singletons_recorded(rows):
+        seen.extend(rows)
+        return singletons(rows)
+
+    monkeypatch.setattr(exactla, "_forward", forward_recorded)
+    monkeypatch.setattr(exactla, "_singletons", singletons_recorded)
+    for a in inputs:
+        seen.clear()
+        Analysis.of(a)
+        assert seen and all(type(x) is int for r in seen for x in r.values())
 
 
 def test_analyze_rebases_and_presents_once(monkeypatch):
