@@ -14,6 +14,9 @@ algebra and d.
 Serialization is canonical: brackets sorted by (i, j), v keys sorted
 numerically, UTF-8, no floats; parse ∘ serialize is the identity on canonical
 documents.  A key repeated in any JSON object is an error, not the last value.
+The reader checks the table in one pass, looking each key up in a per-document
+map of the canonical keys, and drops zeros as it reads, so LieAlgebra stores
+its table unchecked (``LieAlgebra._normal``).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import json
 import re
 from collections import Counter
 from fractions import Fraction
+from typing import NoReturn
 
 from .exactla import _ratio
 from .liealg import LieAlgebra
@@ -85,8 +89,10 @@ def document_to_algebra(doc) -> tuple[LieAlgebra, dict]:
     brackets = doc.get("brackets", [])
     if not isinstance(brackets, list):
         raise DocumentError("brackets must be a list")
-    # Every pair and coordinate read is kept, zeros too, so that a repeat is
-    # caught whatever its first value; LieAlgebra drops the zeros.
+    # Every pair read is kept, an empty one too, so that a repeat is caught
+    # whatever its first value; zero values are dropped as they are read, and
+    # the empty vectors at the end, so the table is in LieAlgebra's normal form.
+    keys = {str(k): k for k in range(dim)}
     table = {}
     for entry in brackets:
         if not isinstance(entry, dict) or not {"i", "j", "v"} <= set(entry):
@@ -101,27 +107,44 @@ def document_to_algebra(doc) -> tuple[LieAlgebra, dict]:
             raise DocumentError("bracket value must be an object")
         vec = table[(i, j)] = {}
         for k_str, x_str in v.items():
-            try:
-                k = int(k_str)
-            except (TypeError, ValueError) as e:
-                raise DocumentError(f"bad coordinate key {k_str!r}") from e
-            if not 0 <= k < dim:
-                raise DocumentError(f"coordinate {k} outside dimension {dim}")
-            if k in vec:
-                raise DocumentError(f"coordinate {k} given twice in bracket ({i},{j})")
-            vec[k] = parse_rational(x_str)
-        # A key is the ASCII decimal of its index; int() also reads "+2", " 2", "1_0" and
-        # non-ASCII digits, so a key that reads as a repeat is reported as one first.
-        for k_str, k in zip(v, vec):
-            if k_str != str(k):
-                raise DocumentError(f"bad coordinate key {k_str!r}")
+            # A canonical key is an index below dim and, the keys of one object being
+            # distinct, never a repeat; any other key is an error, found by _reject_key.
+            k = keys.get(k_str)
+            if k is None:
+                _reject_key(v, dim, i, j)
+            if x := parse_rational(x_str):
+                vec[k] = x
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise DocumentError("meta must be an object")
     for key in ("d", "defect", "t"):
         if key in meta and not (_is_int(meta[key]) and meta[key] >= 0):
             raise DocumentError(f"meta {key} must be a nonnegative integer")
-    return LieAlgebra(dim, labels, table), meta
+    return LieAlgebra._normal(dim, labels, {p: w for p, w in table.items() if w}), meta
+
+
+def _reject_key(v: dict, dim: int, i: int, j: int) -> NoReturn:
+    """Raise the error for bracket (i, j)'s value v, which holds a key that is not a
+    canonical index: each key read by int(), its range and repeat checked and its value
+    parsed, in order, then the first key that is not the ASCII decimal of its index."""
+    seen = []
+    for k_str, x_str in v.items():
+        try:
+            k = int(k_str)
+        except (TypeError, ValueError) as e:
+            raise DocumentError(f"bad coordinate key {k_str!r}") from e
+        if not 0 <= k < dim:
+            raise DocumentError(f"coordinate {k} outside dimension {dim}")
+        if k in seen:
+            raise DocumentError(f"coordinate {k} given twice in bracket ({i},{j})")
+        seen.append(k)
+        parse_rational(x_str)
+    # int() also reads "+2", " 2", "1_0" and non-ASCII digits, so a key that reads
+    # as a repeat is reported as one first.
+    for k_str, k in zip(v, seen):
+        if k_str != str(k):
+            raise DocumentError(f"bad coordinate key {k_str!r}")
+    raise AssertionError("every key of v is canonical")
 
 
 def dumps(doc: dict) -> str:
@@ -130,10 +153,12 @@ def dumps(doc: dict) -> str:
 
 def _unique_keys(pairs: list) -> dict:
     """A JSON object as a dict; a key given twice is an error (json keeps the last)."""
-    for key, n in Counter(k for k, _ in pairs).items():
-        if n > 1:
-            raise DocumentError(f"key {key!r} given twice in one JSON object")
-    return dict(pairs)
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        for key, n in Counter(k for k, _ in pairs).items():
+            if n > 1:
+                raise DocumentError(f"key {key!r} given twice in one JSON object")
+    return obj
 
 
 def loads(text: str) -> dict:

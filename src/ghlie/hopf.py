@@ -278,7 +278,7 @@ def cover_construct(p: FreePresentation) -> Cover:
         f"[[{gen_labels[i]},{gen_labels[j]}],{gen_labels[k]}]"
         for (i, j, k) in (h.triples[m] for m in comp3)
     ]
-    algebra = LieAlgebra(dim, gen_labels + pair_labels + triple_labels, table)
+    algebra = LieAlgebra._normal(dim, gen_labels + pair_labels + triple_labels, table)
     b_gens = [{d + w: x for w, x in v.items()} for v in p.rel2.integer_rows()]
     b_gens += [{d + g2 + q: 1} for q in range(len(comp3))]
     central = Subspace.from_vectors(dim, b_gens)
@@ -338,7 +338,7 @@ def verify_cover(a: LieAlgebra, cover: LieAlgebra, b: Subspace) -> CoverReport:
     a, rel2, _ = rebase_class2(a)
     k = psi2_image(a, rel2)
     c, table = integral_table(cover.bracket)
-    cover = cover if c == 1 else LieAlgebra(cover.dim, cover.labels, table)
+    cover = cover if c == 1 else LieAlgebra._normal(cover.dim, cover.labels, table)
     der = derived_subalgebra(cover)
     z = center(cover, der)
     series = lower_central_series(cover, der)
@@ -366,8 +366,8 @@ def verify_cover(a: LieAlgebra, cover: LieAlgebra, b: Subspace) -> CoverReport:
         b_in_derived=b_in_derived,
         b_dim=b.dim,
         multiplier=m_dim,
-        quotient_matches=quotient(cover, b) == LieAlgebra(
-            a.dim, a.labels, {p: {i: c * x for i, x in w.items()} for p, w in a.bracket.items()}),
+        quotient_matches=quotient(cover, b) == LieAlgebra._normal(a.dim, a.labels, {
+            p: {i: _ratio(x.numerator * c, x.denominator) for i, x in w.items()} for p, w in a.bracket.items()}),
         cube_dim=cube.dim,
         s=s,
         defect=rel2.dim,

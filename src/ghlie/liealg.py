@@ -47,7 +47,13 @@ class NotCentral(ValueError):
 
 
 class LieAlgebra:
-    """Basis labels plus the sparse bracket table {(i, j) i<j: Vec}, coerced by ``vec``."""
+    """Basis labels plus the sparse bracket table {(i, j) i<j: Vec}, coerced by ``vec``.
+
+    ``_normal`` skips the checks for a table built in normal form: by
+    ``class2_from_relations``, ``quotient``, ``direct_sum``, the rebase's integer
+    copy, ``hopf.cover_construct``, ``hopf.verify_cover``'s two scaled copies and
+    ``docio.document_to_algebra``, which makes its own checks.
+    """
 
     __slots__ = ("dim", "labels", "bracket")
 
@@ -66,6 +72,14 @@ class LieAlgebra:
             if v:
                 table[(i, j)] = v
         self.bracket = table
+
+    @classmethod
+    def _normal(cls, dim: int, labels, bracket: dict) -> "LieAlgebra":
+        """The algebra of a table in normal form, stored without a check: keys i < j < dim,
+        values nonzero ints or non-integral Fractions at coordinates below dim, none empty."""
+        a = object.__new__(cls)
+        a.dim, a.labels, a.bracket = dim, tuple(labels), bracket
+        return a
 
     def pair(self, i: int, j: int) -> Vec:
         """[b_i, b_j] for arbitrary index order."""
@@ -153,6 +167,11 @@ def center(a: LieAlgebra, der: Subspace | None = None, central: Subspace | None 
     on full vectors, as central need not lie in L², and on half its pivot block: for its
     RREF rows u_p, [u_p, e_c] for every non-pivot c and [u_p, e_q] for pivots q > p, as
     [u_p, u_p] = 0 gives [u_p, e_p] = 0 and [u_q, u_p] = -[u_p, u_q] gives [u_q, e_p] = 0.
+    Each touched bracket is packed into one int, entry k in bits [kB, (k+1)B) (Kronecker
+    substitution), so [u_p, e_j] = Σᵢ u_p[i]·[e_i, e_j] is one multiply-add per i.  With M
+    the largest |entry| of the touched table and U the largest Σ|u_p[i]|, every slot of the
+    sum is below M·U < 2^(B-2) in absolute value for B = (M·U).bit_length() + 2, so the top
+    nonzero slot outweighs all the slots below it: the sum is zero iff every slot is.
     Then Z(L) = central + {v : [v, b_c] = 0 for all c}, v and c over central's complement
     coordinates; [v, b_c] lies in L², fixed by its entries at L²'s pivots: only those are read.
     """
@@ -163,13 +182,19 @@ def center(a: LieAlgebra, der: Subspace | None = None, central: Subspace | None 
     held = {i for u in rows for i in u}
     _, touching = integral_table({(i, j): w for (i, j), w in a.bracket.items() if i in held or j in held})
     if touching:  # else every [u, e_j] is zero
-        adj, claimed = _adjoint(n, touching), set(central.pivots)
+        top = max(max(map(abs, w.values())) for w in touching.values())
+        b = (top * max(sum(map(abs, u.values())) for u in rows)).bit_length() + 2
+        packed: list[dict[int, int]] = [{} for _ in range(n)]
+        for (i, j), w in touching.items():
+            s = sum(x << k * b for k, x in w.items())
+            packed[i][j], packed[j][i] = s, -s
+        claimed = set(central.pivots)
         for p, u in zip(central.pivots, rows):
-            out: dict[int, Vec] = {}
+            out: dict[int, int] = {}
             for i, x in u.items():
-                for j, w in adj[i].items():
+                for j, s in packed[i].items():
                     if j > p or j not in claimed:
-                        vec_axpy(out.setdefault(j, {}), x, w)
+                        out[j] = out.get(j, 0) + x * s
             if any(out.values()):
                 raise NotCentral("the subspace claimed central is not central")
     comp = central.complement_coords()
@@ -215,10 +240,10 @@ def quotient(a: LieAlgebra, ideal: Subspace) -> LieAlgebra:
     comp = ideal.complement_coords()
     pos = dict(zip(comp, itertools.count()))
     table = {
-        (pos[i], pos[j]): ideal.quotient_coords(v)
-        for (i, j), v in sorted(a.bracket.items()) if i in pos and j in pos
+        (pos[i], pos[j]): w
+        for (i, j), v in sorted(a.bracket.items()) if i in pos and j in pos and (w := ideal.quotient_coords(v))
     }
-    return LieAlgebra(len(comp), [a.labels[c] for c in comp], table)
+    return LieAlgebra._normal(len(comp), [a.labels[c] for c in comp], table)
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
@@ -226,7 +251,7 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     off = a.dim
     for (i, j), v in b.bracket.items():
         table[(i + off, j + off)] = {k + off: x for k, x in v.items()}
-    return LieAlgebra(a.dim + b.dim, a.labels + b.labels, table)
+    return LieAlgebra._normal(a.dim + b.dim, a.labels + b.labels, table)
 
 
 def abelian(n: int) -> LieAlgebra:
@@ -291,8 +316,9 @@ def class2_from_relations(d: int, relations: Subspace, labels=None) -> LieAlgebr
         labels = [f"x{i+1}" for i in range(d)] + [f"y{s+1}" for s in range(r)]
     # [x_i, x_j] is its pair's image mod relations, D times which unit_images holds.
     den, images = relations.unit_images()
-    table = {ij: {d + s: x if den == 1 else _ratio(x, den) for s, x in v.items()} for ij, v in zip(pairs, images)}
-    return LieAlgebra(d + r, labels, table)
+    table = {ij: {d + s: x if den == 1 else _ratio(x, den) for s, x in v.items()}
+             for ij, v in zip(pairs, images) if v}
+    return LieAlgebra._normal(d + r, labels, table)
 
 
 _RETRY_BUDGET = 64
@@ -385,7 +411,7 @@ def rebase_class2(a: LieAlgebra) -> tuple[LieAlgebra, Subspace, Subspace]:
     """
     n = a.dim
     den, table = integral_table(a.bracket)
-    a = a if den == 1 else LieAlgebra(n, a.labels, table)
+    a = a if den == 1 else LieAlgebra._normal(n, a.labels, table)
     held = set().union(*a.bracket.values())
     taken = [c for c in range(n) if c not in held]
     is_taken = set(taken)

@@ -23,7 +23,12 @@ table as it is); ``reference_class2_from_relations`` and
 ``reference_extension_witness`` are the rebased table and the d = 3 witness
 as they were before every quotient image came from ``Subspace.unit_images``
 (the table read off the unit-pivot ``vectors()`` rows, the witness off one
-``quotient_coords`` per unit vector); ``classify_by_multiplier`` reads the
+``quotient_coords`` per unit vector); ``reference_unpacked_center`` is center
+as it was before the claim that a subspace is central was checked on packed
+ints (one ``vec_axpy`` per bracket entry); ``reference_document_to_algebra``
+and ``reference_unique_keys`` are the document reader as it was before it
+read a table in one pass (int() on every key, zeros kept until LieAlgebra
+dropped them, and a ``Counter`` over every JSON object's keys); ``classify_by_multiplier`` reads the
 defect off (d, dim M(L)), and ``write_document`` writes an algebra as a JSON
 document.
 """
@@ -36,8 +41,18 @@ from fractions import Fraction as F
 from math import lcm
 
 from ghlie.closed_forms import _displays_t0, _displays_t9, _int, _suspect_reason, _validate
-from ghlie.docio import algebra_to_document, dumps
-from ghlie.exactla import Subspace, _forward, _primitive_copy, _ratio, _relations, _singletons, basis, relations
+from ghlie.docio import DocumentError, _is_int, _reject_unknown_keys, algebra_to_document, dumps, parse_rational
+from ghlie.exactla import (
+    Subspace,
+    _forward,
+    _primitive_copy,
+    _ratio,
+    _relations,
+    _singletons,
+    basis,
+    relations,
+    vec_axpy,
+)
 from ghlie.hopf import CoverReport, _extension_witness_agrees, ker_beta, presentation_from_class2
 from ghlie.liealg import (
     ClassTwoRequired,
@@ -47,6 +62,7 @@ from ghlie.liealg import (
     _ad_basis,
     _adjoint,
     center,
+    integral_table,
     class2_from_relations,
     derived_subalgebra,
     jacobi_check,
@@ -336,6 +352,99 @@ def reference_extension_witness(p) -> LieAlgebra:
                 table[(i, d + s)] = {c: -x for c, x in v.items()}
     labels = list(t.labels) + [f"e{i+1}{j+1}" for i, j in h.pairs] + [f"n{q+1}" for q in range(n_dim)]
     return LieAlgebra(d + r + g2 + n_dim, labels, table)
+
+
+def reference_unpacked_center(a: LieAlgebra, der: Subspace | None = None, central: Subspace | None = None) -> Subspace:
+    """center as it was: each [u_p, e_j] of the claim summed as a dict by ``vec_axpy``."""
+    n = a.dim
+    piv = set((derived_subalgebra(a) if der is None else der).pivots)
+    central = Subspace.zero(n) if central is None else central
+    rows = central.integer_rows()
+    held = {i for u in rows for i in u}
+    _, touching = integral_table({(i, j): w for (i, j), w in a.bracket.items() if i in held or j in held})
+    if touching:
+        adj, claimed = _adjoint(n, touching), set(central.pivots)
+        for p, u in zip(central.pivots, rows):
+            out: dict[int, dict] = {}
+            for i, x in u.items():
+                for j, w in adj[i].items():
+                    if j > p or j not in claimed:
+                        vec_axpy(out.setdefault(j, {}), x, w)
+            if any(out.values()):
+                raise NotCentral("the subspace claimed central is not central")
+    comp = central.complement_coords()
+    pos = {c: s for s, c in enumerate(comp)}
+    ads: list[dict] = [{} for _ in comp]
+    for (i, j), w in a.bracket.items():
+        if i in pos and j in pos:
+            ad_i, ad_j = ads[pos[i]], ads[pos[j]]
+            for k, x in w.items():
+                if k in piv:
+                    ad_i[j * n + k] = x
+                    ad_j[i * n + k] = -x
+    ker = relations(ads)
+    if not (central.dim and ker.dim):
+        return central if central.dim else ker
+    lifted = [{comp[s]: x for s, x in r.items()} for r in ker.integer_rows()]
+    return Subspace.from_vectors(n, central.integer_rows() + lifted)
+
+
+def reference_document_to_algebra(doc) -> tuple[LieAlgebra, dict]:
+    """document_to_algebra as it was: every key read by int(), range- and repeat-checked,
+    zeros kept so a repeat is caught, the ASCII check after each vector, then LieAlgebra."""
+    if not isinstance(doc, dict):
+        raise DocumentError("document must be a JSON object")
+    _reject_unknown_keys(doc, ("dim", "labels", "brackets", "meta"), "document")
+    dim = doc.get("dim")
+    if not _is_int(dim) or dim < 0:
+        raise DocumentError("dim must be a nonnegative integer")
+    labels = doc.get("labels")
+    if not isinstance(labels, list) or len(labels) != dim or not all(isinstance(s, str) for s in labels):
+        raise DocumentError("labels must be a list of dim strings")
+    brackets = doc.get("brackets", [])
+    if not isinstance(brackets, list):
+        raise DocumentError("brackets must be a list")
+    table = {}
+    for entry in brackets:
+        if not isinstance(entry, dict) or not {"i", "j", "v"} <= set(entry):
+            raise DocumentError("each bracket needs i, j and v")
+        _reject_unknown_keys(entry, ("i", "j", "v"), "bracket")
+        i, j, v = entry["i"], entry["j"], entry["v"]
+        if not (_is_int(i) and _is_int(j) and 0 <= i < j < dim):
+            raise DocumentError(f"bracket pair ({i},{j}) violates 0 <= i < j < dim")
+        if (i, j) in table:
+            raise DocumentError(f"duplicate bracket pair ({i},{j})")
+        if not isinstance(v, dict):
+            raise DocumentError("bracket value must be an object")
+        vec = table[(i, j)] = {}
+        for k_str, x_str in v.items():
+            try:
+                k = int(k_str)
+            except (TypeError, ValueError) as e:
+                raise DocumentError(f"bad coordinate key {k_str!r}") from e
+            if not 0 <= k < dim:
+                raise DocumentError(f"coordinate {k} outside dimension {dim}")
+            if k in vec:
+                raise DocumentError(f"coordinate {k} given twice in bracket ({i},{j})")
+            vec[k] = parse_rational(x_str)
+        for k_str, k in zip(v, vec):
+            if k_str != str(k):
+                raise DocumentError(f"bad coordinate key {k_str!r}")
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise DocumentError("meta must be an object")
+    for key in ("d", "defect", "t"):
+        if key in meta and not (_is_int(meta[key]) and meta[key] >= 0):
+            raise DocumentError(f"meta {key} must be a nonnegative integer")
+    return LieAlgebra(dim, labels, table), meta
+
+
+def reference_unique_keys(pairs: list) -> dict:
+    """_unique_keys as it was: a Counter over every object's keys."""
+    for key, n in Counter(k for k, _ in pairs).items():
+        if n > 1:
+            raise DocumentError(f"key {key!r} given twice in one JSON object")
+    return dict(pairs)
 
 
 class NotGeneralizedHeisenberg(ValueError):

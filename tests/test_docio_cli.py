@@ -1132,3 +1132,160 @@ def test_cover_labels_follow_the_rebased_generators(ws, capsys):
     assert main(["cover", "l.json", "--out", "c.json"]) == 0
     doc = json.loads(Path("c.json").read_text(encoding="utf-8"))
     assert doc["labels"][:6] == ["x1", "x2", "a1", "[x1,x2]", "[x1,a1]", "[x2,a1]"]
+
+
+# --- the one-pass reader against the reader it replaced (differential) ---------------
+#
+# document_to_algebra looks each canonical key up in a per-document map and
+# falls back to the int(), range, repeat and ASCII checks on any other key,
+# and _unique_keys counts keys only when an object lost one.  Every mutant of
+# a canonical document must give the reference's exception type and message,
+# or the same algebra with the same key order and value types.
+
+import copy  # noqa: E402
+from collections import Counter  # noqa: E402
+
+from _reference import reference_document_to_algebra, reference_unique_keys  # noqa: E402
+
+
+class _Obj(list):
+    """A JSON object as its list of (key, value) pairs, so a key can repeat."""
+
+
+def _as_pairs(x):
+    if isinstance(x, dict):
+        return _Obj((k, _as_pairs(v)) for k, v in x.items())
+    return [_as_pairs(v) for v in x] if isinstance(x, list) else x
+
+
+def _to_text(x) -> str:
+    if isinstance(x, _Obj):
+        return "{" + ",".join(f"{json.dumps(k)}:{_to_text(v)}" for k, v in x) + "}"
+    if isinstance(x, list):
+        return "[" + ",".join(map(_to_text, x)) + "]"
+    return json.dumps(x)
+
+
+def _objects(x):
+    """Every JSON object in x, outermost first."""
+    if isinstance(x, _Obj):
+        yield x
+    for v in (v for _, v in x) if isinstance(x, _Obj) else x if isinstance(x, list) else ():
+        yield from _objects(v)
+
+
+def _outcome(read, *args):
+    """The algebra's dim, labels, typed table and meta; or the exception's type and message."""
+    try:
+        a, meta = read(*args)
+    except Exception as e:  # noqa: BLE001 -- the type and message are compared
+        return type(e), str(e)
+    return a.dim, a.labels, [(p, [(c, type(x), x) for c, x in v.items()]) for p, v in a.bracket.items()], meta
+
+
+def _assert_reader_parity(doc):
+    """doc (an _Obj tree) as JSON text, read by the reader and by the reference."""
+    text = _to_text(doc)
+    got = _outcome(lambda: docio.document_to_algebra(json.loads(text, object_pairs_hook=docio._unique_keys)))
+    assert got == _outcome(lambda: reference_document_to_algebra(
+        json.loads(text, object_pairs_hook=reference_unique_keys))), text
+    return got
+
+
+def _key_spellings(k: int) -> list:
+    """The index k as int() reads it, but not as its canonical key."""
+    s = str(k)
+    return [f"0{s}", f"+{s}", f" {s}", f"{s} ", f"0_{s}", "".join(chr(0x660 + int(c)) for c in s),
+            "".join(chr(0xFF10 + int(c)) for c in s)]
+
+
+_BAD_VALUES = ["", "+3", "3/0", "3/-4", "3/04", " 3", "3 ", "1/", "/2", "1_000", "0x10", "1.5", "1e3", "--1",
+               "1/2/3", None, 3, 2.5, ["1"], {"a": "1"}, True, "\u0663", "\uff13", "-\u0663", "1/1\u0663",
+               "\u0661\u0660/3", "3/1\U0001d7d0"]
+_GOOD_VALUES = ["0", "-0", "0/7", "3/6", "-2", "5/3", "12", "6/3", "-8/4"]
+
+
+def _reader_documents():
+    dense = _in_rational_basis(seeded_gh(3, 1, 0), random.Random(3))
+    docs = [docio.algebra_to_document(heisenberg(1)),
+            docio.algebra_to_document(dense, {"family": "gh", "note": {"by": 1}}),
+            docio.algebra_to_document(direct_sum(heisenberg(1), abelian(2)), {"d": 2})]
+    return [_as_pairs(d) for d in docs]
+
+
+def _vectors(doc):
+    return [v for e in dict(doc)["brackets"] for k, v in e if k == "v"]
+
+
+def test_reader_matches_the_reference_on_every_single_mutant():
+    # each key of each bracket value respelt (02, +2, ' 2', 0_2, Arabic-Indic and
+    # fullwidth digits), repeated in a second spelling or literally, moved out of
+    # range or made an int; each value replaced by every reject and by zeros; each
+    # object of the document given one of its keys twice
+    outcomes = Counter()
+    for base in _reader_documents():
+        dim = dict(base)["dim"]
+        for vi, v in enumerate(_vectors(base)):
+            for ki, (k_str, x) in enumerate(v):
+                k = int(k_str)
+                mutants = [_Obj(v[:ki] + [(s, x)] + v[ki + 1:]) for s in
+                           _key_spellings(k) + [str(dim), str(dim + 7), "-1", "x"]]
+                mutants += [_Obj(v + [(s, y)]) for s in _key_spellings(k) + [k_str] for y in (x, "0")]
+                mutants += [_Obj([(s, "0")] + v) for s in _key_spellings(k)[:2]]
+                mutants += [_Obj(v[:ki] + [(k_str, y)] + v[ki + 1:]) for y in _BAD_VALUES + _GOOD_VALUES]
+                mutants += [_Obj(v[:ki] + v[ki + 1:])]
+                for m in mutants:
+                    doc = copy.deepcopy(base)
+                    _vectors(doc)[vi][:] = m
+                    outcomes[_assert_reader_parity(doc)[0]] += 1
+                # a document built by a program may have non-string keys
+                for key in (k, True, float(k), None):
+                    doc = json.loads(_to_text(base))
+                    w = doc["brackets"][vi]["v"]
+                    doc["brackets"][vi]["v"] = {key if c == k_str else c: y for c, y in w.items()}
+                    got = _outcome(docio.document_to_algebra, doc)
+                    assert got == _outcome(reference_document_to_algebra, doc)
+                    outcomes[got[0]] += 1
+        for oi, obj in enumerate(_objects(base)):
+            for pi in range(len(obj)):
+                for second in ("same", "other"):
+                    doc = copy.deepcopy(base)
+                    twin = list(_objects(doc))[oi]
+                    key, value = twin[pi]
+                    twin.append((key, value if second == "same" else "0"))
+                    assert _assert_reader_parity(doc)[0] is docio.DocumentError
+                    outcomes["repeated JSON key"] += 1
+    assert outcomes[docio.DocumentError] > 500 and outcomes["repeated JSON key"] > 50
+    assert sum(n for t, n in outcomes.items() if isinstance(t, int)) > 50
+
+
+@given(st.integers(0, 2), st.lists(st.tuples(st.integers(0, 5), st.integers(0, 10**6)), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_reader_matches_the_reference_on_mutated_documents(which, steps):
+    doc = _reader_documents()[which]
+    dim = dict(doc)["dim"]
+    for kind, seed in steps:
+        rng = random.Random(seed)
+        vectors = _vectors(doc)
+        v = rng.choice(vectors) if vectors else _Obj()
+        ki = rng.randrange(len(v)) if v else 0
+        k_str, x = v[ki] if v else (str(rng.randrange(dim + 1)), "1")
+        k = int(k_str) if k_str.isascii() and k_str.isdigit() else rng.randrange(dim + 1)
+        spelled = rng.choice(_key_spellings(k) + [str(k), str(dim), "-1"])
+        if kind == 0:  # respell a key
+            v[ki:ki + 1] = [(spelled, x)]
+        elif kind == 1:  # repeat a key, in a second spelling or literally
+            v.insert(rng.randrange(len(v) + 1), (spelled, rng.choice(_GOOD_VALUES + [x])))
+        elif kind == 2:  # replace a value
+            v[ki:ki + 1] = [(k_str, rng.choice(_BAD_VALUES + _GOOD_VALUES))]
+        elif kind == 3:  # drop an entry
+            del v[ki:ki + 1]
+        elif kind == 4:  # a key given twice in one JSON object, at any level
+            obj = rng.choice(list(_objects(doc)))
+            if obj:
+                obj.insert(rng.randrange(len(obj) + 1), rng.choice(obj))
+        else:  # a bracket entry repeated
+            entries = dict(doc)["brackets"]
+            if entries:
+                entries.insert(rng.randrange(len(entries) + 1), copy.deepcopy(rng.choice(entries)))
+    _assert_reader_parity(doc)

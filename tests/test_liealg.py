@@ -1036,3 +1036,219 @@ def test_certificate_tables_that_tell_each_mutant_apart(monkeypatch):
     assert type(exc.value) is ClassTwoRequired
     for t in (a, b, _in_rational_basis(a, 1), _in_rational_basis(b, 1)):
         assert _rebase_outcome(rebase_class2, t) == _rebase_outcome(reference_rebase_class2, t)
+
+
+# --- the claim that a subspace is central, on packed ints (differential) -------------
+#
+# center packs each touched integer bracket into one int, entry k in bits
+# [kB, (k+1)B) with B = (M·U).bit_length() + 2, and sums [u_p, e_j] with one
+# multiply-add per i.  reference_unpacked_center is center as it was, one
+# vec_axpy per entry; the two must raise NotCentral on the same inputs and
+# otherwise return the same Z(L).
+
+from _reference import reference_unpacked_center  # noqa: E402
+
+
+def _center_outcome(fn, a, der, central):
+    try:
+        return fn(a, der, central)
+    except NotCentral as e:
+        return NotCentral, str(e)
+
+
+def _rebase_center_calls(monkeypatch, a):
+    """The (table, L², claim) arguments of every center call while a is rebased."""
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(liealg, "center", lambda b, der, central: calls.append((b, der, central)) or center(b, der, central))
+        try:
+            rebase_class2(a)
+        except ClassTwoRequired:
+            pass
+    return calls
+
+
+def _packed_agrees(calls):
+    """Check center against the reference on each call; count the claims each rejects."""
+    rejected = 0
+    for a, der, central in calls:
+        got = _center_outcome(center, a, der, central)
+        assert got == _center_outcome(reference_unpacked_center, a, der, central)
+        rejected += isinstance(got, tuple)
+    return rejected
+
+
+def test_packed_check_matches_the_dict_check_on_rebase_inputs(monkeypatch):
+    # every rebase input of the default grid, dense rational copies of seeded_gh
+    # at d <= 6, class-3 covers (as they are and in a rational basis) and random
+    # tables that fail Jacobi: each rebase certifies L² by one center call
+    cfg = SweepConfig()
+    grid = [c.build() for c in grid_cases(cfg.d_values, cfg.defects, cfg.t_values, cfg.seeds)]
+    dense = [_in_rational_basis(seeded_gh(d, k, s), s) for d in range(3, 7) for k in (1, 2, 3)
+             if (d, k) != (3, 3) for s in range(1 if d == 6 else 2)]
+    covers = [cover_construct(presentation_from_class2(a)).algebra
+              for a in (canonical_gh(3, 1), seeded_gh(3, 2, 0), seeded_gh(4, 1, 0), seeded_gh(4, 3, 1))]
+    covers += [_in_rational_basis(c, s) for s, c in enumerate(covers) if c.dim <= 11]
+    failing = [t for t in map(_random_table, range(80)) if jacobi_check(t)]
+    counts = []
+    for inputs in (grid, dense, covers, failing):
+        calls = [c for a in inputs for c in _rebase_center_calls(monkeypatch, a)]
+        assert len(calls) == len(inputs)
+        counts.append(_packed_agrees(calls))
+    assert counts[:3] == [0, 0, len(covers)] and counts[3] == len(failing) >= 40
+    # the covers' own L² and center, claimed central or not
+    for c in covers:
+        der = derived_subalgebra(c)
+        assert _packed_agrees([(c, der, der), (c, der, None), (c, None, center(c))]) == 1
+
+
+def _extreme_table(n, u, j, entries):
+    """Brackets [e_i, e_j] = entries[i] for i in u's support, stored under (min, max)."""
+    table = {}
+    for i in u:
+        w = entries[i]
+        table[(i, j) if i < j else (j, i)] = w if i < j else {k: -x for k, x in w.items()}
+    return LieAlgebra(n, [f"v{c}" for c in range(n)], table)
+
+
+def test_packed_check_at_the_slot_bound():
+    # one slot's sum is ±M·U and every other slot's sum zero (the other entries
+    # cancel); and the borrow tables, whose lowest slot sums to -M·U = -2^t with
+    # 1 in the slot above, so a slot width of bit_length(M) (forgetting U) or of
+    # bit_length(M·U) - 1 would pack the nonzero sum to zero
+    rng = random.Random(5)
+    cases = []
+    for _ in range(120):
+        n = rng.randint(5, 9)
+        support = rng.sample(range(n - 1), rng.randint(1, 3))
+        u = Subspace.from_vectors(n, [{i: rng.choice((-3, -2, -1, 1, 2, 3)) for i in support}])
+        row = u.integer_rows()[0]
+        j = rng.choice([c for c in range(n) if c not in row])
+        top, sign, k = rng.randint(1, 40), rng.choice((-1, 1)), rng.randrange(n)
+        entries = {i: {k: sign * top * (1 if x > 0 else -1)} for i, x in row.items()}
+        if len(row) > 1:  # the other slots: entries that cancel in the sum
+            (i1, x1), (i2, x2) = list(row.items())[:2]
+            t = top // max(abs(x1), abs(x2))
+            for k2 in rng.sample([c for c in range(n) if c != k], 2):
+                entries[i1][k2], entries[i2][k2] = x2 * t, -x1 * t
+        a = _extreme_table(n, row, j, {i: {c: x for c, x in w.items() if x} for i, w in entries.items()})
+        sums = {}
+        for i, x in row.items():
+            vec_axpy(sums, x, a.pair(i, j))
+        assert sums == {k: sign * top * sum(map(abs, row.values()))}
+        cases.append((a, u))
+    for t in range(1, 12):
+        for width in (1, 2):  # U = 1 and U = 2
+            n = 6
+            row = {0: 1} if width == 1 else {0: 1, 1: 1}
+            entries = {0: {2: -2 ** t, 3: 1}, 1: {2: -2 ** t}}
+            a = _extreme_table(n, row, 4, entries)
+            cases.append((a, Subspace.from_vectors(n, [row])))
+    for a, u in cases:
+        with pytest.raises(NotCentral):
+            reference_unpacked_center(a, None, u)
+        with pytest.raises(NotCentral):
+            center(a, None, u)
+
+
+def test_a_dense_class2_table_with_one_entry_moved_is_rejected(monkeypatch):
+    # every nonzero entry of a dense rational class-2 table, moved by ±1 in turn,
+    # and the moved integer table the rebase reads: the packed check rejects the
+    # claim that L² is central exactly when the dict check does, and the rebase
+    # rejects every mutant
+    for d, k, s in ((3, 1, 0), (4, 2, 1)):
+        a = _in_rational_basis(seeded_gh(d, k, s), s)
+        rng = random.Random(s)
+        rejected = 0
+        for (p, w), step in itertools.product(a.bracket.items(), (-1, 1)):
+            c = rng.choice(sorted(w))
+            table = {q: dict(v) for q, v in a.bracket.items()}
+            table[p][c] += step
+            b = LieAlgebra(a.dim, a.labels, table)
+            calls = _rebase_center_calls(monkeypatch, b)
+            rejected += _packed_agrees(calls)
+            with pytest.raises(ClassTwoRequired):
+                rebase_class2(b)
+        assert rejected == 2 * len(a.bracket)
+
+
+# --- tables built once: LieAlgebra._normal against the checking constructor ----------
+#
+# LieAlgebra(dim, labels, table) validates and coerces external input;
+# LieAlgebra._normal stores a table its caller built in that normal form.  At
+# every call site of _normal, the checking constructor on the same input must
+# give the same table: keys in the same order, the same value types, no zero
+# and no empty vector.
+
+import sys  # noqa: E402
+
+from ghlie import docio  # noqa: E402
+from ghlie.hopf import verify_cover  # noqa: E402
+from ghlie.report import capability_by_quotients  # noqa: E402
+
+_NORMAL_CALLERS = {"class2_from_relations", "quotient", "direct_sum", "rebase_class2",
+                   "cover_construct", "verify_cover", "document_to_algebra"}
+
+
+def _assert_normal_form(a):
+    for (i, j), w in a.bracket.items():
+        assert 0 <= i < j < a.dim and w
+        for k, x in w.items():
+            assert 0 <= k < a.dim and x
+            assert type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def test_unchecked_tables_match_the_checking_constructor(monkeypatch):
+    sites = Counter()
+    normal = LieAlgebra._normal.__func__
+
+    def recorded(cls, dim, labels, bracket):
+        got = normal(cls, dim, labels, bracket)
+        want = LieAlgebra(dim, labels, dict(bracket))
+        assert (got.dim, got.labels, _typed(got.bracket)) == (want.dim, want.labels, _typed(want.bracket))
+        _assert_normal_form(got)
+        sites[sys._getframe(1).f_code.co_name] += 1
+        return got
+
+    monkeypatch.setattr(LieAlgebra, "_normal", classmethod(recorded))
+    cfg = SweepConfig()
+    grid = [c.build() for c in grid_cases(cfg.d_values, cfg.defects, cfg.t_values, cfg.seeds)][::7]
+    cores = [seeded_gh(3, 1, 0), seeded_gh(4, 2, 1), heisenberg(1), direct_sum(heisenberg(1), abelian(2))]
+    inputs = grid + cores + [_in_rational_basis(a, s) for s, a in enumerate(cores)]
+    for a in inputs:
+        b = docio.document_to_algebra(docio.loads(docio.dumps(docio.algebra_to_document(a))))[0]
+        assert b == a and b.labels == a.labels
+        p = presentation_from_class2(a)
+        cov = cover_construct(p)
+        assert verify_cover(a, cov.algebra, cov.central_ideal).ok
+        direct_sum(a, heisenberg(1))
+        capability_by_quotients(a, random_lines=1)
+    # a document whose values hold zeros and a vector of zeros only
+    doc = {"dim": 4, "labels": list("wxyz"), "brackets": [
+        {"i": 0, "j": 1, "v": {"3": "0", "2": "-4/2", "0": "1/3"}}, {"i": 0, "j": 2, "v": {"1": "0"}},
+        {"i": 1, "j": 3, "v": {"0": "0/5", "2": "6/4"}}]}
+    a = docio.document_to_algebra(doc)[0]
+    assert _typed(a.bracket) == [((0, 1), [(2, int, -2), (0, Fraction, F(1, 3))]),
+                                 ((1, 3), [(2, Fraction, F(3, 2))])]
+    assert set(sites) == _NORMAL_CALLERS and min(sites.values()) >= 4
+
+
+def test_the_checking_constructor_rejects_and_coerces():
+    for key in ((1, 0), (1, 1), (0, 3), (-1, 2)):
+        with pytest.raises(ValueError) as e:
+            LieAlgebra(3, "xyz", {key: {2: 1}})
+        assert str(e.value) == f"bracket key ({key[0]},{key[1]}) is not an ordered pair below 3"
+    for k in (3, -1):
+        with pytest.raises(ValueError) as e:
+            LieAlgebra(3, "xyz", {(0, 1): {k: 1}})
+        assert str(e.value) == "bracket value has a coordinate outside the algebra"
+    for labels in ("xy", "wxyz"):
+        with pytest.raises(ValueError) as e:
+            LieAlgebra(3, labels, {})
+        assert str(e.value) == "label count does not match dimension"
+    # floats and bools are coerced to exact rationals, integral ones to int; zeros
+    # and vectors of zeros are dropped
+    a = LieAlgebra(4, "wxyz", {(0, 1): {2: 0.5, 3: 2.0}, (0, 2): {3: True, 1: False},
+                               (1, 2): {3: 0.0}, (1, 3): {2: F(4, 2)}})
+    assert _typed(a.bracket) == [((0, 1), [(2, Fraction, F(1, 2)), (3, int, 2)]), ((0, 2), [(3, int, 1)]),
+                                 ((1, 3), [(2, int, 2)])]
